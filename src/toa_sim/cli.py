@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -26,12 +25,11 @@ from .model import (
     with_omega,
 )
 from .regimes import RegimeReport, classify, critical_temperature, ridge_locations
-from .scattering import ABSORPTION_BAND
+from .scattering import absorption_status, sharp_edge_rows
 from .series import TimeSeries
 from . import distributions as dist
 from . import transfer
 from . import wavepacket as wpk
-from .kernels import get_backend, sharp_edge_solve, transfer_solve
 
 GAMMA_CS = 33.3e6
 
@@ -147,7 +145,6 @@ def _header(args, config: ValidatedConfig, extra: list[str] = ()) -> list[str]:
         f"toa-sim {__version__}",
         f"command = {args.command}",
         f"preset = {args.preset or '-'}",
-        f"kernel_backend = {get_backend().BACKEND_NAME}",
     ]
     lines += config_summary(config)
     lines += list(extra)
@@ -163,11 +160,8 @@ def _write(args, text: str) -> None:
 
 
 def _sharp_absorption_row(config: ValidatedConfig, v: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    from .scattering import sharp_edge_rows
-
     k = config.mass * v / config.constants.hbar
-    rows = sharp_edge_rows(k, config)
-    return _absorption_with_status(rows[:, [0, 1, 2, 3]])
+    return absorption_status(sharp_edge_rows(k, config))
 
 
 def _transfer_absorption_row(
@@ -175,25 +169,7 @@ def _transfer_absorption_row(
 ) -> tuple[np.ndarray, list[str]]:
     decomp = transfer.discretize(config.profile, n_slices, config=config)
     k = config.mass * v / config.constants.hbar
-    rows = transfer.transfer_rows(k, decomp, config)
-    return _absorption_with_status(rows)
-
-
-def _absorption_with_status(amps: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    a = 1.0 - np.abs(amps[:, 2]) ** 2 - np.abs(amps[:, 0]) ** 2
-    status = []
-    out = np.empty(a.shape[0])
-    for i, val in enumerate(a):
-        if not np.isfinite(val):
-            out[i] = np.nan
-            status.append("singular")
-        elif val < -ABSORPTION_BAND or val > 1.0 + ABSORPTION_BAND:
-            out[i] = np.nan
-            status.append("nonphysical")
-        else:
-            out[i] = min(max(val, 0.0), 1.0)
-            status.append("")
-    return out, status
+    return absorption_status(transfer.transfer_rows(k, decomp, config))
 
 
 def _map_worker(task):

@@ -1,70 +1,23 @@
-"""Numerical kernel backends.
+"""Numerical kernels, vectorised over the incident wavenumber with numpy.
 
-The hot kernels (sharp-edge matching solves and transfer-matrix
-composition over parameter scans) exist twice: a Cython extension
-(``toa_sim.kernels._core``) and a pure-numpy reference
-(``toa_sim.kernels.reference``).  The compiled backend is selected at
-import when available; set ``TOA_SIM_PURE_PYTHON=1`` to force the
-reference implementation.  ``benchmarks/bench_kernels.py`` compares the
-two.
+The hot paths of parameter scans (batched sharp-edge matching solves and
+transfer-matrix composition over slices) and the branch-free helpers the
+higher-level modules share live in ``toa_sim.kernels.reference`` and are
+re-exported here.  ``active`` names that namespace; its ``BACKEND_NAME``
+is what run environments record.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import reference
+from .reference import (
+    channel_q,
+    internal_rates,
+    mode_wavenumbers,
+    sharp_edge_solve,
+    slice_propagator,
+    sqrt_upper,
+    transfer_solve,
+)
 
-
-def _load_compiled():
-    try:
-        from . import _core
-    except ImportError:
-        return None
-    return _core
-
-
-_COMPILED = _load_compiled()
-
-
-def get_backend(name: str | None = None):
-    """Return a kernel namespace: 'compiled', 'python', or None for the default."""
-    if name in (None, "auto"):
-        if os.environ.get("TOA_SIM_PURE_PYTHON", "").strip() not in ("", "0"):
-            return reference
-        return _COMPILED if _COMPILED is not None else reference
-    if name == "python":
-        return reference
-    if name == "compiled":
-        if _COMPILED is None:
-            raise ImportError("compiled kernel backend is not built")
-        return _COMPILED
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def available_backends() -> list[str]:
-    names = ["python"]
-    if _COMPILED is not None:
-        names.insert(0, "compiled")
-    return names
-
-
-active = get_backend()
-
-# Branch-free helpers shared by higher-level modules regardless of backend.
-sqrt_upper = reference.sqrt_upper
-internal_rates = reference.internal_rates
-channel_q = reference.channel_q
-mode_wavenumbers = reference.mode_wavenumbers
-slice_propagator = reference.slice_propagator
-
-
-def sharp_edge_solve(k, gamma, omega, beam_width, mass, hbar):
-    return active.sharp_edge_solve(k, gamma, omega, beam_width, mass, hbar)
-
-
-def transfer_solve(k, edges, omegas, gamma, mass, hbar, return_states=False):
-    if return_states:
-        # State reconstruction is not performance-critical; always reference.
-        return reference.transfer_solve(k, edges, omegas, gamma, mass, hbar, True)
-    return active.transfer_solve(k, edges, omegas, gamma, mass, hbar)
+active = reference

@@ -1,7 +1,4 @@
-"""Pure-numpy reference implementation of the scattering kernels.
-
-This is the fallback backend and the semantic reference for the compiled
-extension: both must produce identical results to rounding error.
+"""Pure-numpy implementation of the scattering kernels.
 
 Conventions.  A two-level atom with spontaneous decay rate ``gamma`` on
 the excited channel crosses a coupling region.  For a stationary state of

@@ -35,6 +35,23 @@ def ridge_velocity(config: ValidatedConfig, n: int) -> float:
     return config.beam_width * config.omega / ((2 * n + 1) * math.pi)
 
 
+def decay_shifted_ridge(config: ValidatedConfig, n: int) -> float:
+    """Velocity of the exact absorption maximum on ridge n, in closed form.
+
+    With decay inside the beam the ground amplitude on exit is
+    cos(theta) + gamma/(2 omega') sin(theta), theta = omega' L / (2v),
+    omega' = sqrt(omega^2 - gamma^2/4).  Its zeros sit at
+    theta_n = (2n+1) pi/2 + arctan(gamma / (2 omega')), below the nominal
+    ridge speed of ridge_velocity.  Valid for omega > gamma/2.
+    """
+    omega, gamma = config.omega, config.gamma
+    if not omega > gamma / 2.0:
+        raise ValueError("decay-shifted ridge needs omega > gamma/2")
+    op = math.sqrt(omega**2 - gamma**2 / 4.0)
+    theta = (2 * n + 1) * math.pi / 2 + math.atan(gamma / (2 * op))
+    return config.beam_width * op / (2 * theta)
+
+
 def ridge_locations(config: ValidatedConfig, n_max: int) -> list[tuple[int, float, float]]:
     """Ridges 0..n_max as (n, velocity at the config coupling, slope).
 
@@ -167,16 +184,29 @@ def _term(name: str, lhs: float, rhs: float, comparator: str, factor: float) -> 
 
 
 def find_ridge_index(config: ValidatedConfig, v: float, n_max: int = 200) -> int | None:
-    """Ridge whose half detection window contains v, if any."""
-    if config.omega <= 0.0:
+    """Ridge whose detection window contains v, if any.
+
+    The window of ridge n has the width of detection_window and is centred
+    on the absorption maximum: decay_shifted_ridge for omega > gamma/2,
+    the nominal ridge_velocity otherwise.
+    """
+    omega, gamma = config.omega, config.gamma
+    if omega <= 0.0:
         return None
-    est = 0.5 * (config.beam_width * config.omega / (math.pi * v) - 1.0)
+    if omega > gamma / 2.0:
+        rate = math.sqrt(omega**2 - gamma**2 / 4.0)
+        phase = math.atan(gamma / (2 * rate))
+        centre = decay_shifted_ridge
+    else:
+        rate, phase, centre = omega, 0.0, ridge_velocity
+    # ridge n peaks where the exit phase rate L / (2v) is (2n+1) pi/2 + phase
+    est = (config.beam_width * rate / (2.0 * v) - phase) / math.pi - 0.5
     candidates = {0, max(0, int(math.floor(est))), max(0, int(math.ceil(est)))}
     for n in sorted(candidates):
         if n > n_max:
             continue
         width, _ = detection_window(config, n)
-        if abs(v - ridge_velocity(config, n)) <= 0.5 * width:
+        if abs(v - centre(config, n)) <= 0.5 * width:
             return n
     return None
 

@@ -9,12 +9,12 @@ for every incident wavenumber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import NonPhysicalAbsorption, NumericError, SingularMatching
+from .errors import NonPhysicalAbsorption, SingularMatching
 from .model import ValidatedConfig
 
 # Relative degeneracy threshold on |gamma - 2 omega| / (gamma + 2 omega).
@@ -24,6 +24,21 @@ DEGENERATE_PERTURBATION = 1e-5
 
 ABSORPTION_BAND = 1e-8
 TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
+
+
+def _is_degenerate(gamma: float, omega: float) -> bool:
+    """True at the degenerate point gamma = 2 omega, to relative precision EPS_DEGENERATE.
+
+    There the two interior modes coincide and the modal basis collapses;
+    such points are evaluated as the two-sided limit over
+    ``_degenerate_gammas``.  False for omega = 0.
+    """
+    return abs(gamma - 2.0 * omega) < EPS_DEGENERATE * (gamma + 2.0 * omega)
+
+
+def _degenerate_gammas(gamma: float) -> tuple[float, float]:
+    """The two decay rates whose solutions average to the degenerate-point limit."""
+    return gamma * (1.0 - DEGENERATE_PERTURBATION), gamma * (1.0 + DEGENERATE_PERTURBATION)
 
 
 @dataclass(frozen=True)
@@ -50,13 +65,12 @@ def internal_eigensystem(gamma: float, omega: float) -> InternalEigensystem:
     if gamma < 0.0:
         raise ValueError("internal_eigensystem requires gamma >= 0")
     lam_p, lam_m = kernels.internal_rates(gamma, omega)
-    degenerate = abs(gamma - 2.0 * omega) < EPS_DEGENERATE * (gamma + 2.0 * omega)
     return InternalEigensystem(
         lambda_plus=lam_p,
         lambda_minus=lam_m,
         eigvec_plus=(1.0 + 0j, 2.0 * lam_p / omega),
         eigvec_minus=(1.0 + 0j, 2.0 * lam_m / omega),
-        degenerate=degenerate,
+        degenerate=_is_degenerate(gamma, omega),
     )
 
 
@@ -175,16 +189,10 @@ def sharp_edge_rows(k, config: ValidatedConfig) -> np.ndarray:
         rows[:, 2] = 1.0  # T1: ground channel is free
         rows[:, 4] = 1.0  # interior ground plane wave
         return rows
-    degenerate = abs(config.gamma - 2.0 * config.omega) < EPS_DEGENERATE * (
-        config.gamma + 2.0 * config.omega
-    )
-    if degenerate:
-        delta = DEGENERATE_PERTURBATION
-        lo = kernels.sharp_edge_solve(
-            k, config.gamma * (1.0 - delta), config.omega, config.beam_width, config.mass, hbar
-        )
-        hi = kernels.sharp_edge_solve(
-            k, config.gamma * (1.0 + delta), config.omega, config.beam_width, config.mass, hbar
+    if _is_degenerate(config.gamma, config.omega):
+        lo, hi = (
+            kernels.sharp_edge_solve(k, g, config.omega, config.beam_width, config.mass, hbar)
+            for g in _degenerate_gammas(config.gamma)
         )
         return 0.5 * (lo + hi)
     return kernels.sharp_edge_solve(
@@ -192,67 +200,48 @@ def sharp_edge_rows(k, config: ValidatedConfig) -> np.ndarray:
     )
 
 
-def _solve_sharp_single(k: float, config: ValidatedConfig) -> ScatteringSolution:
-    hbar = config.constants.hbar
-    energy = (hbar * k) ** 2 / (2.0 * config.mass)
-    wn = channel_wavenumbers(energy, config.gamma, config.omega, config.mass, hbar)
-    eig = internal_eigensystem(config.gamma, config.omega) if config.omega > 0.0 else None
-    if config.omega > 0.0:
-        row = kernels.sharp_edge_solve(
-            np.array([k]), config.gamma, config.omega, config.beam_width, config.mass, hbar
-        )[0]
-    else:
-        row = sharp_edge_rows(np.array([k]), config)[0]
+def _solve_sharp_single(
+    k: float, config: ValidatedConfig, degenerate_pair=None
+) -> ScatteringSolution:
+    row = sharp_edge_rows(np.array([k]), config)[0]
     if not np.all(np.isfinite(row.view(float))):
         raise SingularMatching(
             f"matching system is singular at k={k!r}, omega={config.omega!r}"
         )
+    hbar = config.constants.hbar
+    energy = (hbar * k) ** 2 / (2.0 * config.mass)
+    wn = channel_wavenumbers(energy, config.gamma, config.omega, config.mass, hbar)
+    eig = internal_eigensystem(config.gamma, config.omega) if config.omega > 0.0 else None
     return ScatteringSolution(
-        k=float(k), config=config, wavenumbers=wn, eigensystem=eig, **_vectors_from_row(row)
+        k=float(k),
+        config=config,
+        wavenumbers=wn,
+        eigensystem=eig,
+        degenerate_pair=degenerate_pair,
+        **_vectors_from_row(row),
     )
 
 
 def solve_sharp_edge(k: float, config: ValidatedConfig) -> ScatteringSolution:
     """Full matching solution for a single incident wavenumber k > 0.
 
-    At the degenerate point gamma = 2 omega the modal basis collapses, so
-    the result is built as the two-sided limit: the average of the fields
-    of two slightly perturbed (well-conditioned) problems.
+    The amplitudes and interior coefficients are the row of
+    ``sharp_edge_rows``.  At the degenerate point gamma = 2 omega the modal
+    basis collapses, so the field is evaluated as the two-sided limit: the
+    average of the fields of the two perturbed (well-conditioned) problems
+    kept in ``degenerate_pair``.
     """
     if not (k > 0.0):
         raise ValueError(f"k must be > 0, got {k!r}")
     if config.profile.kind != "sharp":
         raise ValueError("solve_sharp_edge requires a sharp-edged profile")
-    from dataclasses import replace
-
-    degenerate = config.omega > 0.0 and abs(config.gamma - 2.0 * config.omega) < (
-        EPS_DEGENERATE * (config.gamma + 2.0 * config.omega)
-    )
-    if degenerate:
-        delta = DEGENERATE_PERTURBATION
-        lo = _solve_sharp_single(k, replace(config, gamma=config.gamma * (1.0 - delta)))
-        hi = _solve_sharp_single(k, replace(config, gamma=config.gamma * (1.0 + delta)))
-        hbar = config.constants.hbar
-        energy = (hbar * k) ** 2 / (2.0 * config.mass)
-        wn = channel_wavenumbers(energy, config.gamma, config.omega, config.mass, hbar)
-        eig = internal_eigensystem(config.gamma, config.omega)
-        sol = ScatteringSolution(
-            k=float(k),
-            config=config,
-            wavenumbers=wn,
-            eigensystem=eig,
-            R1=0.5 * (lo.R1 + hi.R1),
-            R2=0.5 * (lo.R2 + hi.R2),
-            T1=0.5 * (lo.T1 + hi.T1),
-            T2=0.5 * (lo.T2 + hi.T2),
-            a=0.5 * (lo.a + hi.a),
-            b=0.5 * (lo.b + hi.b),
-            c=0.5 * (lo.c + hi.c),
-            d=0.5 * (lo.d + hi.d),
-            degenerate_pair=(lo, hi),
+    pair = None
+    if _is_degenerate(config.gamma, config.omega):
+        pair = tuple(
+            _solve_sharp_single(k, replace(config, gamma=g))
+            for g in _degenerate_gammas(config.gamma)
         )
-    else:
-        sol = _solve_sharp_single(k, config)
+    sol = _solve_sharp_single(k, config, pair)
     residual = matching_residual(sol)
     if residual > 1e-6:
         raise SingularMatching(
@@ -447,14 +436,19 @@ def absorption_value(R1: complex, T1: complex) -> float:
     return min(max(a, 0.0), 1.0)
 
 
-def absorption_array(rows: np.ndarray) -> np.ndarray:
-    """Vectorized absorption from (nk, >=4) amplitude rows, NaN-safe."""
+def absorption_status(rows: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Absorption and a status per row of (nk, >=4) amplitude rows [R1, R2, T1, T2, ...].
+
+    A = 1 - |T1|^2 - |R1|^2 is clipped to [0, 1] with an empty status when
+    it lies within ABSORPTION_BAND of that range.  Otherwise A is NaN and
+    the status is "singular" for a non-finite value, "nonphysical" for a
+    finite one outside the band.
+    """
     a = 1.0 - np.abs(rows[:, 2]) ** 2 - np.abs(rows[:, 0]) ** 2
-    bad = ~np.isfinite(a)
-    out_of_band = (a < -ABSORPTION_BAND) | (a > 1.0 + ABSORPTION_BAND)
-    if np.any(out_of_band & ~bad):
-        raise NonPhysicalAbsorption("absorption outside [0, 1] sanity band in scan")
-    return np.where(bad, np.nan, np.clip(a, 0.0, 1.0))
+    singular = ~np.isfinite(a)
+    nonphysical = ~singular & ((a < -ABSORPTION_BAND) | (a > 1.0 + ABSORPTION_BAND))
+    status = np.where(singular, "singular", np.where(nonphysical, "nonphysical", ""))
+    return np.where(singular | nonphysical, np.nan, np.clip(a, 0.0, 1.0)), status.tolist()
 
 
 def _sin_over(z: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -48,21 +46,3 @@ def random_draws(rng, n, v_range=(0.5, 500.0), omega_range=(0.05, 10.0),
             continue
         draws.append((v, om * GAMMA, length))
     return draws
-
-
-def decay_shifted_ridge(config, n: int) -> float:
-    """Velocity of the exact absorption maximum on ridge n, in closed form.
-
-    With decay inside the beam the ground amplitude on exit is
-    cos(theta) + gamma/(2 Omega') sin(theta), theta = Omega' L / (2v),
-    Omega' = sqrt(Omega^2 - gamma^2/4).  Its zeros sit at
-    theta_n = (2n+1) pi/2 + arctan(gamma / (2 Omega')), below the nominal
-    ridge speed L*Omega/((2n+1) pi) of the gamma -> 0 limit.  Valid for
-    Omega > gamma/2.
-    """
-    omega, gamma = config.omega, config.gamma
-    if not omega > gamma / 2.0:
-        raise ValueError("decay-shifted ridge needs omega > gamma/2")
-    op = math.sqrt(omega**2 - gamma**2 / 4.0)
-    theta = (2 * n + 1) * math.pi / 2 + math.atan(gamma / (2 * op))
-    return config.beam_width * op / (2 * theta)

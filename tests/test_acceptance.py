@@ -3,8 +3,9 @@
 Tolerances are pinned here and nowhere else.  Run with ``pytest -s`` to see
 the per-criterion lines.  Criteria 4 and 5 aim at the absorption maxima
 shifted below the nominal ridge speeds L*Omega/((2n+1) pi) by decay inside
-the beam (closed form in conftest.decay_shifted_ridge); their PASS lines
-also report the deviation from the nominal speeds, which is not asserted.
+the beam (closed form in toa_sim.regimes.decay_shifted_ridge); their PASS
+lines also report the deviation from the nominal speeds, which is not
+asserted.
 """
 
 import math
@@ -15,12 +16,18 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from conftest import GAMMA, HBAR, MASS, decay_shifted_ridge, k_of, random_draws
+from conftest import GAMMA, HBAR, MASS, k_of, random_draws
 from toa_sim import distributions as ds
 from toa_sim import kernels
 from toa_sim.kernels import reference
 from toa_sim.model import RabiProfile, cesium_config
-from toa_sim.regimes import critical_temperature, detection_window, penetration_length, ridge_velocity
+from toa_sim.regimes import (
+    critical_temperature,
+    decay_shifted_ridge,
+    detection_window,
+    penetration_length,
+    ridge_velocity,
+)
 from toa_sim.scattering import matching_residual, semiclassical_T2, sharp_edge_rows, solve_sharp_edge
 from toa_sim.series import TimeSeries, l1_distance
 from toa_sim.transfer import discretize, transfer_rows

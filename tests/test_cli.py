@@ -213,10 +213,13 @@ class TestRegimeCommand:
         assert "direct_chain_ok" in text
 
     def test_ridge_index_reported(self):
-        code, out, _ = run_cli(["regime", "--velocity", "166.2", "--preset", "fig6"])
+        code, out, _ = run_cli(["regime", "--velocity", "149", "--preset", "fig6"])
         assert code == 0
         # fig6 preset carries the interference-measurement coupling
         assert "ridge_index           0" in out
+        code, out, _ = run_cli(["regime", "--velocity", "175", "--preset", "fig6"])
+        assert code == 0
+        assert "ridge_index           -" in out
 
 
 def test_console_entry_point():

@@ -1,66 +1,23 @@
-"""Compiled and pure-Python kernels must agree to rounding error."""
+"""The numpy kernels: the namespace runs report, and batched solves."""
 
 import numpy as np
-import pytest
 
-from conftest import GAMMA, HBAR, MASS, random_draws
+from conftest import GAMMA, HBAR, MASS
 from toa_sim import kernels
 from toa_sim.kernels import reference
 
 
-requires_compiled = pytest.mark.skipif(
-    "compiled" not in kernels.available_backends(),
-    reason="compiled kernel backend not built",
-)
-
-
-@requires_compiled
-def test_sharp_edge_backends_agree():
-    core = kernels.get_backend("compiled")
-    rng = np.random.default_rng(31)
-    for v, omega, length in random_draws(rng, 200):
-        k = np.array([MASS * v / HBAR])
-        a = reference.sharp_edge_solve(k, GAMMA, omega, length, MASS, HBAR)[0]
-        b = core.sharp_edge_solve(k, GAMMA, omega, length, MASS, HBAR)[0]
-        assert np.abs(a - b).max() / np.abs(a).max() < 1e-11
-
-
-@requires_compiled
-def test_transfer_backends_agree():
-    core = kernels.get_backend("compiled")
-    rng = np.random.default_rng(32)
-    for v, omega, length in random_draws(rng, 100):
-        k = np.array([MASS * v / HBAR])
-        edges = np.linspace(0.0, length, 17)
-        omegas = np.full(16, omega)
-        a = reference.transfer_solve(k, edges, omegas, GAMMA, MASS, HBAR)[0]
-        b = core.transfer_solve(k, edges, omegas, GAMMA, MASS, HBAR)[0]
-        assert np.abs(a - b).max() / np.abs(a).max() < 1e-10
-
-
-@requires_compiled
-def test_degenerate_slice_agrees():
-    core = kernels.get_backend("compiled")
-    k = np.array([MASS * 100.0 / HBAR])
-    edges = np.array([0.0, 5e-6])
-    omegas = np.array([GAMMA / 2])
-    a = reference.transfer_solve(k, edges, omegas, GAMMA, MASS, HBAR)[0]
-    b = core.transfer_solve(k, edges, omegas, GAMMA, MASS, HBAR)[0]
-    assert np.abs(a - b).max() / np.abs(a).max() < 1e-12
-
-
-def test_backend_selection(monkeypatch):
-    assert kernels.get_backend("python") is reference
-    monkeypatch.setenv("TOA_SIM_PURE_PYTHON", "1")
-    assert kernels.get_backend() is reference
-    monkeypatch.delenv("TOA_SIM_PURE_PYTHON")
-    with pytest.raises(ValueError):
-        kernels.get_backend("cuda")
+def test_active_backend_is_numpy():
+    # run environments record kernels.active.BACKEND_NAME
+    assert kernels.active is kernels.reference
+    assert kernels.active.BACKEND_NAME == "python"
+    assert kernels.sharp_edge_solve is reference.sharp_edge_solve
+    assert kernels.transfer_solve is reference.transfer_solve
 
 
 def test_batch_matches_single_point():
     rng = np.random.default_rng(33)
-    ks = MASS * np.array([20.0, 100.0, 300.0]) / HBAR
+    ks =MASS * np.array([20.0, 100.0, 300.0]) / HBAR
     batch = kernels.sharp_edge_solve(ks, GAMMA, 5 * GAMMA, 5e-6, MASS, HBAR)
     for i, k in enumerate(ks):
         single = kernels.sharp_edge_solve(np.array([k]), GAMMA, 5 * GAMMA, 5e-6, MASS, HBAR)[0]

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GAMMA, HBAR, MASS, decay_shifted_ridge, k_of
+from conftest import GAMMA, HBAR, MASS, k_of
 from toa_sim.errors import NonPositiveVelocity
 from toa_sim.model import cesium_config
 from toa_sim.regimes import (
     classify,
     critical_temperature,
+    decay_shifted_ridge,
     detection_window,
     penetration_length,
     ridge_locations,
@@ -68,8 +69,11 @@ class TestClassify:
 
     def test_ridge_case(self):
         cfg = cesium_config(omega=104.43e6)
-        rep = classify(cfg, 166.2)
+        rep = classify(cfg, 149.0)
         assert rep.ridge_index == 0
+        # the window is centred on the decay-shifted maximum (148.9 m/s):
+        # at 175 m/s the absorption is 0.958, off the ridge
+        assert classify(cfg, 175.0).ridge_index is None
         assert rep.beam_class == "finite"
         # transit against lifetime is the marginal term here
         last = rep.ideal_chain[-1]

@@ -8,6 +8,7 @@ from toa_sim.errors import NonPhysicalAbsorption
 from toa_sim.model import cesium_config
 from toa_sim.scattering import (
     absorption,
+    absorption_status,
     absorption_value,
     channel_wavenumbers,
     evaluate_state,
@@ -136,6 +137,9 @@ class TestSolveSharpEdge:
         cfg = cesium_config(omega=GAMMA / 2)
         sol = solve_sharp_edge(k_of(100.0), cfg)
         assert sol.degenerate_pair is not None
+        # amplitudes are the batched two-sided-limit row, bit for bit
+        row = sharp_edge_rows([k_of(100.0)], cfg)[0]
+        assert (sol.R1, sol.R2, sol.T1, sol.T2) == tuple(row[:4])
         assert matching_residual(sol) < 1e-6
         assert 0.0 <= absorption(sol) <= 1.0
         # two-sided limit agrees with a nearby non-degenerate coupling
@@ -232,6 +236,29 @@ class TestAbsorption:
         with pytest.raises(NonPhysicalAbsorption):
             absorption_value(1.2 + 0j, 1.2 + 0j)
         assert absorption_value(0.0j, (1.0 + 5e-10) + 0j) == 0.0
+
+    def test_status_rows(self):
+        # columns [R1, R2, T1, T2]; A = 1 - |T1|^2 - |R1|^2 <= 1 always,
+        # so the band is probed below 0 and the clip at A = 1 is exact
+        rows = np.array([
+            [0.0, 0.0, 0.6, 0.0],                      # A = 0.64
+            [0.0, 0.0, math.sqrt(1.0 + 5e-9), 0.0],    # A = -5e-9: clipped to 0
+            [0.0, 0.0, math.sqrt(5e-9) * 1j, 0.0],     # A = 1 - 5e-9
+            [0.0, 0.0, 0.0, 0.0],                      # A = 1
+            [math.nan, 0.0, 0.5, 0.0],                 # singular
+            [0.0, 0.0, np.inf, 0.0],                   # singular
+            [0.0, 0.0, 1.5, 0.0],                      # A = -1.25: nonphysical
+            [0.0, 0.0, math.sqrt(1.0 + 2e-8), 0.0],    # just below the band
+        ], dtype=complex)
+        a, status = absorption_status(rows)
+        assert status == ["", "", "", "", "singular", "singular", "nonphysical",
+                          "nonphysical"]
+        assert a[0] == pytest.approx(0.64, rel=1e-15)
+        assert a[1] == 0.0
+        assert a[2] == pytest.approx(1.0 - 5e-9, abs=1e-15)
+        assert a[3] == 1.0
+        assert np.all(np.isnan(a[4:]))
+
 
 
 class TestSemiclassical:
