@@ -74,7 +74,9 @@ def sharp_edge_solve(
     [R1, R2, T1, T2, a, b, c, d] where (a, b) multiply the
     right-decaying interior modes exp(i k+- x) and (c, d) the left-decaying
     ones exp(-i k+- (x - L)).  omega must be > 0 (the uncoupled omega = 0
-    case is handled by the caller).
+    case is handled by the caller).  T2 multiplies exp(iqx); at low speeds,
+    where exp(iqL) underflows, it is not representable and comes back
+    infinite, while the other seven columns stay finite.
 
     Raises FloatingPointError via numpy only on hard numerical failure;
     singular systems surface as inf/nan rows for the caller to detect.
@@ -145,14 +147,16 @@ def sharp_edge_solve(
     A[:, 5, 6] = -kps
     A[:, 5, 7] = -kms
 
-    # Excited component at x = L.
-    A[:, 6, 3] = -fq
+    # Excited component at x = L.  T2 is solved for anchored at L (the
+    # coefficient of exp(iq(x - L))): at low speed exp(iqL) underflows to
+    # 0, which would leave this column, and so the whole system, singular.
+    A[:, 6, 3] = -one
     A[:, 6, 4] = u_p * ep
     A[:, 6, 5] = u_m * em
     A[:, 6, 6] = u_p
     A[:, 6, 7] = u_m
 
-    A[:, 7, 3] = -qs * fq
+    A[:, 7, 3] = -qs
     A[:, 7, 4] = kps * u_p * ep
     A[:, 7, 5] = kms * u_m * em
     A[:, 7, 6] = -kps * u_p
@@ -167,6 +171,9 @@ def sharp_edge_solve(
                 sol[i] = np.linalg.solve(A[i], rhs[i])
             except np.linalg.LinAlgError:
                 pass
+    # Back to the anchor at 0; T2 is inf where it is not representable.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sol[:, 3] /= fq
     return sol
 
 

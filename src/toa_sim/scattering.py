@@ -194,7 +194,8 @@ def sharp_edge_rows(k, config: ValidatedConfig) -> np.ndarray:
             kernels.sharp_edge_solve(k, g, config.omega, config.beam_width, config.mass, hbar)
             for g in _degenerate_gammas(config.gamma)
         )
-        return 0.5 * (lo + hi)
+        with np.errstate(invalid="ignore"):  # inf - inf: T2 out of range at low speed
+            return 0.5 * (lo + hi)
     return kernels.sharp_edge_solve(
         k, config.gamma, config.omega, config.beam_width, config.mass, hbar
     )
@@ -206,7 +207,8 @@ def _solve_sharp_single(
     row = sharp_edge_rows(np.array([k]), config)[0]
     if not np.all(np.isfinite(row.view(float))):
         raise SingularMatching(
-            f"matching system is singular at k={k!r}, omega={config.omega!r}"
+            f"matching row is not finite at k={k!r}, omega={config.omega!r}: "
+            "singular system, or T2 beyond the float range at low speed"
         )
     hbar = config.constants.hbar
     energy = (hbar * k) ** 2 / (2.0 * config.mass)

@@ -7,6 +7,12 @@ integrated overlap matrices: every piece of a stationary state is a plane
 wave or a decaying exponential, so region overlaps have closed forms and
 no spatial grid is ever needed.  That is what makes millimetre-wide
 packets with picometre de Broglie oscillations tractable.
+
+The overlap engine needs no (nk, nk) exponential: every mode is anchored
+so that it is bounded by its coefficient inside its region (the
+``Region`` invariant), so a pair integral is a difference of outer
+products of per-node endpoint values over a Cauchy denominator.  Region
+construction must keep that invariant; the engine does not check it.
 """
 
 from __future__ import annotations
@@ -245,7 +251,11 @@ class Region:
     """One spatial region with per-channel exponential-mode lists.
 
     A mode (coef, kappa, anchor) contributes coef * exp(i kappa (x - anchor))
-    to its channel inside [x1, x2]; every mode is bounded by |coef| there.
+    to its channel inside [x1, x2].  Invariant: every mode is bounded by
+    |coef| there, i.e. |exp(i kappa (x - anchor))| <= 1 at each finite
+    endpoint.  ``_region_gram`` relies on it: it forms each mode's endpoint
+    values on their own and multiplies pairs of them, which cannot
+    overflow only because every factor is bounded.
     x1 = -inf and x2 = +inf are allowed when the corresponding pair
     exponents decay (excited channel with gamma > 0).
     """
@@ -255,39 +265,68 @@ class Region:
     channel_modes: tuple[list, list]
 
 
-def _pair_integrals(modes_i, modes_j, x1: float, x2: float) -> np.ndarray:
-    """Sum over mode pairs of integral_x1^x2 (mode_i)(mode_j)* dx, (nk, nk).
+def _can_resonate(kappa_mu: np.ndarray, kappa_nu: np.ndarray, bound: float) -> bool:
+    """False when every |kappa_mu[i] - conj(kappa_nu[j])| is >= bound.
 
-    Every mode is bounded on its region, so the anchored endpoint
-    exponentials are always <= 1 in magnitude; nearly-resonant pairs
-    (|alpha|(x2-x1) small) use a series in place of the difference
-    quotient.  Infinite endpoints require the pair exponent to decay
-    there, which holds for the excited channel whenever gamma > 0.
+    Decided from the ranges of the real and imaginary parts in O(nk), so
+    pairs that are never near resonance skip the (nk, nk) mask.
     """
-    out = None
-    for ci, ki, ai in modes_i:
-        for cj, kj, aj in modes_j:
-            alpha = ki[:, None] - np.conj(kj)[None, :]
-            if math.isinf(x1):
-                e2 = np.exp(1j * np.subtract.outer(ki * (x2 - ai), np.conj(kj) * (x2 - aj)))
-                integral = e2 / (1j * alpha)
-            elif math.isinf(x2):
-                e1 = np.exp(1j * np.subtract.outer(ki * (x1 - ai), np.conj(kj) * (x1 - aj)))
-                integral = -e1 / (1j * alpha)
+    re_lo = kappa_mu.real.min() - kappa_nu.real.max()
+    re_hi = kappa_mu.real.max() - kappa_nu.real.min()
+    im_lo = kappa_mu.imag.min() + kappa_nu.imag.min()
+    im_hi = kappa_mu.imag.max() + kappa_nu.imag.max()
+    return re_lo < bound and re_hi > -bound and im_lo < bound and im_hi > -bound
+
+
+def _region_gram(modes, x1: float, x2: float) -> np.ndarray:
+    """integral_x1^x2 psi psi^H dx of the channel psi = sum of modes, (nk, nk).
+
+    Each pair of modes integrates in closed form to
+    [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with f = coef exp(i kappa (x -
+    anchor)) and alpha = kappa_mu - conj(kappa_nu), so the numerator is a
+    difference of rank-1 outer products of the bounded endpoint values.  An
+    infinite endpoint contributes nothing: the pair exponent decays there,
+    which holds for the excited channel whenever gamma > 0.  Where
+    |alpha| (x2 - x1) < 1e-4 the difference quotient cancels, and a series
+    about x1 replaces it at those elements only.  The (nu, mu) block is the
+    Hermitian conjugate of the (mu, nu) block, so only mu <= nu is formed
+    and the result is exactly Hermitian.
+    """
+    width = x2 - x1
+    bound = 1e-4 / width  # 0 on a half-line: no series there
+    ends = [
+        (
+            kappa,
+            None if math.isinf(x1) else coef * np.exp(1j * kappa * (x1 - anchor)),
+            None if math.isinf(x2) else coef * np.exp(1j * kappa * (x2 - anchor)),
+        )
+        for coef, kappa, anchor in modes
+    ]
+    nk = modes[0][0].shape[0]
+    half = np.zeros((nk, nk), dtype=complex)
+    for mu, (kappa_mu, f1_mu, f2_mu) in enumerate(ends):
+        for nu in range(mu, len(ends)):
+            kappa_nu, f1_nu, f2_nu = ends[nu]
+            # a diagonal block enters half once, halved (exactly, via its left factors)
+            s = 0.5 if nu == mu else 1.0
+            i_alpha = 1j * kappa_mu[:, None] - 1j * np.conj(kappa_nu)[None, :]
+            if f2_mu is None:
+                num = (-s * f1_mu)[:, None] * np.conj(f1_nu)[None, :]
             else:
-                e1 = np.exp(1j * np.subtract.outer(ki * (x1 - ai), np.conj(kj) * (x1 - aj)))
-                e2 = np.exp(1j * np.subtract.outer(ki * (x2 - ai), np.conj(kj) * (x2 - aj)))
-                u = 1j * alpha * (x2 - x1)
-                small = np.abs(u) < 1e-4
-                series = (x2 - x1) * (1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    direct = (e2 - e1) / np.where(small, 1.0, 1j * alpha)
-                integral = np.where(small, e1 * series, direct)
-            term = (ci[:, None] * np.conj(cj)[None, :]) * integral
-            out = term if out is None else out + term
-    if out is None:
-        return np.zeros((0, 0), dtype=complex)
-    return out
+                num = (s * f2_mu)[:, None] * np.conj(f2_nu)[None, :]
+                if f1_mu is not None:
+                    num -= (s * f1_mu)[:, None] * np.conj(f1_nu)[None, :]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                np.divide(num, i_alpha, out=num)
+            if bound > 0.0 and _can_resonate(kappa_mu, kappa_nu, bound):
+                rows, cols = np.nonzero(np.abs(i_alpha) < bound)
+                if rows.size:
+                    u = i_alpha[rows, cols] * width
+                    num[rows, cols] = (s * f1_mu[rows] * np.conj(f1_nu[cols])) * (
+                        width * (1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0)
+                    )
+            half += num
+    return half + half.conj().T
 
 
 class ConditionalPropagator:
@@ -459,7 +498,7 @@ class ConditionalPropagator:
             for region in self.regions:
                 modes = region.channel_modes[1]
                 if modes:
-                    out += _pair_integrals(modes, modes, region.x1, region.x2)
+                    out += _region_gram(modes, region.x1, region.x2)
             self._detection_matrix = out / (2.0 * math.pi)
         return self._detection_matrix
 
@@ -476,7 +515,7 @@ class ConditionalPropagator:
                     continue
                 for modes in region.channel_modes:
                     if modes:
-                        out += _pair_integrals(modes, modes, lo, hi)
+                        out += _region_gram(modes, lo, hi)
             self._norm_matrix_cache[key] = out / (2.0 * math.pi)
         return self._norm_matrix_cache[key]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import GAMMA, HBAR, MASS, k_of, random_draws
+from toa_sim.cli import main
 from toa_sim.errors import NonPhysicalAbsorption
 from toa_sim.model import cesium_config
 from toa_sim.scattering import (
@@ -258,6 +259,27 @@ class TestAbsorption:
         assert a[2] == pytest.approx(1.0 - 5e-9, abs=1e-15)
         assert a[3] == 1.0
         assert np.all(np.isnan(a[4:]))
+
+    @pytest.mark.parametrize("omega_in_gamma", [5.0, 0.3])
+    def test_slow_atoms_finite(self, omega_in_gamma):
+        # below ~0.1 m/s exp(iqL) underflows at L = 5 um; T2 is then out of
+        # float range, but R1, T1 and A stay finite
+        cfg = cesium_config(omega=omega_in_gamma * GAMMA)
+        rows = sharp_edge_rows(np.array([k_of(v) for v in (0.02, 0.05, 0.094)]), cfg)
+        assert np.all(np.isfinite(rows[:, [0, 2]]))
+        a, status = absorption_status(rows)
+        assert status == ["", "", ""]
+        assert np.all((a >= 0.0) & (a <= 1.0))
+
+    def test_slow_map_has_no_singular_rows(self, tmp_path):
+        path = tmp_path / "slow.csv"
+        code = main(["absorption-map", "--v-min", "0.02", "--v-max", "0.094", "--n-v", "4",
+                     "--n-omega", "5", "--out", str(path)])
+        assert code == 0
+        rows = [line.split(",") for line in path.read_text().splitlines()
+                if line and not line.startswith("#")][1:]
+        assert len(rows) == 20
+        assert all(row[3] == "" and 0.0 <= float(row[2]) <= 1.0 for row in rows)
 
 
 

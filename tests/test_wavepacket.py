@@ -6,12 +6,14 @@ import pytest
 from conftest import GAMMA, HBAR, MASS, k_of
 from toa_sim import distributions as ds
 from toa_sim.errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
-from toa_sim.model import cesium_config
+from toa_sim.model import RabiProfile, cesium_config
 from toa_sim.series import TimeSeries, l1_distance
 from toa_sim.wavepacket import (
     ConditionalPropagator,
     GaussianComponent,
+    KGrid,
     PacketSpec,
+    _region_gram,
     conditional_evolve,
     default_kgrid,
     first_photon_density,
@@ -290,3 +292,81 @@ class TestIdealSpectralDeconvolution:
         scale = np.abs(spectral).max()
         sel = slice(100, -100)  # FFT route has small wrap-around at the ends
         assert np.abs(fft_route.values[sel] - spectral[sel]).max() < 5e-3 * scale
+
+
+def small_propagator(omega, v=166.2, backend="analytic", profile=None):
+    """Propagator on a hand-built 24-node grid across the packet's spectrum."""
+    cfg = cesium_config(omega=omega, profile=profile)
+    spec, _ = packet(v=v)
+    k0 = MASS * v / HBAR
+    dk = 0.5 / 50e-6
+    x, w = np.polynomial.legendre.leggauss(24)
+    grid = KGrid(origin=k0, offsets=8 * dk * x, weights=8 * dk * w)
+    return ConditionalPropagator(spec, cfg, grid, backend=backend, n_slices=16)
+
+
+GAUSSIAN_BEAM = RabiProfile(kind="gaussian", omega0=104.43e6, center=2.5e-6, width=0.529e-6)
+OVERLAP_CASES = [
+    pytest.param(104.43e6, "analytic", None, id="sharp"),
+    pytest.param(0.0, "analytic", None, id="sharp-uncoupled"),
+    pytest.param(104.43e6, "transfer", GAUSSIAN_BEAM, id="transfer-gaussian"),
+]
+
+
+class TestOverlapEngine:
+    @pytest.mark.parametrize("omega,backend,profile", OVERLAP_CASES)
+    def test_modes_bounded_at_region_endpoints(self, omega, backend, profile):
+        # the rank-1 endpoint factors of _region_gram rely on this bound
+        prop = small_propagator(omega, backend=backend, profile=profile)
+        checked = 0
+        for region in prop.regions:
+            for modes in region.channel_modes:
+                for _coef, kappa, anchor in modes:
+                    for x in (region.x1, region.x2):
+                        if math.isinf(x):
+                            continue
+                        assert np.abs(np.exp(1j * kappa * (x - anchor))).max() <= 1.0 + 1e-12
+                        checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("omega,backend,profile", OVERLAP_CASES)
+    def test_matrices_exactly_hermitian(self, omega, backend, profile):
+        prop = small_propagator(omega, backend=backend, profile=profile)
+        d2 = prop.detection_matrix()
+        n = prop.norm_matrix(*prop.default_domain(0.0))
+        assert np.array_equal(d2, d2.conj().T)
+        assert np.array_equal(n, n.conj().T)
+        assert np.abs(n).max() > 0.0
+
+    @pytest.mark.parametrize("omega", [5 * GAMMA, 0.3 * GAMMA, 0.0])
+    def test_interior_gram_matches_quadrature(self, omega):
+        # at 0.5 m/s the fastest mode products oscillate ~1700 times across
+        # the beam, which 2000 16-node Gauss-Legendre panels resolve
+        prop = small_propagator(omega, v=0.5)
+        L = prop.config.beam_width
+        interior = prop.regions[1]
+        assert (interior.x1, interior.x2) == (0.0, L)
+        x, w = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(0.0, L, 2001)
+        half = 0.5 * np.diff(edges)
+        xs = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
+        ws = (half[:, None] * w).ravel()
+        for modes in interior.channel_modes:
+            if not modes:
+                continue
+            psi = sum(c[:, None] * np.exp(1j * kap[:, None] * (xs - a)) for c, kap, a in modes)
+            quad = (psi * ws) @ psi.conj().T
+            gram = _region_gram(modes, 0.0, L)
+            assert np.abs(gram - quad).max() <= 1e-10 * np.abs(quad).max()
+
+    def test_series_branch_at_near_resonance(self):
+        # nodes at |u| = |k_i - k_j| (x2 - x1) on both sides of the 1e-4
+        # switch; below it the difference quotient alone would lose
+        # -log10(u) digits
+        width = 2.0
+        u = np.array([0.0, 1e-7, 1e-5, 3e-5, 0.5e-4, 0.99e-4, 1.25e-4, 3e-4])
+        k = (u / width).astype(complex)
+        gram = _region_gram([(np.ones(u.size, dtype=complex), k, 0.0)], 0.0, width)
+        assert np.array_equal(np.diag(gram), np.full(u.size, width, dtype=complex))
+        closed = width * np.exp(-0.5j * u) * np.sinc(u / (2 * np.pi))
+        assert np.abs(gram[0] - closed).max() <= 1e-12 * width
