@@ -202,7 +202,7 @@ def cmd_absorption_map(args) -> str:
         results = [_map_worker(task) for task in tasks]
 
     if backend == "transfer":
-        _convergence_spot_check(config, v, omegas, args.n_slices)
+        _convergence_spot_check(config, v, omegas, args.n_slices, results)
 
     lines = [f"# {line}" for line in _header(args, config, [
         f"backend = {backend}",
@@ -218,21 +218,26 @@ def cmd_absorption_map(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _convergence_spot_check(config, v, omegas, n_slices) -> None:
-    """Doubled-slice check at the scan corners and center (warns only)."""
+def _convergence_spot_check(config, v, omegas, n_slices, results) -> None:
+    """Doubled-slice check at the scan corners and center (warns only).
+
+    ``results`` holds the map's (A, status) row for each omega; the
+    coarse-slice A at a probe is read from it, so only the doubled-slice
+    values are computed here.
+    """
     import warnings
 
     from .errors import ConvergenceWarning
 
-    probes = [(v[0], omegas[0]), (v[-1], omegas[0]), (v[0], omegas[-1]),
-              (v[-1], omegas[-1]), (v[len(v) // 2], omegas[len(omegas) // 2])]
+    # (v index, omega index): the four scan corners and the centre
+    probes = [(0, 0), (-1, 0), (0, -1), (-1, -1), (len(v) // 2, len(omegas) // 2)]
     worst = 0.0
-    for vv, om in probes:
-        cfg = with_omega(config, float(om))
-        a1, _ = _transfer_absorption_row(cfg, np.array([vv]), n_slices)
-        a2, _ = _transfer_absorption_row(cfg, np.array([vv]), 2 * n_slices)
-        if np.isfinite(a1[0]) and np.isfinite(a2[0]):
-            worst = max(worst, abs(a1[0] - a2[0]))
+    for i, j in probes:
+        cfg = with_omega(config, float(omegas[j]))
+        a1 = results[j][0][i]
+        a2, _ = _transfer_absorption_row(cfg, np.array([v[i]]), 2 * n_slices)
+        if np.isfinite(a1) and np.isfinite(a2[0]):
+            worst = max(worst, abs(a1 - a2[0]))
     if worst > 1e-6:
         warnings.warn(
             f"slice doubling moves absorption by {worst:.2e} at scan probes; "

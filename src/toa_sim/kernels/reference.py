@@ -30,14 +30,18 @@ def sqrt_upper(z: np.ndarray) -> np.ndarray:
     return np.where(flip, -s, s)
 
 
-def internal_rates(gamma: float, omega: float) -> tuple[complex, complex]:
+def internal_rates(gamma: float, omega):
     """Eigenrates lam+- of the internal coupling matrix.
 
     Principal branch of the discriminant, continuous across gamma = 2 omega.
+    A scalar omega gives Python complex rates, an array of omegas arrays of
+    rates; at omega = 0 they are exactly 0 and -i gamma/2.
     """
-    disc = np.sqrt(complex(gamma * gamma - 4.0 * omega * omega))
+    disc = np.sqrt(gamma * gamma - 4.0 * omega * omega + 0j)
     lam_p = -0.25j * gamma + 0.25j * disc
     lam_m = -0.25j * gamma - 0.25j * disc
+    if isinstance(lam_p, np.ndarray):
+        return lam_p, lam_m
     return complex(lam_p), complex(lam_m)
 
 
@@ -180,17 +184,21 @@ def sharp_edge_solve(
 # --- transfer matrices ---------------------------------------------------
 
 
-def _cos_w(z: np.ndarray, w: float) -> np.ndarray:
-    """cos(w sqrt(z)), entire in z."""
-    return np.cos(w * np.sqrt(np.asarray(z, dtype=complex)))
+def _rate_over_hbar(c: float, z: np.ndarray, hbar: float) -> np.ndarray:
+    """c * z / hbar, each part divided by hbar and so correctly rounded.
+
+    numpy's complex-by-real division multiplies by a rounded 1/hbar.
+    """
+    out = np.empty(z.shape, dtype=complex)
+    out.real = c * z.real / hbar
+    out.imag = c * z.imag / hbar
+    return out
 
 
-def _sinc_w(z: np.ndarray, w: float) -> np.ndarray:
-    """sin(w sqrt(z)) / sqrt(z), entire in z, -> w as z -> 0."""
-    z = np.asarray(z, dtype=complex)
-    s = np.sqrt(z)
+def _sinc_w(z: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sin(w sqrt(z)) / sqrt(z) given root = sqrt(z); entire in z, -> w as z -> 0."""
     small = np.abs(z) * w * w < 1e-12
-    safe = np.where(small, 1.0, s)
+    safe = np.where(small, 1.0, root)
     out = np.sin(w * safe) / safe
     series = w * (1.0 - z * w * w / 6.0)
     return np.where(small, series, out)
@@ -198,62 +206,62 @@ def _sinc_w(z: np.ndarray, w: float) -> np.ndarray:
 
 def slice_propagator(
     k,
-    omega: float,
-    width: float,
+    omega,
+    width,
     gamma: float,
     mass: float,
     hbar: float,
 ):
-    """Value/derivative propagator across one constant-coupling slice.
+    """Value/derivative propagators across constant-coupling slices.
 
     Maps (phi1, phi1', phi2, phi2') at x to the same vector at x + width.
-    Returns an (nk, 4, 4) complex array.  Entire in the mode wavenumbers,
-    so it is branch-free; the degenerate gamma = 2 omega point uses the
-    exact Jordan-block limit.
+    ``omega`` and ``width`` are scalars or 1-D arrays that broadcast to a
+    common shape (S,).  Scalars give an (nk, 4, 4) complex array; arrays
+    give the (S, nk, 4, 4) stack of all S slices from one batched
+    evaluation.  Entire in the mode wavenumbers, so it is branch-free:
+    omega = 0 takes the general formulas (its rates are exactly 0 and
+    -i gamma/2), and the degenerate gamma = 2 omega point uses the exact
+    Jordan-block limit.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    nk = k.shape[0]
-    w = float(width)
+    batched = np.ndim(omega) > 0 or np.ndim(width) > 0
+    omega, width = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(omega, dtype=float)),
+        np.atleast_1d(np.asarray(width, dtype=float)),
+    )
+    # Per-slice quantities are (S, 1) columns broadcasting against k.
+    w = width[:, None]
     k2 = (k * k).astype(complex)
 
     # phi'' = -W phi with W = k^2 I - (2m/hbar) M_int.
-    W12 = np.full(nk, -mass * omega / hbar, dtype=complex)
+    W12 = (-mass * omega / hbar).astype(complex)[:, None]
 
     # The eigenvalue differences dz = zp - zm and the projector numerators
     # W - zm I are carried in closed form: they are tiny compared to k^2,
     # so forming them by subtracting the k^2-sized eigenvalues would lose
     # up to ten digits.
-    ones = np.ones(nk, dtype=complex)
-    if omega == 0.0:
-        zp = k2
-        zm = k2 + 1j * gamma * mass / hbar
-        dz = np.full(nk, -1j * gamma * mass / hbar, dtype=complex)
-        wm1 = dz.copy()                      # W11 - zm
-        wm2 = np.zeros(nk, dtype=complex)    # W22 - zm
-        wb1 = 0.5 * dz                       # W11 - zb
-        wb2 = -0.5 * dz                      # W22 - zb
-    else:
-        lam_p, lam_m = internal_rates(gamma, omega)
-        zp = k2 - 2.0 * mass * lam_p / hbar
-        zm = k2 - 2.0 * mass * lam_m / hbar
-        dz = np.full(nk, -2.0 * mass * (lam_p - lam_m) / hbar, dtype=complex)
-        wm1 = (2.0 * mass * lam_m / hbar) * ones
-        wm2 = (mass * (1j * gamma + 2.0 * lam_m) / hbar) * ones
-        wb1 = (mass * (lam_p + lam_m) / hbar) * ones
-        wb2 = (mass * (1j * gamma + lam_p + lam_m) / hbar) * ones
+    lam_p, lam_m = internal_rates(gamma, omega)
+    shift_p = _rate_over_hbar(2.0 * mass, lam_p, hbar)[:, None]
+    shift_m = _rate_over_hbar(2.0 * mass, lam_m, hbar)[:, None]
+    zp = k2 - shift_p
+    zm = k2 - shift_m
+    dz = _rate_over_hbar(-2.0 * mass, lam_p - lam_m, hbar)[:, None]
+    wm1 = shift_m                                                          # W11 - zm
+    wm2 = _rate_over_hbar(mass, 1j * gamma + 2.0 * lam_m, hbar)[:, None]     # W22 - zm
+    wb1 = _rate_over_hbar(mass, lam_p + lam_m, hbar)[:, None]                # W11 - zb
+    wb2 = _rate_over_hbar(mass, 1j * gamma + lam_p + lam_m, hbar)[:, None]   # W22 - zb
 
     # Switch to the exact Jordan-limit form when the mode phases across the
     # slice nearly coincide: there the spectral difference quotient cancels
     # catastrophically, while the first-order Taylor form is accurate to
     # O(dtheta^2).  Crossover near dtheta ~ 1e-5 balances the two errors.
-    roots_sum = np.sqrt(zp) + np.sqrt(zm)
+    root_p, root_m = np.sqrt(zp), np.sqrt(zm)
+    roots_sum = root_p + root_m
     dtheta = w * np.abs(dz / np.where(roots_sum == 0.0, 1.0, roots_sum))
     degenerate = dtheta <= 1e-5
 
-    P = np.zeros((nk, 4, 4), dtype=complex)
-
-    cp, cm = _cos_w(zp, w), _cos_w(zm, w)
-    sp, sm = _sinc_w(zp, w), _sinc_w(zm, w)
+    cp, cm = np.cos(w * root_p), np.cos(w * root_m)
+    sp, sm = _sinc_w(zp, root_p, w), _sinc_w(zm, root_m, w)
 
     dz_safe = np.where(degenerate, 1.0, dz)
 
@@ -261,7 +269,8 @@ def slice_propagator(
     # P+ = (W - zm I)/(zp - zm); near degeneracy switch to the Jordan form
     # f(W) = f(zb) I + f'(zb) (W - zb I) which is exact when zp == zm.
     zb = 0.5 * (zp + zm)
-    cb, sb = _cos_w(zb, w), _sinc_w(zb, w)
+    root_b = np.sqrt(zb)
+    cb, sb = np.cos(w * root_b), _sinc_w(zb, root_b, w)
     # d/dz cos(w sqrt z) = -w/2 * sinc ; d/dz sinc = (w cos - sinc)/(2 z)
     dcb = -0.5 * w * sb
     zb_small = np.abs(zb) * w * w < 1e-10
@@ -291,23 +300,24 @@ def slice_propagator(
     D11, D12, D22 = assemble(gws, zm * sm, WSb, dWSb)
 
     # Vector ordering (phi1, phi1', phi2, phi2').
-    P[:, 0, 0] = C11
-    P[:, 0, 1] = S11
-    P[:, 0, 2] = C12
-    P[:, 0, 3] = S12
-    P[:, 1, 0] = -D11
-    P[:, 1, 1] = C11
-    P[:, 1, 2] = -D12
-    P[:, 1, 3] = C12
-    P[:, 2, 0] = C12
-    P[:, 2, 1] = S12
-    P[:, 2, 2] = C22
-    P[:, 2, 3] = S22
-    P[:, 3, 0] = -D12
-    P[:, 3, 1] = C12
-    P[:, 3, 2] = -D22
-    P[:, 3, 3] = C22
-    return P
+    P = np.empty(zp.shape + (4, 4), dtype=complex)
+    P[..., 0, 0] = C11
+    P[..., 0, 1] = S11
+    P[..., 0, 2] = C12
+    P[..., 0, 3] = S12
+    P[..., 1, 0] = -D11
+    P[..., 1, 1] = C11
+    P[..., 1, 2] = -D12
+    P[..., 1, 3] = C12
+    P[..., 2, 0] = C12
+    P[..., 2, 1] = S12
+    P[..., 2, 2] = C22
+    P[..., 2, 3] = S22
+    P[..., 3, 0] = -D12
+    P[..., 3, 1] = C12
+    P[..., 3, 2] = -D22
+    P[..., 3, 3] = C22
+    return P if batched else P[0]
 
 
 def transfer_solve(
@@ -326,6 +336,10 @@ def transfer_solve(
     coupling is zero.  Returns an (nk, 4) array [R1, R2, T1, T2]; with
     ``return_states`` also the accumulated state vector at every edge,
     an (nk, n_edges, 4) array (value/derivative form, incident-normalized).
+
+    All slice propagators come from one batched ``slice_propagator`` call.
+    The stack holds 256 bytes per slice and wavenumber; the call's peak
+    working memory is about three times that.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     nk = k.shape[0]
@@ -337,19 +351,13 @@ def transfer_solve(
     # All composition happens in the scaled basis (phi1, phi1'/k, phi2,
     # phi2'/k): every propagator entry is then O(1), which keeps the
     # boundary solve well conditioned for any wavenumber magnitude.
+    stack = slice_propagator(k, omegas, np.diff(edges), gamma, mass, hbar)
+    stack[..., 0::2, 1::2] *= k[:, None, None]
+    stack[..., 1::2, 0::2] /= k[:, None, None]
     M = np.zeros((nk, 4, 4), dtype=complex)
     M[:, 0, 0] = M[:, 1, 1] = M[:, 2, 2] = M[:, 3, 3] = 1.0
     log_scale = np.zeros(nk)
-    for j in range(omegas.shape[0]):
-        Ps = slice_propagator(k, float(omegas[j]), float(edges[j + 1] - edges[j]), gamma, mass, hbar)
-        Ps[:, 0, 1] *= k
-        Ps[:, 0, 3] *= k
-        Ps[:, 2, 1] *= k
-        Ps[:, 2, 3] *= k
-        Ps[:, 1, 0] /= k
-        Ps[:, 1, 2] /= k
-        Ps[:, 3, 0] /= k
-        Ps[:, 3, 2] /= k
+    for Ps in stack:
         M = Ps @ M
         scale = np.max(np.abs(M), axis=(1, 2))
         scale = np.where(scale > 0.0, scale, 1.0)
@@ -409,16 +417,14 @@ def transfer_solve(
     if not return_states:
         return amps
 
-    # Forward-propagate the now-known left state through the slices
-    # (true value/derivative basis).
+    # Forward-propagate the now-known left state through the same stack in
+    # the scaled basis, then return to value/derivative form.
     n_edges = edges.shape[0]
-    states = np.zeros((nk, n_edges, 4), dtype=complex)
+    states = np.empty((nk, n_edges, 4), dtype=complex)
     y = inc + sol[:, 2:3] * r1 + sol[:, 3:4] * r2
-    y[:, 1] *= k
-    y[:, 3] *= k
     states[:, 0] = y
-    for j in range(omegas.shape[0]):
-        P = slice_propagator(k, float(omegas[j]), float(edges[j + 1] - edges[j]), gamma, mass, hbar)
-        y = np.einsum("nij,nj->ni", P, y)
+    for j, Ps in enumerate(stack):
+        y = np.einsum("nij,nj->ni", Ps, y)
         states[:, j + 1] = y
+    states[:, :, 1::2] *= k[:, None, None]
     return amps, states

@@ -371,15 +371,13 @@ def _evaluate_slices(sol: ScatteringSolution, x: np.ndarray):
         js = np.clip(np.searchsorted(edges, x[idx], side="right") - 1, 0, omegas.shape[0] - 1)
         for j in np.unique(js):
             sel = idx[js == j]
-            y0 = sol.slice_states[j]
-            for xi in sel:
-                P = kernels.slice_propagator(
-                    np.array([k]), float(omegas[j]), float(x[xi] - edges[j]),
-                    cfg.gamma, cfg.mass, hbar,
-                )[0]
-                y = P @ y0
-                val[0, xi], der[0, xi] = y[0], y[1]
-                val[1, xi], der[1, xi] = y[2], y[3]
+            P = kernels.slice_propagator(
+                np.array([k]), float(omegas[j]), x[sel] - edges[j],
+                cfg.gamma, cfg.mass, hbar,
+            )[:, 0]
+            y = P @ sol.slice_states[j]
+            val[0, sel], der[0, sel] = y[:, 0], y[:, 1]
+            val[1, sel], der[1, sel] = y[:, 2], y[:, 3]
     return val, der
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toa_sim.cli import main
+from toa_sim.errors import ConvergenceWarning
 
 
 def run_cli(args, tmp_path=None):
@@ -96,6 +97,60 @@ class TestAbsorptionMap:
         assert "backend = transfer" in out
         header, data = parse_csv(out)
         assert all(0.0 <= float(r[2]) <= 1.0 for r in data)
+
+
+class TestConvergenceSpotCheck:
+    N_V, N_OMEGA, N_SLICES = 5, 4, 16
+    ARGS = ["absorption-map", "--preset", "fig7", "--n-v", str(N_V),
+            "--n-omega", str(N_OMEGA), "--n-slices", str(N_SLICES)]
+
+    @staticmethod
+    def recomputed_message(n_v, n_omega, n_slices):
+        """The spot-check warning with both slice counts computed at each probe."""
+        from toa_sim import cli
+        from toa_sim.model import RabiProfile, cesium_config, with_omega
+
+        profile = RabiProfile(kind="gaussian", omega0=5 * cli.GAMMA_CS,
+                              center=2.5e-6, width=0.529e-6)
+        config = cesium_config(omega=5 * cli.GAMMA_CS, profile=profile)
+        v = np.linspace(2.0, 400.0, n_v)
+        omegas = np.linspace(2e6, 2.2e8, n_omega)
+        probes = [(v[0], omegas[0]), (v[-1], omegas[0]), (v[0], omegas[-1]),
+                  (v[-1], omegas[-1]), (v[n_v // 2], omegas[n_omega // 2])]
+        worst = 0.0
+        for vv, om in probes:
+            cfg = with_omega(config, float(om))
+            a1, _ = cli._transfer_absorption_row(cfg, np.array([vv]), n_slices)
+            a2, _ = cli._transfer_absorption_row(cfg, np.array([vv]), 2 * n_slices)
+            if np.isfinite(a1[0]) and np.isfinite(a2[0]):
+                worst = max(worst, abs(a1[0] - a2[0]))
+        return (f"slice doubling moves absorption by {worst:.2e} at scan probes; "
+                f"consider more than {n_slices} slices")
+
+    def test_transfer_solves_per_map(self, monkeypatch):
+        # one solve per map row plus one doubled-slice solve per probe
+        from toa_sim import kernels
+
+        slices = []
+        real = kernels.transfer_solve
+
+        def counting(*args, **kwargs):
+            slices.append(len(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "transfer_solve", counting)
+        with pytest.warns(ConvergenceWarning):
+            code, _, _ = run_cli(self.ARGS)
+        assert code == 0
+        assert len(slices) == self.N_OMEGA + 5
+        assert slices == [self.N_SLICES] * self.N_OMEGA + [2 * self.N_SLICES] * 5
+
+    def test_warning_matches_recomputed_probes(self):
+        with pytest.warns(ConvergenceWarning) as record:
+            code, _, _ = run_cli(self.ARGS)
+        assert code == 0
+        messages = [str(w.message) for w in record if w.category is ConvergenceWarning]
+        assert messages == [self.recomputed_message(self.N_V, self.N_OMEGA, self.N_SLICES)]
 
 
 class TestAbsorptionCut:

@@ -1,0 +1,184 @@
+"""Property tests of the batched transfer kernels (Hypothesis).
+
+The slice propagators of a whole profile come from one batched
+``slice_propagator`` call.  These tests pin that batch to per-slice scalar
+calls, ``transfer_solve`` to an independent slice-by-slice composition,
+and its edge states to forward propagation.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import GAMMA, HBAR, MASS
+from toa_sim.kernels import channel_q, slice_propagator, transfer_solve
+from toa_sim.model import RabiProfile, cesium_config
+from toa_sim.transfer import discretize
+
+# A fixed example set keeps the suite deterministic.
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# Omega = gamma/2 (1 + eps): the Jordan switch (dtheta <= 1e-5) falls near
+# |eps| ~ 1e-7 for a 0.1 um slice at 100 m/s, so this range straddles it.
+NEAR_DEGENERATE_EPS = st.floats(1e-11, 1e-3).flatmap(lambda e: st.sampled_from([e, -e]))
+
+
+def to_scaled_basis(P, k):
+    """Propagators in the (phi1, phi1'/k, phi2, phi2'/k) basis, where entries are O(1)."""
+    P = np.array(P)
+    P[..., 0::2, 1::2] *= k[:, None, None]
+    P[..., 1::2, 0::2] /= k[:, None, None]
+    return P
+
+
+def jordan_side(k, omega, width, gamma):
+    """True where the propagator takes the Jordan-limit form (same test as the kernel)."""
+    disc = np.sqrt(complex(gamma * gamma - 4.0 * omega * omega))
+    dz = MASS * disc / HBAR          # |zp - zm|
+    return width * abs(dz) / (2.0 * k) <= 1e-5
+
+
+def assert_batch_matches_scalar(k, omegas, widths, gamma):
+    batch = slice_propagator(k, omegas, widths, gamma, MASS, HBAR)
+    assert batch.shape == (len(omegas), len(k), 4, 4)
+    for j, (om, w) in enumerate(zip(omegas, widths)):
+        single = slice_propagator(k, float(om), float(w), gamma, MASS, HBAR)
+        assert single.shape == (len(k), 4, 4)
+        a, b = to_scaled_basis(batch[j], k), to_scaled_basis(single, k)
+        scale = np.abs(b).max(axis=(1, 2))
+        assert np.all(np.abs(a - b).max(axis=(1, 2)) <= 1e-15 * scale)
+
+
+@st.composite
+def slice_batches(draw):
+    """(k, omegas, widths, gamma) with zero, generic, near-degenerate and zero-width slices."""
+    gamma = draw(st.sampled_from([GAMMA, 0.0, 0.4 * GAMMA]))
+    v = draw(st.lists(st.floats(0.5, 500.0), min_size=1, max_size=5))
+    n = draw(st.integers(1, 10))
+    omegas, widths = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "generic", "degenerate"]))
+        if kind == "zero":
+            omegas.append(0.0)
+        elif kind == "generic" or gamma == 0.0:
+            omegas.append(draw(st.floats(1e5, 2.2e8)))
+        else:
+            omegas.append(0.5 * gamma * (1.0 + draw(NEAR_DEGENERATE_EPS)))
+        widths.append(draw(st.one_of(st.just(0.0), st.floats(1e-9, 3e-7))))
+    k = MASS * np.array(v) / HBAR
+    return k, np.array(omegas), np.array(widths), gamma
+
+
+@PROPERTY_SETTINGS
+@given(slice_batches())
+def test_batched_propagator_matches_scalar_calls(batch):
+    assert_batch_matches_scalar(*batch)
+
+
+def test_batched_propagator_edge_cases():
+    # A fixed batch holding every case the property draws from.
+    k = MASS * np.array([2.0, 100.0, 400.0]) / HBAR
+    eps = [-1e-3, -1e-9, 1e-9, 1e-3]
+    omegas = np.array([0.0, 5 * GAMMA, 0.0] + [0.5 * GAMMA * (1 + e) for e in eps] + [5 * GAMMA])
+    widths = np.array([1e-7, 1e-7, 0.0] + [1e-7] * len(eps) + [0.0])
+    sides = [jordan_side(k[1], om, 1e-7, GAMMA) for om in omegas[3:7]]
+    assert sides == [False, True, True, False]
+    assert_batch_matches_scalar(k, omegas, widths, GAMMA)
+    # zero width is the identity, with or without coupling
+    batch = slice_propagator(k, omegas, widths, GAMMA, MASS, HBAR)
+    assert np.array_equal(batch[2], np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.array_equal(batch[-1], np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_tabulated_profile_mixes_zero_and_coupled_slices():
+    samples = ((0.0, 0.0), (1e-6, 0.0), (1.5e-6, 1.2e8), (3e-6, 4e7), (3.5e-6, 0.0), (5e-6, 0.0))
+    profile = RabiProfile(kind="tabulated", samples=samples)
+    cfg = cesium_config(omega=1.2e8, profile=profile)
+    dec = discretize(profile, 24, config=cfg)
+    omegas = np.array(dec.omegas)
+    assert np.any(omegas == 0.0) and np.any(omegas > 0.0)
+    k = MASS * np.array([5.0, 80.0, 300.0]) / HBAR
+    assert_batch_matches_scalar(k, omegas, np.diff(dec.edges), GAMMA)
+
+
+def sequential_transfer(k, edges, omegas, gamma):
+    """[R1, R2, T1, T2] at one k from per-slice propagators composed one at a time.
+
+    Composes in the value/derivative basis without rescaling and solves
+    the boundary conditions with the derivative rows divided by k.
+    """
+    kk = np.array([k])
+    M = np.eye(4, dtype=complex)
+    for j, om in enumerate(omegas):
+        M = slice_propagator(kk, float(om), edges[j + 1] - edges[j], gamma, MASS, HBAR)[0] @ M
+    q = complex(channel_q(kk, gamma, MASS, HBAR)[0])
+    xl, xr = edges[0], edges[-1]
+
+    def wave(c, wn, x):
+        e = np.exp(1j * wn * x)
+        return np.array([e, 1j * wn * e, 0, 0] if c == 0 else [0, 0, e, 1j * wn * e])
+
+    # M (inc + R1 r1 + R2 r2) = T1 t1 + T2 t2
+    A = np.column_stack([wave(0, k, xr), wave(1, q, xr), -M @ wave(0, -k, xl), -M @ wave(1, -q, xl)])
+    rhs = M @ wave(0, k, xl)
+    D = np.diag([1.0, 1.0 / k, 1.0, 1.0 / k])
+    T1, T2, R1, R2 = np.linalg.solve(D @ A, D @ rhs)
+    return np.array([R1, R2, T1, T2])
+
+
+@st.composite
+def smooth_profiles(draw):
+    """(k, edges, omegas) of a midpoint-sliced Gaussian beam."""
+    omega0 = draw(st.floats(1e5, 2.2e8))
+    width = draw(st.floats(0.3e-6, 1.5e-6))
+    center = draw(st.floats(2e-6, 3e-6))
+    profile = RabiProfile(kind="gaussian", omega0=omega0, center=center, width=width)
+    cfg = cesium_config(omega=omega0, profile=profile)
+    dec = discretize(profile, draw(st.integers(1, 48)), config=cfg)
+    v = draw(st.lists(st.floats(20.0, 500.0), min_size=1, max_size=4))
+    return MASS * np.array(v) / HBAR, np.array(dec.edges), np.array(dec.omegas)
+
+
+@PROPERTY_SETTINGS
+@given(smooth_profiles())
+def test_transfer_solve_matches_sequential_reference(case):
+    k, edges, omegas = case
+    amps = transfer_solve(k, edges, omegas, GAMMA, MASS, HBAR)
+    for i, kk in enumerate(k):
+        ref = sequential_transfer(kk, edges, omegas, GAMMA)
+        assert np.abs(amps[i] - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+@PROPERTY_SETTINGS
+@given(smooth_profiles())
+def test_edge_states_follow_forward_propagation(case):
+    k, edges, omegas = case
+    amps, states = transfer_solve(k, edges, omegas, GAMMA, MASS, HBAR, return_states=True)
+    assert states.shape == (len(k), len(edges), 4)
+    # compare in the (phi1, phi1'/k, phi2, phi2'/k) basis
+    unit = np.ones((len(k), 4))
+    unit[:, 1::2] = k[:, None]
+    q = channel_q(k, GAMMA, MASS, HBAR)
+    xl, xr = edges[0], edges[-1]
+
+    def close(a, b, tol):
+        err = np.abs((a - b) / unit).max(axis=1)
+        return np.all(err <= tol * np.abs(b / unit).max(axis=1))
+
+    # left edge: incident plus reflected waves
+    ein, er, eq = np.exp(1j * k * xl), np.exp(-1j * k * xl), np.exp(-1j * q * xl)
+    left = np.stack([ein + amps[:, 0] * er, 1j * k * (ein - amps[:, 0] * er),
+                     amps[:, 1] * eq, -1j * q * amps[:, 1] * eq], axis=1)
+    assert close(states[:, 0], left, 1e-14)
+    # each edge state is the previous one carried across its slice
+    for j, om in enumerate(omegas):
+        P = slice_propagator(k, float(om), edges[j + 1] - edges[j], GAMMA, MASS, HBAR)
+        carried = np.einsum("nij,nj->ni", P, states[:, j])
+        growth = np.abs(to_scaled_basis(P, k)).max(axis=(1, 2))
+        err = np.abs((carried - states[:, j + 1]) / unit).max(axis=1)
+        assert np.all(err <= 1e-13 * growth * np.abs(states[:, j] / unit).max(axis=1))
+    # right edge: the transmitted waves
+    et, eqr = np.exp(1j * k * xr), np.exp(1j * q * xr)
+    right = np.stack([amps[:, 2] * et, 1j * k * amps[:, 2] * et,
+                      amps[:, 3] * eqr, 1j * q * amps[:, 3] * eqr], axis=1)
+    assert close(states[:, -1], right, 1e-9)
