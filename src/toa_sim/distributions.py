@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, UnderResolvedWarning, ZeroIntegral
-from .series import TimeSeries
+from .series import TimeSeries, phase_matrix
 
 KINDS = ("flux", "kijowski", "observed", "ideal", "kernel")
 
@@ -61,10 +61,7 @@ def free_flux(spec, x: float, times: TimeSeries) -> DistributionSeries:
     k = grid.nodes
     coeff = grid.weights * grid_amplitude(spec, grid) * np.exp(1j * k * x)
     omega_rel = relative_frequencies(k, mass, hbar)
-    t = times.times
-    phase = np.exp(-1j * np.outer(omega_rel, t))
-    b = coeff @ phase
-    a = (coeff * k) @ phase
+    b, a = np.stack([coeff, coeff * k]) @ phase_matrix(omega_rel, times.times)
     j = (hbar / (2.0 * math.pi * mass)) * np.real(np.conj(b) * a)
     return DistributionSeries(t0=times.t0, dt=times.dt, values=j,
                               meta={"position_m": x}, kind="flux")
@@ -85,7 +82,7 @@ def kijowski_density(spec, x: float, times: TimeSeries) -> DistributionSeries:
         * np.exp(1j * k * x)
     )
     omega_rel = relative_frequencies(k, mass, hbar)
-    amp = coeff @ np.exp(-1j * np.outer(omega_rel, times.times))
+    amp = coeff @ phase_matrix(omega_rel, times.times)
     vals = np.abs(amp) ** 2 / (2.0 * math.pi)
     return DistributionSeries(t0=times.t0, dt=times.dt, values=vals,
                               meta={"position_m": x}, kind="kijowski")

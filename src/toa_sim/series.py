@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -53,6 +54,37 @@ class TimeSeries:
         merged = dict(self.meta)
         merged.update(meta)
         return TimeSeries(t0=self.t0, dt=self.dt, values=np.asarray(values), meta=merged)
+
+
+def phase_matrix(omega: np.ndarray, times) -> np.ndarray:
+    """exp(-1j * outer(omega, times)), shape (len(omega), len(times)).
+
+    On an arithmetic grid (``TimeSeries.times``, ``np.linspace``) sample
+    j = a B + b with B = ceil(sqrt(n)) is the product of a coarse factor
+    exp(-i omega t_{aB}) and a fine factor exp(-i omega (t_b - t_0)), so
+    only about 2 sqrt(n) columns take an exponential and the rest one
+    complex multiply each.  The grid qualifies when t_{aB} + (t_b - t_0)
+    reproduces every t_j to 16 eps max|t|; the phases then carry
+    ~eps |omega t| error, the order of the rounding of omega * t in the
+    direct form.  Any other array takes the direct form.
+    """
+    omega = np.asarray(omega, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    n = times.shape[0]
+    if n > 2:
+        block = math.isqrt(n - 1) + 1
+        starts = times[::block]
+        steps = times[:block] - times[0]
+        fitted = (starts[:, None] + steps[None, :]).ravel()[:n]
+        if np.abs(fitted - times).max() <= 16.0 * np.finfo(float).eps * np.abs(times).max():
+            coarse = np.exp(-1j * np.outer(omega, starts))
+            fine = np.exp(-1j * np.outer(omega, steps))
+            out = np.empty((omega.shape[0], n), dtype=complex)
+            for a, lo in enumerate(range(0, n, block)):
+                hi = min(lo + block, n)
+                np.multiply(coarse[:, a : a + 1], fine[:, : hi - lo], out=out[:, lo:hi])
+            return out
+    return np.exp(-1j * np.outer(omega, times))
 
 
 def l1_distance(a: TimeSeries, b: TimeSeries) -> float:

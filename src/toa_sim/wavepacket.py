@@ -11,12 +11,22 @@ packets with picometre de Broglie oscillations tractable.
 The overlap engine needs no (nk, nk) exponential: every mode is anchored
 so that it is bounded by its coefficient inside its region (the
 ``Region`` invariant), so a pair integral is a difference of outer
-products of per-node endpoint values over a Cauchy denominator.  Region
-construction must keep that invariant; the engine does not check it.
+products of per-node endpoint values over a Cauchy denominator, formed as
+one matrix product of the stacked endpoint values.  Region construction
+must keep that invariant; the engine does not check it.  The pair blocks
+of all regions accumulate into one upper half, completed once per matrix.
+
+The excited channel is integrated once for both matrices: a norm window
+that covers every finite region equals the detection matrix plus the
+ground-channel Grams minus the excited Grams of the half-line tails
+beyond the window.  Time phases exp(-i omega t) on a uniform grid are
+built by ``series.phase_matrix`` from ~sqrt(n) coarse and ~sqrt(n) fine
+exponentials, to ~eps |omega t|, the rounding of the direct form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,7 +37,7 @@ from . import kernels
 from .errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
 from .scattering import sharp_edge_rows
-from .series import TimeSeries
+from .series import TimeSeries, phase_matrix
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -200,6 +210,15 @@ class KGrid:
         return self.origin + self.offsets
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one solve per size."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def default_kgrid(spec: PacketSpec, n_nodes: int = 257, span: float = 10.0) -> KGrid:
     """Gauss-Legendre panels over the union of component +-span*dk windows.
 
@@ -231,7 +250,7 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257, span: float = 10.0) -> K
     offsets, weights = [], []
     for lo, hi in panels:
         n = max(32, int(round(n_nodes * (hi - lo) / total)))
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
         center = 0.5 * (hi + lo) - origin
         offsets.append(0.5 * (hi - lo) * x + center)
         weights.append(0.5 * (hi - lo) * w)
@@ -284,38 +303,45 @@ def _region_gram(modes, x1: float, x2: float) -> np.ndarray:
     Each pair of modes integrates in closed form to
     [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with f = coef exp(i kappa (x -
     anchor)) and alpha = kappa_mu - conj(kappa_nu), so the numerator is a
-    difference of rank-1 outer products of the bounded endpoint values.  An
-    infinite endpoint contributes nothing: the pair exponent decays there,
-    which holds for the excited channel whenever gamma > 0.  Where
-    |alpha| (x2 - x1) < 1e-4 the difference quotient cancels, and a series
-    about x1 replaces it at those elements only.  The (nu, mu) block is the
-    Hermitian conjugate of the (mu, nu) block, so only mu <= nu is formed
-    and the result is exactly Hermitian.
+    difference of rank-1 outer products of the bounded endpoint values,
+    formed as one (nk, m) @ (m, nk) product of the stacked endpoint values
+    (x2, then -x1; m <= 2).  An infinite endpoint contributes nothing: the
+    pair exponent decays there, which holds for the excited channel
+    whenever gamma > 0.  Where |alpha| (x2 - x1) < 1e-4 the difference
+    quotient cancels, and a series about x1 replaces it at those elements
+    only.  The (nu, mu) block is the Hermitian conjugate of the (mu, nu)
+    block, so only mu <= nu is formed (``_add_pair_blocks``) and the result
+    is exactly Hermitian.
+    """
+    nk = modes[0][0].shape[0]
+    half = np.zeros((nk, nk), dtype=complex)
+    _add_pair_blocks(half, modes, x1, x2)
+    return half + half.conj().T
+
+
+def _add_pair_blocks(half: np.ndarray, modes, x1: float, x2: float,
+                     scale: float = 1.0) -> None:
+    """Add scale times the mu <= nu pair blocks of ``_region_gram`` to half.
+
+    Diagonal blocks enter halved, so half + half^H is the Gram; several
+    regions accumulate into one half and share that one completion.
     """
     width = x2 - x1
     bound = 1e-4 / width  # 0 on a half-line: no series there
-    ends = [
-        (
-            kappa,
-            None if math.isinf(x1) else coef * np.exp(1j * kappa * (x1 - anchor)),
-            None if math.isinf(x2) else coef * np.exp(1j * kappa * (x2 - anchor)),
-        )
-        for coef, kappa, anchor in modes
-    ]
-    nk = modes[0][0].shape[0]
-    half = np.zeros((nk, nk), dtype=complex)
-    for mu, (kappa_mu, f1_mu, f2_mu) in enumerate(ends):
+    points = [(x, sign) for x, sign in ((x2, 1.0), (x1, -1.0)) if not math.isinf(x)]
+    signs = np.array([sign for _, sign in points])[:, None]
+    ends = []
+    for coef, kappa, anchor in modes:
+        values = np.stack([coef * np.exp(1j * kappa * (x - anchor)) for x, _ in points])
+        f1 = None if math.isinf(x1) else values[-1]
+        ends.append((kappa, (values * signs).T, values.conj(), f1))
+    for mu, (kappa_mu, left_mu, _, f1_mu) in enumerate(ends):
         for nu in range(mu, len(ends)):
-            kappa_nu, f1_nu, f2_nu = ends[nu]
+            kappa_nu, _, right_nu, f1_nu = ends[nu]
             # a diagonal block enters half once, halved (exactly, via its left factors)
-            s = 0.5 if nu == mu else 1.0
+            s = 0.5 * scale if nu == mu else scale
             i_alpha = 1j * kappa_mu[:, None] - 1j * np.conj(kappa_nu)[None, :]
-            if f2_mu is None:
-                num = (-s * f1_mu)[:, None] * np.conj(f1_nu)[None, :]
-            else:
-                num = (s * f2_mu)[:, None] * np.conj(f2_nu)[None, :]
-                if f1_mu is not None:
-                    num -= (s * f1_mu)[:, None] * np.conj(f1_nu)[None, :]
+            num = (s * left_mu) @ right_nu
             with np.errstate(invalid="ignore", divide="ignore"):
                 np.divide(num, i_alpha, out=num)
             if bound > 0.0 and _can_resonate(kappa_mu, kappa_nu, bound):
@@ -326,7 +352,6 @@ def _region_gram(modes, x1: float, x2: float) -> np.ndarray:
                         width * (1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0)
                     )
             half += num
-    return half + half.conj().T
 
 
 class ConditionalPropagator:
@@ -498,25 +523,48 @@ class ConditionalPropagator:
             for region in self.regions:
                 modes = region.channel_modes[1]
                 if modes:
-                    out += _region_gram(modes, region.x1, region.x2)
-            self._detection_matrix = out / (2.0 * math.pi)
+                    _add_pair_blocks(out, modes, region.x1, region.x2)
+            out += out.conj().T  # in place: a new result array raised peak RSS by 8 MB
+            out /= 2.0 * math.pi
+            self._detection_matrix = out
         return self._detection_matrix
 
     def norm_matrix(self, x_min: float, x_max: float) -> np.ndarray:
-        """Gram matrix of both components restricted to [x_min, x_max]."""
+        """Gram matrix of both components restricted to [x_min, x_max].
+
+        A window that covers every finite region holds all of the excited
+        channel except the half-line tails beyond it, so with gamma > 0 the
+        matrix is the detection matrix, plus the ground-channel Grams, minus
+        the excited Gram of each tail.  The excited blocks are then formed
+        once for both matrices.
+        """
         key = (round(x_min, 12), round(x_max, 12))
         if key not in self._norm_matrix_cache:
+            regions = self.regions
+            shared = (self.config.gamma > 0.0 and x_min <= regions[0].x2
+                      and x_max >= regions[-1].x1)
             nk = self.k.shape[0]
             out = np.zeros((nk, nk), dtype=complex)
-            for region in self.regions:
+            for region in regions:
+                ground, excited = region.channel_modes
+                if shared:
+                    if excited and math.isinf(region.x1):
+                        _add_pair_blocks(out, excited, -math.inf, x_min, -1.0)
+                    if excited and math.isinf(region.x2):
+                        _add_pair_blocks(out, excited, x_max, math.inf, -1.0)
+                    excited = []
                 lo = max(x_min, region.x1)
                 hi = min(x_max, region.x2)
                 if hi <= lo:
                     continue
-                for modes in region.channel_modes:
+                for modes in (ground, excited):
                     if modes:
-                        out += _region_gram(modes, lo, hi)
-            self._norm_matrix_cache[key] = out / (2.0 * math.pi)
+                        _add_pair_blocks(out, modes, lo, hi)
+            out += out.conj().T
+            out /= 2.0 * math.pi
+            if shared:
+                out += self.detection_matrix()
+            self._norm_matrix_cache[key] = out
         return self._norm_matrix_cache[key]
 
     def _quadratic(self, matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -524,8 +572,8 @@ class ConditionalPropagator:
         out = np.empty(times.shape[0])
         chunk = max(1, int(4e6 // max(self.k.shape[0], 1)))
         for start in range(0, times.shape[0], chunk):
-            tt = times[start : start + chunk]
-            v = self.coeff[:, None] * np.exp(-1j * np.outer(self.omega_rel, tt))
+            v = phase_matrix(self.omega_rel, times[start : start + chunk])
+            v *= self.coeff[:, None]
             out[start : start + chunk] = np.real(np.sum((matrix.T @ v) * np.conj(v), axis=0))
         return out
 
@@ -573,8 +621,7 @@ class ConditionalPropagator:
         gamma = self.config.gamma
         d2 = self.detection_matrix()
         dw = np.subtract.outer(self.omega_rel, self.omega_rel)
-        matrix = gamma * d2 * (gamma - 1j * dw) / gamma
-        return self._quadratic(matrix, times)
+        return self._quadratic(d2 * (gamma - 1j * dw), times)
 
     def ridge_density(self, times) -> np.ndarray:
         """Behind-the-beam approximation of the photon density.
@@ -731,7 +778,8 @@ def first_photon_density(
         t0=times.t0,
         dt=times.dt,
         values=pi,
-        meta={"route_discrepancy": discrepancy, "kind": "observed"},
+        meta={"route_discrepancy": discrepancy, "kind": "observed",
+              "survival_start": float(survival[0]), "survival_end": float(survival[-1])},
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toa_sim.errors import GridMismatch
-from toa_sim.series import TimeSeries, l1_distance, read_csv, write_csv
+from toa_sim.series import TimeSeries, l1_distance, phase_matrix, read_csv, write_csv
 
 
 def test_basics():
@@ -45,3 +45,29 @@ def test_read_csv_rejects_nonuniform():
     text = "t_s,value\n0,1\n1,1\n3,1\n"
     with pytest.raises(ValueError):
         read_csv(io.StringIO(text))
+
+
+OMEGA = np.linspace(-3e7, 2e7, 37)
+
+
+def direct_phases(times):
+    return np.exp(-1j * np.outer(OMEGA, times))
+
+
+@pytest.mark.parametrize("times", [
+    TimeSeries(t0=2e-6, dt=3.7e-9, values=np.zeros(1601)).times,
+    TimeSeries(t0=-4e-6, dt=5e-9, values=np.zeros(1000)).times,
+    np.linspace(0.0, 8e-6, 1201),
+    np.linspace(-3e-6, 5e-6, 7),
+    np.array([1e-6]),
+    np.array([-1e-6, 2e-6]),
+    np.array([0.0, 1e-6, 3e-6, 3.5e-6, 8e-6]),
+    np.geomspace(1e-7, 1e-5, 200),
+    np.linspace(0.0, 8e-6, 1201) * np.where(np.arange(1201) == 500, 1.0 + 1e-9, 1.0),
+], ids=["timeseries", "negative-t0", "linspace", "linspace-7", "n1", "n2",
+        "nonuniform", "geometric", "jittered"])
+def test_phase_matrix_matches_direct_exponentials(times):
+    got = phase_matrix(OMEGA, times)
+    assert got.shape == (OMEGA.size, times.size)
+    scale = np.abs(OMEGA).max() * np.abs(times).max()
+    assert np.abs(got - direct_phases(times)).max() <= 64 * np.finfo(float).eps * (1 + scale)

@@ -13,6 +13,7 @@ from toa_sim.wavepacket import (
     GaussianComponent,
     KGrid,
     PacketSpec,
+    _gauss_legendre,
     _region_gram,
     conditional_evolve,
     default_kgrid,
@@ -90,6 +91,16 @@ class TestPacketSpec:
                 components=(GaussianComponent(mean_velocity=0.5, delta_x=1e-9),),
                 mass=MASS,
             )
+
+    def test_gauss_legendre_rule_computed_once_per_size(self):
+        spec, _ = packet()
+        a = default_kgrid(spec, n_nodes=300)
+        b = default_kgrid(spec, n_nodes=300)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert np.array_equal(a.weights, b.weights)
+        x, w = _gauss_legendre(300)
+        assert _gauss_legendre(300)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
 
     def test_grid_nodes_positive(self):
         spec, _ = packet()
@@ -176,6 +187,19 @@ class TestFirstPhotonDensity:
         absorbed = 1.0 - np.abs(T1) ** 2 - np.abs(R1) ** 2
         weighted = float(np.sum(grid.weights * np.abs(prop.psi) ** 2 * absorbed))
         assert total == pytest.approx(weighted, abs=1e-4)
+
+    def test_survival_ends_reported(self):
+        cfg, spec, grid, times = self.make()
+        pi = first_photon_density(spec, cfg, grid, times)
+        prop = ConditionalPropagator(spec, cfg, grid)
+        t = times.times
+        lo0, hi0 = prop.default_domain(float(t[0]))
+        lo1, hi1 = prop.default_domain(float(t[-1]))
+        window = (min(lo0, lo1), max(hi0, hi1))
+        for key, when in (("survival_start", t[0]), ("survival_end", t[-1])):
+            direct = prop.norm([when], *window)[0]
+            assert pi.meta[key] == pytest.approx(direct, rel=1e-12)
+        assert pi.meta["survival_start"] == pytest.approx(1.0, abs=1e-9)
 
     def test_density_nonnegative_and_monotone_norm(self):
         cfg, spec, grid, times = self.make()
@@ -370,3 +394,61 @@ class TestOverlapEngine:
         assert np.array_equal(np.diag(gram), np.full(u.size, width, dtype=complex))
         closed = width * np.exp(-0.5j * u) * np.sinc(u / (2 * np.pi))
         assert np.abs(gram[0] - closed).max() <= 1e-12 * width
+
+
+def region_detection(prop):
+    """Detection matrix as the plain per-region sum (oracle for the shared engine)."""
+    nk = prop.k.shape[0]
+    out = np.zeros((nk, nk), dtype=complex)
+    for region in prop.regions:
+        if region.channel_modes[1]:
+            out += _region_gram(region.channel_modes[1], region.x1, region.x2)
+    return out / (2 * math.pi)
+
+
+def region_norm(prop, x_min, x_max):
+    """Norm matrix as the plain per-region, per-channel sum over the clipped window."""
+    nk = prop.k.shape[0]
+    out = np.zeros((nk, nk), dtype=complex)
+    for region in prop.regions:
+        lo, hi = max(x_min, region.x1), min(x_max, region.x2)
+        if hi <= lo:
+            continue
+        for modes in region.channel_modes:
+            if modes:
+                out += _region_gram(modes, lo, hi)
+    return out / (2 * math.pi)
+
+
+def assert_matches(matrix, reference):
+    """Equal to the region sum up to summation order, and exactly Hermitian."""
+    assert np.abs(matrix - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.array_equal(matrix, matrix.conj().T)
+
+
+SHARED_CASES = [
+    pytest.param(104.43e6, "analytic", None, id="sharp"),
+    pytest.param(0.0, "analytic", None, id="sharp-uncoupled"),
+    pytest.param(GAMMA / 2 * (1 + 1e-3), "analytic", None, id="sharp-near-degenerate"),
+    pytest.param(104.43e6, "transfer", GAUSSIAN_BEAM, id="transfer-gaussian"),
+]
+
+
+class TestSharedExcitedBlocks:
+    @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
+    def test_matrices_match_region_sums(self, omega, backend, profile):
+        prop = small_propagator(omega, backend=backend, profile=profile)
+        assert_matches(prop.detection_matrix(), region_detection(prop))
+        x_left, x_right = prop.regions[0].x2, prop.regions[-1].x1
+        decay = 166.2 / GAMMA  # excited decay length at the packet speed
+        windows = [prop.default_domain(0.0),
+                   (x_left - 0.5 * decay, x_right + 2.0 * decay),
+                   (x_left, x_right + decay)]
+        for window in windows:
+            assert_matches(prop.norm_matrix(*window), region_norm(prop, *window))
+
+    def test_windows_inside_the_beam(self):
+        prop = small_propagator(104.43e6)
+        L = prop.config.beam_width
+        for window in ((0.5 * L, 50e-6), (-50e-6, 0.5 * L), (0.25 * L, 0.75 * L)):
+            assert_matches(prop.norm_matrix(*window), region_norm(prop, *window))
