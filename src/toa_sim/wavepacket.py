@@ -16,10 +16,12 @@ one matrix product of the stacked endpoint values.  Region construction
 must keep that invariant; the engine does not check it.  The pair blocks
 of all regions accumulate into one upper half, completed once per matrix.
 
-The excited channel is integrated once for both matrices: a norm window
-that covers every finite region equals the detection matrix plus the
-ground-channel Grams minus the excited Grams of the half-line tails
-beyond the window.  Time phases exp(-i omega t) on a uniform grid are
+The excited channel is integrated once for both matrices: once the
+detection matrix is built, a norm window that covers every finite region
+equals the detection matrix plus the ground-channel Grams minus the
+excited Grams of the half-line tails beyond the window.  The survival
+loss rate -dN/dt is the exact derivative of its quadratic form, so the
+first-photon route check carries no time-step error.  Time phases exp(-i omega t) on a uniform grid are
 built by ``series.phase_matrix`` from ~sqrt(n) coarse and ~sqrt(n) fine
 exponentials, to ~eps |omega t|, the rounding of the direct form.
 """
@@ -533,16 +535,19 @@ class ConditionalPropagator:
         """Gram matrix of both components restricted to [x_min, x_max].
 
         A window that covers every finite region holds all of the excited
-        channel except the half-line tails beyond it, so with gamma > 0 the
-        matrix is the detection matrix, plus the ground-channel Grams, minus
-        the excited Gram of each tail.  The excited blocks are then formed
-        once for both matrices.
+        channel except the half-line tails beyond it, so once the detection
+        matrix is built, the matrix is that detection matrix, plus the
+        ground-channel Grams, minus the excited Gram of each tail: the
+        excited blocks are formed once for both matrices.  Before it is
+        built (a caller that only needs the norm), the excited channel is
+        integrated over the window like the ground channel, and no
+        detection matrix is formed.  The two paths agree to rounding.
         """
         key = (round(x_min, 12), round(x_max, 12))
         if key not in self._norm_matrix_cache:
             regions = self.regions
-            shared = (self.config.gamma > 0.0 and x_min <= regions[0].x2
-                      and x_max >= regions[-1].x1)
+            shared = (self._detection_matrix is not None
+                      and x_min <= regions[0].x2 and x_max >= regions[-1].x1)
             nk = self.k.shape[0]
             out = np.zeros((nk, nk), dtype=complex)
             for region in regions:
@@ -563,18 +568,30 @@ class ConditionalPropagator:
             out += out.conj().T
             out /= 2.0 * math.pi
             if shared:
-                out += self.detection_matrix()
+                out += self._detection_matrix
             self._norm_matrix_cache[key] = out
         return self._norm_matrix_cache[key]
 
-    def _quadratic(self, matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def _pair_terms(self, matrix: np.ndarray, times):
+        """Yield (time slice, conj(v) * (matrix^T v)) per chunk of times.
+
+        v = coeff * exp(-i omega t) is the state vector in the mode basis;
+        summing the yielded (nk, chunk) array over modes gives the quadratic
+        form v^H matrix^T v at each time.
+        """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = np.empty(times.shape[0])
         chunk = max(1, int(4e6 // max(self.k.shape[0], 1)))
         for start in range(0, times.shape[0], chunk):
             v = phase_matrix(self.omega_rel, times[start : start + chunk])
             v *= self.coeff[:, None]
-            out[start : start + chunk] = np.real(np.sum((matrix.T @ v) * np.conj(v), axis=0))
+            terms = matrix.T @ v
+            terms *= np.conj(v)
+            yield slice(start, start + chunk), terms
+
+    def _quadratic(self, matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = np.empty(np.size(times))
+        for part, terms in self._pair_terms(matrix, times):
+            out[part] = terms.real.sum(axis=0)
         return out
 
     # -- physics --------------------------------------------------------
@@ -658,6 +675,20 @@ class ConditionalPropagator:
 
     def norm(self, t, x_min: float, x_max: float) -> np.ndarray:
         return self._quadratic(self.norm_matrix(x_min, x_max), t)
+
+    def norm_and_rate(self, t, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """Survival N(t) on [x_min, x_max] and its exact loss rate -dN/dt.
+
+        With w = N^T v and dv/dt = -i omega v, the Hermitian norm matrix
+        gives -dN/dt = 2 Im sum_k omega_k conj(v_k) w_k: the derivative of
+        the quadratic form itself, free of any time grid, from the same
+        product as N(t).
+        """
+        out = np.empty((2, np.size(t)))
+        for part, terms in self._pair_terms(self.norm_matrix(x_min, x_max), t):
+            out[0, part] = terms.real.sum(axis=0)
+            out[1, part] = 2.0 * (self.omega_rel @ terms.imag)
+        return out[0], out[1]
 
     def default_domain(self, t: float) -> tuple[float, float]:
         """Spatial window guaranteed to hold the surviving state at time t.
@@ -749,9 +780,12 @@ def first_photon_density(
     """Observed first-photon density on the given uniform time grid.
 
     Computed as gamma times the excited population; an independent route
-    (numerical time derivative of the survival norm over a fixed covering
-    domain) is compared against it and the maximum integrated discrepancy
-    is reported in ``meta['route_discrepancy']``.  Disagreement beyond
+    (the exact time derivative of the survival norm over a fixed covering
+    domain, ``norm_and_rate``) is compared against it and the integrated
+    discrepancy is reported in ``meta['route_discrepancy']``.  The two
+    routes agree through the continuity equation of the conditional
+    dynamics, not through the time grid, so the discrepancy measures the
+    overlap matrices and the window, whatever dt is.  Disagreement beyond
     ``consistency_tol`` (relative, integrated) raises ConsistencyFailure.
     """
     if not (config.gamma > 0.0):
@@ -763,8 +797,7 @@ def first_photon_density(
     lo0, hi0 = prop.default_domain(float(t[0]))
     lo1, hi1 = prop.default_domain(float(t[-1]))
     x_min, x_max = min(lo0, lo1), max(hi0, hi1)
-    survival = prop.norm(t, x_min, x_max)
-    dn = -np.gradient(survival, times.dt, edge_order=2)
+    survival, dn = prop.norm_and_rate(t, x_min, x_max)
     denom = float(np.trapezoid(np.abs(pi), dx=times.dt))
     if denom > 0.0:
         discrepancy = float(np.trapezoid(np.abs(pi - dn), dx=times.dt)) / denom

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -54,20 +55,35 @@ def direct_phases(times):
     return np.exp(-1j * np.outer(OMEGA, times))
 
 
-@pytest.mark.parametrize("times", [
-    TimeSeries(t0=2e-6, dt=3.7e-9, values=np.zeros(1601)).times,
-    TimeSeries(t0=-4e-6, dt=5e-9, values=np.zeros(1000)).times,
-    np.linspace(0.0, 8e-6, 1201),
-    np.linspace(-3e-6, 5e-6, 7),
-    np.array([1e-6]),
-    np.array([-1e-6, 2e-6]),
-    np.array([0.0, 1e-6, 3e-6, 3.5e-6, 8e-6]),
-    np.geomspace(1e-7, 1e-5, 200),
-    np.linspace(0.0, 8e-6, 1201) * np.where(np.arange(1201) == 500, 1.0 + 1e-9, 1.0),
+@pytest.mark.parametrize("times, factorised", [
+    (TimeSeries(t0=2e-6, dt=3.7e-9, values=np.zeros(1601)).times, True),
+    (TimeSeries(t0=-4e-6, dt=5e-9, values=np.zeros(1000)).times, True),
+    (np.linspace(0.0, 8e-6, 1201), True),
+    (np.linspace(-3e-6, 5e-6, 7), True),
+    (np.array([1e-6]), False),
+    (np.array([-1e-6, 2e-6]), False),
+    (np.array([0.0, 1e-6, 3e-6, 3.5e-6, 8e-6]), False),
+    (np.geomspace(1e-7, 1e-5, 200), False),
+    (np.linspace(0.0, 8e-6, 1201) * np.where(np.arange(1201) == 500, 1.0 + 1e-9, 1.0), False),
 ], ids=["timeseries", "negative-t0", "linspace", "linspace-7", "n1", "n2",
         "nonuniform", "geometric", "jittered"])
-def test_phase_matrix_matches_direct_exponentials(times):
+def test_phase_matrix_matches_direct_exponentials(times, factorised, monkeypatch):
+    direct = direct_phases(times)
+    columns = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        columns.append(np.shape(x)[-1])
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
     got = phase_matrix(OMEGA, times)
+    monkeypatch.undo()
     assert got.shape == (OMEGA.size, times.size)
     scale = np.abs(OMEGA).max() * np.abs(times).max()
-    assert np.abs(got - direct_phases(times)).max() <= 64 * np.finfo(float).eps * (1 + scale)
+    assert np.abs(got - direct).max() <= 64 * np.finfo(float).eps * (1 + scale)
+    # uniform grids take the coarse x fine route: ~2 sqrt(n) exponential columns
+    if factorised:
+        assert sum(columns) <= 2 * math.ceil(math.sqrt(times.size)) < times.size
+    else:
+        assert sum(columns) == times.size

@@ -201,6 +201,34 @@ class TestFirstPhotonDensity:
             assert pi.meta[key] == pytest.approx(direct, rel=1e-12)
         assert pi.meta["survival_start"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n_t", [60, 1200])
+    def test_route_exact_whatever_the_time_step(self, n_t):
+        # -dN/dt is the derivative of the quadratic form, not a difference
+        # quotient, so a coarse grid carries no truncation error
+        cfg, spec, grid, times = self.make(n_t=n_t)
+        pi = first_photon_density(spec, cfg, grid, times)
+        assert pi.meta["route_discrepancy"] < 1e-8
+
+    def test_rate_is_derivative_of_norm(self):
+        cfg, spec, grid, times = self.make()
+        prop = ConditionalPropagator(spec, cfg, grid)
+        window = prop.default_domain(float(times.times[-1]))
+        t = times.times[::50]
+        survival, rate = prop.norm_and_rate(t, *window)
+        assert np.array_equal(survival, prop.norm(t, *window))
+        h = 1e-2 * times.dt
+        steps = [prop.norm(t + j * h, *window) for j in (-2, -1, 1, 2)]
+        fd = -(steps[0] - 8 * steps[1] + 8 * steps[2] - steps[3]) / (12 * h)
+        assert np.abs(rate - fd).max() <= 1e-6 * np.abs(rate).max()
+
+    def test_route_flags_inconsistent_density(self, monkeypatch):
+        cfg, spec, grid, times = self.make()
+        density = ConditionalPropagator.photon_density
+        monkeypatch.setattr(ConditionalPropagator, "photon_density",
+                            lambda self, t: 1.01 * density(self, t))
+        with pytest.raises(ConsistencyFailure):
+            first_photon_density(spec, cfg, grid, times)
+
     def test_density_nonnegative_and_monotone_norm(self):
         cfg, spec, grid, times = self.make()
         pi = first_photon_density(spec, cfg, grid, times)
@@ -452,3 +480,13 @@ class TestSharedExcitedBlocks:
         L = prop.config.beam_width
         for window in ((0.5 * L, 50e-6), (-50e-6, 0.5 * L), (0.25 * L, 0.75 * L)):
             assert_matches(prop.norm_matrix(*window), region_norm(prop, *window))
+
+    @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES[:1] + SHARED_CASES[3:])
+    def test_norm_before_detection_builds_no_detection_matrix(self, omega, backend, profile):
+        first = small_propagator(omega, backend=backend, profile=profile)
+        window = first.default_domain(0.0)
+        alone = first.norm_matrix(*window)
+        assert first._detection_matrix is None
+        shared = small_propagator(omega, backend=backend, profile=profile)
+        shared.detection_matrix()
+        assert_matches(shared.norm_matrix(*window), alone)
