@@ -46,6 +46,20 @@ def _float_fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _text_column(values) -> list[str]:
+    """Each value as ``_float_fmt`` text, "" where it is not finite."""
+    values = np.asarray(values, dtype=float)
+    text = ["%.17g" % x for x in values.tolist()]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[i] = ""
+    return text
+
+
+def _csv_rows(*columns) -> list[str]:
+    """Comma-joined rows of equally long text columns."""
+    return [",".join(row) for row in zip(*columns)]
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="toa-sim",
@@ -61,7 +75,9 @@ def _parse_args(argv):
         p.add_argument("--config", help="flat key=value parameter file")
         p.add_argument("--preset", help="figure preset: fig1 fig2 fig3 fig4 fig5 fig6 fig7")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for transfer-backend scans "
+                            "(an analytic scan is one batched solve)")
         p.add_argument(
             "--backend",
             choices=["analytic", "transfer"],
@@ -159,11 +175,6 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _sharp_absorption_row(config: ValidatedConfig, v: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    k = config.mass * v / config.constants.hbar
-    return absorption_status(sharp_edge_rows(k, config))
-
-
 def _transfer_absorption_row(
     config: ValidatedConfig, v: np.ndarray, n_slices: int
 ) -> tuple[np.ndarray, list[str]]:
@@ -172,12 +183,30 @@ def _transfer_absorption_row(
     return absorption_status(transfer.transfer_rows(k, decomp, config))
 
 
-def _map_worker(task):
-    config, v, omega, backend, n_slices = task
-    cfg = with_omega(config, omega)
-    if backend == "transfer":
-        return _transfer_absorption_row(cfg, v, n_slices)
-    return _sharp_absorption_row(cfg, v)
+def _transfer_worker(task):
+    config, v, omega, n_slices = task
+    return _transfer_absorption_row(with_omega(config, omega), v, n_slices)
+
+
+def _absorption_scan(config: ValidatedConfig, v: np.ndarray, omegas, backend: str,
+                     n_slices: int, jobs: int = 1) -> tuple[np.ndarray, list[str]]:
+    """A and status at every (omega, v) point, omega-major.
+
+    The analytic backend solves the whole scan in one batched call; the
+    transfer backend solves one omega per call, in ``jobs`` processes.
+    """
+    if backend == "analytic":
+        k = config.mass * np.tile(v, len(omegas)) / config.constants.hbar
+        omega = np.repeat(np.asarray(omegas, dtype=float), len(v))
+        return absorption_status(sharp_edge_rows(k, config, omega=omega))
+    tasks = [(config, v, float(om), n_slices) for om in omegas]
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            results = pool.map(_transfer_worker, tasks)
+    else:
+        results = [_transfer_worker(task) for task in tasks]
+    return (np.concatenate([a for a, _ in results]),
+            [st for _, status in results for st in status])
 
 
 def cmd_absorption_map(args) -> str:
@@ -194,15 +223,9 @@ def cmd_absorption_map(args) -> str:
     v = np.linspace(args.v_min, args.v_max, args.n_v)
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_omega)
 
-    tasks = [(config, v, float(om), backend, args.n_slices) for om in omegas]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            results = pool.map(_map_worker, tasks)
-    else:
-        results = [_map_worker(task) for task in tasks]
-
+    a, status = _absorption_scan(config, v, omegas, backend, args.n_slices, args.jobs)
     if backend == "transfer":
-        _convergence_spot_check(config, v, omegas, args.n_slices, results)
+        _convergence_spot_check(config, v, omegas, args.n_slices, a.reshape(len(omegas), -1))
 
     lines = [f"# {line}" for line in _header(args, config, [
         f"backend = {backend}",
@@ -210,20 +233,18 @@ def cmd_absorption_map(args) -> str:
         f"omega_per_s = linspace({_float_fmt(args.omega_min)}, {_float_fmt(args.omega_max)}, {args.n_omega})",
     ])]
     lines.append("v_mps,omega_per_s,A,status")
-    for j, om in enumerate(omegas):
-        a_row, status = results[j]
-        for i, vv in enumerate(v):
-            a_txt = _float_fmt(a_row[i]) if np.isfinite(a_row[i]) else ""
-            lines.append(f"{_float_fmt(vv)},{_float_fmt(om)},{a_txt},{status[i]}")
+    v_txt = _text_column(v)
+    om_txt = [txt for txt in _text_column(omegas) for _ in v_txt]
+    lines += _csv_rows(v_txt * len(omegas), om_txt, _text_column(a), status)
     return "\n".join(lines) + "\n"
 
 
-def _convergence_spot_check(config, v, omegas, n_slices, results) -> None:
+def _convergence_spot_check(config, v, omegas, n_slices, a_map) -> None:
     """Doubled-slice check at the scan corners and center (warns only).
 
-    ``results`` holds the map's (A, status) row for each omega; the
-    coarse-slice A at a probe is read from it, so only the doubled-slice
-    values are computed here.
+    ``a_map[j, i]`` is the map's A at (omegas[j], v[i]); the coarse-slice A
+    at a probe is read from it, so only the doubled-slice values are
+    computed here.
     """
     import warnings
 
@@ -234,7 +255,7 @@ def _convergence_spot_check(config, v, omegas, n_slices, results) -> None:
     worst = 0.0
     for i, j in probes:
         cfg = with_omega(config, float(omegas[j]))
-        a1 = results[j][0][i]
+        a1 = a_map[j, i]
         a2, _ = _transfer_absorption_row(cfg, np.array([v[i]]), 2 * n_slices)
         if np.isfinite(a1) and np.isfinite(a2[0]):
             worst = max(worst, abs(a1 - a2[0]))
@@ -254,36 +275,29 @@ def cmd_absorption_cut(args) -> str:
     backend = args.backend or ("transfer" if config.profile.kind != "sharp" else "analytic")
     v = np.linspace(args.v_min, args.v_max, args.n_v)
 
-    columns: list[tuple[str, np.ndarray, list[str]]] = []
     if args.preset == "fig5":
-        strong = with_omega(config, 5 * config.gamma)
-        weak = with_omega(config, 0.5 * config.gamma)
-        a_s, st_s = _map_worker((strong, v, strong.omega, backend, args.n_slices))
-        a_w, st_w = _map_worker((weak, v, weak.omega, backend, args.n_slices))
-        columns = [("A_strong", a_s, st_s), ("A_weak", a_w, st_w)]
-        marker_cfg = strong
+        marker_cfg = with_omega(config, 5 * config.gamma)
+        names, omegas = ["A_strong", "A_weak"], [5 * config.gamma, 0.5 * config.gamma]
     else:
-        cfg = config
+        marker_cfg = config
         if args.omega_in_gamma is not None:
-            cfg = with_omega(config, args.omega_in_gamma * config.gamma)
-        a, st = _map_worker((cfg, v, cfg.omega, backend, args.n_slices))
-        columns = [("A", a, st)]
-        marker_cfg = cfg
+            marker_cfg = with_omega(config, args.omega_in_gamma * config.gamma)
+        names, omegas = ["A"], [marker_cfg.omega]
+    a, status = _absorption_scan(config, v, omegas, backend, args.n_slices)
 
     extra = []
     if marker_cfg.omega > 0.0:
         for n, vn, slope in ridge_locations(marker_cfg, args.ridge_markers):
             extra.append(f"ridge n={n}: v_mps = {_float_fmt(vn)}")
     lines = [f"# {line}" for line in _header(args, marker_cfg, extra)]
-    names = ",".join(name for name, _, _ in columns)
-    stats = ",".join(f"status_{name}" for name, _, _ in columns)
-    lines.append(f"v_mps,{names},{stats}")
-    for i, vv in enumerate(v):
-        vals = ",".join(
-            _float_fmt(col[i]) if np.isfinite(col[i]) else "" for _, col, _ in columns
-        )
-        sts = ",".join(st[i] for _, _, st in columns)
-        lines.append(f"{_float_fmt(vv)},{vals},{sts}")
+    lines.append(",".join(["v_mps"] + names + [f"status_{name}" for name in names]))
+    n_v = len(v)
+    a_txt = _text_column(a)
+    lines += _csv_rows(
+        _text_column(v),
+        *(a_txt[j * n_v:(j + 1) * n_v] for j in range(len(names))),
+        *(status[j * n_v:(j + 1) * n_v] for j in range(len(names))),
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -398,13 +412,8 @@ def cmd_distributions(args) -> str:
         f"backend = {backend}",
     ])]
     lines.append("t_s,J,Pi,Pi_id,Pi_id_norm,Pi_K")
-    tt = times.times
-    for i in range(len(tt)):
-        lines.append(
-            f"{_float_fmt(tt[i])},{_float_fmt(flux.values[i])},{_float_fmt(pi.values[i])},"
-            f"{_float_fmt(pi_id.values[i])},{_float_fmt(pi_id_norm.values[i])},"
-            f"{_float_fmt(kij.values[i])}"
-        )
+    lines += _csv_rows(*(_text_column(col) for col in (
+        times.times, flux.values, pi.values, pi_id.values, pi_id_norm.values, kij.values)))
     return "\n".join(lines) + "\n"
 
 

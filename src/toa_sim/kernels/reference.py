@@ -14,6 +14,13 @@ k+-^2 = k^2 - 2 m lam+- / hbar, Im k+- > 0, where lam+- are the complex
 eigenrates of the internal coupling matrix.  Interior coefficients of the
 growing exponentials are stored anchored at the right edge (coefficient
 of exp(-i k+- (x - L))) so no assembled matrix entry can overflow.
+
+The sharp-edge matching problem has eight conditions (value and
+derivative of both channels at x = 0 and x = L).  The four value
+conditions give R1, R2, T1 and T2 exp(iqL) explicitly in the interior
+coefficients, so ``sharp_edge_solve`` eliminates them and solves only a
+4x4 system per wavenumber; it takes one coupling per wavenumber, so a
+whole (omega, v) scan is a single batched call.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND_NAME = "python"
+# Wavenumbers per batched sharp-edge solve; its working arrays take about
+# 0.5 kB per wavenumber, and 2048 was also the fastest block on a 2-core VM.
+SHARP_BLOCK = 2048
 
 
 def sqrt_upper(z: np.ndarray) -> np.ndarray:
@@ -54,9 +64,12 @@ def channel_q(k: np.ndarray, gamma: float, mass: float, hbar: float) -> np.ndarr
 
 
 def mode_wavenumbers(
-    k: np.ndarray, gamma: float, omega: float, mass: float, hbar: float
+    k: np.ndarray, gamma: float, omega, mass: float, hbar: float
 ) -> tuple[np.ndarray, np.ndarray, complex, complex]:
-    """Interior mode wavenumbers (k+, k-) and the eigenrates used to get them."""
+    """Interior mode wavenumbers (k+, k-) and the eigenrates used to get them.
+
+    ``omega`` is a scalar or an array broadcasting against ``k``.
+    """
     lam_p, lam_m = internal_rates(gamma, omega)
     k = np.asarray(k, dtype=float)
     kp = sqrt_upper(k * k - 2.0 * mass * lam_p / hbar)
@@ -67,7 +80,7 @@ def mode_wavenumbers(
 def sharp_edge_solve(
     k,
     gamma: float,
-    omega: float,
+    omega,
     beam_width: float,
     mass: float,
     hbar: float,
@@ -77,18 +90,45 @@ def sharp_edge_solve(
     Returns an (nk, 8) complex array with columns
     [R1, R2, T1, T2, a, b, c, d] where (a, b) multiply the
     right-decaying interior modes exp(i k+- x) and (c, d) the left-decaying
-    ones exp(-i k+- (x - L)).  omega must be > 0 (the uncoupled omega = 0
-    case is handled by the caller).  T2 multiplies exp(iqx); at low speeds,
-    where exp(iqL) underflows, it is not representable and comes back
-    infinite, while the other seven columns stay finite.
+    ones exp(-i k+- (x - L)).  ``omega`` is a scalar or an array
+    broadcasting against ``k`` (one coupling per wavenumber, so a whole
+    (omega, v) scan is one call); a scalar is broadcast first, so both
+    forms give bit-identical rows.  Every omega must be > 0 (the uncoupled
+    omega = 0 case is handled by the caller).  T2 multiplies exp(iqx); at
+    low speeds, where exp(iqL) underflows, it is not representable and
+    comes back infinite, while the other seven columns stay finite.
 
-    Raises FloatingPointError via numpy only on hard numerical failure;
-    singular systems surface as inf/nan rows for the caller to detect.
+    The eight matching conditions (value and derivative of both channels
+    at x = 0 and x = L, derivative rows divided by k) are not solved as an
+    8x8 system.  The four value rows give R1, R2, T1 and the L-anchored
+    T2_L = T2 exp(iqL) explicitly in terms of (a, b, c, d):
+
+      R1   = a + b + ep c + em d - 1
+      R2   = u+ (a + ep c) + u- (b + em d)
+      T1   = (ep a + em b + c + d) / exp(ikL)
+      T2_L = u+ (ep a + c) + u- (em b + d)
+
+    with ep,m = exp(i k+- L) (|ep,m| <= 1) and u+- = 2 lam+- / omega the
+    excited components of the interior eigenvectors.  Substituted into the
+    four derivative rows they leave a 4x4 system in (a, b, c, d) with
+    right-hand side (2, 0, 0, 0), whose entries stay O(1) at any speed.
+
+    Singular systems surface as NaN rows for the caller to detect.  Long
+    scans are solved SHARP_BLOCK wavenumbers at a time, which bounds the
+    working arrays at about 1 MB whatever the scan size.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    nk = k.shape[0]
-    L = beam_width
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), k.shape)
+    out = np.empty((k.shape[0], 8), dtype=complex)
+    for start in range(0, k.shape[0], SHARP_BLOCK):
+        part = slice(start, start + SHARP_BLOCK)
+        out[part] = _sharp_edge_block(k[part], gamma, omega[part], beam_width, mass, hbar)
+    return out
 
+
+def _sharp_edge_block(k, gamma, omega, L, mass, hbar):
+    """``sharp_edge_solve`` for one block of wavenumbers and couplings."""
+    nk = k.shape[0]
     q = channel_q(k, gamma, mass, hbar)
     kp, km, lam_p, lam_m = mode_wavenumbers(k, gamma, omega, mass, hbar)
     u_p = 2.0 * lam_p / omega
@@ -96,88 +136,52 @@ def sharp_edge_solve(
 
     ep = np.exp(1j * kp * L)   # |ep| <= 1
     em = np.exp(1j * km * L)
-    fk = np.exp(1j * k * L)
-    fq = np.exp(1j * q * L)
-
-    A = np.zeros((nk, 8, 8), dtype=complex)
-    rhs = np.zeros((nk, 8), dtype=complex)
-    one = np.ones(nk, dtype=complex)
-
-    # Derivative rows are divided by k so all matrix entries stay O(1);
-    # this keeps the solve well scaled for any wavenumber magnitude.
     kps = kp / k
     kms = km / k
     qs = q / k
 
-    # Unknown order: [R1, R2, T1, T2, a, b, c, d].
-    # Ground-component continuity and derivative at x = 0.
-    A[:, 0, 0] = -one
-    A[:, 0, 4] = one
-    A[:, 0, 5] = one
-    A[:, 0, 6] = ep
-    A[:, 0, 7] = em
-    rhs[:, 0] = 1.0
-
-    A[:, 1, 0] = one
-    A[:, 1, 4] = kps
-    A[:, 1, 5] = kms
-    A[:, 1, 6] = -kps * ep
-    A[:, 1, 7] = -kms * em
-    rhs[:, 1] = 1.0
-
-    # Excited-component continuity and derivative at x = 0.
-    A[:, 2, 1] = -one
-    A[:, 2, 4] = u_p
-    A[:, 2, 5] = u_m
-    A[:, 2, 6] = u_p * ep
-    A[:, 2, 7] = u_m * em
-
-    A[:, 3, 1] = qs
-    A[:, 3, 4] = kps * u_p
-    A[:, 3, 5] = kms * u_m
-    A[:, 3, 6] = -kps * u_p * ep
-    A[:, 3, 7] = -kms * u_m * em
-
-    # Ground component at x = L.
-    A[:, 4, 2] = -fk
-    A[:, 4, 4] = ep
-    A[:, 4, 5] = em
-    A[:, 4, 6] = one
-    A[:, 4, 7] = one
-
-    A[:, 5, 2] = -fk
-    A[:, 5, 4] = kps * ep
-    A[:, 5, 5] = kms * em
-    A[:, 5, 6] = -kps
-    A[:, 5, 7] = -kms
-
-    # Excited component at x = L.  T2 is solved for anchored at L (the
-    # coefficient of exp(iq(x - L))): at low speed exp(iqL) underflows to
-    # 0, which would leave this column, and so the whole system, singular.
-    A[:, 6, 3] = -one
-    A[:, 6, 4] = u_p * ep
-    A[:, 6, 5] = u_m * em
-    A[:, 6, 6] = u_p
-    A[:, 6, 7] = u_m
-
-    A[:, 7, 3] = -qs
-    A[:, 7, 4] = kps * u_p * ep
-    A[:, 7, 5] = kms * u_m * em
-    A[:, 7, 6] = -kps * u_p
-    A[:, 7, 7] = -kms * u_m
+    A = np.empty((nk, 4, 4), dtype=complex)
+    # Ground derivative at 0 plus ground value at 0.
+    A[:, 0, 0] = 1.0 + kps
+    A[:, 0, 1] = 1.0 + kms
+    A[:, 0, 2] = (1.0 - kps) * ep
+    A[:, 0, 3] = (1.0 - kms) * em
+    # Excited derivative at 0 plus q/k times the excited value at 0.
+    A[:, 1, 0] = (qs + kps) * u_p
+    A[:, 1, 1] = (qs + kms) * u_m
+    A[:, 1, 2] = (qs - kps) * u_p * ep
+    A[:, 1, 3] = (qs - kms) * u_m * em
+    # Ground derivative at L minus ground value at L.
+    A[:, 2, 0] = (kps - 1.0) * ep
+    A[:, 2, 1] = (kms - 1.0) * em
+    A[:, 2, 2] = -(kps + 1.0)
+    A[:, 2, 3] = -(kms + 1.0)
+    # Excited derivative at L minus q/k times the excited value at L.
+    A[:, 3, 0] = (kps - qs) * u_p * ep
+    A[:, 3, 1] = (kms - qs) * u_m * em
+    A[:, 3, 2] = -(kps + qs) * u_p
+    A[:, 3, 3] = -(kms + qs) * u_m
+    rhs = np.array([[2.0], [0.0], [0.0], [0.0]], dtype=complex)
 
     try:
-        sol = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+        coef = np.linalg.solve(A, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
-        sol = np.full((nk, 8), np.nan + 0j)
+        coef = np.full((nk, 4), np.nan + 0j)
         for i in range(nk):
             try:
-                sol[i] = np.linalg.solve(A[i], rhs[i])
+                coef[i] = np.linalg.solve(A[i], rhs)[:, 0]
             except np.linalg.LinAlgError:
                 pass
-    # Back to the anchor at 0; T2 is inf where it is not representable.
+    a, b, c, d = coef.T
+
+    sol = np.empty((nk, 8), dtype=complex)
+    sol[:, 0] = a + b + ep * c + em * d - 1.0
+    sol[:, 1] = u_p * (a + ep * c) + u_m * (b + em * d)
+    sol[:, 2] = (ep * a + em * b + c + d) / np.exp(1j * k * L)
+    # Back to the anchor at 0; T2 is inf where exp(iqL) underflows.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sol[:, 3] /= fq
+        sol[:, 3] = (u_p * (ep * a + c) + u_m * (em * b + d)) / np.exp(1j * q * L)
+    sol[:, 4:] = coef
     return sol
 
 

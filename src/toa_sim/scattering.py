@@ -26,14 +26,15 @@ ABSORPTION_BAND = 1e-8
 TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 
 
-def _is_degenerate(gamma: float, omega: float) -> bool:
+def _is_degenerate(gamma: float, omega):
     """True at the degenerate point gamma = 2 omega, to relative precision EPS_DEGENERATE.
 
     There the two interior modes coincide and the modal basis collapses;
     such points are evaluated as the two-sided limit over
-    ``_degenerate_gammas``.  False for omega = 0.
+    ``_degenerate_gammas``.  False for omega = 0.  An array of omegas gives
+    the boolean mask of its degenerate points.
     """
-    return abs(gamma - 2.0 * omega) < EPS_DEGENERATE * (gamma + 2.0 * omega)
+    return np.abs(gamma - 2.0 * omega) < EPS_DEGENERATE * (gamma + 2.0 * omega)
 
 
 def _degenerate_gammas(gamma: float) -> tuple[float, float]:
@@ -70,7 +71,7 @@ def internal_eigensystem(gamma: float, omega: float) -> InternalEigensystem:
         lambda_minus=lam_m,
         eigvec_plus=(1.0 + 0j, 2.0 * lam_p / omega),
         eigvec_minus=(1.0 + 0j, 2.0 * lam_m / omega),
-        degenerate=_is_degenerate(gamma, omega),
+        degenerate=bool(_is_degenerate(gamma, omega)),
     )
 
 
@@ -175,30 +176,41 @@ def _vectors_from_row(row: np.ndarray) -> dict[str, complex]:
     }
 
 
-def sharp_edge_rows(k, config: ValidatedConfig) -> np.ndarray:
+def sharp_edge_rows(k, config: ValidatedConfig, omega=None) -> np.ndarray:
     """Batched matching solve: (nk, 8) rows [R1, R2, T1, T2, a, b, c, d].
 
-    Handles omega = 0 (free ground channel) and the degenerate
-    gamma = 2 omega point (two-sided limit average) uniformly, so it is
-    safe over arbitrary parameter scans.
+    ``omega`` gives one coupling per wavenumber (an array broadcasting
+    against ``k``), so a whole (omega, v) scan is one call; by default every
+    point takes ``config.omega``.  Handles omega = 0 (free ground channel)
+    and the degenerate gamma = 2 omega point (two-sided limit average) per
+    point, so it is safe over arbitrary parameter scans.  A point's row
+    does not depend on the other points of the batch.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    hbar = config.constants.hbar
-    if config.omega == 0.0:
-        rows = np.zeros((k.shape[0], 8), dtype=complex)
-        rows[:, 2] = 1.0  # T1: ground channel is free
-        rows[:, 4] = 1.0  # interior ground plane wave
-        return rows
-    if _is_degenerate(config.gamma, config.omega):
-        lo, hi = (
-            kernels.sharp_edge_solve(k, g, config.omega, config.beam_width, config.mass, hbar)
-            for g in _degenerate_gammas(config.gamma)
-        )
-        with np.errstate(invalid="ignore"):  # inf - inf: T2 out of range at low speed
-            return 0.5 * (lo + hi)
-    return kernels.sharp_edge_solve(
-        k, config.gamma, config.omega, config.beam_width, config.mass, hbar
+    omega = np.broadcast_to(
+        np.asarray(config.omega if omega is None else omega, dtype=float), k.shape
     )
+    hbar = config.constants.hbar
+
+    def solve(sel, gamma):
+        return kernels.sharp_edge_solve(
+            k[sel], gamma, omega[sel], config.beam_width, config.mass, hbar
+        )
+
+    degenerate = _is_degenerate(config.gamma, omega)
+    plain = (omega != 0.0) & ~degenerate
+    if plain.all():
+        return solve(slice(None), config.gamma)
+    rows = np.zeros((k.shape[0], 8), dtype=complex)
+    rows[:, 2] = 1.0  # T1: ground channel is free at omega = 0
+    rows[:, 4] = 1.0  # interior ground plane wave
+    if plain.any():
+        rows[plain] = solve(plain, config.gamma)
+    if degenerate.any():
+        lo, hi = (solve(degenerate, g) for g in _degenerate_gammas(config.gamma))
+        with np.errstate(invalid="ignore"):  # inf - inf: T2 out of range at low speed
+            rows[degenerate] = 0.5 * (lo + hi)
+    return rows
 
 
 def _solve_sharp_single(

@@ -38,7 +38,7 @@ import numpy as np
 from . import kernels
 from .errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
-from .scattering import sharp_edge_rows
+from .scattering import _degenerate_gammas, _is_degenerate, sharp_edge_rows
 from .series import TimeSeries, phase_matrix
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -392,8 +392,7 @@ class ConditionalPropagator:
         if backend == "analytic":
             if config.profile.kind != "sharp":
                 raise ValueError("analytic backend requires a sharp-edged profile")
-            rows = sharp_edge_rows(k, config)
-            self._build_sharp_regions(rows)
+            self._build_sharp_regions()
         elif backend == "transfer":
             decomp = transfer.discretize(
                 config.profile, n_slices if config.profile.kind != "sharp" else 1,
@@ -417,49 +416,59 @@ class ConditionalPropagator:
 
     # -- region construction ------------------------------------------
 
-    def _exterior_regions(self, R1, R2, T1, T2, x_left, x_right):
-        k, q = self.k, self.q
-        ones = np.ones_like(k, dtype=complex)
+    def _exterior_regions(self, R1, T1, reflected, transmitted, x_left, x_right):
+        """Half-lines beyond the coupling; ``reflected``/``transmitted`` are the excited modes."""
+        kc = self.k.astype(complex)
         left = Region(
             x1=-math.inf,
             x2=x_left,
-            channel_modes=(
-                [(ones, k.astype(complex), 0.0), (R1, -k.astype(complex), 0.0)],
-                [(R2, -q, 0.0)],
-            ),
+            channel_modes=([(np.ones_like(kc), kc, 0.0), (R1, -kc, 0.0)], reflected),
         )
-        right = Region(
-            x1=x_right,
-            x2=math.inf,
-            channel_modes=([(T1, k.astype(complex), 0.0)], [(T2, q, 0.0)]),
-        )
+        right = Region(x1=x_right, x2=math.inf, channel_modes=([(T1, kc, 0.0)], transmitted))
         return left, right
 
-    def _build_sharp_regions(self, rows: np.ndarray):
+    def _build_sharp_regions(self):
+        """Regions of the sharp beam from the rows of ``sharp_edge_rows``.
+
+        The transmitted excited wave is anchored at the exit, as
+        T2_L exp(iq(x - L)) with T2_L the excited channel's value at x = L:
+        it stays finite where exp(iqL) underflows and T2 does not.  At the
+        degenerate point gamma = 2 omega the averaged rows have no modal
+        form, so each perturbed solve of the two-sided limit brings its own
+        modes (its own k+-, u+- and q) at half weight.
+        """
         cfg = self.config
         hbar = cfg.constants.hbar
         L = cfg.beam_width
+        k = self.k
+        rows = sharp_edge_rows(k, cfg)
         R1, R2, T1, T2 = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-        a, b, c, d = rows[:, 4], rows[:, 5], rows[:, 6], rows[:, 7]
         self.amplitudes = (R1, R2, T1, T2)
-        left, right = self._exterior_regions(R1, R2, T1, T2, 0.0, L)
-        if cfg.omega > 0.0:
-            kp, km, lam_p, lam_m = kernels.mode_wavenumbers(
-                self.k, cfg.gamma, cfg.omega, cfg.mass, hbar
-            )
+        if cfg.omega == 0.0:
+            left, right = self._exterior_regions(R1, T1, [], [], 0.0, L)
+            interior = ([(rows[:, 4], k.astype(complex), 0.0)], [])
+            self.regions = [left, Region(x1=0.0, x2=L, channel_modes=interior), right]
+            return
+        if _is_degenerate(cfg.gamma, cfg.omega):
+            solves = [(0.5, g, kernels.sharp_edge_solve(k, g, cfg.omega, L, cfg.mass, hbar))
+                      for g in _degenerate_gammas(cfg.gamma)]
+        else:
+            solves = [(1.0, cfg.gamma, rows)]
+        ground, excited, reflected, transmitted = [], [], [], []
+        for weight, gamma, sol in solves:
+            q = kernels.channel_q(k, gamma, cfg.mass, hbar)
+            kp, km, lam_p, lam_m = kernels.mode_wavenumbers(k, gamma, cfg.omega, cfg.mass, hbar)
             u_p = 2.0 * lam_p / cfg.omega
             u_m = 2.0 * lam_m / cfg.omega
-            ch1 = [(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)]
-            ch2 = [
-                (u_p * a, kp, 0.0),
-                (u_m * b, km, 0.0),
-                (u_p * c, -kp, L),
-                (u_m * d, -km, L),
-            ]
-        else:
-            ch1 = [(a, self.k.astype(complex), 0.0)]
-            ch2 = []
-        self.regions = [left, Region(x1=0.0, x2=L, channel_modes=(ch1, ch2)), right]
+            a, b, c, d = (weight * sol[:, j] for j in range(4, 8))
+            t2_exit = u_p * (np.exp(1j * kp * L) * a + c) + u_m * (np.exp(1j * km * L) * b + d)
+            ground += [(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)]
+            excited += [(u_p * a, kp, 0.0), (u_m * b, km, 0.0),
+                        (u_p * c, -kp, L), (u_m * d, -km, L)]
+            reflected.append((weight * sol[:, 1], -q, 0.0))
+            transmitted.append((t2_exit, q, L))
+        left, right = self._exterior_regions(R1, T1, reflected, transmitted, 0.0, L)
+        self.regions = [left, Region(x1=0.0, x2=L, channel_modes=(ground, excited)), right]
 
     def _build_slice_regions(self, decomp, amps, states):
         cfg = self.config
@@ -470,7 +479,9 @@ class ConditionalPropagator:
         self.amplitudes = (R1, R2, T1, T2)
         edges = np.asarray(decomp.edges)
         omegas = np.asarray(decomp.omegas)
-        left, right = self._exterior_regions(R1, R2, T1, T2, edges[0], edges[-1])
+        left, right = self._exterior_regions(
+            R1, T1, [(R2, -self.q, 0.0)], [(T2, self.q, 0.0)], edges[0], edges[-1]
+        )
         regions = [left]
         for j in range(omegas.shape[0]):
             xa, xb = float(edges[j]), float(edges[j + 1])

@@ -99,6 +99,54 @@ class TestAbsorptionMap:
         assert all(0.0 <= float(r[2]) <= 1.0 for r in data)
 
 
+    def test_jobs_parallel_identical_transfer(self, tmp_path):
+        # worker processes apply to transfer-backend scans
+        base = ["absorption-map", "--preset", "fig7", "--n-v", "3", "--n-omega", "3",
+                "--n-slices", "8"]
+        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
+        with pytest.warns(ConvergenceWarning):
+            assert run_cli(base + ["--out", str(p1)])[0] == 0
+        with pytest.warns(ConvergenceWarning):
+            assert run_cli(base + ["--jobs", "2", "--out", str(p2)])[0] == 0
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_degenerate_coupling_column(self):
+        # an omega grid through gamma = 2 omega: that column is the two-sided
+        # limit of sharp_edge_rows, printed like every other point
+        from toa_sim.cli import _float_fmt
+        from toa_sim.model import cesium_config, with_omega
+        from toa_sim.scattering import absorption_status, sharp_edge_rows
+
+        gamma = 33.3e6
+        code, out, _ = run_cli(["absorption-map", "--n-v", "6", "--v-min", "0.02",
+                                "--v-max", "400", "--n-omega", "3",
+                                "--omega-min", _float_fmt(gamma / 2),
+                                "--omega-max", _float_fmt(gamma)])
+        assert code == 0
+        _, data = parse_csv(out)
+        assert len(data) == 18 and all(row[3] == "" for row in data)
+        column = [row for row in data if float(row[1]) == gamma / 2]
+        cfg = with_omega(cesium_config(omega=5 * gamma), gamma / 2)
+        v = np.array([float(row[0]) for row in column])
+        a, _ = absorption_status(sharp_edge_rows(cfg.mass * v / cfg.constants.hbar, cfg))
+        assert [row[2] for row in column] == [_float_fmt(x) for x in a]
+
+
+class TestTextColumns:
+    def test_bytes_of_float_fmt(self):
+        from toa_sim.cli import _float_fmt, _text_column
+
+        values = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308,
+                  1.7976931348623157e308, 0.1, 1.0 / 3.0, 265.0, -2.5e-17, 16650000.0]
+        assert _text_column(np.array(values)) == [_float_fmt(x) for x in values]
+        assert _text_column(values) == [f"{x:.17g}" for x in values]
+
+    def test_non_finite_values_are_empty(self):
+        from toa_sim.cli import _text_column
+
+        assert _text_column([np.nan, 1.5, np.inf, -np.inf, -0.0]) == ["", "1.5", "", "", "-0"]
+
+
 class TestConvergenceSpotCheck:
     N_V, N_OMEGA, N_SLICES = 5, 4, 16
     ARGS = ["absorption-map", "--preset", "fig7", "--n-v", str(N_V),

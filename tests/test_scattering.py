@@ -6,7 +6,7 @@ import pytest
 from conftest import GAMMA, HBAR, MASS, k_of, random_draws
 from toa_sim.cli import main
 from toa_sim.errors import NonPhysicalAbsorption
-from toa_sim.model import cesium_config
+from toa_sim.model import cesium_config, with_omega
 from toa_sim.scattering import (
     absorption,
     absorption_status,
@@ -281,6 +281,23 @@ class TestAbsorption:
         assert len(rows) == 20
         assert all(row[3] == "" and 0.0 <= float(row[2]) <= 1.0 for row in rows)
 
+
+    def test_batched_scan_equals_per_omega_rows(self):
+        # a whole (omega, v) scan in one call gives, bit for bit, the rows of
+        # one call per omega: the uncoupled, degenerate and plain columns
+        # all take the same path whatever else is in the batch
+        cfg = cesium_config(omega=5 * GAMMA)
+        v = np.array([0.02, 0.5, 20.0, 265.0, 900.0])
+        omegas = np.array([0.0, GAMMA / 2, 0.3 * GAMMA, GAMMA / 2 * (1 + 1e-6), 5 * GAMMA])
+        k = k_of(1.0) * np.tile(v, len(omegas))
+        batch = sharp_edge_rows(k, cfg, omega=np.repeat(omegas, len(v)))
+        for j, om in enumerate(omegas):
+            single = sharp_edge_rows(k_of(1.0) * v, with_omega(cfg, float(om)))
+            got = batch[j * len(v):(j + 1) * len(v)]
+            assert np.array_equal(got, single, equal_nan=True)
+        free = batch[:len(v)]
+        assert np.all(free[:, [2, 4]] == 1.0) and np.all(free[:, [0, 1, 3, 5, 6, 7]] == 0.0)
+        assert absorption_status(batch)[1] == [""] * len(k)
 
 
 class TestSemiclassical:

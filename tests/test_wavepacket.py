@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import GAMMA, HBAR, MASS, k_of
 from toa_sim import distributions as ds
@@ -490,3 +492,59 @@ class TestSharedExcitedBlocks:
         shared = small_propagator(omega, backend=backend, profile=profile)
         shared.detection_matrix()
         assert_matches(shared.norm_matrix(*window), alone)
+
+
+class TestTransmittedExcitedAnchor:
+    def test_slow_packet_matrices_and_state_finite(self):
+        # at 0.05 m/s exp(iqL) underflows: T2 itself is out of float range,
+        # but the exit-anchored transmitted mode is not
+        prop = small_propagator(5 * GAMMA, v=0.05)
+        assert not np.any(np.isfinite(prop.amplitudes[3]))
+        assert np.all(np.isfinite(prop.detection_matrix()))
+        assert np.all(np.isfinite(prop.norm_matrix(*prop.default_domain(0.0))))
+        L = prop.config.beam_width
+        x = np.array([-10e-6, 0.0, 0.5 * L, L, L + 1e-9, 20e-6])
+        assert np.all(np.isfinite(prop.state(x, 0.0)))
+
+    def test_matches_zero_anchored_t2(self):
+        # where T2 is representable, (T2_L, q, L) and (T2, q, 0) are one mode
+        prop = small_propagator(104.43e6, v=20.0)
+        oracle = small_propagator(104.43e6, v=20.0)
+        right = oracle.regions[-1]
+        right.channel_modes = (right.channel_modes[0], [(oracle.amplitudes[3], oracle.q, 0.0)])
+        window = prop.default_domain(0.0)
+        for got, want in ((prop.detection_matrix(), region_detection(oracle)),
+                          (prop.norm_matrix(*window), region_norm(oracle, *window))):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def passage(omega_in_gamma, v, delta_x, n_t=1000):
+    """Photon density over the whole passage and the survival norm after it."""
+    cfg = cesium_config(omega=omega_in_gamma * GAMMA)
+    spec, tw = packet(v=v, delta_x=delta_x)
+    prop = ConditionalPropagator(spec, cfg, default_kgrid(spec, n_nodes=64))
+    t = np.linspace(0.0, tw + 12 * delta_x / v + 15 / GAMMA, n_t)
+    n_end = prop.norm(t[-1:], *prop.default_domain(t[-1]))[0]
+    return t, prop.photon_density(t), n_end
+
+
+# Omega/gamma on, and on both sides of, the degenerate point gamma = 2 Omega.
+DEGENERATE_SIDES = [0.5, 0.5 * (1.0 - 1e-6), 0.5 * (1.0 + 1e-6)]
+PACKET_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+class TestDegeneratePoint:
+    @PACKET_SETTINGS
+    @given(omega_in_gamma=st.sampled_from(DEGENERATE_SIDES + [0.3, 5.0]),
+           v=st.floats(10.0, 100.0), delta_x=st.floats(2e-6, 10e-6))
+    @example(omega_in_gamma=0.5, v=20.0, delta_x=2e-6)
+    def test_probability_balance(self, omega_in_gamma, v, delta_x):
+        t, pi, n_end = passage(omega_in_gamma, v, delta_x)
+        assert abs(np.trapezoid(pi, t) + n_end - 1.0) <= 1e-4
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(v=st.floats(10.0, 100.0), delta_x=st.floats(2e-6, 10e-6))
+    def test_density_continuous_across_the_point(self, v, delta_x):
+        (_, exact, _), (_, below, _), (_, above, _) = (
+            passage(f, v, delta_x) for f in DEGENERATE_SIDES)
+        assert np.abs(exact - 0.5 * (below + above)).max() <= 1e-5 * np.abs(exact).max()
