@@ -197,11 +197,6 @@ def read_distribution_csv(stream) -> DistributionSeries:
                               meta=series.meta, kind=kind)
 
 
-def flux_kernel(k: np.ndarray, kp: np.ndarray, mass: float, hbar: float) -> np.ndarray:
-    """Arithmetic-mean current kernel hbar (k + k') / 2m."""
-    return hbar * (np.asarray(k) + np.asarray(kp)) / (2.0 * mass)
-
-
 def ideal_kernel_bracket(
     k: np.ndarray, kp: np.ndarray, gamma: float, mass: float, hbar: float
 ) -> np.ndarray:

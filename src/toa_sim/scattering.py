@@ -4,6 +4,13 @@ Closed-form treatment: the eight matching conditions at the beam edges
 are solved directly for the reflection/transmission amplitudes and the
 four interior mode coefficients, giving an evaluable two-component wave
 for every incident wavenumber.
+
+A solution is one list of ``Region``s of anchored exponential modes,
+batched over wavenumbers.  Both backends build it (``_sharp_regions``
+here, ``transfer._slice_regions`` for sliced profiles), the degenerate
+point gamma = 2 omega is the two-sided limit of ``_two_sided`` for both,
+and one evaluator, ``_region_field``, serves the per-k
+``evaluate_state`` and the evolving packet of ``ConditionalPropagator``.
 """
 
 from __future__ import annotations
@@ -109,71 +116,54 @@ def channel_wavenumbers(
     return ChannelWavenumbers(k=k, q=q, k_plus=kp, k_minus=km)
 
 
+@dataclass
+class Region:
+    """One spatial region of a scattering solution, as per-channel mode lists.
+
+    A mode (coef, kappa, anchor) contributes coef * exp(i kappa (x - anchor))
+    to its channel inside [x1, x2]; coef and kappa are (nk,) arrays, one
+    entry per incident wavenumber.  A solution is the list of regions from
+    x1 = -inf to x2 = +inf, each starting where the previous one ends: the
+    incident side, one region per constant-coupling slice (one for the sharp
+    beam), the transmitted side.  Field evaluation (``_region_field``) and
+    the overlap engine (``wavepacket._region_gram``) both read it.
+
+    Invariant: every mode is bounded by |coef| in its region, i.e.
+    |exp(i kappa (x - anchor))| <= 1 at each finite endpoint.
+    ``_region_gram`` relies on it: it forms each mode's endpoint values on
+    their own and multiplies pairs of them, which cannot overflow only
+    because every factor is bounded.  The infinite endpoints are allowed
+    when the corresponding pair exponents decay (excited channel with
+    gamma > 0).
+    """
+
+    x1: float
+    x2: float
+    channel_modes: tuple[list, list]
+
+
 @dataclass(frozen=True)
 class ScatteringSolution:
-    """Matched stationary wave for one incident wavenumber.
+    """Matched stationary wave for one incident wavenumber: a one-k view of the regions.
 
-    Interior coefficients (a, b) multiply exp(i k+- x); (c, d) multiply
-    exp(-i k+- (x - L)), anchored at the right edge for stability.  The
-    conventional coefficients of exp(-i k+- x) are exposed as C_pm / C_mm.
-    For solutions produced by the transfer-matrix backend on non-uniform
-    profiles, the interior is represented by per-slice edge states instead
-    (``slice_edges``/``slice_omegas``/``slice_states``) and the modal
-    coefficients refer to the equivalent single-slice form when available.
+    ``regions`` holds the wave as ``Region`` mode lists with arrays of
+    length one; ``evaluate_state`` and ``matching_residual`` read them, and
+    ``ConditionalPropagator`` integrates the same lists over all its
+    wavenumbers.  R1, R2, T1 and T2 are the asymptotic amplitudes of the
+    ``kernels.reference`` conventions.  T2 is the x = 0 amplitude of
+    exp(iqx); below ~0.1 m/s at L = 5 um it may leave the float range, as in
+    ``sharp_edge_rows``, while the sharp beam's regions carry the
+    transmitted excited wave anchored at the exit and stay finite.
     """
 
     k: float
     config: ValidatedConfig
     wavenumbers: ChannelWavenumbers
-    eigensystem: InternalEigensystem | None
     R1: complex
     R2: complex
     T1: complex
     T2: complex
-    a: complex = 0j
-    b: complex = 0j
-    c: complex = 0j
-    d: complex = 0j
-    slice_edges: tuple[float, ...] | None = None
-    slice_omegas: tuple[float, ...] | None = None
-    slice_states: np.ndarray | None = None
-    # Two-sided limit pair for the degenerate gamma = 2 omega point: the
-    # field is the average of the two perturbed (well-conditioned) fields.
-    degenerate_pair: tuple["ScatteringSolution", "ScatteringSolution"] | None = None
-
-    @property
-    def C_pp(self) -> complex:
-        return self.a
-
-    @property
-    def C_mp(self) -> complex:
-        return self.b
-
-    @property
-    def C_pm(self) -> complex:
-        # c is anchored at L: C_pm exp(-i k+ x) = c exp(-i k+ (x - L))
-        return self.c * np.exp(1j * self.wavenumbers.k_plus * self.config.beam_width)
-
-    @property
-    def C_mm(self) -> complex:
-        return self.d * np.exp(1j * self.wavenumbers.k_minus * self.config.beam_width)
-
-    @property
-    def uses_slices(self) -> bool:
-        return self.slice_states is not None
-
-
-def _vectors_from_row(row: np.ndarray) -> dict[str, complex]:
-    return {
-        "R1": complex(row[0]),
-        "R2": complex(row[1]),
-        "T1": complex(row[2]),
-        "T2": complex(row[3]),
-        "a": complex(row[4]),
-        "b": complex(row[5]),
-        "c": complex(row[6]),
-        "d": complex(row[7]),
-    }
+    regions: list[Region]
 
 
 def sharp_edge_rows(k, config: ValidatedConfig, omega=None) -> np.ndarray:
@@ -213,75 +203,178 @@ def sharp_edge_rows(k, config: ValidatedConfig, omega=None) -> np.ndarray:
     return rows
 
 
-def _solve_sharp_single(
-    k: float, config: ValidatedConfig, degenerate_pair=None
-) -> ScatteringSolution:
-    row = sharp_edge_rows(np.array([k]), config)[0]
-    if not np.all(np.isfinite(row.view(float))):
-        raise SingularMatching(
-            f"matching row is not finite at k={k!r}, omega={config.omega!r}: "
-            "singular system, or T2 beyond the float range at low speed"
+# --- region builders --------------------------------------------------------
+
+
+def _exterior_regions(k, R1, T1, reflected, transmitted, x_left, x_right):
+    """Half-lines beyond the coupling; ``reflected``/``transmitted`` are the excited modes."""
+    kc = k.astype(complex)
+    left = Region(
+        x1=-math.inf,
+        x2=x_left,
+        channel_modes=([(np.ones_like(kc), kc, 0.0), (R1, -kc, 0.0)], reflected),
+    )
+    right = Region(x1=x_right, x2=math.inf, channel_modes=([(T1, kc, 0.0)], transmitted))
+    return left, right
+
+
+def _sharp_regions(k: np.ndarray, config: ValidatedConfig):
+    """Amplitudes (R1, R2, T1, T2) and regions of the sharp beam at wavenumbers k.
+
+    The rows are those of ``sharp_edge_rows``; (a, b) are anchored at 0 and
+    (c, d) at L, as in the kernel.  The transmitted excited wave is anchored
+    at the exit, as T2_L exp(iq(x - L)) with T2_L the excited channel's
+    value at x = L: it stays finite where exp(iqL) underflows and T2 does
+    not.  The degenerate point is the two-sided limit of ``_two_sided``.
+    """
+    if _is_degenerate(config.gamma, config.omega):
+        return _two_sided(_sharp_regions, config, k)
+    hbar = config.constants.hbar
+    L = config.beam_width
+    rows = sharp_edge_rows(k, config)
+    R1, R2, T1 = rows[:, 0], rows[:, 1], rows[:, 2]
+    if config.omega == 0.0:
+        interior = ([(rows[:, 4], k.astype(complex), 0.0)], [])
+        reflected, transmitted = [], []
+    else:
+        q = kernels.channel_q(k, config.gamma, config.mass, hbar)
+        kp, km, lam_p, lam_m = kernels.mode_wavenumbers(
+            k, config.gamma, config.omega, config.mass, hbar
         )
+        u_p = 2.0 * lam_p / config.omega
+        u_m = 2.0 * lam_m / config.omega
+        a, b, c, d = (rows[:, j] for j in range(4, 8))
+        t2_exit = u_p * (np.exp(1j * kp * L) * a + c) + u_m * (np.exp(1j * km * L) * b + d)
+        interior = ([(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)],
+                    [(u_p * a, kp, 0.0), (u_m * b, km, 0.0),
+                     (u_p * c, -kp, L), (u_m * d, -km, L)])
+        reflected, transmitted = [(R2, -q, 0.0)], [(t2_exit, q, L)]
+    left, right = _exterior_regions(k, R1, T1, reflected, transmitted, 0.0, L)
+    return (R1, R2, T1, rows[:, 3]), [left, Region(x1=0.0, x2=L, channel_modes=interior), right]
+
+
+def _two_sided(build, config: ValidatedConfig, *args):
+    """``build(*args, config)`` at gamma = 2 omega, as the two-sided limit.
+
+    There the two interior modes coincide and the field has an
+    x exp(i kappa x) Jordan term, which exponential modes cannot represent.
+    Each solve of ``_degenerate_gammas`` brings its own modes (its own
+    k+-, u+- and q) at half weight.  A channel whose modes do not depend on
+    gamma (the ground channel outside the coupling) keeps one set of modes
+    with averaged coefficients, so it is shared, not doubled.  The
+    amplitudes are the averages of the two solves', as in
+    ``sharp_edge_rows``.
+    """
+    (amps_lo, lo), (amps_hi, hi) = (
+        build(*args, replace(config, gamma=g)) for g in _degenerate_gammas(config.gamma)
+    )
+    with np.errstate(invalid="ignore"):  # inf - inf: T2 out of range at low speed
+        amplitudes = tuple(0.5 * (a + b) for a, b in zip(amps_lo, amps_hi))
+    regions = [
+        Region(x1=r.x1, x2=r.x2, channel_modes=tuple(
+            _average_modes(m, n) for m, n in zip(r.channel_modes, s.channel_modes)))
+        for r, s in zip(lo, hi)
+    ]
+    return amplitudes, regions
+
+
+def _average_modes(lo: list, hi: list) -> list:
+    """Half-weight modes of two solves; one averaged set where they coincide."""
+    if len(lo) == len(hi) and all(
+        a[2] == b[2] and np.array_equal(a[1], b[1]) for a, b in zip(lo, hi)
+    ):
+        return [(0.5 * (a[0] + b[0]), a[1], a[2]) for a, b in zip(lo, hi)]
+    return [(0.5 * coef, kappa, anchor) for coef, kappa, anchor in lo + hi]
+
+
+def _solution_view(k: float, config: ValidatedConfig, amplitudes, regions,
+                   what: str) -> ScatteringSolution:
+    """One-k ScatteringSolution of a builder's output, checked before it is returned.
+
+    Raises SingularMatching when anything the solution evaluates (the
+    regions, R1, R2 and T1) is not finite, or when the matching residual
+    exceeds 1e-6.
+    """
+    R1, R2, T1, T2 = (complex(a[0]) for a in amplitudes)
+    coefs = [coef for r in regions for modes in r.channel_modes for coef, _, _ in modes]
+    if not np.all(np.isfinite(np.concatenate([[R1, R2, T1], *coefs]))):
+        raise SingularMatching(f"{what} is singular at k={k!r}, omega={config.omega!r}")
     hbar = config.constants.hbar
     energy = (hbar * k) ** 2 / (2.0 * config.mass)
-    wn = channel_wavenumbers(energy, config.gamma, config.omega, config.mass, hbar)
-    eig = internal_eigensystem(config.gamma, config.omega) if config.omega > 0.0 else None
-    return ScatteringSolution(
+    sol = ScatteringSolution(
         k=float(k),
         config=config,
-        wavenumbers=wn,
-        eigensystem=eig,
-        degenerate_pair=degenerate_pair,
-        **_vectors_from_row(row),
+        wavenumbers=channel_wavenumbers(energy, config.gamma, config.omega, config.mass, hbar),
+        R1=R1, R2=R2, T1=T1, T2=T2,
+        regions=regions,
     )
+    residual = matching_residual(sol)
+    if residual > 1e-6:
+        raise SingularMatching(
+            f"{what} residual {residual:.2e} at k={k!r}; system ill-conditioned"
+        )
+    return sol
 
 
 def solve_sharp_edge(k: float, config: ValidatedConfig) -> ScatteringSolution:
-    """Full matching solution for a single incident wavenumber k > 0.
+    """Matched stationary wave of the sharp beam for one incident wavenumber k > 0.
 
-    The amplitudes and interior coefficients are the row of
-    ``sharp_edge_rows``.  At the degenerate point gamma = 2 omega the modal
-    basis collapses, so the field is evaluated as the two-sided limit: the
-    average of the fields of the two perturbed (well-conditioned) problems
-    kept in ``degenerate_pair``.
+    The amplitudes are the row of ``sharp_edge_rows``; at the degenerate
+    point gamma = 2 omega the regions hold the two-sided limit.
     """
     if not (k > 0.0):
         raise ValueError(f"k must be > 0, got {k!r}")
     if config.profile.kind != "sharp":
         raise ValueError("solve_sharp_edge requires a sharp-edged profile")
-    pair = None
-    if _is_degenerate(config.gamma, config.omega):
-        pair = tuple(
-            _solve_sharp_single(k, replace(config, gamma=g))
-            for g in _degenerate_gammas(config.gamma)
-        )
-    sol = _solve_sharp_single(k, config, pair)
-    residual = matching_residual(sol)
-    if residual > 1e-6:
-        raise SingularMatching(
-            f"matching residual {residual:.2e} at k={k!r}; system ill-conditioned"
-        )
-    return sol
+    amplitudes, regions = _sharp_regions(np.array([float(k)]), config)
+    return _solution_view(k, config, amplitudes, regions, "matching")
 
 
-def evaluate_state(sol: ScatteringSolution, x, derivative: bool = False):
-    """Evaluate the matched two-component wave (and optionally d/dx) at x.
+# --- field evaluation -------------------------------------------------------
 
-    Returns an array of shape (2, ...) or a ((2, ...), (2, ...)) tuple with
-    ``derivative=True``.  Includes the 1/sqrt(2 pi) plane-wave normalization.
+
+def _region_values(region: Region, weights, x: np.ndarray, derivative: bool):
+    """Both channels of one region at x, and d/dx (or None), each (2, nx).
+
+    Sums weights * coef * exp(i kappa (x - anchor)) over the modes, without
+    the plane-wave normalization.
+    """
+    val = np.zeros((2, x.shape[0]), dtype=complex)
+    der = np.zeros_like(val) if derivative else None
+    for ch in (0, 1):
+        for coef, kappa, anchor in region.channel_modes[ch]:
+            wc = weights * coef
+            waves = np.exp(1j * np.outer(kappa, x - anchor))
+            val[ch] += wc @ waves
+            if derivative:
+                der[ch] += (1j * kappa * wc) @ waves
+    return val, der
+
+
+def _region_field(regions: list[Region], weights, x, derivative: bool = False):
+    """Field sum of weights * coef * exp(i kappa (x - anchor)) / sqrt(2 pi) at x.
+
+    ``weights`` multiplies the coefficients per wavenumber: 1 for a
+    stationary state, coeff * exp(-i omega t) for an evolving packet.
+    Every x belongs to exactly one region: the incident half-line takes
+    x <= its x2, the transmitted half-line x >= its x1, and a point on an
+    inner boundary goes to the region that starts there.  Returns shape
+    (2,) for scalar x, else (2, nx); with ``derivative`` a (value, d/dx)
+    pair.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if sol.degenerate_pair is not None:
-        lo, hi = sol.degenerate_pair
-        vl, dl = _evaluate_sharp(lo, x)
-        vh, dh = _evaluate_sharp(hi, x)
-        val, der = 0.5 * (vl + vh), 0.5 * (dl + dh)
-    elif sol.uses_slices:
-        val, der = _evaluate_slices(sol, x)
-    else:
-        val, der = _evaluate_sharp(sol, x)
+    index = np.searchsorted([r.x1 for r in regions[1:]], x, side="right")
+    index[x <= regions[0].x2] = 0
+    val = np.zeros((2, x.shape[0]), dtype=complex)
+    der = np.zeros_like(val)
+    for i in np.unique(index):
+        sel = index == i
+        v, d = _region_values(regions[i], weights, x[sel], derivative)
+        val[:, sel] = v
+        if derivative:
+            der[:, sel] = d
     val /= TWO_PI_SQRT
     der /= TWO_PI_SQRT
     if scalar:
@@ -289,150 +382,36 @@ def evaluate_state(sol: ScatteringSolution, x, derivative: bool = False):
     return (val, der) if derivative else val
 
 
-def _region_left(sol: ScatteringSolution, x: np.ndarray):
-    k, q = sol.k, sol.wavenumbers.q
-    e_in = np.exp(1j * k * x)
-    e_r = np.exp(-1j * k * x)
-    e_q = np.exp(-1j * q * x)
-    val = np.stack([e_in + sol.R1 * e_r, sol.R2 * e_q])
-    der = np.stack([1j * k * (e_in - sol.R1 * e_r), -1j * q * sol.R2 * e_q])
-    return val, der
+def evaluate_state(sol: ScatteringSolution, x, derivative: bool = False):
+    """Evaluate the matched two-component wave (and optionally d/dx) at x.
 
-
-def _region_right(sol: ScatteringSolution, x: np.ndarray):
-    k, q = sol.k, sol.wavenumbers.q
-    e_t = np.exp(1j * k * x)
-    e_tq = np.exp(1j * q * x)
-    val = np.stack([sol.T1 * e_t, sol.T2 * e_tq])
-    der = np.stack([1j * k * sol.T1 * e_t, 1j * q * sol.T2 * e_tq])
-    return val, der
-
-
-def _region_interior(sol: ScatteringSolution, x: np.ndarray):
-    cfg = sol.config
-    L = cfg.beam_width
-    k = sol.k
-    if cfg.omega == 0.0:
-        e_f = np.exp(1j * k * x)
-        zero = np.zeros_like(e_f)
-        return np.stack([e_f, zero]), np.stack([1j * k * e_f, zero])
-    kp = sol.wavenumbers.k_plus
-    km = sol.wavenumbers.k_minus
-    u_p = sol.eigensystem.eigvec_plus[1]
-    u_m = sol.eigensystem.eigvec_minus[1]
-    ga = sol.a * np.exp(1j * kp * x)
-    gb = sol.b * np.exp(1j * km * x)
-    gc = sol.c * np.exp(-1j * kp * (x - L))
-    gd = sol.d * np.exp(-1j * km * (x - L))
-    val = np.stack([ga + gb + gc + gd, u_p * (ga + gc) + u_m * (gb + gd)])
-    der = np.stack(
-        [
-            1j * (kp * ga + km * gb - kp * gc - km * gd),
-            1j * (kp * u_p * ga + km * u_m * gb - kp * u_p * gc - km * u_m * gd),
-        ]
-    )
-    return val, der
-
-
-def _evaluate_sharp(sol: ScatteringSolution, x: np.ndarray):
-    L = sol.config.beam_width
-    val = np.zeros((2, x.shape[0]), dtype=complex)
-    der = np.zeros((2, x.shape[0]), dtype=complex)
-    left = x <= 0.0
-    right = x >= L
-    mid = ~(left | right)
-    for mask, region in ((left, _region_left), (mid, _region_interior), (right, _region_right)):
-        if np.any(mask):
-            v, g = region(sol, x[mask])
-            val[:, mask] = v
-            der[:, mask] = g
-    return val, der
-
-
-def _evaluate_slices(sol: ScatteringSolution, x: np.ndarray):
-    cfg = sol.config
-    hbar = cfg.constants.hbar
-    edges = np.asarray(sol.slice_edges)
-    omegas = np.asarray(sol.slice_omegas)
-    k = sol.k
-    q = sol.wavenumbers.q
-    val = np.zeros((2, x.shape[0]), dtype=complex)
-    der = np.zeros((2, x.shape[0]), dtype=complex)
-
-    left = x <= edges[0]
-    right = x >= edges[-1]
-    xl = x[left]
-    e_in = np.exp(1j * k * xl)
-    e_r = np.exp(-1j * k * xl)
-    e_q = np.exp(-1j * q * xl)
-    val[0, left] = e_in + sol.R1 * e_r
-    der[0, left] = 1j * k * (e_in - sol.R1 * e_r)
-    val[1, left] = sol.R2 * e_q
-    der[1, left] = -1j * q * sol.R2 * e_q
-    xr = x[right]
-    e_t = np.exp(1j * k * xr)
-    e_tq = np.exp(1j * q * xr)
-    val[0, right] = sol.T1 * e_t
-    der[0, right] = 1j * k * sol.T1 * e_t
-    val[1, right] = sol.T2 * e_tq
-    der[1, right] = 1j * q * sol.T2 * e_tq
-
-    inside = ~(left | right)
-    idx = np.nonzero(inside)[0]
-    if idx.size:
-        js = np.clip(np.searchsorted(edges, x[idx], side="right") - 1, 0, omegas.shape[0] - 1)
-        for j in np.unique(js):
-            sel = idx[js == j]
-            P = kernels.slice_propagator(
-                np.array([k]), float(omegas[j]), x[sel] - edges[j],
-                cfg.gamma, cfg.mass, hbar,
-            )[:, 0]
-            y = P @ sol.slice_states[j]
-            val[0, sel], der[0, sel] = y[:, 0], y[:, 1]
-            val[1, sel], der[1, sel] = y[:, 2], y[:, 3]
-    return val, der
+    Reads the solution's regions, so both backends and the degenerate
+    point evaluate alike.  Returns an array of shape (2, ...) or a
+    ((2, ...), (2, ...)) tuple with ``derivative=True``.  Includes the
+    1/sqrt(2 pi) plane-wave normalization.
+    """
+    return _region_field(sol.regions, 1.0, x, derivative)
 
 
 def matching_residual(sol: ScatteringSolution) -> float:
-    """Worst relative jump of components/derivatives across both edges.
+    """Worst relative jump of components/derivatives across the region boundaries.
 
-    Compares exact one-sided limits of the piecewise representation; the
-    scale for each comparison is the larger side (with k * value as the
+    Compares the exact one-sided limits of the two regions that meet at
+    every boundary (both beam edges, and every slice edge of a profile);
+    the scale for each comparison is the larger side (with k * value as the
     derivative floor so near-nodes do not inflate the relative error).
     """
-    k = sol.k
-    if sol.degenerate_pair is not None:
-        return max(matching_residual(sub) for sub in sol.degenerate_pair)
-    if sol.uses_slices:
-        edges = (sol.slice_edges[0], sol.slice_edges[-1])
-        inner = [
-            (np.asarray(sol.slice_states[0]),),
-            (np.asarray(sol.slice_states[-1]),),
-        ]
-
-        def inner_vd(i, edge):
-            y = inner[i][0]
-            return np.array([[y[0]], [y[2]]]), np.array([[y[1]], [y[3]]])
-
-    else:
-        edges = (0.0, sol.config.beam_width)
-
-        def inner_vd(i, edge):
-            return _region_interior(sol, np.array([edge]))
-
     worst = 0.0
-    outer_regions = (_region_left, _region_right)
-    for i, edge in enumerate(edges):
-        xv = np.array([edge])
-        v_out, d_out = outer_regions[i](sol, xv)
-        v_in, d_in = inner_vd(i, edge)
+    for outer, inner in zip(sol.regions, sol.regions[1:]):
+        edge = np.array([inner.x1])
+        v_out, d_out = _region_values(outer, 1.0, edge, True)
+        v_in, d_in = _region_values(inner, 1.0, edge, True)
         # Jumps are measured against the local field scale (largest
         # component magnitude at the edge, k-scaled for derivatives).
         scale_v = max(np.abs(v_out).max(), np.abs(v_in).max(), 1e-300)
-        scale_d = max(np.abs(d_out).max(), np.abs(d_in).max(), k * scale_v)
-        for comp in range(2):
-            worst = max(worst, abs(v_out[comp, 0] - v_in[comp, 0]) / scale_v)
-            worst = max(worst, abs(d_out[comp, 0] - d_in[comp, 0]) / scale_d)
+        scale_d = max(np.abs(d_out).max(), np.abs(d_in).max(), sol.k * scale_v)
+        worst = max(worst, np.abs(v_out - v_in).max() / scale_v,
+                    np.abs(d_out - d_in).max() / scale_d)
     return float(worst)
 
 

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceWarning, EmptySupport, SingularMatching
+from .errors import ConvergenceWarning, EmptySupport
 from .model import ValidatedConfig
 from .scattering import (
-    ChannelWavenumbers,
+    Region,
     ScatteringSolution,
-    internal_eigensystem,
-    matching_residual,
+    _exterior_regions,
+    _is_degenerate,
+    _solution_view,
+    _two_sided,
 )
 
 DEFAULT_SLICES = 256
@@ -114,6 +116,67 @@ def transfer_rows(k, decomp: SliceDecomposition, config: ValidatedConfig) -> np.
     )
 
 
+def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedConfig):
+    """Amplitudes (R1, R2, T1, T2) and regions of the sliced profile at wavenumbers k.
+
+    ``transfer_solve`` gives the amplitudes and the state at every slice
+    edge; each slice's four exponential modes are fitted to the state at
+    its left edge, anchored so that each is bounded across the slice.  At a
+    degenerate slice (gamma = 2 omega_j) the modes coincide and cannot be
+    fitted, so the whole solve is the two-sided limit of ``_two_sided``.
+    """
+    edges = np.asarray(decomp.edges)
+    omegas = np.asarray(decomp.omegas)
+    if np.any(_is_degenerate(config.gamma, omegas)):
+        return _two_sided(_slice_regions, config, k, decomp)
+    hbar = config.constants.hbar
+    nk = k.shape[0]
+    amps, states = kernels.transfer_solve(
+        k, edges, omegas, config.gamma, config.mass, hbar, return_states=True
+    )
+    R1, R2, T1, T2 = amps[:, 0], amps[:, 1], amps[:, 2], amps[:, 3]
+    q = kernels.channel_q(k, config.gamma, config.mass, hbar)
+    left, right = _exterior_regions(
+        k, R1, T1, [(R2, -q, 0.0)], [(T2, q, 0.0)], edges[0], edges[-1]
+    )
+    regions = [left]
+    for j in range(omegas.shape[0]):
+        xa, xb = float(edges[j]), float(edges[j + 1])
+        om = float(omegas[j])
+        if om > 0.0:
+            kp, km, lam_p, lam_m = kernels.mode_wavenumbers(k, config.gamma, om, config.mass, hbar)
+            u_p = 2.0 * lam_p / om
+            u_m = 2.0 * lam_m / om
+            kappas = (kp, km, -kp, -km)
+            vecs = ((1.0, u_p), (1.0, u_m), (1.0, u_p), (1.0, u_m))
+            anchors = (xa, xa, xb, xb)
+        else:
+            kc = k.astype(complex)
+            kappas = (kc, -kc, q, -q)
+            vecs = ((1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+            anchors = (xa, xb, xa, xb)
+        basis = np.zeros((nk, 4, 4), dtype=complex)
+        for mu in range(4):
+            kap = kappas[mu]
+            ephase = np.exp(1j * kap * (xa - anchors[mu]))
+            v1 = (vecs[mu][0] * np.ones(nk)) * ephase
+            v2 = (vecs[mu][1] * np.ones(nk)) * ephase
+            basis[:, 0, mu] = v1
+            basis[:, 1, mu] = 1j * kap * v1
+            basis[:, 2, mu] = v2
+            basis[:, 3, mu] = 1j * kap * v2
+        coeffs = np.linalg.solve(basis, states[:, j, :][:, :, None])[:, :, 0]
+        channels = ([], [])
+        for mu in range(4):
+            for ch in (0, 1):
+                c = coeffs[:, mu] * (vecs[mu][ch] * np.ones(nk))
+                if np.any(c != 0.0):
+                    channels[ch].append((c, kappas[mu], anchors[mu]))
+        regions.append(Region(x1=xa, x2=xb, channel_modes=channels))
+    regions.append(right)
+    return (R1, R2, T1, T2), regions
+
+
 def solve_profile(
     k: float,
     config: ValidatedConfig,
@@ -121,32 +184,22 @@ def solve_profile(
     support_cut: float = 1e-6,
     check_convergence: bool = False,
 ) -> ScatteringSolution:
-    """Scattering solution for the configured profile via transfer matrices.
+    """Matched stationary wave of the configured profile via transfer matrices.
 
-    With ``check_convergence`` the slice count is doubled once and a
+    A one-k view of ``_slice_regions``: one region per slice.  With
+    ``check_convergence`` the slice count is doubled once and a
     ConvergenceWarning is issued if the absorption moves by more than 1e-6.
     """
     if not (k > 0.0):
         raise ValueError(f"k must be > 0, got {k!r}")
-    hbar = config.constants.hbar
     decomp = discretize(config.profile, n_slices, support_cut, config=config)
-    amps, states = kernels.transfer_solve(
-        np.array([k]),
-        np.asarray(decomp.edges),
-        np.asarray(decomp.omegas),
-        config.gamma,
-        config.mass,
-        hbar,
-        return_states=True,
-    )
-    row = amps[0]
-    if not np.all(np.isfinite(row.view(float))):
-        raise SingularMatching(f"transfer matching is singular at k={k!r}")
+    amplitudes, regions = _slice_regions(np.array([float(k)]), decomp, config)
+    sol = _solution_view(k, config, amplitudes, regions, "transfer matching")
 
     if check_convergence and decomp.n_slices > 1:
         fine = discretize(config.profile, 2 * n_slices, support_cut, config=config)
         row_fine = transfer_rows(np.array([k]), fine, config)[0]
-        a_coarse = 1.0 - abs(row[2]) ** 2 - abs(row[0]) ** 2
+        a_coarse = 1.0 - abs(sol.T1) ** 2 - abs(sol.R1) ** 2
         a_fine = 1.0 - abs(row_fine[2]) ** 2 - abs(row_fine[0]) ** 2
         if abs(a_fine - a_coarse) > 1e-6:
             warnings.warn(
@@ -154,35 +207,4 @@ def solve_profile(
                 ConvergenceWarning,
                 stacklevel=2,
             )
-
-    energy = (hbar * k) ** 2 / (2.0 * config.mass)
-    q = complex(kernels.channel_q(np.array([k]), config.gamma, config.mass, hbar)[0])
-    if config.omega > 0.0:
-        kp, km, _, _ = kernels.mode_wavenumbers(
-            np.array([k]), config.gamma, config.omega, config.mass, hbar
-        )
-        wn = ChannelWavenumbers(k=float(k), q=q, k_plus=complex(kp[0]), k_minus=complex(km[0]))
-        eig = internal_eigensystem(config.gamma, config.omega)
-    else:
-        wn = ChannelWavenumbers(k=float(k), q=q, k_plus=complex(k), k_minus=q)
-        eig = None
-
-    sol = ScatteringSolution(
-        k=float(k),
-        config=config,
-        wavenumbers=wn,
-        eigensystem=eig,
-        R1=complex(row[0]),
-        R2=complex(row[1]),
-        T1=complex(row[2]),
-        T2=complex(row[3]),
-        slice_edges=decomp.edges,
-        slice_omegas=decomp.omegas,
-        slice_states=states[0],
-    )
-    residual = matching_residual(sol)
-    if residual > 1e-6:
-        raise SingularMatching(
-            f"transfer matching residual {residual:.2e} at k={k!r}"
-        )
     return sol

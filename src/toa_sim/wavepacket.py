@@ -35,13 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, transfer
 from .errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
-from .scattering import _degenerate_gammas, _is_degenerate, sharp_edge_rows
+# Region is re-exported: the overlap engine integrates its mode lists.
+from .scattering import Region, _region_field, _sharp_regions  # noqa: F401
 from .series import TimeSeries, phase_matrix
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -267,25 +266,6 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257, span: float = 10.0) -> K
 # --- overlap machinery ----------------------------------------------------
 
 
-@dataclass
-class Region:
-    """One spatial region with per-channel exponential-mode lists.
-
-    A mode (coef, kappa, anchor) contributes coef * exp(i kappa (x - anchor))
-    to its channel inside [x1, x2].  Invariant: every mode is bounded by
-    |coef| there, i.e. |exp(i kappa (x - anchor))| <= 1 at each finite
-    endpoint.  ``_region_gram`` relies on it: it forms each mode's endpoint
-    values on their own and multiplies pairs of them, which cannot
-    overflow only because every factor is bounded.
-    x1 = -inf and x2 = +inf are allowed when the corresponding pair
-    exponents decay (excited channel with gamma > 0).
-    """
-
-    x1: float
-    x2: float
-    channel_modes: tuple[list, list]
-
-
 def _can_resonate(kappa_mu: np.ndarray, kappa_nu: np.ndarray, bound: float) -> bool:
     """False when every |kappa_mu[i] - conj(kappa_nu[j])| is >= bound.
 
@@ -371,8 +351,6 @@ class ConditionalPropagator:
         backend: str = "analytic",
         n_slices: int = 256,
     ):
-        from . import transfer
-
         if abs(spec.mass - config.mass) > 1e-12 * config.mass:
             raise ValueError("packet and config masses differ")
         self.spec = spec
@@ -392,137 +370,15 @@ class ConditionalPropagator:
         if backend == "analytic":
             if config.profile.kind != "sharp":
                 raise ValueError("analytic backend requires a sharp-edged profile")
-            self._build_sharp_regions()
+            self.amplitudes, self.regions = _sharp_regions(k, config)
         elif backend == "transfer":
-            decomp = transfer.discretize(
-                config.profile, n_slices if config.profile.kind != "sharp" else 1,
-                config=config,
-            )
-            amps, states = kernels.transfer_solve(
-                k,
-                np.asarray(decomp.edges),
-                np.asarray(decomp.omegas),
-                config.gamma,
-                config.mass,
-                hbar,
-                return_states=True,
-            )
-            self._build_slice_regions(decomp, amps, states)
+            decomp = transfer.discretize(config.profile, n_slices, config=config)
+            self.amplitudes, self.regions = transfer._slice_regions(k, decomp, config)
         else:
             raise ValueError(f"backend must be 'analytic' or 'transfer', got {backend!r}")
 
         self._detection_matrix = None
         self._norm_matrix_cache: dict = {}
-
-    # -- region construction ------------------------------------------
-
-    def _exterior_regions(self, R1, T1, reflected, transmitted, x_left, x_right):
-        """Half-lines beyond the coupling; ``reflected``/``transmitted`` are the excited modes."""
-        kc = self.k.astype(complex)
-        left = Region(
-            x1=-math.inf,
-            x2=x_left,
-            channel_modes=([(np.ones_like(kc), kc, 0.0), (R1, -kc, 0.0)], reflected),
-        )
-        right = Region(x1=x_right, x2=math.inf, channel_modes=([(T1, kc, 0.0)], transmitted))
-        return left, right
-
-    def _build_sharp_regions(self):
-        """Regions of the sharp beam from the rows of ``sharp_edge_rows``.
-
-        The transmitted excited wave is anchored at the exit, as
-        T2_L exp(iq(x - L)) with T2_L the excited channel's value at x = L:
-        it stays finite where exp(iqL) underflows and T2 does not.  At the
-        degenerate point gamma = 2 omega the averaged rows have no modal
-        form, so each perturbed solve of the two-sided limit brings its own
-        modes (its own k+-, u+- and q) at half weight.
-        """
-        cfg = self.config
-        hbar = cfg.constants.hbar
-        L = cfg.beam_width
-        k = self.k
-        rows = sharp_edge_rows(k, cfg)
-        R1, R2, T1, T2 = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-        self.amplitudes = (R1, R2, T1, T2)
-        if cfg.omega == 0.0:
-            left, right = self._exterior_regions(R1, T1, [], [], 0.0, L)
-            interior = ([(rows[:, 4], k.astype(complex), 0.0)], [])
-            self.regions = [left, Region(x1=0.0, x2=L, channel_modes=interior), right]
-            return
-        if _is_degenerate(cfg.gamma, cfg.omega):
-            solves = [(0.5, g, kernels.sharp_edge_solve(k, g, cfg.omega, L, cfg.mass, hbar))
-                      for g in _degenerate_gammas(cfg.gamma)]
-        else:
-            solves = [(1.0, cfg.gamma, rows)]
-        ground, excited, reflected, transmitted = [], [], [], []
-        for weight, gamma, sol in solves:
-            q = kernels.channel_q(k, gamma, cfg.mass, hbar)
-            kp, km, lam_p, lam_m = kernels.mode_wavenumbers(k, gamma, cfg.omega, cfg.mass, hbar)
-            u_p = 2.0 * lam_p / cfg.omega
-            u_m = 2.0 * lam_m / cfg.omega
-            a, b, c, d = (weight * sol[:, j] for j in range(4, 8))
-            t2_exit = u_p * (np.exp(1j * kp * L) * a + c) + u_m * (np.exp(1j * km * L) * b + d)
-            ground += [(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)]
-            excited += [(u_p * a, kp, 0.0), (u_m * b, km, 0.0),
-                        (u_p * c, -kp, L), (u_m * d, -km, L)]
-            reflected.append((weight * sol[:, 1], -q, 0.0))
-            transmitted.append((t2_exit, q, L))
-        left, right = self._exterior_regions(R1, T1, reflected, transmitted, 0.0, L)
-        self.regions = [left, Region(x1=0.0, x2=L, channel_modes=(ground, excited)), right]
-
-    def _build_slice_regions(self, decomp, amps, states):
-        cfg = self.config
-        hbar = cfg.constants.hbar
-        k = self.k
-        nk = k.shape[0]
-        R1, R2, T1, T2 = amps[:, 0], amps[:, 1], amps[:, 2], amps[:, 3]
-        self.amplitudes = (R1, R2, T1, T2)
-        edges = np.asarray(decomp.edges)
-        omegas = np.asarray(decomp.omegas)
-        left, right = self._exterior_regions(
-            R1, T1, [(R2, -self.q, 0.0)], [(T2, self.q, 0.0)], edges[0], edges[-1]
-        )
-        regions = [left]
-        for j in range(omegas.shape[0]):
-            xa, xb = float(edges[j]), float(edges[j + 1])
-            om = float(omegas[j])
-            q_loc = self.q
-            if om > 0.0:
-                kp, km, lam_p, lam_m = kernels.mode_wavenumbers(
-                    k, cfg.gamma, om, cfg.mass, hbar
-                )
-                u_p = 2.0 * lam_p / om
-                u_m = 2.0 * lam_m / om
-                kappas = (kp, km, -kp, -km)
-                vecs = ((1.0, u_p), (1.0, u_m), (1.0, u_p), (1.0, u_m))
-            else:
-                kc = k.astype(complex)
-                kappas = (kc, -kc, q_loc, -q_loc)
-                vecs = ((1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
-            anchors = (xa, xa, xb, xb) if om > 0.0 else (xa, xb, xa, xb)
-            basis = np.zeros((nk, 4, 4), dtype=complex)
-            for mu in range(4):
-                kap = kappas[mu]
-                ephase = np.exp(1j * kap * (xa - anchors[mu]))
-                v1 = (vecs[mu][0] * np.ones(nk)) * ephase
-                v2 = (vecs[mu][1] * np.ones(nk)) * ephase
-                basis[:, 0, mu] = v1
-                basis[:, 1, mu] = 1j * kap * v1
-                basis[:, 2, mu] = v2
-                basis[:, 3, mu] = 1j * kap * v2
-            coeffs = np.linalg.solve(basis, states[:, j, :][:, :, None])[:, :, 0]
-            ch1 = []
-            ch2 = []
-            for mu in range(4):
-                c1 = coeffs[:, mu] * (vecs[mu][0] * np.ones(nk))
-                c2 = coeffs[:, mu] * (vecs[mu][1] * np.ones(nk))
-                if np.any(c1 != 0.0):
-                    ch1.append((c1, kappas[mu], anchors[mu]))
-                if np.any(c2 != 0.0):
-                    ch2.append((c2, kappas[mu], anchors[mu]))
-            regions.append(Region(x1=xa, x2=xb, channel_modes=(ch1, ch2)))
-        regions.append(right)
-        self.regions = regions
 
     # -- matrices -------------------------------------------------------
 
@@ -609,29 +465,10 @@ class ConditionalPropagator:
 
     def state(self, x, t: float) -> np.ndarray:
         """Conditional wave function Psi(x, t), shape (2,) or (2, nx)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         phases = self.coeff * np.exp(
             -1j * (self.omega_rel + self.omega_ref) * float(t)
         )
-        out = np.zeros((2, x.shape[0]), dtype=complex)
-        for region in self.regions:
-            if math.isinf(region.x1):
-                mask = x <= region.x2
-            elif math.isinf(region.x2):
-                mask = x >= region.x1
-            else:
-                mask = (x > region.x1) & (x < region.x2)
-            if not np.any(mask):
-                continue
-            xs = x[mask]
-            for ch in (0, 1):
-                for coef, kappa, anchor in region.channel_modes[ch]:
-                    waves = np.exp(1j * np.outer(kappa, xs - anchor))
-                    out[ch, mask] += (phases * coef) @ waves
-        out /= SQRT_2PI
-        return out[:, 0] if scalar else out
+        return _region_field(self.regions, phases, x)
 
     def excited_population(self, times) -> np.ndarray:
         return self._quadratic(self.detection_matrix(), times)

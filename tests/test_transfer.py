@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import GAMMA, HBAR, MASS, k_of, random_draws
 from toa_sim.errors import ConvergenceWarning, EmptySupport
+from toa_sim.kernels import channel_q, mode_wavenumbers
 from toa_sim.model import RabiProfile, cesium_config
 from toa_sim.scattering import evaluate_state, matching_residual, sharp_edge_rows, solve_sharp_edge
 from toa_sim.transfer import DEFAULT_SLICES, discretize, slice_matrix, solve_profile, transfer_rows
@@ -159,3 +162,30 @@ class TestSolveProfile:
 
     def test_default_slices_constant(self):
         assert DEFAULT_SLICES == 256
+
+
+# Omega/gamma on, and on both sides of, gamma = 2 Omega, and away from it.
+VIEW_OMEGAS = [0.5, 0.5 * (1.0 - 1e-6), 0.5 * (1.0 + 1e-6), 0.3, 2.0, 5.0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(v=st.floats(5.0, 500.0), omega_in_gamma=st.sampled_from(VIEW_OMEGAS),
+       L=st.floats(0.5e-6, 20e-6))
+@example(v=265.0, omega_in_gamma=0.5, L=5e-6)
+def test_one_slice_view_matches_sharp_view(v, omega_in_gamma, L):
+    # both backends build one representation, with one two-sided limit at
+    # gamma = 2 Omega: on a single slice the fields agree everywhere, and
+    # each is continuous across its region boundaries
+    k = k_of(v)
+    omega = omega_in_gamma * GAMMA
+    kp, km, _, _ = mode_wavenumbers(np.array([k]), GAMMA, omega, MASS, HBAR)
+    q = channel_q(np.array([k]), GAMMA, MASS, HBAR)
+    L = min(L, 8.0 / max(kp.imag.max(), km.imag.max(), q.imag.max()))  # optical depth <= 8
+    cfg = cesium_config(omega=omega, beam_width=L)
+    sharp = solve_sharp_edge(k, cfg)
+    sliced = solve_profile(k, cfg, n_slices=1)
+    x = np.linspace(-L, 2 * L, 301)
+    va, vt = evaluate_state(sharp, x), evaluate_state(sliced, x)
+    assert np.abs(va - vt).max() <= 1e-8 * np.abs(va).max()
+    assert matching_residual(sharp) < 1e-9
+    assert matching_residual(sliced) < 1e-9

@@ -494,6 +494,21 @@ class TestSharedExcitedBlocks:
         assert_matches(shared.norm_matrix(*window), alone)
 
 
+class TestRegionField:
+    def test_state_continuous_on_slice_edges(self):
+        # every x belongs to exactly one region, so a point on a slice edge
+        # takes the field of the slice that starts there
+        prop = small_propagator(104.43e6, backend="transfer", profile=GAUSSIAN_BEAM)
+        _, tw = packet(v=166.2)
+        edges = np.array([region.x1 for region in prop.regions[1:]])
+        on_edge = prop.state(edges, tw)
+        scale = np.abs(on_edge).max(axis=0)
+        assert np.all(scale > 0.0)
+        for side in (-math.inf, math.inf):
+            beside = prop.state(np.nextafter(edges, side), tw)
+            assert np.all(np.abs(on_edge - beside).max(axis=0) <= 1e-9 * scale)
+
+
 class TestTransmittedExcitedAnchor:
     def test_slow_packet_matrices_and_state_finite(self):
         # at 0.05 m/s exp(iqL) underflows: T2 itself is out of float range,
@@ -518,11 +533,11 @@ class TestTransmittedExcitedAnchor:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def passage(omega_in_gamma, v, delta_x, n_t=1000):
+def passage(omega_in_gamma, v, delta_x, backend="analytic", n_t=1000):
     """Photon density over the whole passage and the survival norm after it."""
     cfg = cesium_config(omega=omega_in_gamma * GAMMA)
     spec, tw = packet(v=v, delta_x=delta_x)
-    prop = ConditionalPropagator(spec, cfg, default_kgrid(spec, n_nodes=64))
+    prop = ConditionalPropagator(spec, cfg, default_kgrid(spec, n_nodes=64), backend=backend)
     t = np.linspace(0.0, tw + 12 * delta_x / v + 15 / GAMMA, n_t)
     n_end = prop.norm(t[-1:], *prop.default_domain(t[-1]))[0]
     return t, prop.photon_density(t), n_end
@@ -530,21 +545,24 @@ def passage(omega_in_gamma, v, delta_x, n_t=1000):
 
 # Omega/gamma on, and on both sides of, the degenerate point gamma = 2 Omega.
 DEGENERATE_SIDES = [0.5, 0.5 * (1.0 - 1e-6), 0.5 * (1.0 + 1e-6)]
+BACKENDS = st.sampled_from(["analytic", "transfer"])
 PACKET_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 
 class TestDegeneratePoint:
     @PACKET_SETTINGS
     @given(omega_in_gamma=st.sampled_from(DEGENERATE_SIDES + [0.3, 5.0]),
-           v=st.floats(10.0, 100.0), delta_x=st.floats(2e-6, 10e-6))
-    @example(omega_in_gamma=0.5, v=20.0, delta_x=2e-6)
-    def test_probability_balance(self, omega_in_gamma, v, delta_x):
-        t, pi, n_end = passage(omega_in_gamma, v, delta_x)
+           v=st.floats(10.0, 100.0), delta_x=st.floats(2e-6, 10e-6), backend=BACKENDS)
+    @example(omega_in_gamma=0.5, v=20.0, delta_x=2e-6, backend="analytic")
+    @example(omega_in_gamma=0.5, v=20.0, delta_x=2e-6, backend="transfer")
+    def test_probability_balance(self, omega_in_gamma, v, delta_x, backend):
+        t, pi, n_end = passage(omega_in_gamma, v, delta_x, backend)
         assert abs(np.trapezoid(pi, t) + n_end - 1.0) <= 1e-4
 
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
-    @given(v=st.floats(10.0, 100.0), delta_x=st.floats(2e-6, 10e-6))
-    def test_density_continuous_across_the_point(self, v, delta_x):
+    @given(v=st.floats(10.0, 100.0), delta_x=st.floats(2e-6, 10e-6), backend=BACKENDS)
+    @example(v=20.0, delta_x=2e-6, backend="transfer")
+    def test_density_continuous_across_the_point(self, v, delta_x, backend):
         (_, exact, _), (_, below, _), (_, above, _) = (
-            passage(f, v, delta_x) for f in DEGENERATE_SIDES)
+            passage(f, v, delta_x, backend) for f in DEGENERATE_SIDES)
         assert np.abs(exact - 0.5 * (below + above)).max() <= 1e-5 * np.abs(exact).max()
