@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from multiprocessing import Pool
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericError, ToaSimError
+from .errors import ConfigError, ConvergenceWarning, NumericError, ToaSimError, ZeroIntegral
 from .model import (
     RabiProfile,
     ValidatedConfig,
@@ -24,7 +25,13 @@ from .model import (
     load_config,
     with_omega,
 )
-from .regimes import RegimeReport, classify, critical_temperature, ridge_locations
+from .regimes import (
+    RegimeReport,
+    classify,
+    critical_temperature,
+    penetration_length,
+    ridge_locations,
+)
 from .scattering import absorption_status, sharp_edge_rows
 from .series import TimeSeries
 from . import distributions as dist
@@ -85,7 +92,7 @@ def _parse_args(argv):
             help="scattering backend (default: analytic for sharp edges, transfer otherwise)",
         )
 
-    p = sub.add_parser("absorption-map", help="A(v, omega) on a rectangular grid")
+    p = map_parser = sub.add_parser("absorption-map", help="A(v, omega) on a rectangular grid")
     add_common(p)
     p.add_argument("--v-min", type=float, default=2.0)
     p.add_argument("--v-max", type=float, default=400.0)
@@ -133,7 +140,12 @@ def _parse_args(argv):
     p.add_argument("--delta-t", type=float, default=None, help="packet time span (s)")
     p.add_argument("--factor", type=float, default=10.0, help="'much less than' factor")
 
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.command == "absorption-map" and args.preset == "fig4":
+        # fig4 changes the map's default speed range; explicit flags still win
+        map_parser.set_defaults(v_min=0.02, v_max=2.0)
+        args = parser.parse_args(argv)
+    return args
 
 
 def _argparse_error(self, message):
@@ -151,9 +163,16 @@ def _base_config(args) -> ValidatedConfig:
         profile = RabiProfile(kind="gaussian", omega0=5 * GAMMA_CS,
                               center=2.5e-6, width=0.529e-6)
         return cesium_config(omega=5 * GAMMA_CS, profile=profile)
-    if args.preset == "fig5":
-        return cesium_config(omega=5 * GAMMA_CS)
     return cesium_config(omega=5 * GAMMA_CS)
+
+
+def _backend(args, config: ValidatedConfig) -> str:
+    """The requested backend; by default analytic for a sharp beam, transfer otherwise."""
+    sharp = config.profile.kind == "sharp"
+    backend = args.backend or ("analytic" if sharp else "transfer")
+    if backend == "analytic" and not sharp:
+        raise ConfigError("analytic backend requires a sharp-edged profile")
+    return backend
 
 
 def _header(args, config: ValidatedConfig, extra: list[str] = ()) -> list[str]:
@@ -211,15 +230,11 @@ def _absorption_scan(config: ValidatedConfig, v: np.ndarray, omegas, backend: st
 
 def cmd_absorption_map(args) -> str:
     config = _base_config(args)
-    if args.preset == "fig4":
-        args.v_min, args.v_max = 0.02, 2.0
     if args.n_v < 2 or args.n_omega < 2:
         raise ConfigError("map needs n_v >= 2 and n_omega >= 2")
     if not (0.0 < args.v_min < args.v_max) or not (0.0 < args.omega_min < args.omega_max):
         raise ConfigError("scan ranges must be positive and ordered")
-    backend = args.backend or ("transfer" if config.profile.kind != "sharp" else "analytic")
-    if backend == "analytic" and config.profile.kind != "sharp":
-        raise ConfigError("analytic backend requires a sharp-edged profile")
+    backend = _backend(args, config)
     v = np.linspace(args.v_min, args.v_max, args.n_v)
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_omega)
 
@@ -246,10 +261,6 @@ def _convergence_spot_check(config, v, omegas, n_slices, a_map) -> None:
     at a probe is read from it, so only the doubled-slice values are
     computed here.
     """
-    import warnings
-
-    from .errors import ConvergenceWarning
-
     # (v index, omega index): the four scan corners and the centre
     probes = [(0, 0), (-1, 0), (0, -1), (-1, -1), (len(v) // 2, len(omegas) // 2)]
     worst = 0.0
@@ -272,7 +283,7 @@ def cmd_absorption_cut(args) -> str:
     config = _base_config(args)
     if args.n_v < 2 or not (0.0 < args.v_min < args.v_max):
         raise ConfigError("cut needs n_v >= 2 and a positive ordered range")
-    backend = args.backend or ("transfer" if config.profile.kind != "sharp" else "analytic")
+    backend = _backend(args, config)
     v = np.linspace(args.v_min, args.v_max, args.n_v)
 
     if args.preset == "fig5":
@@ -306,15 +317,14 @@ def cmd_plane(args) -> str:
     if args.n_omega < 2 or not (0.0 < args.omega_min < args.omega_max):
         raise ConfigError("plane needs n_omega >= 2 and a positive ordered range")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_omega)
-    gamma = config.gamma
     L = config.beam_width
     lines = [f"# {line}" for line in _header(args, config)]
     lines.append("family,n,omega_per_s,v_mps")
     hbar = config.constants.hbar
     mass = config.mass
     for om in omegas:
-        # beam-width boundary: penetration length equals L
-        v_eq = L / (5.0 * (2.0 / gamma + gamma / (om * om)))
+        # beam-width boundary: the penetration length, linear in v, equals L
+        v_eq = L / penetration_length(1.0, config.gamma, om)
         lines.append(f"beam_width,,{_float_fmt(om)},{_float_fmt(v_eq)}")
         # reflection boundary: kinetic energy equals the coupling scale
         v_refl = math.sqrt(hbar * om / mass)
@@ -340,35 +350,24 @@ def cmd_critical_temperature(args) -> str:
 
 
 def cmd_distributions(args) -> str:
-    import warnings
-
     config = _base_config(args)
-    hbar = config.constants.hbar
+    backend = _backend(args, config)
     L = config.beam_width
     if args.preset == "fig6" or (args.v_mean is None and args.delta_x_um is None):
         sigx = FIG6_PACKET["delta_x_um"] * 1e-6
-        v1 = FIG6_PACKET["v1_mps"]
-        tw = (12.0 * sigx + L) / v1
-        comps = (
-            wpk.GaussianComponent(mean_velocity=v1, delta_x=sigx,
-                                  waist_position=L, waist_time=tw),
-            wpk.GaussianComponent(mean_velocity=FIG6_PACKET["v2_mps"], delta_x=sigx,
-                                  waist_position=L, waist_time=tw),
-        )
-        v_ref = v1
+        velocities = (FIG6_PACKET["v1_mps"], FIG6_PACKET["v2_mps"])
     else:
         if args.v_mean is None or args.delta_x_um is None:
             raise ConfigError("distributions needs --v-mean and --delta-x-um (or --preset fig6)")
         sigx = args.delta_x_um * 1e-6
-        v_ref = args.v_mean
-        tw = (12.0 * sigx + L) / v_ref
-        comps = (
-            wpk.GaussianComponent(mean_velocity=v_ref, delta_x=sigx,
-                                  waist_position=L, waist_time=tw),
-        )
+        velocities = (args.v_mean,)
+    v_ref = velocities[0]
+    tw = (12.0 * sigx + L) / v_ref
+    comps = tuple(wpk.GaussianComponent(mean_velocity=v, delta_x=sigx,
+                                        waist_position=L, waist_time=tw)
+                  for v in velocities)
     spec = wpk.PacketSpec(components=comps, mass=config.mass)
     grid = wpk.default_kgrid(spec, n_nodes=args.k_nodes)
-    backend = args.backend or ("transfer" if config.profile.kind != "sharp" else "analytic")
     prop = wpk.ConditionalPropagator(spec, config, grid, backend=backend)
 
     report = classify(config, v_ref)
@@ -390,8 +389,6 @@ def cmd_distributions(args) -> str:
     pi = dist.DistributionSeries(t0=times.t0, dt=times.dt, values=pi_vals, kind="observed")
     flux = dist.free_flux(spec, x_eval, times)
     kij = dist.kijowski_density(spec, x_eval, times)
-    from .errors import ZeroIntegral
-
     if config.gamma > 0.0:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

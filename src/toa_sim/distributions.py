@@ -39,14 +39,6 @@ class DistributionSeries(TimeSeries):
                                   meta=merged, kind=kind)
 
 
-def _as_distribution(series: TimeSeries, kind: str) -> DistributionSeries:
-    if isinstance(series, DistributionSeries) and series.kind == kind:
-        return series
-    return DistributionSeries(
-        t0=series.t0, dt=series.dt, values=series.values, meta=dict(series.meta), kind=kind
-    )
-
-
 def free_flux(spec, x: float, times: TimeSeries) -> DistributionSeries:
     """Quantum probability current of the freely moving packet at position x.
 
@@ -174,9 +166,9 @@ def normalize(d: TimeSeries) -> DistributionSeries:
     scale_ref = float(np.abs(d.values).max()) * d.dt * len(d) if len(d) else 0.0
     if raw == 0.0 or abs(raw) < 1e-14 * scale_ref:
         raise ZeroIntegral("cannot normalize a series with vanishing integral")
-    kind = getattr(d, "kind", "observed")
-    out = _as_distribution(d, kind)
-    return out.tagged(np.asarray(d.values) / raw, kind, raw_integral=raw)
+    return DistributionSeries(t0=d.t0, dt=d.dt, values=np.asarray(d.values) / raw,
+                              meta={**d.meta, "raw_integral": raw},
+                              kind=getattr(d, "kind", "observed"))
 
 
 def write_distribution_csv(d: DistributionSeries, stream, comments=()) -> None:

@@ -126,6 +126,24 @@ def sharp_edge_solve(
     return out
 
 
+def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions x of the stacked systems A x = rhs, (n, 4, 4) and (n, 4) -> (n, 4).
+
+    A singular system gives a NaN row; every other row has the bits of
+    its own solve.
+    """
+    try:
+        return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan + 0j)
+        for i in range(A.shape[0]):
+            try:
+                out[i] = np.linalg.solve(A[i], rhs[i, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _sharp_edge_block(k, gamma, omega, L, mass, hbar):
     """``sharp_edge_solve`` for one block of wavenumbers and couplings."""
     nk = k.shape[0]
@@ -161,17 +179,8 @@ def _sharp_edge_block(k, gamma, omega, L, mass, hbar):
     A[:, 3, 1] = (kms - qs) * u_m * em
     A[:, 3, 2] = -(kps + qs) * u_p
     A[:, 3, 3] = -(kms + qs) * u_m
-    rhs = np.array([[2.0], [0.0], [0.0], [0.0]], dtype=complex)
-
-    try:
-        coef = np.linalg.solve(A, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        coef = np.full((nk, 4), np.nan + 0j)
-        for i in range(nk):
-            try:
-                coef[i] = np.linalg.solve(A[i], rhs)[:, 0]
-            except np.linalg.LinAlgError:
-                pass
+    rhs = np.broadcast_to(np.array([2.0, 0.0, 0.0, 0.0], dtype=complex), (nk, 4))
+    coef = _solve(A, rhs)
     a, b, c, d = coef.T
 
     sol = np.empty((nk, 8), dtype=complex)
@@ -397,19 +406,11 @@ def transfer_solve(
     B[:, :, 2] = -np.einsum("nij,nj->ni", M, r1)
     B[:, :, 3] = -np.einsum("nij,nj->ni", M, r2)
     rhs = np.einsum("nij,nj->ni", M, inc)
-    try:
-        sol = np.linalg.solve(B, rhs[:, :, None])[:, :, 0]
-        # one refinement step takes the 4x4 solve to componentwise
-        # backward stability
-        resid = np.einsum("nij,nj->ni", B, sol) - rhs
-        sol = sol - np.linalg.solve(B, resid[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        sol = np.full((nk, 4), np.nan + 0j)
-        for i in range(nk):
-            try:
-                sol[i] = np.linalg.solve(B[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
+    sol = _solve(B, rhs)
+    # one refinement step takes the 4x4 solve to componentwise backward
+    # stability
+    resid = np.einsum("nij,nj->ni", B, sol) - rhs
+    sol = sol - _solve(B, resid)
 
     amps = np.empty((nk, 4), dtype=complex)
     growth = np.exp(log_scale)

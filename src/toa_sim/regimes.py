@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveVelocity
-from .model import ValidatedConfig
+from .model import CONSTANTS, ValidatedConfig
+
+RIDGE_INDEX_MAX = 200
 
 
 def penetration_length(v: float, gamma: float, omega: float) -> float:
@@ -83,21 +85,16 @@ def detection_window(config: ValidatedConfig, n: int) -> tuple[float, float]:
     return width, sigma
 
 
-def critical_temperature(beam_width: float, gamma: float, mass: float,
-                         boltzmann: float = None) -> float:
+def critical_temperature(beam_width: float, gamma: float, mass: float) -> float:
     """Temperature above which the finite beam width matters.
 
     Uses the velocity v_L = L*gamma/10 at which the penetration length
     under strong driving equals the beam width.
     """
-    from .model import CONSTANTS
-
-    if boltzmann is None:
-        boltzmann = CONSTANTS.boltzmann
     if not (beam_width > 0.0 and gamma > 0.0 and mass > 0.0):
         raise ValueError("all arguments must be > 0")
     v_l = beam_width * gamma / 10.0
-    return mass * v_l * v_l / boltzmann
+    return mass * v_l * v_l / CONSTANTS.boltzmann
 
 
 @dataclass(frozen=True)
@@ -183,12 +180,13 @@ def _term(name: str, lhs: float, rhs: float, comparator: str, factor: float) -> 
     return InequalityTerm(name=name, lhs=lhs, rhs=rhs, comparator=comparator, passed=passed)
 
 
-def find_ridge_index(config: ValidatedConfig, v: float, n_max: int = 200) -> int | None:
+def find_ridge_index(config: ValidatedConfig, v: float) -> int | None:
     """Ridge whose detection window contains v, if any.
 
     The window of ridge n has the width of detection_window and is centred
     on the absorption maximum: decay_shifted_ridge for omega > gamma/2,
-    the nominal ridge_velocity otherwise.
+    the nominal ridge_velocity otherwise.  Ridges above RIDGE_INDEX_MAX are
+    never reported.
     """
     omega, gamma = config.omega, config.gamma
     if omega <= 0.0:
@@ -203,7 +201,7 @@ def find_ridge_index(config: ValidatedConfig, v: float, n_max: int = 200) -> int
     est = (config.beam_width * rate / (2.0 * v) - phase) / math.pi - 0.5
     candidates = {0, max(0, int(math.floor(est))), max(0, int(math.ceil(est)))}
     for n in sorted(candidates):
-        if n > n_max:
+        if n > RIDGE_INDEX_MAX:
             continue
         width, _ = detection_window(config, n)
         if abs(v - centre(config, n)) <= 0.5 * width:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NonPhysicalAbsorption, SingularMatching
-from .model import ValidatedConfig
+from .model import CONSTANTS, ValidatedConfig
 
 # Relative degeneracy threshold on |gamma - 2 omega| / (gamma + 2 omega).
 EPS_DEGENERATE = 1e-9
@@ -93,20 +93,22 @@ class ChannelWavenumbers:
 
 
 def channel_wavenumbers(
-    energy: float, gamma: float, omega: float, mass: float, hbar: float = None
+    energy: float, gamma: float, omega: float, mass: float
 ) -> ChannelWavenumbers:
     """Wavenumbers at energy E: real k, decaying-channel q, interior k+-.
 
     All complex roots are taken on the upper-half-plane branch (Im >= 0);
     for gamma = 0 the excited channel has q = k exactly.
     """
-    from .model import CONSTANTS
-
-    if hbar is None:
-        hbar = CONSTANTS.hbar
+    hbar = CONSTANTS.hbar
     if not (energy > 0.0):
         raise ValueError(f"energy must be > 0, got {energy!r}")
-    k = math.sqrt(2.0 * mass * energy) / hbar
+    return _wavenumbers(math.sqrt(2.0 * mass * energy) / hbar, gamma, omega, mass, hbar)
+
+
+def _wavenumbers(k: float, gamma: float, omega: float, mass: float,
+                 hbar: float) -> ChannelWavenumbers:
+    """``channel_wavenumbers`` at wavenumber k itself."""
     q = complex(kernels.channel_q(np.array([k]), gamma, mass, hbar)[0])
     if omega > 0.0:
         kp, km, _, _ = kernels.mode_wavenumbers(np.array([k]), gamma, omega, mass, hbar)
@@ -299,12 +301,11 @@ def _solution_view(k: float, config: ValidatedConfig, amplitudes, regions,
     coefs = [coef for r in regions for modes in r.channel_modes for coef, _, _ in modes]
     if not np.all(np.isfinite(np.concatenate([[R1, R2, T1], *coefs]))):
         raise SingularMatching(f"{what} is singular at k={k!r}, omega={config.omega!r}")
-    hbar = config.constants.hbar
-    energy = (hbar * k) ** 2 / (2.0 * config.mass)
     sol = ScatteringSolution(
         k=float(k),
         config=config,
-        wavenumbers=channel_wavenumbers(energy, config.gamma, config.omega, config.mass, hbar),
+        wavenumbers=_wavenumbers(float(k), config.gamma, config.omega, config.mass,
+                                 config.constants.hbar),
         R1=R1, R2=R2, T1=T1, T2=T2,
         regions=regions,
     )

@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import GridMismatch
 
+GRID_RTOL = 1e-9
+
 
 @dataclass
 class TimeSeries:
@@ -36,11 +38,11 @@ class TimeSeries:
         """Trapezoidal integral over the sampled window."""
         return np.trapezoid(self.values, dx=self.dt)
 
-    def same_grid(self, other: "TimeSeries", rtol: float = 1e-9) -> bool:
+    def same_grid(self, other: "TimeSeries") -> bool:
         return (
             len(self) == len(other)
-            and abs(self.dt - other.dt) <= rtol * self.dt
-            and abs(self.t0 - other.t0) <= rtol * max(abs(self.t0), self.dt)
+            and abs(self.dt - other.dt) <= GRID_RTOL * self.dt
+            and abs(self.t0 - other.t0) <= GRID_RTOL * max(abs(self.t0), self.dt)
         )
 
     def require_same_grid(self, other: "TimeSeries") -> None:
@@ -49,11 +51,6 @@ class TimeSeries:
                 f"grids differ: (t0={self.t0}, dt={self.dt}, n={len(self)}) vs "
                 f"(t0={other.t0}, dt={other.dt}, n={len(other)})"
             )
-
-    def copy_with(self, values: np.ndarray, **meta) -> "TimeSeries":
-        merged = dict(self.meta)
-        merged.update(meta)
-        return TimeSeries(t0=self.t0, dt=self.dt, values=np.asarray(values), meta=merged)
 
 
 def phase_matrix(omega: np.ndarray, times) -> np.ndarray:

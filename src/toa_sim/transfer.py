@@ -10,14 +10,13 @@ independent cross-check of the closed-form solver.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceWarning, EmptySupport
-from .model import ValidatedConfig
+from .errors import EmptySupport
+from .model import CONSTANTS, ValidatedConfig
 from .scattering import (
     Region,
     ScatteringSolution,
@@ -28,6 +27,7 @@ from .scattering import (
 )
 
 DEFAULT_SLICES = 256
+SUPPORT_CUT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,29 +48,23 @@ class SliceDecomposition:
         return len(self.omegas)
 
 
-def discretize(
-    profile, n_slices: int, support_cut: float = 1e-6, *, config: ValidatedConfig = None
-) -> SliceDecomposition:
+def discretize(profile, n_slices: int, *, config: ValidatedConfig) -> SliceDecomposition:
     """Slice a RabiProfile into equal-width midpoint-sampled segments.
 
     Sharp-edged profiles are represented exactly by a single slice.
     Gaussian support is truncated where the coupling falls below
-    ``support_cut`` times its peak.  Requires the owning config for the
-    beam width and coupling scale.
+    ``SUPPORT_CUT`` times its peak.  The owning config gives the beam
+    width and coupling scale.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
-    if config is None:
-        raise ValueError("discretize requires the owning config")
     L = config.beam_width
     if profile.kind == "sharp":
         return SliceDecomposition(edges=(0.0, L), omegas=(config.omega,))
     if profile.kind == "gaussian":
         if profile.omega0 <= 0.0:
             raise EmptySupport("gaussian profile has zero amplitude")
-        if not (0.0 < support_cut < 1.0):
-            raise ValueError("support_cut must be in (0, 1)")
-        half = profile.width * math.sqrt(-2.0 * math.log(support_cut))
+        half = profile.width * math.sqrt(-2.0 * math.log(SUPPORT_CUT))
         lo = profile.center - half
         hi = profile.center + half
     else:  # tabulated
@@ -85,16 +79,13 @@ def discretize(
 
 
 def slice_matrix(
-    omega: float, width: float, energy: float, gamma: float, mass: float, hbar: float = None
+    omega: float, width: float, energy: float, gamma: float, mass: float
 ) -> np.ndarray:
     """4x4 propagator of one constant-coupling slice at energy E.
 
     Acts on (phi1, phi1', phi2, phi2'); zero width gives the identity.
     """
-    from .model import CONSTANTS
-
-    if hbar is None:
-        hbar = CONSTANTS.hbar
+    hbar = CONSTANTS.hbar
     if width < 0.0:
         raise ValueError("width must be >= 0")
     if not (energy > 0.0):
@@ -178,33 +169,14 @@ def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedC
 
 
 def solve_profile(
-    k: float,
-    config: ValidatedConfig,
-    n_slices: int = DEFAULT_SLICES,
-    support_cut: float = 1e-6,
-    check_convergence: bool = False,
+    k: float, config: ValidatedConfig, n_slices: int = DEFAULT_SLICES
 ) -> ScatteringSolution:
     """Matched stationary wave of the configured profile via transfer matrices.
 
-    A one-k view of ``_slice_regions``: one region per slice.  With
-    ``check_convergence`` the slice count is doubled once and a
-    ConvergenceWarning is issued if the absorption moves by more than 1e-6.
+    A one-k view of ``_slice_regions``: one region per slice.
     """
     if not (k > 0.0):
         raise ValueError(f"k must be > 0, got {k!r}")
-    decomp = discretize(config.profile, n_slices, support_cut, config=config)
+    decomp = discretize(config.profile, n_slices, config=config)
     amplitudes, regions = _slice_regions(np.array([float(k)]), decomp, config)
-    sol = _solution_view(k, config, amplitudes, regions, "transfer matching")
-
-    if check_convergence and decomp.n_slices > 1:
-        fine = discretize(config.profile, 2 * n_slices, support_cut, config=config)
-        row_fine = transfer_rows(np.array([k]), fine, config)[0]
-        a_coarse = 1.0 - abs(sol.T1) ** 2 - abs(sol.R1) ** 2
-        a_fine = 1.0 - abs(row_fine[2]) ** 2 - abs(row_fine[0]) ** 2
-        if abs(a_fine - a_coarse) > 1e-6:
-            warnings.warn(
-                f"absorption changed by {abs(a_fine - a_coarse):.2e} on slice doubling",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-    return sol
+    return _solution_view(k, config, amplitudes, regions, "transfer matching")

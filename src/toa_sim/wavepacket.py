@@ -42,6 +42,10 @@ from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
 from .scattering import Region, _region_field, _sharp_regions  # noqa: F401
 from .series import TimeSeries, phase_matrix
 
+KGRID_SPAN = 10.0    # half-width of each component's k window, in units of dk
+ROUTE_TOL = 1e-3     # largest gamma*P2 vs -dN/dt discrepancy first_photon_density accepts
+BOUNDARY_TOL = 1e-10  # largest edge density * width / norm boundary_density_ok accepts
+
 
 @dataclass(frozen=True)
 class GaussianComponent:
@@ -143,42 +147,20 @@ class PacketSpec:
         return np.array([c.weight for c in self.components]) / self._norm
 
 
-def component_amplitude(
-    comp: GaussianComponent, k: np.ndarray, mass: float, hbar: float
-) -> np.ndarray:
-    kbar = mass * comp.mean_velocity / hbar
-    dk = 0.5 / comp.delta_x
-    envelope = (2.0 * math.pi * dk * dk) ** -0.25 * np.exp(-((k - kbar) ** 2) / (4.0 * dk * dk))
-    phase = np.exp(
-        1j * hbar * k * k * comp.waist_time / (2.0 * mass) - 1j * k * comp.waist_position
-    )
-    return envelope * phase
-
-
-def spectral_amplitude(spec: PacketSpec, k) -> np.ndarray:
-    """Wavenumber amplitude of the full packet (coherent sum, unit norm)."""
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    hbar = spec.constants.hbar
-    out = np.zeros(k.shape, dtype=complex)
-    for comp, w in zip(spec.components, spec.normalized_weights):
-        out += w * component_amplitude(comp, k, spec.mass, hbar)
-    return out
-
-
-def grid_amplitude(spec: PacketSpec, grid: KGrid) -> np.ndarray:
-    """Packet amplitude on a KGrid with exact-offset envelope arguments.
+def _amplitude(spec: PacketSpec, origin: float, offsets: np.ndarray) -> np.ndarray:
+    """Packet amplitude at wavenumbers origin + offsets (coherent sum, unit norm).
 
     The envelope argument k - kbar is formed as (origin - kbar) + offset;
-    origin and kbar agree to parts per million, so the subtraction is
-    exact, and the offsets are small by construction.
+    on a KGrid origin and kbar agree to parts per million, so the
+    subtraction is exact, and the offsets are small by construction.
     """
     hbar = spec.constants.hbar
-    k = grid.nodes
+    k = origin + offsets
     out = np.zeros(k.shape, dtype=complex)
     for comp, w in zip(spec.components, spec.normalized_weights):
         kbar = spec.mass * comp.mean_velocity / hbar
         dk = 0.5 / comp.delta_x
-        rel = (grid.origin - kbar) + grid.offsets
+        rel = (origin - kbar) + offsets
         envelope = (2.0 * math.pi * dk * dk) ** -0.25 * np.exp(-(rel * rel) / (4.0 * dk * dk))
         phase = np.exp(
             1j * hbar * k * k * comp.waist_time / (2.0 * spec.mass)
@@ -186,6 +168,16 @@ def grid_amplitude(spec: PacketSpec, grid: KGrid) -> np.ndarray:
         )
         out += w * envelope * phase
     return out
+
+
+def spectral_amplitude(spec: PacketSpec, k) -> np.ndarray:
+    """Packet amplitude at any k; ``grid_amplitude`` is the exact-offset form on a KGrid."""
+    return _amplitude(spec, 0.0, np.atleast_1d(np.asarray(k, dtype=float)))
+
+
+def grid_amplitude(spec: PacketSpec, grid: KGrid) -> np.ndarray:
+    """Packet amplitude on a KGrid with exact-offset envelope arguments."""
+    return _amplitude(spec, grid.origin, grid.offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +212,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def default_kgrid(spec: PacketSpec, n_nodes: int = 257, span: float = 10.0) -> KGrid:
-    """Gauss-Legendre panels over the union of component +-span*dk windows.
+def default_kgrid(spec: PacketSpec, n_nodes: int = 257) -> KGrid:
+    """Gauss-Legendre panels over the union of component +-KGRID_SPAN*dk windows.
 
     The ten-sigma span keeps spectral truncation below 1e-10 at field
     level (eight sigma would already cost ~1e-7 in evolved amplitudes).
@@ -235,7 +227,7 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257, span: float = 10.0) -> K
         kbar = spec.mass * comp.mean_velocity / hbar
         dk = 0.5 / comp.delta_x
         dk_min = min(dk_min, dk)
-        intervals.append((max(kbar - span * dk, 1e-12 * kbar), kbar + span * dk))
+        intervals.append((max(kbar - KGRID_SPAN * dk, 1e-12 * kbar), kbar + KGRID_SPAN * dk))
     intervals.sort()
     panels = [list(intervals[0])]
     for lo, hi in intervals[1:]:
@@ -564,8 +556,7 @@ class ConditionalPropagator:
             tail = 10.0 * cfg.beam_width
         return lo - tail, max(hi, cfg.beam_width) + tail
 
-    def boundary_density_ok(self, t: float, x_min: float, x_max: float,
-                            threshold: float = 1e-10) -> bool:
+    def boundary_density_ok(self, t: float, x_min: float, x_max: float) -> bool:
         psi_lo = self.state(np.array([x_min]), t)
         psi_hi = self.state(np.array([x_max]), t)
         norm = float(self.norm(np.array([t]), x_min, x_max)[0])
@@ -573,7 +564,7 @@ class ConditionalPropagator:
         boundary = float(
             (np.abs(psi_lo) ** 2 + np.abs(psi_hi) ** 2).sum()
         ) * width
-        return boundary <= threshold * max(norm, 1e-300)
+        return boundary <= BOUNDARY_TOL * max(norm, 1e-300)
 
 
 # --- module-level operations (thin wrappers) ------------------------------
@@ -623,7 +614,6 @@ def first_photon_density(
     grid: KGrid | None,
     times: TimeSeries,
     backend: str = "analytic",
-    consistency_tol: float = 1e-3,
 ) -> TimeSeries:
     """Observed first-photon density on the given uniform time grid.
 
@@ -634,7 +624,7 @@ def first_photon_density(
     routes agree through the continuity equation of the conditional
     dynamics, not through the time grid, so the discrepancy measures the
     overlap matrices and the window, whatever dt is.  Disagreement beyond
-    ``consistency_tol`` (relative, integrated) raises ConsistencyFailure.
+    ``ROUTE_TOL`` (relative, integrated) raises ConsistencyFailure.
     """
     if not (config.gamma > 0.0):
         raise ValueError("first_photon_density requires gamma > 0")
@@ -651,7 +641,7 @@ def first_photon_density(
         discrepancy = float(np.trapezoid(np.abs(pi - dn), dx=times.dt)) / denom
     else:
         discrepancy = 0.0
-    if discrepancy > consistency_tol:
+    if discrepancy > ROUTE_TOL:
         raise ConsistencyFailure(
             f"gamma*P2 vs -dN/dt disagree by {discrepancy:.2e} (integrated, relative)"
         )

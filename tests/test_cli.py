@@ -99,6 +99,15 @@ class TestAbsorptionMap:
         assert all(0.0 <= float(r[2]) <= 1.0 for r in data)
 
 
+    def test_fig4_explicit_limits_win(self):
+        # fig4 changes the default speed range only; explicit flags override it
+        code, out, _ = run_cli(["absorption-map", "--preset", "fig4", "--v-max", "1.0",
+                                "--n-v", "3", "--n-omega", "2"])
+        assert code == 0
+        assert "# v_mps = linspace(0.02, 1, 3)" in out
+        _, data = parse_csv(out)
+        assert [float(r[0]) for r in data[:3]] == [0.02, 0.51, 1.0]
+
     def test_jobs_parallel_identical_transfer(self, tmp_path):
         # worker processes apply to transfer-backend scans
         base = ["absorption-map", "--preset", "fig7", "--n-v", "3", "--n-omega", "3",
@@ -215,6 +224,13 @@ class TestAbsorptionCut:
         assert np.all(np.diff(weak) < 0.0)
         assert strong.max() > weak.max()
 
+    def test_analytic_backend_rejected_on_gaussian_profile(self):
+        code, out, err = run_cli(["absorption-cut", "--preset", "fig7",
+                                  "--backend", "analytic", "--n-v", "3"])
+        assert code == 1
+        assert "config error: analytic backend requires a sharp-edged profile" in err
+        assert out == ""
+
     def test_uncoupled_cut_is_zero(self):
         code, out, _ = run_cli(["absorption-cut", "--omega-in-gamma", "0",
                                 "--n-v", "5", "--v-min", "10", "--v-max", "100"])
@@ -287,6 +303,13 @@ class TestDistributions:
         assert np.trapezoid(pk, dx=dt) == pytest.approx(1.0, abs=1e-5)
         assert np.trapezoid(pi_id_n, dx=dt) == pytest.approx(1.0, abs=1e-6)
         assert 0.9 < np.trapezoid(pi, dx=dt) <= 1.0
+
+    def test_analytic_backend_rejected_on_gaussian_profile(self):
+        code, out, err = run_cli(["distributions", "--preset", "fig7", "--backend", "analytic",
+                                  "--v-mean", "150", "--delta-x-um", "30"])
+        assert code == 1
+        assert "config error: analytic backend requires a sharp-edged profile" in err
+        assert out == ""
 
     def test_uncoupled_densities_vanish(self, tmp_path):
         cfg = tmp_path / "uncoupled.cfg"

@@ -160,3 +160,16 @@ def test_singular_point_fails_alone():
     for i in (0, 2):
         single = kernels.sharp_edge_solve(k[i:i + 1], GAMMA, omegas[i], 5e-6, MASS, HBAR)
         assert np.array_equal(rows[i], single[0])
+
+
+def test_solve_singular_row_is_nan_others_keep_their_bits():
+    # one exactly singular system in a batch: that row is NaN, every other
+    # row is bit for bit the solve of its own system
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    A[2, 3] = 0.0
+    rhs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    x = reference._solve(A, rhs)
+    assert np.all(np.isnan(x[2]))
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(x[i], np.linalg.solve(A[i], rhs[i]))

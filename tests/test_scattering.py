@@ -111,6 +111,14 @@ class TestChannelWavenumbers:
             assert wn.k_minus.imag >= 0.0
 
 
+    def test_solution_view_keeps_k(self, cs_strong):
+        # the one-k view takes its wavenumbers from k itself, so no round
+        # trip through the energy moves k by an ulp
+        for v in np.linspace(1.0, 500.0, 200):
+            sol = solve_sharp_edge(k_of(v), cs_strong)
+            assert sol.wavenumbers.k == sol.k
+
+
 class TestSolveSharpEdge:
     def test_uncoupled_is_free(self):
         cfg = cesium_config(omega=0.0)

@@ -86,6 +86,16 @@ class TestPacketSpec:
         vals = np.abs(spectral_amplitude(spec, ks))
         assert np.argmax(vals) == 3
 
+    @pytest.mark.parametrize("make", [packet, fig6_packet])
+    def test_spectral_amplitude_matches_grid_amplitude(self, make):
+        # one amplitude core: at the grid nodes the two forms differ only by
+        # the rounding of the carrier-sized k - kbar in spectral_amplitude
+        spec, _ = make()
+        grid = default_kgrid(spec)
+        on_grid = grid_amplitude(spec, grid)
+        direct = spectral_amplitude(spec, grid.nodes)
+        assert np.abs(direct - on_grid).max() <= 1e-6 * np.abs(on_grid).max()
+
     def test_negative_momentum_rejected(self):
         # a packet with sizeable negative-momentum content must not build
         with pytest.raises(NormDeficit):
