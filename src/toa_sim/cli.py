@@ -77,23 +77,23 @@ def _parse_args(argv):
     parser.add_argument("--version", action="version", version=f"toa-sim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, backend=False, jobs=False):
+        """--config, --preset and --out, plus --backend and --jobs where they are read."""
         p.error = _argparse_error.__get__(p)
         p.add_argument("--config", help="flat key=value parameter file")
         p.add_argument("--preset", help="figure preset: fig1 fig2 fig3 fig4 fig5 fig6 fig7")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for transfer-backend scans "
-                            "(an analytic scan is one batched solve)")
-        p.add_argument(
-            "--backend",
-            choices=["analytic", "transfer"],
-            default=None,
-            help="scattering backend (default: analytic for sharp edges, transfer otherwise)",
-        )
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for transfer-backend scans "
+                                "(an analytic scan is one batched solve)")
+        if backend:
+            p.add_argument("--backend", choices=["analytic", "transfer"], default=None,
+                           help="scattering backend (default: analytic for sharp edges, "
+                                "transfer otherwise)")
 
     p = map_parser = sub.add_parser("absorption-map", help="A(v, omega) on a rectangular grid")
-    add_common(p)
+    add_common(p, backend=True, jobs=True)
     p.add_argument("--v-min", type=float, default=2.0)
     p.add_argument("--v-max", type=float, default=400.0)
     p.add_argument("--n-v", type=int, default=161)
@@ -103,7 +103,7 @@ def _parse_args(argv):
     p.add_argument("--n-slices", type=int, default=transfer.DEFAULT_SLICES)
 
     p = sub.add_parser("absorption-cut", help="A(v) at fixed omega")
-    add_common(p)
+    add_common(p, backend=True, jobs=True)
     p.add_argument("--v-min", type=float, default=2.0)
     p.add_argument("--v-max", type=float, default=900.0)
     p.add_argument("--n-v", type=int, default=1200)
@@ -125,7 +125,7 @@ def _parse_args(argv):
     p.add_argument("--n-L", type=int, default=100)
 
     p = sub.add_parser("distributions", help="arrival-time distribution columns")
-    add_common(p)
+    add_common(p, backend=True)
     p.add_argument("--v-mean", type=float, default=None, help="packet mean velocity (m/s)")
     p.add_argument("--delta-x-um", type=float, default=None, help="packet width (um)")
     p.add_argument("--flux-position", type=float, default=None,
@@ -294,7 +294,7 @@ def cmd_absorption_cut(args) -> str:
         if args.omega_in_gamma is not None:
             marker_cfg = with_omega(config, args.omega_in_gamma * config.gamma)
         names, omegas = ["A"], [marker_cfg.omega]
-    a, status = _absorption_scan(config, v, omegas, backend, args.n_slices)
+    a, status = _absorption_scan(config, v, omegas, backend, args.n_slices, args.jobs)
 
     extra = []
     if marker_cfg.omega > 0.0:
@@ -368,7 +368,6 @@ def cmd_distributions(args) -> str:
                   for v in velocities)
     spec = wpk.PacketSpec(components=comps, mass=config.mass)
     grid = wpk.default_kgrid(spec, n_nodes=args.k_nodes)
-    prop = wpk.ConditionalPropagator(spec, config, grid, backend=backend)
 
     report = classify(config, v_ref)
     if not report.ideal_chain_ok:
@@ -385,7 +384,15 @@ def cmd_distributions(args) -> str:
     )
     x_eval = args.flux_position if args.flux_position is not None else L
 
-    pi_vals = prop.photon_density(times.times) if config.gamma > 0.0 else np.zeros(len(times))
+    route = []
+    if config.gamma > 0.0:
+        # gamma*P2 with its -dN/dt route check: a ConsistencyFailure exits 2
+        observed = wpk.first_photon_density(spec, config, grid, times, backend=backend)
+        pi_vals = observed.values
+        route = [f"{key} = {_float_fmt(observed.meta[key])}"
+                 for key in ("route_discrepancy", "survival_end")]
+    else:
+        pi_vals = np.zeros(len(times))
     pi = dist.DistributionSeries(t0=times.t0, dt=times.dt, values=pi_vals, kind="observed")
     flux = dist.free_flux(spec, x_eval, times)
     kij = dist.kijowski_density(spec, x_eval, times)
@@ -407,6 +414,7 @@ def cmd_distributions(args) -> str:
         f"waist_time_s = {_float_fmt(tw)}",
         f"flux_position_m = {_float_fmt(x_eval)}",
         f"backend = {backend}",
+        *route,
     ])]
     lines.append("t_s,J,Pi,Pi_id,Pi_id_norm,Pi_K")
     lines += _csv_rows(*(_text_column(col) for col in (

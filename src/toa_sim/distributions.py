@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, UnderResolvedWarning, ZeroIntegral
-from .series import TimeSeries, phase_matrix
+from .series import TimeSeries, chebyshev_samples
 
 KINDS = ("flux", "kijowski", "observed", "ideal", "kernel")
 
@@ -39,44 +39,43 @@ class DistributionSeries(TimeSeries):
                                   meta=merged, kind=kind)
 
 
+def _free_waves(spec, x: float, times: TimeSeries):
+    """Free packet at x as (k, per-mode waves at the sample nodes, resample).
+
+    Column j of the (nk, nodes) waves is w_k psi(k) exp(i k x - i omega_k
+    t_j) on the default k-grid.  J and the axiomatic density are bilinear in
+    these waves, so their bandwidth is the span of the omegas and they are
+    sampled at ``series.chebyshev_samples`` nodes.
+    """
+    from .wavepacket import default_kgrid, grid_amplitude
+
+    grid = default_kgrid(spec)
+    k = grid.nodes
+    omega_rel = relative_frequencies(k, spec.mass, spec.constants.hbar)
+    nodes, resample = chebyshev_samples(times.times, np.ptp(omega_rel))
+    coeff = grid.weights * grid_amplitude(spec, grid) * np.exp(1j * k * x)
+    return k, coeff[:, None] * np.exp(-1j * np.outer(omega_rel, nodes)), resample
+
+
 def free_flux(spec, x: float, times: TimeSeries) -> DistributionSeries:
     """Quantum probability current of the freely moving packet at position x.
 
     May be negative for purely positive-momentum packets (backflow); no
     clamping is applied anywhere in this module.
     """
-    from .wavepacket import default_kgrid, grid_amplitude
-
-    grid = default_kgrid(spec)
-    hbar = spec.constants.hbar
-    mass = spec.mass
-    k = grid.nodes
-    coeff = grid.weights * grid_amplitude(spec, grid) * np.exp(1j * k * x)
-    omega_rel = relative_frequencies(k, mass, hbar)
-    b, a = np.stack([coeff, coeff * k]) @ phase_matrix(omega_rel, times.times)
-    j = (hbar / (2.0 * math.pi * mass)) * np.real(np.conj(b) * a)
-    return DistributionSeries(t0=times.t0, dt=times.dt, values=j,
+    k, waves, resample = _free_waves(spec, x, times)
+    b, a = np.stack([np.ones_like(k), k]) @ waves
+    j = (spec.constants.hbar / (2.0 * math.pi * spec.mass)) * np.real(np.conj(b) * a)
+    return DistributionSeries(t0=times.t0, dt=times.dt, values=resample(j),
                               meta={"position_m": x}, kind="flux")
 
 
 def kijowski_density(spec, x: float, times: TimeSeries) -> DistributionSeries:
     """Axiomatic non-negative arrival density (geometric-mean kernel)."""
-    from .wavepacket import default_kgrid, grid_amplitude
-
-    grid = default_kgrid(spec)
-    hbar = spec.constants.hbar
-    mass = spec.mass
-    k = grid.nodes
-    coeff = (
-        grid.weights
-        * grid_amplitude(spec, grid)
-        * np.sqrt(hbar * k / mass)
-        * np.exp(1j * k * x)
-    )
-    omega_rel = relative_frequencies(k, mass, hbar)
-    amp = coeff @ phase_matrix(omega_rel, times.times)
-    vals = np.abs(amp) ** 2 / (2.0 * math.pi)
-    return DistributionSeries(t0=times.t0, dt=times.dt, values=vals,
+    k, waves, resample = _free_waves(spec, x, times)
+    amp = np.sqrt(spec.constants.hbar * k / spec.mass) @ waves
+    return DistributionSeries(t0=times.t0, dt=times.dt,
+                              values=resample(np.abs(amp) ** 2 / (2.0 * math.pi)),
                               meta={"position_m": x}, kind="kijowski")
 
 

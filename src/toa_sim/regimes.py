@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveVelocity
+from .errors import ConfigError, NonPositiveVelocity
 from .model import CONSTANTS, ValidatedConfig
 
 RIDGE_INDEX_MAX = 200
@@ -21,7 +21,8 @@ def penetration_length(v: float, gamma: float, omega: float) -> float:
     if not (v > 0.0):
         raise NonPositiveVelocity(f"v must be > 0, got {v!r}")
     if not (gamma > 0.0) or not (omega > 0.0):
-        raise ValueError("penetration_length requires gamma > 0 and omega > 0")
+        raise ConfigError(f"penetration length needs gamma > 0 and omega > 0, "
+                          f"got gamma = {gamma:g}, omega = {omega:g}")
     return 5.0 * v * (2.0 / gamma + gamma / (omega * omega))
 
 
@@ -92,7 +93,7 @@ def critical_temperature(beam_width: float, gamma: float, mass: float) -> float:
     under strong driving equals the beam width.
     """
     if not (beam_width > 0.0 and gamma > 0.0 and mass > 0.0):
-        raise ValueError("all arguments must be > 0")
+        raise ConfigError("critical temperature needs beam width, gamma and mass > 0")
     v_l = beam_width * gamma / 10.0
     return mass * v_l * v_l / CONSTANTS.boltzmann
 

@@ -1,4 +1,4 @@
-"""Uniformly sampled time series and their CSV form."""
+"""Time series: uniform grids, their CSV form, and band-limited sampling."""
 
 from __future__ import annotations
 
@@ -53,35 +53,61 @@ class TimeSeries:
             )
 
 
-def phase_matrix(omega: np.ndarray, times) -> np.ndarray:
-    """exp(-1j * outer(omega, times)), shape (len(omega), len(times)).
+def _node_count(c: float) -> int:
+    """Chebyshev node count that resolves every exp(i w s), |w| <= c, on [-1, 1].
 
-    On an arithmetic grid (``TimeSeries.times``, ``np.linspace``) sample
-    j = a B + b with B = ceil(sqrt(n)) is the product of a coarse factor
-    exp(-i omega t_{aB}) and a fine factor exp(-i omega (t_b - t_0)), so
-    only about 2 sqrt(n) columns take an exponential and the rest one
-    complex multiply each.  The grid qualifies when t_{aB} + (t_b - t_0)
-    reproduces every t_j to 16 eps max|t|; the phases then carry
-    ~eps |omega t| error, the order of the rounding of omega * t in the
-    direct form.  Any other array takes the direct form.
+    exp(i c s) = sum_m i^m (2 - delta_m0) J_m(c) T_m(s), and interpolating
+    at m + 1 points leaves an error of at most twice the dropped
+    coefficients, 4 sum_{j>m} |J_j(c)|.  Past j = c, Watson's bound
+    |J_j(c)| <= exp(-j (a - tanh a)) / sqrt(2 pi j tanh a), cosh a = j / c,
+    falls by a factor exp(-a) per order, so the tail is geometric; m is the
+    first order where it drops below double rounding (2**-53).  That is
+    c + O(c**(1/3)) points: 143 at c = 90, 187 at c = 128.
     """
-    omega = np.asarray(omega, dtype=float)
+    m = math.floor(c) + 1
+    while c > 0.0:
+        a = math.acosh(m / c)
+        t = math.tanh(a)
+        tail = math.exp(-m * (a - t)) / (math.sqrt(2.0 * math.pi * m * t) * -math.expm1(-a))
+        if 4.0 * tail <= 2.0 ** -53:
+            break
+        m += 1
+    return m + 1
+
+
+def chebyshev_samples(times, bandwidth: float):
+    """Sample times for a function band-limited to ``bandwidth``, and its resampler.
+
+    A function whose angular frequencies lie in [-bandwidth, bandwidth] (a
+    quadratic form in phases exp(-i omega t): its frequencies are
+    differences of the omegas, ``bandwidth`` is their span) is fixed on
+    [min t, max t] to double rounding by its values at the
+    second-kind Chebyshev points of ``_node_count``, endpoints included,
+    so the first and last time are sampled exactly.  Returns those nodes
+    and ``resample``, which maps values at the nodes (last axis) to values
+    at ``times`` by the barycentric formula (Berrut & Trefethen, SIAM Rev.
+    46, 501 (2004)); one (len(times), nodes) map serves every row passed.
+    When the count reaches len(times) the nodes are the times themselves
+    and ``resample`` returns its argument.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    n = times.shape[0]
-    if n > 2:
-        block = math.isqrt(n - 1) + 1
-        starts = times[::block]
-        steps = times[:block] - times[0]
-        fitted = (starts[:, None] + steps[None, :]).ravel()[:n]
-        if np.abs(fitted - times).max() <= 16.0 * np.finfo(float).eps * np.abs(times).max():
-            coarse = np.exp(-1j * np.outer(omega, starts))
-            fine = np.exp(-1j * np.outer(omega, steps))
-            out = np.empty((omega.shape[0], n), dtype=complex)
-            for a, lo in enumerate(range(0, n, block)):
-                hi = min(lo + block, n)
-                np.multiply(coarse[:, a : a + 1], fine[:, : hi - lo], out=out[:, lo:hi])
-            return out
-    return np.exp(-1j * np.outer(omega, times))
+    lo, hi = (float(times.min()), float(times.max())) if times.size else (0.0, 0.0)
+    r = _node_count(0.5 * bandwidth * (hi - lo))
+    if r >= times.size or not hi > lo:
+        return times, lambda values: values
+    x = np.sin(0.5 * math.pi * np.arange(r - 1, -r, -2) / (r - 1))  # 1 ... -1, symmetric
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    nodes[0], nodes[-1] = hi, lo
+    weights = np.where(np.arange(r) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    diff = (((times - lo) - (hi - times)) / (hi - lo))[:, None] - x  # exactly +-1 at the ends
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        basis = weights / diff
+    rows = hit.any(axis=1)
+    basis[rows] = hit[rows]
+    basis /= basis.sum(axis=1, keepdims=True)
+    return nodes, lambda values: values @ basis.T
 
 
 def l1_distance(a: TimeSeries, b: TimeSeries) -> float:

@@ -21,9 +21,14 @@ detection matrix is built, a norm window that covers every finite region
 equals the detection matrix plus the ground-channel Grams minus the
 excited Grams of the half-line tails beyond the window.  The survival
 loss rate -dN/dt is the exact derivative of its quadratic form, so the
-first-photon route check carries no time-step error.  Time phases exp(-i omega t) on a uniform grid are
-built by ``series.phase_matrix`` from ~sqrt(n) coarse and ~sqrt(n) fine
-exponentials, to ~eps |omega t|, the rounding of the direct form.
+first-photon route check carries no time-step error.
+
+Every time-domain output is a quadratic form in the phases
+exp(-i omega_k t), with frequencies only at differences of the omegas, so
+it is evaluated at the band-limited Chebyshev nodes of
+``series.chebyshev_samples`` (about 150 for the paper's packets, not one
+per output time) and carried to the requested times by one barycentric
+map, exact to double rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarni
 from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
 # Region is re-exported: the overlap engine integrates its mode lists.
 from .scattering import Region, _region_field, _sharp_regions  # noqa: F401
-from .series import TimeSeries, phase_matrix
+from .series import TimeSeries, chebyshev_samples
 
 KGRID_SPAN = 10.0    # half-width of each component's k window, in units of dk
 ROUTE_TOL = 1e-3     # largest gamma*P2 vs -dN/dt discrepancy first_photon_density accepts
@@ -431,27 +436,30 @@ class ConditionalPropagator:
             self._norm_matrix_cache[key] = out
         return self._norm_matrix_cache[key]
 
-    def _pair_terms(self, matrix: np.ndarray, times):
-        """Yield (time slice, conj(v) * (matrix^T v)) per chunk of times.
+    def _forms(self, matrix: np.ndarray, times) -> np.ndarray:
+        """Rows Re v^H matrix^T v and 2 Im sum_k omega_k conj(v_k) (matrix^T v)_k at times.
 
-        v = coeff * exp(-i omega t) is the state vector in the mode basis;
-        summing the yielded (nk, chunk) array over modes gives the quadratic
-        form v^H matrix^T v at each time.
+        v = coeff * exp(-i omega t) is the state vector in the mode basis.
+        For a Hermitian matrix the second row is -d/dt of the first.  Both
+        oscillate only at differences of the omegas, so they are formed at
+        the band-limited nodes of ``series.chebyshev_samples`` and resampled
+        to the times through one shared map.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
+        nodes, resample = chebyshev_samples(times, np.ptp(self.omega_rel))
+        out = np.empty((2, nodes.shape[0]))
         chunk = max(1, int(4e6 // max(self.k.shape[0], 1)))
-        for start in range(0, times.shape[0], chunk):
-            v = phase_matrix(self.omega_rel, times[start : start + chunk])
+        for start in range(0, nodes.shape[0], chunk):
+            part = slice(start, start + chunk)
+            v = np.exp(-1j * np.outer(self.omega_rel, nodes[part]))
             v *= self.coeff[:, None]
             terms = matrix.T @ v
             terms *= np.conj(v)
-            yield slice(start, start + chunk), terms
+            out[0, part] = terms.real.sum(axis=0)
+            out[1, part] = 2.0 * (self.omega_rel @ terms.imag)
+        return resample(out)
 
     def _quadratic(self, matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
-        out = np.empty(np.size(times))
-        for part, terms in self._pair_terms(matrix, times):
-            out[part] = terms.real.sum(axis=0)
-        return out
+        return self._forms(matrix, times)[0]
 
     # -- physics --------------------------------------------------------
 
@@ -524,11 +532,7 @@ class ConditionalPropagator:
         the quadratic form itself, free of any time grid, from the same
         product as N(t).
         """
-        out = np.empty((2, np.size(t)))
-        for part, terms in self._pair_terms(self.norm_matrix(x_min, x_max), t):
-            out[0, part] = terms.real.sum(axis=0)
-            out[1, part] = 2.0 * (self.omega_rel @ terms.imag)
-        return out[0], out[1]
+        return tuple(self._forms(self.norm_matrix(x_min, x_max), t))
 
     def default_domain(self, t: float) -> tuple[float, float]:
         """Spatial window guaranteed to hold the surviving state at time t.

@@ -7,6 +7,7 @@ import pytest
 
 from toa_sim.cli import main
 from toa_sim.errors import ConvergenceWarning
+from toa_sim.series import TimeSeries
 
 
 def run_cli(args, tmp_path=None):
@@ -57,6 +58,29 @@ class TestExitCodes:
                                 "--delta-x-um", "0.001"])
         assert code == 2
         assert "numeric failure" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["plane", "--backend", "analytic"],
+        ["critical-temperature", "--backend", "transfer"],
+        ["regime", "--velocity", "10", "--backend", "analytic"],
+        ["plane", "--jobs", "2"],
+        ["distributions", "--jobs", "2"],
+    ], ids=["plane-backend", "tc-backend", "regime-backend", "plane-jobs", "dist-jobs"])
+    def test_flags_only_where_read(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert "config error: unrecognized arguments" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["plane", "critical-temperature"])
+    def test_undamped_config_is_config_error(self, command, tmp_path):
+        cfg = tmp_path / "undamped.cfg"
+        cfg.write_text("mass_kg = 2.2069e-25\ngamma_per_s = 0\nomega_per_s = 1e8\nL_um = 5\n")
+        code, out, err = run_cli([command, "--config", str(cfg)])
+        assert code == 1
+        assert err.startswith("config error: ") and "gamma" in err
+        assert out == ""
 
 
 class TestAbsorptionMap:
@@ -231,6 +255,20 @@ class TestAbsorptionCut:
         assert "config error: analytic backend requires a sharp-edged profile" in err
         assert out == ""
 
+    def test_jobs_reach_the_transfer_scan(self, monkeypatch, tmp_path):
+        import toa_sim.cli as cli
+
+        seen = []
+        scan = cli._absorption_scan
+        monkeypatch.setattr(cli, "_absorption_scan", lambda *a: seen.append(a[-1]) or scan(*a))
+        base = ["absorption-cut", "--preset", "fig5", "--backend", "transfer",
+                "--n-v", "4", "--n-slices", "8"]
+        p1, p2 = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert run_cli(base + ["--out", str(p1)])[0] == 0
+        assert run_cli(base + ["--jobs", "2", "--out", str(p2)])[0] == 0
+        assert seen == [1, 2]
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_uncoupled_cut_is_zero(self):
         code, out, _ = run_cli(["absorption-cut", "--omega-in-gamma", "0",
                                 "--n-v", "5", "--v-min", "10", "--v-max", "100"])
@@ -326,6 +364,43 @@ class TestDistributions:
         j = np.array([float(r[1]) for r in data])
         assert np.abs(pi).max() == 0.0
         assert j.max() > 0.0
+
+
+    def test_route_check_in_header(self, monkeypatch, tmp_path):
+        from toa_sim import wavepacket as wpk
+
+        args = ["distributions", "--v-mean", "166.2", "--delta-x-um", "50",
+                "--n-times", "300", "--k-nodes", "129"]
+        code, out, _ = run_cli(args)
+        assert code == 0
+        meta = dict(line[2:].split(" = ", 1) for line in out.splitlines()
+                    if line.startswith("# ") and " = " in line)
+        assert float(meta["route_discrepancy"]) < 1e-3
+        assert 0.0 <= float(meta["survival_end"]) < 1.0
+
+        # the checked Pi is photon_density's, byte for byte
+        def unchecked(spec, config, grid, times, backend):
+            prop = wpk.ConditionalPropagator(spec, config, grid, backend=backend)
+            return TimeSeries(t0=times.t0, dt=times.dt, values=prop.photon_density(times.times),
+                              meta={"route_discrepancy": 0.0, "survival_end": 0.0})
+
+        monkeypatch.setattr(wpk, "first_photon_density", unchecked)
+        assert run_cli(args)[1].split("t_s,J,Pi")[1] == out.split("t_s,J,Pi")[1]
+
+    def test_inconsistent_density_exits_2(self, tmp_path):
+        # the transfer backend loses the decaying solution at 1 m/s: its Pi
+        # integrates far above 1, and the route check refuses to print it
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("mass_kg = 2.2069e-25\ngamma_per_s = 3.28e7\n"
+                       "omega_in_gamma = 2\nL_um = 5\n")
+        with pytest.warns(UserWarning):
+            code, out, err = run_cli(["distributions", "--config", str(cfg),
+                                      "--backend", "transfer", "--v-mean", "1",
+                                      "--delta-x-um", "2", "--n-times", "200",
+                                      "--k-nodes", "64"])
+        assert code == 2
+        assert "numeric failure: gamma*P2 vs -dN/dt disagree" in err
+        assert out == ""
 
 
 class TestRegimeCommand:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GAMMA, HBAR, MASS
 from toa_sim import distributions as ds
 from toa_sim.errors import GridMismatch, UnderResolvedWarning, ZeroIntegral
-from toa_sim.series import TimeSeries, l1_distance
-from toa_sim.wavepacket import GaussianComponent, PacketSpec
+from toa_sim.series import TimeSeries, _node_count, l1_distance
+from toa_sim.wavepacket import GaussianComponent, PacketSpec, default_kgrid, grid_amplitude
 
 
 def grid(t0, t1, n):
@@ -211,6 +213,37 @@ class TestKijowski:
         j = ds.free_flux(spec, 5e-6, times)
         pk = ds.kijowski_density(spec, 5e-6, times)
         assert l1_distance(j, pk) < 1e-3
+
+
+def direct_free(spec, x, t):
+    """J and the axiomatic density of the free packet, formed at every time."""
+    g = default_kgrid(spec)
+    k = g.nodes
+    coeff = g.weights * grid_amplitude(spec, g) * np.exp(1j * k * x)
+    waves = coeff[:, None] * np.exp(-1j * np.outer(ds.relative_frequencies(k, MASS, HBAR), t))
+    b, a, amp = np.stack([np.ones_like(k), k, np.sqrt(HBAR * k / MASS)]) @ waves
+    return HBAR / (2 * math.pi * MASS) * np.real(np.conj(b) * a), np.abs(amp) ** 2 / (2 * math.pi)
+
+
+class TestFreeSampling:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(half=st.floats(1e-3, 20.0), offset=st.floats(-3.0, 3.0),
+           size=st.sampled_from([1, 2, -1, 0, 1j]) | st.integers(1, 3000))
+    def test_matches_direct_evaluation(self, half, offset, size):
+        # size -1, 0, 1j: one below, at and above the node count
+        spec, tw = single_packet()
+        sig_t = 50e-6 / 166.2
+        omega = ds.relative_frequencies(default_kgrid(spec).nodes, MASS, HBAR)
+        r = _node_count(np.ptp(omega) * half * sig_t)
+        n = r + int(size.imag) + int(size.real) if size in (-1, 0, 1j) else size
+        lo = tw + (offset - half) * sig_t
+        times = TimeSeries(t0=lo, dt=2 * half * sig_t / max(n - 1, 1), values=np.zeros(n))
+        got = ds.free_flux(spec, 5e-6, times).values, ds.kijowski_density(spec, 5e-6, times).values
+        # normalised by each density's size over the passage (the peak ~1/sig_t)
+        passage = direct_free(spec, 5e-6, np.linspace(tw - 6 * sig_t, tw + 6 * sig_t, 121))
+        for g, want, ref in zip(got, direct_free(spec, 5e-6, times.times), passage):
+            assert g.shape == want.shape
+            assert np.abs(g - want).max() <= 1e-12 * max(np.abs(want).max(), np.abs(ref).max())
 
 
 class TestDistributionCsv:

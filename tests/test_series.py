@@ -1,11 +1,19 @@
 import io
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toa_sim.errors import GridMismatch
-from toa_sim.series import TimeSeries, l1_distance, phase_matrix, read_csv, write_csv
+from toa_sim.series import (
+    TimeSeries,
+    _node_count,
+    chebyshev_samples,
+    l1_distance,
+    read_csv,
+    write_csv,
+)
 
 
 def test_basics():
@@ -48,42 +56,94 @@ def test_read_csv_rejects_nonuniform():
         read_csv(io.StringIO(text))
 
 
-OMEGA = np.linspace(-3e7, 2e7, 37)
+def direct_forms(omega, coeff, matrix, times):
+    """Re v^H M^T v and 2 Im sum omega conj(v) (M^T v), one time at a time."""
+    rows = []
+    for t in times:
+        v = coeff * np.exp(-1j * omega * t)
+        w = matrix.T @ v
+        rows.append([np.real(np.conj(v) @ w), 2.0 * np.imag((omega * np.conj(v)) @ w)])
+    return np.array(rows).T
 
 
-def direct_phases(times):
-    return np.exp(-1j * np.outer(OMEGA, times))
+def sampled_forms(omega, coeff, matrix, times):
+    """The same rows at the band-limited nodes, resampled to the times."""
+    nodes, resample = chebyshev_samples(times, np.ptp(omega))
+    return resample(direct_forms(omega, coeff, matrix, nodes))
 
 
-@pytest.mark.parametrize("times, factorised", [
-    (TimeSeries(t0=2e-6, dt=3.7e-9, values=np.zeros(1601)).times, True),
-    (TimeSeries(t0=-4e-6, dt=5e-9, values=np.zeros(1000)).times, True),
-    (np.linspace(0.0, 8e-6, 1201), True),
-    (np.linspace(-3e-6, 5e-6, 7), True),
-    (np.array([1e-6]), False),
-    (np.array([-1e-6, 2e-6]), False),
-    (np.array([0.0, 1e-6, 3e-6, 3.5e-6, 8e-6]), False),
-    (np.geomspace(1e-7, 1e-5, 200), False),
-    (np.linspace(0.0, 8e-6, 1201) * np.where(np.arange(1201) == 500, 1.0 + 1e-9, 1.0), False),
-], ids=["timeseries", "negative-t0", "linspace", "linspace-7", "n1", "n2",
-        "nonuniform", "geometric", "jittered"])
-def test_phase_matrix_matches_direct_exponentials(times, factorised, monkeypatch):
-    direct = direct_phases(times)
-    columns = []
-    exp = np.exp
+@st.composite
+def band_limited_cases(draw):
+    """A random Hermitian quadratic form and times: bandwidth c from 0 to 300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nk = draw(st.integers(1, 9))
+    c = draw(st.sampled_from([0.0, 1e-6, 0.3]) | st.floats(0.0, 300.0))
+    width = draw(st.floats(1e-7, 1e-3))
+    # windows within a few widths of t = 0, as in the propagator: the phases
+    # omega t then round like the band-limited form, not like a carrier
+    t0 = width * draw(st.floats(-2.0, 2.0))
+    omega = np.sort(rng.uniform(-1.0, 1.0, nk)) * c / width  # span <= 2 c / width
+    coeff = rng.normal(size=nk) + 1j * rng.normal(size=nk)
+    half = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
+    matrix = half + half.conj().T
+    r = _node_count(0.5 * np.ptp(omega) * width)
+    n = draw(st.sampled_from([1, 2, r - 1, r, r + 1, r + 7]) | st.integers(1, 600))
+    layout = draw(st.sampled_from(["uniform", "unsorted", "nonuniform"]))
+    times = t0 + width * np.linspace(0.0, 1.0, max(n, 1))
+    if layout == "unsorted":
+        times = rng.permutation(times)
+    elif layout == "nonuniform" and n > 2:
+        times[1:-1] = np.sort(t0 + width * rng.uniform(0.0, 1.0, n - 2))
+    return omega, coeff, matrix, times
 
-    def counting_exp(x, *args, **kwargs):
-        columns.append(np.shape(x)[-1])
-        return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "exp", counting_exp)
-    got = phase_matrix(OMEGA, times)
-    monkeypatch.undo()
-    assert got.shape == (OMEGA.size, times.size)
-    scale = np.abs(OMEGA).max() * np.abs(times).max()
-    assert np.abs(got - direct).max() <= 64 * np.finfo(float).eps * (1 + scale)
-    # uniform grids take the coarse x fine route: ~2 sqrt(n) exponential columns
-    if factorised:
-        assert sum(columns) <= 2 * math.ceil(math.sqrt(times.size)) < times.size
-    else:
-        assert sum(columns) == times.size
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(band_limited_cases())
+def test_resampled_forms_match_direct_evaluation(case):
+    omega, coeff, matrix, times = case
+    direct = direct_forms(omega, coeff, matrix, times)
+    got = sampled_forms(omega, coeff, matrix, times)
+    assert got.shape == direct.shape
+    # a row that cancels (the rate of a one-mode form is 0) is normalised by
+    # the size of its terms, where direct evaluation rounds
+    magnitude = (np.abs(coeff) @ np.abs(matrix) @ np.abs(coeff)
+                 * np.array([1.0, np.abs(omega).max()]))
+    scale = np.maximum(np.abs(direct).max(axis=1), 1e-2 * magnitude)[:, None]
+    assert np.all(np.abs(got - direct) <= 1e-12 * scale)
+    # the window ends are sampled, not interpolated
+    ends = [int(np.argmin(times)), int(np.argmax(times))]
+    np.testing.assert_array_equal(got[:, ends], direct[:, ends])
+
+
+def test_short_series_are_their_own_nodes():
+    omega = np.array([-2e7, 0.0, 3e7])
+    for times in (np.array([1e-6]), np.array([2e-6, -1e-6]),
+                  np.geomspace(1e-7, 1e-5, 40), np.linspace(0.0, 1e-5, 200)):
+        nodes, resample = chebyshev_samples(times, np.ptp(omega))
+        assert np.array_equal(nodes, times)
+        values = np.arange(2.0 * times.size).reshape(2, -1)
+        assert resample(values) is values
+
+
+def test_long_series_take_band_limited_nodes():
+    times = TimeSeries(t0=2e-4, dt=1e-7, values=np.zeros(1601)).times
+    bandwidth = 2.0 * 128.0 / (times[-1] - times[0])  # c = 128
+    nodes, _ = chebyshev_samples(times, bandwidth)
+    assert nodes.size == _node_count(128.0) == 187
+    assert (nodes[0], nodes[-1]) == (times[-1], times[0])
+
+
+@pytest.mark.parametrize("c", np.concatenate([[0.0, 1e-9, 1e-3, 0.1, 0.5],
+                                              np.linspace(1.0, 500.0, 41)]))
+def test_node_count_drops_only_rounding_level_coefficients(c):
+    """Chebyshev coefficients of exp(i c s) beyond the node count sit at rounding."""
+    n = _node_count(c)
+    coef = np.polynomial.chebyshev.chebinterpolate(lambda s: np.exp(1j * c * s), n + 8)
+    eps = np.finfo(float).eps
+    # chebinterpolate's own rounding grows with the degree: ~eps per coefficient
+    # and node, measured below 1.5 eps n over this range
+    assert np.abs(coef[n:]).max() <= 4.0 * eps * n
+    assert n <= c + 12.0 * max(c, 1.0) ** (1.0 / 3.0) + 4.0
+    if n >= 6 and c <= 20.0:
+        # where chebinterpolate resolves them, six nodes fewer would drop a real coefficient
+        assert np.abs(coef[n - 6]) > 100.0 * eps

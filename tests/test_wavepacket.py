@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import GAMMA, HBAR, MASS, k_of
 from toa_sim import distributions as ds
 from toa_sim.errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from toa_sim.model import RabiProfile, cesium_config
-from toa_sim.series import TimeSeries, l1_distance
+from toa_sim.series import TimeSeries, _node_count, l1_distance
 from toa_sim.wavepacket import (
     ConditionalPropagator,
     GaussianComponent,
@@ -576,3 +577,58 @@ class TestDegeneratePoint:
         (_, exact, _), (_, below, _), (_, above, _) = (
             passage(f, v, delta_x, backend) for f in DEGENERATE_SIDES)
         assert np.abs(exact - 0.5 * (below + above)).max() <= 1e-5 * np.abs(exact).max()
+
+
+@functools.cache
+def sampled_propagator():
+    """A ridge packet's propagator with both matrices built, and its waist time."""
+    spec, tw = packet()
+    prop = ConditionalPropagator(spec, cesium_config(omega=104.43e6),
+                                 default_kgrid(spec, n_nodes=64))
+    prop.detection_matrix()
+    return prop, tw
+
+
+def direct_forms(prop, matrix, t):
+    """Re v^H M^T v and 2 Im sum omega conj(v) (M^T v), formed at every time."""
+    v = prop.coeff[:, None] * np.exp(-1j * np.outer(prop.omega_rel, t))
+    terms = np.conj(v) * (matrix.T @ v)
+    return terms.real.sum(axis=0), 2.0 * (prop.omega_rel @ terms.imag)
+
+
+class TestBandLimitedSampling:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(half=st.floats(1e-3, 20.0), offset=st.floats(-3.0, 3.0),
+           layout=st.sampled_from(["uniform", "unsorted", "nonuniform"]),
+           size=st.sampled_from([1, 2, -1, 0, 1j]) | st.integers(1, 800),
+           seed=st.integers(0, 2**16))
+    def test_forms_match_direct_evaluation(self, half, offset, layout, size, seed):
+        # size -1, 0, 1j: one below, at and above the node count
+        prop, tw = sampled_propagator()
+        sig_t = prop.spec.components[0].delta_x / prop.spec.components[0].mean_velocity
+        lo, hi = tw + (offset - half) * sig_t, tw + (offset + half) * sig_t
+        r = _node_count(0.5 * np.ptp(prop.omega_rel) * (hi - lo))
+        n = r + int(size.imag) + int(size.real) if size in (-1, 0, 1j) else size
+        rng = np.random.default_rng(seed)
+        t = np.linspace(lo, hi, n)
+        if layout == "unsorted":
+            t = rng.permutation(t)
+        elif layout == "nonuniform" and n > 2:
+            t[1:-1] = np.sort(rng.uniform(lo, hi, n - 2))
+        window = prop.default_domain(tw)
+        d2 = prop.detection_matrix()
+        dw = np.subtract.outer(prop.omega_rel, prop.omega_rel)
+        gamma = prop.config.gamma
+
+        def direct(t):
+            return (gamma * direct_forms(prop, d2, t)[0],
+                    direct_forms(prop, d2 * (gamma - 1j * dw), t)[0],
+                    *direct_forms(prop, prop.norm_matrix(*window), t))
+
+        got = (prop.photon_density(t), prop.ideal_density(t), *prop.norm_and_rate(t, *window))
+        # each output is normalised by its size over the passage, so a window
+        # far from the beam, where the forms cancel to rounding, is judged fairly
+        passage = direct(np.linspace(tw - 6 * sig_t, tw + 6 * sig_t, 121))
+        for g, want, ref in zip(got, direct(t), passage):
+            assert g.shape == want.shape
+            assert np.abs(g - want).max() <= 1e-12 * max(np.abs(want).max(), np.abs(ref).max())
