@@ -128,15 +128,15 @@ class Region:
     x1 = -inf to x2 = +inf, each starting where the previous one ends: the
     incident side, one region per constant-coupling slice (one for the sharp
     beam), the transmitted side.  Field evaluation (``_region_field``) and
-    the overlap engine (``wavepacket._region_gram``) both read it.
+    the overlap engine (``wavepacket._overlap_sums``) both read it.
 
     Invariant: every mode is bounded by |coef| in its region, i.e.
     |exp(i kappa (x - anchor))| <= 1 at each finite endpoint.
-    ``_region_gram`` relies on it: it forms each mode's endpoint values on
-    their own and multiplies pairs of them, which cannot overflow only
-    because every factor is bounded.  The infinite endpoints are allowed
-    when the corresponding pair exponents decay (excited channel with
-    gamma > 0).
+    The overlap engine relies on it: it forms each mode's endpoint values
+    on their own and sums products of them in stacked numerators, which
+    cannot overflow only because every factor is bounded.  The infinite
+    endpoints are allowed when the corresponding pair exponents decay
+    (excited channel with gamma > 0).
     """
 
     x1: float

@@ -8,20 +8,31 @@ wave or a decaying exponential, so region overlaps have closed forms and
 no spatial grid is ever needed.  That is what makes millimetre-wide
 packets with picometre de Broglie oscillations tractable.
 
-The overlap engine needs no (nk, nk) exponential: every mode is anchored
-so that it is bounded by its coefficient inside its region (the
-``Region`` invariant), so a pair integral is a difference of outer
-products of per-node endpoint values over a Cauchy denominator, formed as
-one matrix product of the stacked endpoint values.  Region construction
-must keep that invariant; the engine does not check it.  The pair blocks
-of all regions accumulate into one upper half, completed once per matrix.
+The overlap engine (``_overlap_sums``) needs no (nk, nk) exponential:
+every mode is anchored so that it is bounded by its coefficient inside
+its region (the ``Region`` invariant), so a pair integral is a
+difference of outer products of per-node endpoint values over the Cauchy
+denominator i (kappa_mu - conj(kappa_nu)).  Region construction must keep
+that invariant; the engine does not check it.  Within each region the
+engine groups the pair terms of every matrix it builds by that
+denominator: the ground and excited channels share their interior
+wavenumbers, a pair (-kappa_mu, -kappa_nu) only flips its sign, and the
+(nu, mu) form of a pair is the conjugate transpose of its (mu, nu) form.
+It then runs over fixed row tiles: per tile and group it inverts the
+denominator once, and per matrix it forms the group's summed numerator as
+one stacked matrix product and adds numerator times inverse into that
+matrix's upper half, which is completed once, half + half^H.
+Near-resonant elements are evaluated again term by term, each as a series
+or a quotient at its own width.
 
-The excited channel is integrated once for both matrices: once the
-detection matrix is built, a norm window that covers every finite region
-equals the detection matrix plus the ground-channel Grams minus the
-excited Grams of the half-line tails beyond the window.  The survival
-loss rate -dN/dt is the exact derivative of its quadratic form, so the
-first-photon route check carries no time-step error.
+``ConditionalPropagator.overlap_matrices`` builds the detection and norm
+matrices in one such pass.  The excited channel is integrated once for
+both: once the detection matrix is built (or alongside it), a norm window
+that covers every finite region equals the detection matrix plus the
+ground-channel Grams minus the excited Grams of the half-line tails
+beyond the window.  The survival loss rate -dN/dt is the exact
+derivative of its quadratic form, so the first-photon route check carries
+no time-step error.
 
 Every time-domain output is a quadratic form in the phases
 exp(-i omega_k t), with frequencies only at differences of the omegas, so
@@ -262,6 +273,13 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257) -> KGrid:
 
 # --- overlap machinery ----------------------------------------------------
 
+# Rows per tile of the overlap engine: a (32, nk) complex tile keeps the
+# denominator, the numerator and the output rows in cache.  At nk = 641,
+# 32 rows ran 3 % behind 16 and ahead of 64, 128 and untiled (by 13 %);
+# 16 rows cost 15 % more on a 256-slice beam, whose many small regions
+# pay per tile.
+OVERLAP_TILE = 32
+
 
 def _can_resonate(kappa_mu: np.ndarray, kappa_nu: np.ndarray, bound: float) -> bool:
     """False when every |kappa_mu[i] - conj(kappa_nu[j])| is >= bound.
@@ -276,61 +294,183 @@ def _can_resonate(kappa_mu: np.ndarray, kappa_nu: np.ndarray, bound: float) -> b
     return re_lo < bound and re_hi > -bound and im_lo < bound and im_hi > -bound
 
 
+@dataclass
+class _PairTerm:
+    """One mu <= nu pair of one Gram term, in the orientation of its group.
+
+    The pair's block is left @ right / (i alpha) with alpha the group's
+    denominator: ``left`` carries the term's scale, its endpoint signs and
+    ``sign``, the factor between the pair's own alpha and the group's.
+    ``ends`` holds the scaled value of the left mode and the conjugated
+    value of the right mode at x1 (None on a half-line to -inf), for the
+    series.
+    """
+
+    left: np.ndarray    # (nk, m)
+    right: np.ndarray   # (m, nk)
+    ends: tuple | None
+    sign: float
+    width: float
+    bound: float
+
+
+@dataclass
+class _PairGroup:
+    """Pair terms of one region that share the denominator i (kappa_a - conj(kappa_b)).
+
+    ``stacks`` holds per output (out, left, right, terms): the terms'
+    factors side by side, so that left @ right is the output's summed
+    numerator.  ``resonates`` is False when no element can come within
+    the widest series switch of the terms, ``bound``.
+    """
+
+    i_kappa_a: np.ndarray
+    i_kappa_b: np.ndarray   # i conj(kappa_b)
+    bound: float
+    resonates: bool
+    stacks: list
+
+
+def _pair_groups(terms) -> list[_PairGroup]:
+    """The mu <= nu pair terms of one region's Gram terms, grouped by denominator.
+
+    A term (out, modes, x1, x2, scale) stands for scale times the Gram of
+    the channel ``modes`` over [x1, x2], added to output ``out``.  Pairs
+    are keyed by the values of their two kappas.  A pair (-kappa_mu,
+    -kappa_nu) has the denominator of (kappa_mu, kappa_nu) with its sign
+    flipped, which its left factor takes; the (nu, mu) form of a pair is
+    the conjugate transpose of its (mu, nu) form, which the completion
+    half + half^H absorbs, so either form may join a group.
+    """
+    distinct: list[np.ndarray] = []
+
+    def key_of(kappa):
+        for i, other in enumerate(distinct):
+            if kappa is other or np.array_equal(kappa, other):
+                return i, 1
+            if np.array_equal(kappa, -other):
+                return i, -1
+        distinct.append(kappa)
+        return len(distinct) - 1, 1
+
+    grouped: dict = {}
+    for out, modes, x1, x2, scale in terms:
+        width = x2 - x1
+        bound = 1e-4 / width  # 0 on a half-line: no series there
+        points = [(x, s) for x, s in ((x2, 1.0), (x1, -1.0)) if not math.isinf(x)]
+        signs = np.array([s for _, s in points])[:, None]
+        ends, keys = [], []
+        for coef, kappa, anchor in modes:
+            values = np.stack([coef * np.exp(1j * kappa * (x - anchor)) for x, _ in points])
+            f1 = None if math.isinf(x1) else values[-1]
+            ends.append(((values * signs).T, values.conj(), f1))
+            keys.append(key_of(kappa))
+        for mu in range(len(modes)):
+            for nu in range(mu, len(modes)):
+                (i, s), (j, t) = keys[mu], keys[nu]
+                key, a, b, sign = min(
+                    ((i, s, j, t), mu, nu, 1.0), ((i, -s, j, -t), mu, nu, -1.0),
+                    ((j, t, i, s), nu, mu, 1.0), ((j, -t, i, -s), nu, mu, -1.0),
+                    key=lambda form: form[0])
+                # a diagonal pair enters the half once, halved
+                weight = 0.5 * scale if nu == mu else scale
+                left_a, _, f1_a = ends[a]
+                _, right_b, f1_b = ends[b]
+                grouped.setdefault(key, {}).setdefault(out, []).append(_PairTerm(
+                    (weight * sign) * left_a, right_b,
+                    None if f1_a is None else (weight * f1_a, np.conj(f1_b)),
+                    sign, width, bound))
+    groups = []
+    for (i, s, j, t), outputs in grouped.items():
+        kappa_a, kappa_b = s * distinct[i], t * distinct[j]
+        bound = max(term.bound for ts in outputs.values() for term in ts)
+        groups.append(_PairGroup(
+            1j * kappa_a, 1j * np.conj(kappa_b), bound,
+            bound > 0.0 and _can_resonate(kappa_a, kappa_b, bound),
+            [(out, np.concatenate([term.left for term in ts], axis=1),
+              np.concatenate([term.right for term in ts]), ts)
+             for out, ts in outputs.items()]))
+    return groups
+
+
+def _near_values(term: _PairTerm, rows, cols, i_alpha) -> np.ndarray:
+    """One term at near-resonant elements: the series or the quotient at its own width.
+
+    Where |alpha| width < 1e-4 the difference quotient cancels, and the
+    series about x1 of width (exp(u) - 1)/u, u = i alpha width, replaces it.
+    """
+    value = np.einsum("im,mi->i", term.left[rows], term.right[:, cols]) / i_alpha
+    if term.bound > 0.0:
+        series = np.abs(i_alpha) < term.bound
+        if series.any():
+            u = term.sign * i_alpha[series] * term.width
+            value[series] = term.ends[0][rows[series]] * term.ends[1][cols[series]] * (
+                term.width * (1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0))
+    return value
+
+
+def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
+    """Hermitian sums of region Grams, one (nk, nk) matrix per output.
+
+    ``region_terms`` holds each region's Gram terms (out, modes, x1, x2,
+    scale): scale times integral_x1^x2 psi psi^H dx of the channel psi =
+    sum of modes, added to output ``out``.  Each pair of modes integrates
+    in closed form to [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with f = coef
+    exp(i kappa (x - anchor)) and alpha = kappa_mu - conj(kappa_nu); an
+    infinite endpoint contributes nothing, since the pair exponent decays
+    there (the excited channel with gamma > 0).  Within each region the
+    pairs of every term are grouped by alpha (``_pair_groups``), and the
+    engine runs over fixed row tiles: per tile and group it forms i alpha
+    once and inverts it in place, and per output it forms the stacked
+    numerator of the group's terms as one (tile, m) @ (m, nk) product of
+    endpoint values and adds numerator times inverse into that output's
+    upper half.  Elements nearer resonance than the group's widest series
+    switch are evaluated again term by term (``_near_values``).  Each
+    half is completed once, half + half^H, so every output is exactly
+    Hermitian.
+    """
+    halves = [np.zeros((nk, nk), dtype=complex) for _ in range(n_out)]
+    i_alpha = np.empty((OVERLAP_TILE, nk), dtype=complex)
+    num = np.empty_like(i_alpha)
+    for terms in region_terms:
+        groups = _pair_groups(terms)
+        # an exact resonance (alpha = 0) is always near: its inverse is replaced
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for start in range(0, nk, OVERLAP_TILE):
+                rows = slice(start, start + OVERLAP_TILE)
+                ia = i_alpha[:min(OVERLAP_TILE, nk - start)]
+                tile = num[:ia.shape[0]]
+                for group in groups:
+                    np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b, out=ia)
+                    near = None
+                    if group.resonates:
+                        r, c = np.nonzero(np.abs(ia) < group.bound)
+                        if r.size:
+                            near = (r, c, ia[r, c])
+                    np.divide(1.0, ia, out=ia)
+                    for out, left, right, ts in group.stacks:
+                        np.matmul(left[rows], right, out=tile)
+                        tile *= ia
+                        if near is not None:
+                            r, c, ia_near = near
+                            tile[r, c] = sum(_near_values(t, r + start, c, ia_near) for t in ts)
+                        halves[out][rows] += tile
+    for half in halves:
+        half += half.conj().T  # in place: a new result array raised peak RSS by 8 MB
+    return halves
+
+
 def _region_gram(modes, x1: float, x2: float) -> np.ndarray:
     """integral_x1^x2 psi psi^H dx of the channel psi = sum of modes, (nk, nk).
 
-    Each pair of modes integrates in closed form to
-    [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with f = coef exp(i kappa (x -
-    anchor)) and alpha = kappa_mu - conj(kappa_nu), so the numerator is a
-    difference of rank-1 outer products of the bounded endpoint values,
-    formed as one (nk, m) @ (m, nk) product of the stacked endpoint values
-    (x2, then -x1; m <= 2).  An infinite endpoint contributes nothing: the
-    pair exponent decays there, which holds for the excited channel
-    whenever gamma > 0.  Where |alpha| (x2 - x1) < 1e-4 the difference
-    quotient cancels, and a series about x1 replaces it at those elements
-    only.  The (nu, mu) block is the Hermitian conjugate of the (mu, nu)
-    block, so only mu <= nu is formed (``_add_pair_blocks``) and the result
-    is exactly Hermitian.
+    The one-term call of ``_overlap_sums``; exactly Hermitian.
     """
-    nk = modes[0][0].shape[0]
-    half = np.zeros((nk, nk), dtype=complex)
-    _add_pair_blocks(half, modes, x1, x2)
-    return half + half.conj().T
+    return _overlap_sums(modes[0][0].shape[0], [[(0, modes, x1, x2, 1.0)]], 1)[0]
 
 
-def _add_pair_blocks(half: np.ndarray, modes, x1: float, x2: float,
-                     scale: float = 1.0) -> None:
-    """Add scale times the mu <= nu pair blocks of ``_region_gram`` to half.
-
-    Diagonal blocks enter halved, so half + half^H is the Gram; several
-    regions accumulate into one half and share that one completion.
-    """
-    width = x2 - x1
-    bound = 1e-4 / width  # 0 on a half-line: no series there
-    points = [(x, sign) for x, sign in ((x2, 1.0), (x1, -1.0)) if not math.isinf(x)]
-    signs = np.array([sign for _, sign in points])[:, None]
-    ends = []
-    for coef, kappa, anchor in modes:
-        values = np.stack([coef * np.exp(1j * kappa * (x - anchor)) for x, _ in points])
-        f1 = None if math.isinf(x1) else values[-1]
-        ends.append((kappa, (values * signs).T, values.conj(), f1))
-    for mu, (kappa_mu, left_mu, _, f1_mu) in enumerate(ends):
-        for nu in range(mu, len(ends)):
-            kappa_nu, _, right_nu, f1_nu = ends[nu]
-            # a diagonal block enters half once, halved (exactly, via its left factors)
-            s = 0.5 * scale if nu == mu else scale
-            i_alpha = 1j * kappa_mu[:, None] - 1j * np.conj(kappa_nu)[None, :]
-            num = (s * left_mu) @ right_nu
-            with np.errstate(invalid="ignore", divide="ignore"):
-                np.divide(num, i_alpha, out=num)
-            if bound > 0.0 and _can_resonate(kappa_mu, kappa_nu, bound):
-                rows, cols = np.nonzero(np.abs(i_alpha) < bound)
-                if rows.size:
-                    u = i_alpha[rows, cols] * width
-                    num[rows, cols] = (s * f1_mu[rows] * np.conj(f1_nu[cols])) * (
-                        width * (1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0)
-                    )
-            half += num
+def _window_key(x_min: float, x_max: float) -> tuple[float, float]:
+    """Cache key of a norm window."""
+    return (round(x_min, 12), round(x_max, 12))
 
 
 class ConditionalPropagator:
@@ -384,15 +524,7 @@ class ConditionalPropagator:
         if self.config.gamma <= 0.0:
             raise ValueError("detection matrix requires gamma > 0")
         if self._detection_matrix is None:
-            nk = self.k.shape[0]
-            out = np.zeros((nk, nk), dtype=complex)
-            for region in self.regions:
-                modes = region.channel_modes[1]
-                if modes:
-                    _add_pair_blocks(out, modes, region.x1, region.x2)
-            out += out.conj().T  # in place: a new result array raised peak RSS by 8 MB
-            out /= 2.0 * math.pi
-            self._detection_matrix = out
+            self._build_overlaps(detection=True)
         return self._detection_matrix
 
     def norm_matrix(self, x_min: float, x_max: float) -> np.ndarray:
@@ -402,39 +534,65 @@ class ConditionalPropagator:
         channel except the half-line tails beyond it, so once the detection
         matrix is built, the matrix is that detection matrix, plus the
         ground-channel Grams, minus the excited Gram of each tail: the
-        excited blocks are formed once for both matrices.  Before it is
+        excited pairs are integrated once for both matrices.  Before it is
         built (a caller that only needs the norm), the excited channel is
         integrated over the window like the ground channel, and no
         detection matrix is formed.  The two paths agree to rounding.
         """
-        key = (round(x_min, 12), round(x_max, 12))
+        key = _window_key(x_min, x_max)
         if key not in self._norm_matrix_cache:
-            regions = self.regions
-            shared = (self._detection_matrix is not None
-                      and x_min <= regions[0].x2 and x_max >= regions[-1].x1)
-            nk = self.k.shape[0]
-            out = np.zeros((nk, nk), dtype=complex)
-            for region in regions:
-                ground, excited = region.channel_modes
+            self._build_overlaps(window=(x_min, x_max))
+        return self._norm_matrix_cache[key]
+
+    def overlap_matrices(self, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """Detection matrix and norm matrix on [x_min, x_max], built in one pass.
+
+        Both matrices come from one run of the overlap engine, so pairs of
+        the two that share a denominator share its inverse.  They are the
+        matrices ``detection_matrix`` and ``norm_matrix`` return, and are
+        cached as theirs.
+        """
+        if self.config.gamma > 0.0 and _window_key(x_min, x_max) not in self._norm_matrix_cache:
+            self._build_overlaps(detection=self._detection_matrix is None,
+                                 window=(x_min, x_max))
+        return self.detection_matrix(), self.norm_matrix(x_min, x_max)
+
+    def _build_overlaps(self, detection: bool = False, window=None) -> None:
+        """Build the detection matrix and/or the norm matrix on ``window`` in one engine pass."""
+        regions = self.regions
+        shared = window is not None and (
+            detection or self._detection_matrix is not None
+        ) and window[0] <= regions[0].x2 and window[1] >= regions[-1].x1
+        norm_out = int(detection)
+        region_terms = []
+        for region in regions:
+            ground, excited = region.channel_modes
+            terms = []
+            if detection and excited:
+                terms.append((0, excited, region.x1, region.x2, 1.0))
+            if window is not None:
+                x_min, x_max = window
                 if shared:
                     if excited and math.isinf(region.x1):
-                        _add_pair_blocks(out, excited, -math.inf, x_min, -1.0)
+                        terms.append((norm_out, excited, -math.inf, x_min, -1.0))
                     if excited and math.isinf(region.x2):
-                        _add_pair_blocks(out, excited, x_max, math.inf, -1.0)
+                        terms.append((norm_out, excited, x_max, math.inf, -1.0))
                     excited = []
                 lo = max(x_min, region.x1)
                 hi = min(x_max, region.x2)
-                if hi <= lo:
-                    continue
-                for modes in (ground, excited):
-                    if modes:
-                        _add_pair_blocks(out, modes, lo, hi)
-            out += out.conj().T
-            out /= 2.0 * math.pi
+                if hi > lo:
+                    terms += [(norm_out, modes, lo, hi, 1.0) for modes in (ground, excited)
+                              if modes]
+            region_terms.append(terms)
+        sums = _overlap_sums(self.k.shape[0], region_terms, norm_out + (window is not None))
+        for matrix in sums:
+            matrix /= 2.0 * math.pi
+        if detection:
+            self._detection_matrix = sums[0]
+        if window is not None:
             if shared:
-                out += self._detection_matrix
-            self._norm_matrix_cache[key] = out
-        return self._norm_matrix_cache[key]
+                sums[-1] += self._detection_matrix
+            self._norm_matrix_cache[_window_key(*window)] = sums[-1]
 
     def _forms(self, matrix: np.ndarray, times) -> np.ndarray:
         """Rows Re v^H matrix^T v and 2 Im sum_k omega_k conj(v_k) (matrix^T v)_k at times.
@@ -634,11 +792,11 @@ def first_photon_density(
         raise ValueError("first_photon_density requires gamma > 0")
     prop = ConditionalPropagator(spec, config, grid, backend=backend)
     t = times.times
-    pi = prop.photon_density(t)
-
     lo0, hi0 = prop.default_domain(float(t[0]))
     lo1, hi1 = prop.default_domain(float(t[-1]))
     x_min, x_max = min(lo0, lo1), max(hi0, hi1)
+    prop.overlap_matrices(x_min, x_max)
+    pi = prop.photon_density(t)
     survival, dn = prop.norm_and_rate(t, x_min, x_max)
     denom = float(np.trapezoid(np.abs(pi), dx=times.dt))
     if denom > 0.0:

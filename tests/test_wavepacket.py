@@ -15,8 +15,10 @@ from toa_sim.wavepacket import (
     ConditionalPropagator,
     GaussianComponent,
     KGrid,
+    OVERLAP_TILE,
     PacketSpec,
     _gauss_legendre,
+    _overlap_sums,
     _region_gram,
     conditional_evolve,
     default_kgrid,
@@ -359,13 +361,13 @@ class TestIdealSpectralDeconvolution:
         assert np.abs(fft_route.values[sel] - spectral[sel]).max() < 5e-3 * scale
 
 
-def small_propagator(omega, v=166.2, backend="analytic", profile=None):
-    """Propagator on a hand-built 24-node grid across the packet's spectrum."""
+def small_propagator(omega, v=166.2, backend="analytic", profile=None, n_nodes=24):
+    """Propagator on a hand-built Gauss-Legendre grid across the packet's spectrum."""
     cfg = cesium_config(omega=omega, profile=profile)
     spec, _ = packet(v=v)
     k0 = MASS * v / HBAR
     dk = 0.5 / 50e-6
-    x, w = np.polynomial.legendre.leggauss(24)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
     grid = KGrid(origin=k0, offsets=8 * dk * x, weights=8 * dk * w)
     return ConditionalPropagator(spec, cfg, grid, backend=backend, n_slices=16)
 
@@ -381,7 +383,7 @@ OVERLAP_CASES = [
 class TestOverlapEngine:
     @pytest.mark.parametrize("omega,backend,profile", OVERLAP_CASES)
     def test_modes_bounded_at_region_endpoints(self, omega, backend, profile):
-        # the rank-1 endpoint factors of _region_gram rely on this bound
+        # the endpoint factors of the overlap engine rely on this bound
         prop = small_propagator(omega, backend=backend, profile=profile)
         checked = 0
         for region in prop.regions:
@@ -503,6 +505,141 @@ class TestSharedExcitedBlocks:
         shared = small_propagator(omega, backend=backend, profile=profile)
         shared.detection_matrix()
         assert_matches(shared.norm_matrix(*window), alone)
+
+
+# nk below the row tile of the overlap engine, and one row past a multiple of it
+TILE_SIZES = [24, OVERLAP_TILE + 1, 3 * OVERLAP_TILE + 1]
+
+
+def sliced_inside_windows(prop):
+    """Norm windows that cut the outer slices of a sliced beam.
+
+    There the weakly coupled modes come within the series switch of both
+    the whole slice (detection term) and its part in the window (norm term).
+    """
+    first, last = prop.regions[1], prop.regions[-2]
+    lo = first.x1 + 0.4 * (first.x2 - first.x1)
+    hi = last.x1 + 0.6 * (last.x2 - last.x1)
+    return [(lo, 50e-6), (-50e-6, hi), (lo, hi), (lo, 0.5 * (first.x1 + last.x2))]
+
+
+class TestOverlapMatrices:
+    @pytest.mark.parametrize("n_nodes", TILE_SIZES)
+    @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
+    def test_one_pass_matches_separate_builds(self, omega, backend, profile, n_nodes):
+        prop = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
+        window = prop.default_domain(0.0)
+        d2, n = prop.overlap_matrices(*window)
+        assert prop.detection_matrix() is d2
+        assert prop.norm_matrix(*window) is n
+        separate = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
+        assert_matches(d2, separate.detection_matrix())
+        assert_matches(n, separate.norm_matrix(*window))
+        assert_matches(d2, region_detection(prop))
+        assert_matches(n, region_norm(prop, *window))
+
+    @pytest.mark.parametrize("n_nodes", TILE_SIZES)
+    def test_windows_inside_the_beam(self, n_nodes):
+        # the interior groups hold the detection term over [0, L] and the
+        # norm terms over the part of the beam in the window
+        L = small_propagator(104.43e6).config.beam_width
+        for window in ((0.5 * L, 50e-6), (-50e-6, 0.5 * L), (0.25 * L, 0.75 * L)):
+            prop = small_propagator(104.43e6, n_nodes=n_nodes)
+            d2, n = prop.overlap_matrices(*window)
+            assert_matches(n, small_propagator(104.43e6, n_nodes=n_nodes).norm_matrix(*window))
+            assert_matches(d2, region_detection(prop))
+            assert_matches(n, region_norm(prop, *window))
+
+    @pytest.mark.parametrize("n_nodes", TILE_SIZES)
+    def test_windows_inside_the_sliced_beam(self, n_nodes):
+        # detection elements between the two switches take the quotient,
+        # norm elements the series.  The norm is compared with its own build
+        # only: its ground and excited pairs share numerators, and near the
+        # switch the per-channel sums differ from that by rounding of the
+        # carrier-size phases (both lie ~1e-8 off a 40-digit evaluation).
+        make = functools.partial(small_propagator, 104.43e6, backend="transfer",
+                                 profile=GAUSSIAN_BEAM, n_nodes=n_nodes)
+        for window in sliced_inside_windows(make()):
+            prop = make()
+            d2, n = prop.overlap_matrices(*window)
+            assert_matches(n, make().norm_matrix(*window))
+            assert_matches(d2, region_detection(prop))
+
+    def test_two_series_switches_in_one_group(self):
+        # one group holds a term over [0, 2] and one over [2 - 2e-3, 2]: the
+        # elements on both sides of the long term's switch are a series for
+        # the short term, where a quotient would lose up to nine digits
+        u = np.array([0.0, 1e-7, 1e-5, 3e-5, 0.5e-4, 0.99e-4, 1.25e-4, 3e-4, 1e-3])
+        modes = [(np.ones(u.size, dtype=complex), (u / 2.0).astype(complex), 0.0)]
+        terms = [(0, modes, 0.0, 2.0, 1.0), (1, modes, 2.0 - 2e-3, 2.0, 1.0)]
+        alpha = np.subtract.outer(u, u) / 2.0
+
+        def closed(x1, x2):
+            w = x2 - x1
+            return w * np.exp(0.5j * alpha * (x1 + x2)) * np.sinc(alpha * w / (2 * np.pi))
+
+        long, short = _overlap_sums(u.size, [terms], 2)
+        # just outside its switch the long term's quotient loses four digits
+        assert np.abs(long - closed(0.0, 2.0)).max() <= 2e-12 * 2.0
+        assert np.abs(short - closed(2.0 - 2e-3, 2.0)).max() <= 1e-14 * 2e-3
+
+    def test_detection_built_after_the_norm(self):
+        prop = small_propagator(104.43e6)
+        window = prop.default_domain(0.0)
+        n = prop.norm_matrix(*window)
+        d2, again = prop.overlap_matrices(*window)
+        assert again is n
+        assert_matches(d2, region_detection(prop))
+
+    def test_requires_decay(self):
+        spec, _ = packet()
+        prop = ConditionalPropagator(spec, cesium_config(omega=104.43e6, gamma=0.0),
+                                     default_kgrid(spec, n_nodes=32))
+        with pytest.raises(ValueError, match="gamma > 0"):
+            prop.overlap_matrices(-1e-3, 1e-3)
+
+
+def mpmath_gram(modes, x1, x2, digits=40):
+    """integral_x1^x2 psi psi^H dx of the same modes, evaluated in ``digits``-digit arithmetic.
+
+    Every pair in closed form, [f_mu f_nu^*]_x1^x2 / (i (kappa_mu -
+    conj(kappa_nu))) with f = coef exp(i kappa (x - anchor)); the double
+    inputs are taken as exact, so the phases carry no rounding.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    nk = modes[0][0].shape[0]
+    out = np.zeros((nk, nk), dtype=complex)
+    with mpmath.workdps(digits):
+        ends = []  # per mode and node: kappa and the values at x1 and x2
+        for coef, kappa, anchor in modes:
+            kap = [mpmath.mpc(complex(z)) for z in kappa]
+            ends.append([(z, [0 if math.isinf(x) else mpmath.mpc(complex(c))
+                              * mpmath.exp(1j * z * (mpmath.mpf(x) - anchor))
+                              for x in (x1, x2)]) for c, z in zip(coef, kap)])
+        for i in range(nk):
+            for j in range(nk):
+                total = mpmath.mpc(0)
+                for mode_mu in ends:
+                    k_i, (lo_i, hi_i) = mode_mu[i]
+                    for mode_nu in ends:
+                        k_j, (lo_j, hi_j) = mode_nu[j]
+                        total += (hi_i * mpmath.conj(hi_j) - lo_i * mpmath.conj(lo_j)) / (
+                            1j * (k_i - mpmath.conj(k_j)))
+                out[i, j] = complex(total)
+    return out
+
+
+class TestGramOracle:
+    @pytest.mark.parametrize("v", [2.0, 10.0])
+    def test_sharp_detection_matrix_matches_mpmath(self, v):
+        # slow atoms: each decaying mode is small at its far end, so the
+        # rounding of the carrier-size phases kappa (x - anchor) does not
+        # limit the comparison
+        prop = small_propagator(104.43e6, v=v)
+        want = sum(mpmath_gram(region.channel_modes[1], region.x1, region.x2)
+                   for region in prop.regions) / (2 * math.pi)
+        got = prop.detection_matrix()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestRegionField:
