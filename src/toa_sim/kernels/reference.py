@@ -333,6 +333,37 @@ def slice_propagator(
     return P if batched else P[0]
 
 
+# Mirror junction: Sigma H^-1 Sigma with Sigma = diag(1, -1, 1, -1) and
+# H^-1 = -J H^T J (J the symplectic form) comes to (H^T)[p][:, p], p below.
+_MIRROR = [1, 0, 3, 2]
+
+
+def _compose(stack: np.ndarray, exps: np.ndarray):
+    """Product stack[n-1] @ ... @ stack[0] of an (n, nk, 4, 4) stack, by pairwise reduction.
+
+    Factor j stands for 2**exps[j] stack[j].  Each level multiplies all
+    adjacent pairs in one stacked matmul and divides each product by the
+    power of two nearest its Frobenius norm, which adds no rounding.  The
+    squared norm is one dot product per matrix, far cheaper than np.abs; a
+    product whose squared norm overflows (entries beyond about 1e154) is
+    left unscaled.  Returns (M, e): the product is 2**e M, with e an (nk,)
+    integer array.
+    """
+    while stack.shape[0] > 1:
+        n = stack.shape[0] - stack.shape[0] % 2
+        prod = stack[1:n:2] @ stack[0:n:2]
+        parts = prod.view(float).reshape(prod.shape[:2] + (32,))
+        _, e = np.frexp(np.einsum("ijm,ijm->ij", parts, parts))
+        e >>= 1
+        prod *= np.ldexp(1.0, -e)[:, :, None, None]
+        e = e + exps[1:n:2] + exps[0:n:2]
+        if n < stack.shape[0]:
+            prod = np.concatenate([prod, stack[n:]])
+            e = np.concatenate([e, exps[n:]])
+        stack, exps = prod, e
+    return stack[0], exps[0]
+
+
 def transfer_solve(
     k,
     edges,
@@ -350,8 +381,20 @@ def transfer_solve(
     ``return_states`` also the accumulated state vector at every edge,
     an (nk, n_edges, 4) array (value/derivative form, incident-normalized).
 
-    All slice propagators come from one batched ``slice_propagator`` call.
-    The stack holds 256 bytes per slice and wavenumber; the call's peak
+    All slice propagators come from one batched ``slice_propagator`` call
+    and are composed by pairwise reduction (``_compose``), rescaled by
+    powers of two.  When the widths and the couplings both read the same
+    backwards, bit for bit (``discretize`` slices a Gaussian that way), the
+    second half of the stack is the mirror image of the first: only the
+    first ceil(S/2) propagators are evaluated, H is the product of the
+    first S//2 of them, and the full product is mirror(H) [P_mid] H with
+    mirror(H) = Sigma H^-1 Sigma, Sigma = diag(1, -1, 1, -1).  The equation
+    phi'' = -W phi with complex-symmetric W conserves the Wronskian, so
+    H^-1 = J^-1 H^T J (J the symplectic form of the (phi1, phi1', phi2,
+    phi2') basis): the junction is an index shuffle without an inversion,
+    and it carries the scale of H.  Any other stack is composed in full.
+    The evaluated stack holds 256 bytes per slice and wavenumber (ceil(S/2)
+    slices for a mirrored stack, S otherwise); the propagator call's peak
     working memory is about three times that.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
@@ -360,22 +403,32 @@ def transfer_solve(
     omegas = np.asarray(omegas, dtype=float)
     x_left = edges[0]
     x_right = edges[-1]
+    widths = np.diff(edges)
+    n_slices = omegas.shape[0]
+    mirrored = np.array_equal(widths, widths[::-1]) and np.array_equal(omegas, omegas[::-1])
+    n_half = n_slices // 2
+    n_eval = n_slices - n_half if mirrored else n_slices
 
     # All composition happens in the scaled basis (phi1, phi1'/k, phi2,
     # phi2'/k): every propagator entry is then O(1), which keeps the
-    # boundary solve well conditioned for any wavenumber magnitude.
-    stack = slice_propagator(k, omegas, np.diff(edges), gamma, mass, hbar)
+    # boundary solve well conditioned for any wavenumber magnitude.  The
+    # mirror junction keeps its form there, as the scaling only multiplies
+    # the Wronskian by k.
+    stack = slice_propagator(k, omegas[:n_eval], widths[:n_eval], gamma, mass, hbar)
     stack[..., 0::2, 1::2] *= k[:, None, None]
     stack[..., 1::2, 0::2] /= k[:, None, None]
-    M = np.zeros((nk, 4, 4), dtype=complex)
-    M[:, 0, 0] = M[:, 1, 1] = M[:, 2, 2] = M[:, 3, 3] = 1.0
-    log_scale = np.zeros(nk)
-    for Ps in stack:
-        M = Ps @ M
-        scale = np.max(np.abs(M), axis=(1, 2))
-        scale = np.where(scale > 0.0, scale, 1.0)
-        M /= scale[:, None, None]
-        log_scale += np.log(scale)
+    exps = np.zeros(stack.shape[:2], dtype=int)
+    if mirrored:
+        # the middle slice of an odd stack, if any, between H and its mirror
+        factors, factor_exps = stack[n_half:], exps[n_half:]
+        if n_half:
+            H, e_half = _compose(stack[:n_half], exps[:n_half])
+            mirror = H.swapaxes(1, 2)[:, _MIRROR][:, :, _MIRROR]
+            factors = np.concatenate([H[None], factors, mirror[None]])
+            factor_exps = np.concatenate([e_half[None], factor_exps, e_half[None]])
+        M, log2_scale = _compose(factors, factor_exps)
+    else:
+        M, log2_scale = _compose(stack, exps)
 
     q = channel_q(k, gamma, mass, hbar)
     qk = q / k
@@ -398,8 +451,8 @@ def transfer_solve(
     t2[:, 2] = np.exp(1j * q * x_right)
     t2[:, 3] = 1j * qk * t2[:, 2]
 
-    # With M = exp(sigma) Mt:  Tt1 t1 + Tt2 t2 - R1 Mt r1 - R2 Mt r2 = Mt inc,
-    # where Tt = T exp(-sigma).
+    # With M = 2^e Mt:  Tt1 t1 + Tt2 t2 - R1 Mt r1 - R2 Mt r2 = Mt inc,
+    # where Tt = T 2^-e.
     B = np.empty((nk, 4, 4), dtype=complex)
     B[:, :, 0] = t1
     B[:, :, 1] = t2
@@ -413,7 +466,7 @@ def transfer_solve(
     sol = sol - _solve(B, resid)
 
     amps = np.empty((nk, 4), dtype=complex)
-    growth = np.exp(log_scale)
+    growth = np.ldexp(1.0, log2_scale)
     amps[:, 0] = sol[:, 2]            # R1
     amps[:, 1] = sol[:, 3]            # R2
     amps[:, 2] = sol[:, 0] * growth   # T1
@@ -423,12 +476,14 @@ def transfer_solve(
         return amps
 
     # Forward-propagate the now-known left state through the same stack in
-    # the scaled basis, then return to value/derivative form.
+    # the scaled basis, then return to value/derivative form.  Slice j of a
+    # mirrored stack has the propagator of slice min(j, S - 1 - j).
     n_edges = edges.shape[0]
     states = np.empty((nk, n_edges, 4), dtype=complex)
     y = inc + sol[:, 2:3] * r1 + sol[:, 3:4] * r2
     states[:, 0] = y
-    for j, Ps in enumerate(stack):
+    for j in range(n_slices):
+        Ps = stack[min(j, n_slices - 1 - j) if mirrored else j]
         y = np.einsum("nij,nj->ni", Ps, y)
         states[:, j + 1] = y
     states[:, :, 1::2] *= k[:, None, None]

@@ -32,7 +32,12 @@ SUPPORT_CUT = 1e-6
 
 @dataclass(frozen=True)
 class SliceDecomposition:
-    """Piecewise-constant representation of a coupling profile."""
+    """Piecewise-constant representation of a coupling profile.
+
+    ``discretize`` makes a Gaussian's decomposition an exact palindrome:
+    the slice widths and the couplings read the same backwards bit for bit,
+    which lets ``kernels.transfer_solve`` compose half the stack.
+    """
 
     edges: tuple[float, ...]    # n_slices + 1 strictly increasing positions (m)
     omegas: tuple[float, ...]   # constant coupling per slice (1/s)
@@ -53,8 +58,11 @@ def discretize(profile, n_slices: int, *, config: ValidatedConfig) -> SliceDecom
 
     Sharp-edged profiles are represented exactly by a single slice.
     Gaussian support is truncated where the coupling falls below
-    ``SUPPORT_CUT`` times its peak.  The owning config gives the beam
-    width and coupling scale.
+    ``SUPPORT_CUT`` times its peak, and is sliced as an exact palindrome
+    about the centre (``_mirrored_slices``): each edge lies within 4 ulps of
+    ``np.linspace(lo, hi, n_slices + 1)``.  Tabulated profiles take the
+    ``linspace`` edges.  The owning config gives the beam width and
+    coupling scale.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
@@ -73,9 +81,36 @@ def discretize(profile, n_slices: int, *, config: ValidatedConfig) -> SliceDecom
     if hi <= lo:
         raise EmptySupport("profile support is empty after truncation")
     edges = np.linspace(lo, hi, n_slices + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    omegas = profile.value(mids, beam_width=L, omega=config.omega)
+    if profile.kind == "tabulated":
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        omegas = profile.value(mids, beam_width=L, omega=config.omega)
+    else:
+        edges, omegas = _mirrored_slices(profile, edges, beam_width=L, omega=config.omega)
     return SliceDecomposition(edges=tuple(edges.tolist()), omegas=tuple(np.asarray(omegas).tolist()))
+
+
+def _mirrored_slices(profile, edges: np.ndarray, *, beam_width: float, omega: float):
+    """Edges and midpoint couplings of a Gaussian as an exact palindrome.
+
+    The centre and the offsets of the first half of ``edges`` are rounded to
+    multiples of u, the spacing of the largest |edge|; the second half's
+    offsets are their negatives.  Every edge then lies on the u grid, so
+    the slice widths are bitwise palindromic (and, for a support on one
+    side of x = 0, sum exactly to it), and each edge stays within 4 u of
+    ``edges``.  Couplings are evaluated at the first half's midpoints and
+    mirrored.
+    """
+    n_slices = edges.shape[0] - 1
+    u = math.ulp(max(abs(edges[0]), abs(edges[-1])))
+    center = round(profile.center / u) * u
+    n_eval = (n_slices + 1) // 2
+    head = np.round((edges[:n_eval] - center) / u) * u
+    middle = [0.0] if n_slices % 2 == 0 else []
+    edges = center + np.concatenate([head, middle, -head[::-1]])
+    mids = 0.5 * (edges[:n_eval] + edges[1 : n_eval + 1])
+    head_omegas = np.asarray(profile.value(mids, beam_width=beam_width, omega=omega), dtype=float)
+    omegas = np.concatenate([head_omegas, head_omegas[: n_slices // 2][::-1]])
+    return edges, omegas
 
 
 def slice_matrix(

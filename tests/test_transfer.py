@@ -10,7 +10,14 @@ from toa_sim.errors import EmptySupport
 from toa_sim.kernels import channel_q, mode_wavenumbers
 from toa_sim.model import RabiProfile, cesium_config
 from toa_sim.scattering import evaluate_state, matching_residual, sharp_edge_rows, solve_sharp_edge
-from toa_sim.transfer import DEFAULT_SLICES, discretize, slice_matrix, solve_profile, transfer_rows
+from toa_sim.transfer import (
+    DEFAULT_SLICES,
+    SUPPORT_CUT,
+    discretize,
+    slice_matrix,
+    solve_profile,
+    transfer_rows,
+)
 
 FIG7_PROFILE = RabiProfile(kind="gaussian", omega0=5 * GAMMA, center=2.5e-6, width=0.529e-6)
 
@@ -40,6 +47,30 @@ class TestDiscretize:
         mid = 0.5 * (dec.edges[0] + dec.edges[1])
         expected = cfg.profile.value(mid, beam_width=cfg.beam_width, omega=cfg.omega)
         assert dec.omegas[0] == pytest.approx(float(expected), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(center=st.one_of(st.floats(-1e-3, 1e-3), st.floats(1e-7, 1e-5)),
+           width=st.floats(1e-8, 1e-4), n_slices=st.integers(1, 600))
+    @example(center=2.5e-6, width=0.529e-6, n_slices=256)
+    @example(center=2.5e-6, width=0.529e-6, n_slices=255)
+    def test_gaussian_stack_is_exact_palindrome(self, center, width, n_slices):
+        # widths and couplings read the same backwards bit for bit, and
+        # every edge stays within 4 ulps (of the support's larger end) of
+        # plain linspace slicing of the same support
+        profile = RabiProfile(kind="gaussian", omega0=1e8, center=center, width=width)
+        dec = discretize(profile, n_slices, config=cesium_config(omega=1e8, profile=profile))
+        edges, omegas = np.array(dec.edges), np.array(dec.omegas)
+        widths = np.diff(edges)
+        assert dec.n_slices == n_slices
+        assert np.array_equal(widths, widths[::-1])
+        assert np.array_equal(omegas, omegas[::-1])
+        half = width * math.sqrt(-2.0 * math.log(SUPPORT_CUT))
+        lo, hi = center - half, center + half
+        ulp = np.spacing(max(abs(lo), abs(hi)))
+        assert np.abs(edges - np.linspace(lo, hi, n_slices + 1)).max() <= 4 * ulp
+        if lo > 0.0:
+            # the support within one binade: the widths telescope exactly
+            assert widths.sum() == edges[-1] - edges[0]
 
     def test_empty_support(self):
         cfg = fig7_config()

@@ -2,11 +2,13 @@
 
 The slice propagators of a whole profile come from one batched
 ``slice_propagator`` call.  These tests pin that batch to per-slice scalar
-calls, ``transfer_solve`` to an independent slice-by-slice composition,
-and its edge states to forward propagation.
+calls, ``transfer_solve`` to an independent slice-by-slice composition
+(``sequential_transfer``), whether it composes a mirrored half stack or
+the full one, and its edge states to forward propagation.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,3 +184,68 @@ def test_edge_states_follow_forward_propagation(case):
     right = np.stack([amps[:, 2] * et, 1j * k * amps[:, 2] * et,
                       amps[:, 3] * eqr, 1j * q * amps[:, 3] * eqr], axis=1)
     assert close(states[:, -1], right, 1e-9)
+
+
+FIG7_PROFILE = RabiProfile(kind="gaussian", omega0=1.665e8, center=2.5e-6, width=0.529e-6)
+# 3.5-400 m/s, where the rows of the 256-slice fig7 map are stable under
+# 1-ulp input moves
+FAST_K = MASS * np.array([3.5, 20.0, 150.0, 400.0]) / HBAR
+
+
+def absorption(rows):
+    return 1.0 - np.abs(rows[..., 2]) ** 2 - np.abs(rows[..., 0]) ** 2
+
+
+def count_propagator_slices(monkeypatch):
+    """Slice counts of every ``slice_propagator`` call that ``transfer_solve`` makes."""
+    from toa_sim.kernels import reference
+
+    counts = []
+    original = reference.slice_propagator
+
+    def spy(k, omega, width, *args):
+        counts.append(np.broadcast(np.atleast_1d(omega), np.atleast_1d(width)).shape[0])
+        return original(k, omega, width, *args)
+
+    monkeypatch.setattr(reference, "slice_propagator", spy)
+    return counts
+
+
+@pytest.mark.parametrize("n_slices", [1, 2, 3, 64, 255, 256])
+def test_mirrored_stack_matches_sequential_reference(n_slices, monkeypatch):
+    # the half-stack path against the sequential composition of every slice
+    cfg = cesium_config(omega=FIG7_PROFILE.omega0, profile=FIG7_PROFILE)
+    dec = discretize(FIG7_PROFILE, n_slices, config=cfg)
+    edges, omegas = np.array(dec.edges), np.array(dec.omegas)
+    counts = count_propagator_slices(monkeypatch)
+    amps = transfer_solve(FAST_K, edges, omegas, GAMMA, MASS, HBAR)
+    assert counts == [(n_slices + 1) // 2]
+    monkeypatch.undo()
+    ref = absorption(np.array([sequential_transfer(kk, edges, omegas, GAMMA) for kk in FAST_K]))
+    # Three 3.5-um slices at 3.5 m/s are ill-conditioned: a 1-ulp move of
+    # the couplings moves the reference itself by 7e-12, so that move is
+    # allowed on top; for the other stacks it is below 2e-15.
+    ulp_move = max(
+        np.abs(absorption(np.array([sequential_transfer(kk, edges, omegas * (1 + s), GAMMA)
+                                    for kk in FAST_K])) - ref).max()
+        for s in (2.0**-52, -(2.0**-52)))
+    assert np.abs(absorption(amps) - ref).max() <= 1e-12 + ulp_move
+
+
+def test_asymmetric_stacks_take_the_full_stack(monkeypatch):
+    # a tabulated profile, and a Gaussian with one coupling moved by 1 ulp,
+    # are not palindromes: every slice is evaluated and composed
+    samples = ((0.0, 0.0), (1e-6, 0.0), (1.5e-6, 1.2e8), (3e-6, 4e7), (3.5e-6, 0.0), (5e-6, 0.0))
+    tabulated = RabiProfile(kind="tabulated", samples=samples)
+    tab = discretize(tabulated, 24, config=cesium_config(omega=1.2e8, profile=tabulated))
+    gauss = discretize(FIG7_PROFILE, 64, config=cesium_config(omega=1.665e8, profile=FIG7_PROFILE))
+    nudged = np.array(gauss.omegas)
+    nudged[5] = np.nextafter(nudged[5], np.inf)
+    for edges, omegas in ((np.array(tab.edges), np.array(tab.omegas)),
+                          (np.array(gauss.edges), nudged)):
+        counts = count_propagator_slices(monkeypatch)
+        amps = transfer_solve(FAST_K, edges, omegas, GAMMA, MASS, HBAR)
+        assert counts == [len(omegas)]
+        monkeypatch.undo()
+        ref = np.array([sequential_transfer(kk, edges, omegas, GAMMA) for kk in FAST_K])
+        assert np.abs(absorption(amps) - absorption(ref)).max() <= 1e-12
