@@ -14,7 +14,9 @@ from .reference import (
     channel_q,
     internal_rates,
     mode_wavenumbers,
+    newton_terms,
     sharp_edge_solve,
+    sinc,
     slice_propagator,
     sqrt_upper,
     transfer_solve,

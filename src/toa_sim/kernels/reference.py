@@ -40,19 +40,33 @@ def sqrt_upper(z: np.ndarray) -> np.ndarray:
     return np.where(flip, -s, s)
 
 
-def internal_rates(gamma: float, omega):
-    """Eigenrates lam+- of the internal coupling matrix.
+def _rate_over_hbar(c: float, z: np.ndarray, hbar: float) -> np.ndarray:
+    """c * z / hbar, each part divided by hbar and so correctly rounded.
 
-    Principal branch of the discriminant, continuous across gamma = 2 omega.
-    A scalar omega gives Python complex rates, an array of omegas arrays of
-    rates; at omega = 0 they are exactly 0 and -i gamma/2.
+    numpy's complex-by-real division multiplies by a rounded 1/hbar.
+    """
+    out = np.empty(z.shape, dtype=complex)
+    out.real = c * z.real / hbar
+    out.imag = c * z.imag / hbar
+    return out
+
+
+def internal_rates(gamma: float, omega):
+    """Eigenrates (lam+, lam-) of the internal coupling matrix and lam+ - lam-.
+
+    Principal branch of the discriminant disc, continuous across
+    gamma = 2 omega; ``omega`` is a scalar or an array.  lam- =
+    -i (gamma + disc)/4 is the root of larger magnitude and lam+ comes from
+    the product of the roots, lam+ lam- = -omega^2/4, so it does not cancel
+    when omega << gamma; lam+ - lam- = i disc/2 is not formed by
+    subtraction either.  At omega = 0 the rates are exactly 0 and
+    -i gamma/2 (both 0 when gamma = 0 too).
     """
     disc = np.sqrt(gamma * gamma - 4.0 * omega * omega + 0j)
-    lam_p = -0.25j * gamma + 0.25j * disc
     lam_m = -0.25j * gamma - 0.25j * disc
-    if isinstance(lam_p, np.ndarray):
-        return lam_p, lam_m
-    return complex(lam_p), complex(lam_m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_p = np.where(lam_m == 0.0, 0j, -0.25 * omega * omega / lam_m)
+    return lam_p, lam_m, 0.5j * disc
 
 
 def channel_q(k: np.ndarray, gamma: float, mass: float, hbar: float) -> np.ndarray:
@@ -70,7 +84,7 @@ def mode_wavenumbers(
 
     ``omega`` is a scalar or an array broadcasting against ``k``.
     """
-    lam_p, lam_m = internal_rates(gamma, omega)
+    lam_p, lam_m, _ = internal_rates(gamma, omega)
     k = np.asarray(k, dtype=float)
     kp = sqrt_upper(k * k - 2.0 * mass * lam_p / hbar)
     km = sqrt_upper(k * k - 2.0 * mass * lam_m / hbar)
@@ -88,30 +102,39 @@ def sharp_edge_solve(
     """Solve the sharp-edged two-channel matching problem for each k.
 
     Returns an (nk, 8) complex array with columns
-    [R1, R2, T1, T2, a, b, c, d] where (a, b) multiply the
-    right-decaying interior modes exp(i k+- x) and (c, d) the left-decaying
-    ones exp(-i k+- (x - L)).  ``omega`` is a scalar or an array
-    broadcasting against ``k`` (one coupling per wavenumber, so a whole
-    (omega, v) scan is one call); a scalar is broadcast first, so both
-    forms give bit-identical rows.  Every omega must be > 0 (the uncoupled
-    omega = 0 case is handled by the caller).  T2 multiplies exp(iqx); at
-    low speeds, where exp(iqL) underflows, it is not representable and
-    comes back infinite, while the other seven columns stay finite.
+    [R1, R2, T1, T2, a', b', c', d'], the Newton coefficients of the
+    interior field: with v(kappa) = (1, u(kappa)) the mode vectors and
+    f[+,-] = (f(k+) - f(k-))/(k+ - k-) a divided difference over the mode
+    wavenumbers, the right-going pair is
+    a' v+ exp(i k+ x) + b' (v exp(i kappa x))[+,-] and the left-going pair
+    c' v+ exp(-i k+ (x - L)) + d' (v exp(-i kappa (x - L)))[+,-].  The
+    exponential coefficients are a = a' + b'/dk, b = -b'/dk (c, d alike,
+    dk = k+ - k-); the Newton ones stay finite and well conditioned
+    through gamma = 2 omega, where k+ = k-.  ``omega`` is a scalar or an
+    array broadcasting against ``k`` (one coupling per wavenumber, so a
+    whole (omega, v) scan is one call); a scalar is broadcast first, so
+    both forms give bit-identical rows.  Every omega must be > 0 (the
+    uncoupled omega = 0 case is handled by the caller).  T2 multiplies
+    exp(iqx); at low speeds, where exp(iqL) underflows, it is not
+    representable and comes back infinite, while the other seven columns
+    stay finite.
 
     The eight matching conditions (value and derivative of both channels
     at x = 0 and x = L, derivative rows divided by k) are not solved as an
     8x8 system.  The four value rows give R1, R2, T1 and the L-anchored
-    T2_L = T2 exp(iqL) explicitly in terms of (a, b, c, d):
+    T2_L = T2 exp(iqL) explicitly in terms of (a', b', c', d'):
 
-      R1   = a + b + ep c + em d - 1
-      R2   = u+ (a + ep c) + u- (b + em d)
-      T1   = (ep a + em b + c + d) / exp(ikL)
-      T2_L = u+ (ep a + c) + u- (em b + d)
+      R1   = a' + ep c' + de d' - 1
+      R2   = u+ (a' + ep c') + du b' + due d'
+      T1   = (ep a' + de b' + c') / exp(ikL)
+      T2_L = u+ (ep a' + c') + due b' + du d'
 
-    with ep,m = exp(i k+- L) (|ep,m| <= 1) and u+- = 2 lam+- / omega the
-    excited components of the interior eigenvectors.  Substituted into the
-    four derivative rows they leave a 4x4 system in (a, b, c, d) with
-    right-hand side (2, 0, 0, 0), whose entries stay O(1) at any speed.
+    with ep,m = exp(i k+- L) (|ep,m| <= 1), u+- = 2 lam+- / omega the
+    excited components of the mode vectors, and the divided differences
+    de = e[+,-], du = u[+,-] and due = (u e)[+,-] = u+ de + du em of
+    ``newton_terms``.  Substituted into the four derivative rows they
+    leave a 4x4 system in (a', b', c', d') with right-hand side
+    (2, 0, 0, 0), whose entries stay bounded at any speed.
 
     Singular systems surface as NaN rows for the caller to detect.  Long
     scans are solved SHARP_BLOCK wavenumbers at a time, which bounds the
@@ -144,52 +167,78 @@ def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def newton_terms(k, gamma: float, omega, L: float, mass: float, hbar: float):
+    """Interior modes of a sharp beam of width L and their Newton-basis terms.
+
+    Returns (kp, km, u_p, u_m, dk, du, ep, em, de): the mode wavenumbers
+    k+-, the mode vectors' excited components u+- = 2 lam+- / omega, and
+    divided differences over (k+, k-) formed without cancellation:
+    dk = k+ - k- = -2 m (lam+ - lam-) / (hbar (k+ + k-)),
+    du = u[+,-] = -hbar (k+ + k-) / (m omega) and de = e[+,-] =
+    i L e_big expm1(z)/z, z = -+i dk L, for e+- = exp(i k+- L).  Both e+-
+    come from the larger one, e_big, so their relative phase is exact.
+    """
+    kp, km, lam_p, lam_m = mode_wavenumbers(k, gamma, omega, mass, hbar)
+    u_p = 2.0 * lam_p / omega
+    u_m = 2.0 * lam_m / omega
+    dk = _rate_over_hbar(-2.0 * mass, internal_rates(gamma, omega)[2], hbar) / (kp + km)
+    du = -(kp + km) * (hbar / (mass * omega))
+    plus_big = kp.imag <= km.imag
+    z = np.where(plus_big, -1j * L, 1j * L) * dk      # Re z <= 0
+    e_big = np.exp(1j * L * np.where(plus_big, kp, km))
+    expm1 = np.expm1(z)
+    e_small = e_big * (1.0 + expm1)
+    ep = np.where(plus_big, e_big, e_small)
+    em = np.where(plus_big, e_small, e_big)
+    zero = z == 0.0
+    phi1 = np.where(zero, 1.0, expm1 / np.where(zero, 1.0, z))   # expm1(z) / z
+    return kp, km, u_p, u_m, dk, du, ep, em, 1j * L * e_big * phi1
+
+
 def _sharp_edge_block(k, gamma, omega, L, mass, hbar):
     """``sharp_edge_solve`` for one block of wavenumbers and couplings."""
     nk = k.shape[0]
     q = channel_q(k, gamma, mass, hbar)
-    kp, km, lam_p, lam_m = mode_wavenumbers(k, gamma, omega, mass, hbar)
-    u_p = 2.0 * lam_p / omega
-    u_m = 2.0 * lam_m / omega
-
-    ep = np.exp(1j * kp * L)   # |ep| <= 1
-    em = np.exp(1j * km * L)
+    kp, _, u_p, u_m, _, du, ep, em, de = newton_terms(k, gamma, omega, L, mass, hbar)
+    due = u_p * de + du * em   # (u e)[+,-]
     kps = kp / k
-    kms = km / k
     qs = q / k
+    inv_k = 1.0 / k
+    em_k, um_k, upe = em * inv_k, u_m * inv_k, u_p * ep
+    uem_k = um_k * em
 
     A = np.empty((nk, 4, 4), dtype=complex)
     # Ground derivative at 0 plus ground value at 0.
     A[:, 0, 0] = 1.0 + kps
-    A[:, 0, 1] = 1.0 + kms
+    A[:, 0, 1] = inv_k
     A[:, 0, 2] = (1.0 - kps) * ep
-    A[:, 0, 3] = (1.0 - kms) * em
+    A[:, 0, 3] = (1.0 - kps) * de - em_k
     # Excited derivative at 0 plus q/k times the excited value at 0.
     A[:, 1, 0] = (qs + kps) * u_p
-    A[:, 1, 1] = (qs + kms) * u_m
-    A[:, 1, 2] = (qs - kps) * u_p * ep
-    A[:, 1, 3] = (qs - kms) * u_m * em
+    A[:, 1, 1] = (qs + kps) * du + um_k
+    A[:, 1, 2] = (qs - kps) * upe
+    A[:, 1, 3] = (qs - kps) * due - uem_k
     # Ground derivative at L minus ground value at L.
     A[:, 2, 0] = (kps - 1.0) * ep
-    A[:, 2, 1] = (kms - 1.0) * em
+    A[:, 2, 1] = (kps - 1.0) * de + em_k
     A[:, 2, 2] = -(kps + 1.0)
-    A[:, 2, 3] = -(kms + 1.0)
+    A[:, 2, 3] = -inv_k
     # Excited derivative at L minus q/k times the excited value at L.
-    A[:, 3, 0] = (kps - qs) * u_p * ep
-    A[:, 3, 1] = (kms - qs) * u_m * em
+    A[:, 3, 0] = (kps - qs) * upe
+    A[:, 3, 1] = (kps - qs) * due + uem_k
     A[:, 3, 2] = -(kps + qs) * u_p
-    A[:, 3, 3] = -(kms + qs) * u_m
+    A[:, 3, 3] = -(kps + qs) * du - um_k
     rhs = np.broadcast_to(np.array([2.0, 0.0, 0.0, 0.0], dtype=complex), (nk, 4))
     coef = _solve(A, rhs)
     a, b, c, d = coef.T
 
     sol = np.empty((nk, 8), dtype=complex)
-    sol[:, 0] = a + b + ep * c + em * d - 1.0
-    sol[:, 1] = u_p * (a + ep * c) + u_m * (b + em * d)
-    sol[:, 2] = (ep * a + em * b + c + d) / np.exp(1j * k * L)
+    sol[:, 0] = a + ep * c + de * d - 1.0
+    sol[:, 1] = u_p * (a + ep * c) + du * b + due * d
+    sol[:, 2] = (ep * a + de * b + c) / np.exp(1j * k * L)
     # Back to the anchor at 0; T2 is inf where exp(iqL) underflows.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sol[:, 3] = (u_p * (ep * a + c) + u_m * (em * b + d)) / np.exp(1j * q * L)
+        sol[:, 3] = (u_p * (ep * a + c) + due * b + du * d) / np.exp(1j * q * L)
     sol[:, 4:] = coef
     return sol
 
@@ -197,24 +246,11 @@ def _sharp_edge_block(k, gamma, omega, L, mass, hbar):
 # --- transfer matrices ---------------------------------------------------
 
 
-def _rate_over_hbar(c: float, z: np.ndarray, hbar: float) -> np.ndarray:
-    """c * z / hbar, each part divided by hbar and so correctly rounded.
-
-    numpy's complex-by-real division multiplies by a rounded 1/hbar.
-    """
-    out = np.empty(z.shape, dtype=complex)
-    out.real = c * z.real / hbar
-    out.imag = c * z.imag / hbar
-    return out
-
-
-def _sinc_w(z: np.ndarray, root: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sin(w sqrt(z)) / sqrt(z) given root = sqrt(z); entire in z, -> w as z -> 0."""
-    small = np.abs(z) * w * w < 1e-12
-    safe = np.where(small, 1.0, root)
-    out = np.sin(w * safe) / safe
-    series = w * (1.0 - z * w * w / 6.0)
-    return np.where(small, series, out)
+def sinc(x):
+    """sin(x)/x, entire in complex x: 1 at x = 0."""
+    x = np.asarray(x)
+    safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, 1.0, np.sin(safe) / safe)
 
 
 def slice_propagator(
@@ -231,10 +267,17 @@ def slice_propagator(
     ``omega`` and ``width`` are scalars or 1-D arrays that broadcast to a
     common shape (S,).  Scalars give an (nk, 4, 4) complex array; arrays
     give the (S, nk, 4, 4) stack of all S slices from one batched
-    evaluation.  Entire in the mode wavenumbers, so it is branch-free:
-    omega = 0 takes the general formulas (its rates are exactly 0 and
-    -i gamma/2), and the degenerate gamma = 2 omega point uses the exact
-    Jordan-block limit.
+    evaluation.
+
+    With zp, zm the eigenvalues of W (phi'' = -W phi), f(W) = f(zm) I +
+    f[zp, zm] (W - zm I) for f = cos(w sqrt z), sin(w sqrt z)/sqrt z and
+    sqrt z sin(w sqrt z).  The divided differences f[zp, zm] are taken in
+    the mean root r = (sqrt zp + sqrt zm)/2 and e = (zp - zm)/(4 r), with
+    zp - zm from the discriminant; with mu = w r, eta = w e and a, b =
+    mu +- eta, e.g. (cos a - cos b)/(zp - zm) = -sin mu w sinc(eta)/(2 r).
+    cos b and sin b come from mu and eta by angle addition, so every entry
+    shares one rounding of the carrier phase mu.  All of it is entire
+    through zp = zm (gamma = 2 omega) and omega = 0: no special case.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     batched = np.ndim(omega) > 0 or np.ndim(width) > 0
@@ -249,87 +292,42 @@ def slice_propagator(
     # phi'' = -W phi with W = k^2 I - (2m/hbar) M_int.
     W12 = (-mass * omega / hbar).astype(complex)[:, None]
 
-    # The eigenvalue differences dz = zp - zm and the projector numerators
+    # The eigenvalue difference zp - zm and the projector numerators
     # W - zm I are carried in closed form: they are tiny compared to k^2,
     # so forming them by subtracting the k^2-sized eigenvalues would lose
     # up to ten digits.
-    lam_p, lam_m = internal_rates(gamma, omega)
+    lam_p, lam_m, gap = internal_rates(gamma, omega)
     shift_p = _rate_over_hbar(2.0 * mass, lam_p, hbar)[:, None]
     shift_m = _rate_over_hbar(2.0 * mass, lam_m, hbar)[:, None]
-    zp = k2 - shift_p
-    zm = k2 - shift_m
-    dz = _rate_over_hbar(-2.0 * mass, lam_p - lam_m, hbar)[:, None]
-    wm1 = shift_m                                                          # W11 - zm
-    wm2 = _rate_over_hbar(mass, 1j * gamma + 2.0 * lam_m, hbar)[:, None]     # W22 - zm
-    wb1 = _rate_over_hbar(mass, lam_p + lam_m, hbar)[:, None]                # W11 - zb
-    wb2 = _rate_over_hbar(mass, 1j * gamma + lam_p + lam_m, hbar)[:, None]   # W22 - zb
+    root_p, root_m = np.sqrt(k2 - shift_p), np.sqrt(k2 - shift_m)
+    wm1 = shift_m            # W11 - zm
+    wm2 = -shift_p           # W22 - zm = -2 m lam+ / hbar
+    r = 0.5 * (root_p + root_m)
+    mu = w * r
+    eta = w * (_rate_over_hbar(-2.0 * mass, gap, hbar)[:, None] / (4.0 * r))
+    c_mu, s_mu = np.cos(mu), np.sin(mu)
+    c_eta, s_eta = np.cos(eta), np.sin(eta)
+    w_sinc = w * sinc(eta)
+    cos_b = c_mu * c_eta + s_mu * s_eta
+    sin_b = s_mu * c_eta - c_mu * s_eta
+    even = r * c_mu * w_sinc
+    odd = s_mu * c_eta
 
-    # Switch to the exact Jordan-limit form when the mode phases across the
-    # slice nearly coincide: there the spectral difference quotient cancels
-    # catastrophically, while the first-order Taylor form is accurate to
-    # O(dtheta^2).  Crossover near dtheta ~ 1e-5 balances the two errors.
-    root_p, root_m = np.sqrt(zp), np.sqrt(zm)
-    roots_sum = root_p + root_m
-    dtheta = w * np.abs(dz / np.where(roots_sum == 0.0, 1.0, roots_sum))
-    degenerate = dtheta <= 1e-5
+    def assemble(g, fm):
+        """Entries of f(W) = fm I + g (W - zm I)."""
+        return g * wm1 + fm, g * W12, g * wm2 + fm
 
-    cp, cm = np.cos(w * root_p), np.cos(w * root_m)
-    sp, sm = _sinc_w(zp, root_p, w), _sinc_w(zm, root_m, w)
-
-    dz_safe = np.where(degenerate, 1.0, dz)
-
-    # f(W) = f(zp) P+ + f(zm) P- with spectral projectors
-    # P+ = (W - zm I)/(zp - zm); near degeneracy switch to the Jordan form
-    # f(W) = f(zb) I + f'(zb) (W - zb I) which is exact when zp == zm.
-    zb = 0.5 * (zp + zm)
-    root_b = np.sqrt(zb)
-    cb, sb = np.cos(w * root_b), _sinc_w(zb, root_b, w)
-    # d/dz cos(w sqrt z) = -w/2 * sinc ; d/dz sinc = (w cos - sinc)/(2 z)
-    dcb = -0.5 * w * sb
-    zb_small = np.abs(zb) * w * w < 1e-10
-    zb_safe = np.where(zb_small, 1.0, zb)
-    dsb = np.where(
-        zb_small,
-        -(w**3) / 6.0 + zb * w**5 / 60.0,
-        (w * cb - sb) / (2.0 * zb_safe),
-    )
-
-    def assemble(g, fm, fb, dfb):
-        """Entries of f(W) from the difference quotient g = (fp - fm)/dz."""
-        f11 = np.where(degenerate, fb + dfb * wb1, g * wm1 + fm)
-        f22 = np.where(degenerate, fb + dfb * wb2, g * wm2 + fm)
-        f12 = np.where(degenerate, dfb * W12, g * W12)
-        return f11, f12, f22
-
-    gc = (cp - cm) / dz_safe
-    gs = (sp - sm) / dz_safe
-    # (zp sp - zm sm)/dz rewritten cancellation-free via the sinc quotient
-    gws = zm * gs + sp
-
-    C11, C12, C22 = assemble(gc, cm, cb, dcb)
-    S11, S12, S22 = assemble(gs, sm, sb, dsb)
-    WSb = zb * sb
-    dWSb = sb + zb * dsb
-    D11, D12, D22 = assemble(gws, zm * sm, WSb, dWSb)
+    C11, C12, C22 = assemble(-s_mu * w_sinc / (2.0 * r), cos_b)
+    S11, S12, S22 = assemble((even - odd) / (2.0 * r * root_p * root_m), sin_b / root_m)
+    D11, D12, D22 = assemble((even + odd) / (2.0 * r), root_m * sin_b)
 
     # Vector ordering (phi1, phi1', phi2, phi2').
-    P = np.empty(zp.shape + (4, 4), dtype=complex)
-    P[..., 0, 0] = C11
-    P[..., 0, 1] = S11
-    P[..., 0, 2] = C12
-    P[..., 0, 3] = S12
-    P[..., 1, 0] = -D11
-    P[..., 1, 1] = C11
-    P[..., 1, 2] = -D12
-    P[..., 1, 3] = C12
-    P[..., 2, 0] = C12
-    P[..., 2, 1] = S12
-    P[..., 2, 2] = C22
-    P[..., 2, 3] = S22
-    P[..., 3, 0] = -D12
-    P[..., 3, 1] = C12
-    P[..., 3, 2] = -D22
-    P[..., 3, 3] = C22
+    P = np.stack([
+        C11, S11, C12, S12,
+        -D11, C11, -D12, C12,
+        C12, S12, C22, S22,
+        -D12, C12, -D22, C22,
+    ], axis=-1).reshape(C11.shape + (4, 4))
     return P if batched else P[0]
 
 
@@ -395,7 +393,7 @@ def transfer_solve(
     and it carries the scale of H.  Any other stack is composed in full.
     The evaluated stack holds 256 bytes per slice and wavenumber (ceil(S/2)
     slices for a mirrored stack, S otherwise); the propagator call's peak
-    working memory is about three times that.
+    working memory is about 2.7 times that (tracemalloc, 128 slices x 161 k).
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     nk = k.shape[0]

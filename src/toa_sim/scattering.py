@@ -5,12 +5,18 @@ are solved directly for the reflection/transmission amplitudes and the
 four interior mode coefficients, giving an evaluable two-component wave
 for every incident wavenumber.
 
+The kernels are exact through the degenerate point gamma = 2 omega,
+where the two interior modes coincide: ``sharp_edge_rows`` is one kernel
+call for every coupling, and the amplitudes of both backends come from
+their kernels there too.
+
 A solution is one list of ``Region``s of anchored exponential modes,
 batched over wavenumbers.  Both backends build it (``_sharp_regions``
-here, ``transfer._slice_regions`` for sliced profiles), the degenerate
-point gamma = 2 omega is the two-sided limit of ``_two_sided`` for both,
-and one evaluator, ``_region_field``, serves the per-k
-``evaluate_state`` and the evolving packet of ``ConditionalPropagator``.
+here, ``transfer._slice_regions`` for sliced profiles).  Exponential
+modes cannot represent the field at gamma = 2 omega, so only there the
+regions of both are the two-sided limit of ``_two_sided``.  One
+evaluator, ``_region_field``, serves the per-k ``evaluate_state`` and the
+evolving packet of ``ConditionalPropagator``.
 """
 
 from __future__ import annotations
@@ -36,22 +42,22 @@ TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 def _is_degenerate(gamma: float, omega):
     """True at the degenerate point gamma = 2 omega, to relative precision EPS_DEGENERATE.
 
-    There the two interior modes coincide and the modal basis collapses;
-    such points are evaluated as the two-sided limit over
-    ``_degenerate_gammas``.  False for omega = 0.  An array of omegas gives
-    the boolean mask of its degenerate points.
+    There the two interior modes coincide and exponential modes cannot
+    represent the field, so the region builders take the two-sided limit
+    of ``_two_sided``; the kernels need no such case.  False for
+    omega = 0.  An array of omegas gives the boolean mask of its
+    degenerate points.
     """
     return np.abs(gamma - 2.0 * omega) < EPS_DEGENERATE * (gamma + 2.0 * omega)
 
 
-def _degenerate_gammas(gamma: float) -> tuple[float, float]:
-    """The two decay rates whose solutions average to the degenerate-point limit."""
-    return gamma * (1.0 - DEGENERATE_PERTURBATION), gamma * (1.0 + DEGENERATE_PERTURBATION)
-
-
 @dataclass(frozen=True)
 class InternalEigensystem:
-    """Eigenrates and eigenvectors of the internal coupling matrix."""
+    """Eigenrates and eigenvectors of the internal coupling matrix.
+
+    ``degenerate`` marks gamma = 2 omega, where the two eigenvectors
+    coincide; it matters only to the region builders (``_is_degenerate``).
+    """
 
     lambda_plus: complex
     lambda_minus: complex
@@ -65,14 +71,16 @@ def internal_eigensystem(gamma: float, omega: float) -> InternalEigensystem:
 
     Eigenvectors are unnormalized with first component fixed to 1; they are
     undefined for omega = 0 (callers treat that as the uncoupled case).
-    The ``degenerate`` flag marks gamma = 2 omega to relative precision
-    EPS_DEGENERATE; flagged systems must be evaluated as a two-sided limit.
+    The rates are those of ``kernels.internal_rates``, accurate to
+    rounding for any omega/gamma.  The ``degenerate`` flag marks
+    gamma = 2 omega to relative precision EPS_DEGENERATE; the kernels are
+    exact there, and only a solution's regions are a two-sided limit.
     """
     if omega <= 0.0:
         raise ValueError("internal_eigensystem requires omega > 0")
     if gamma < 0.0:
         raise ValueError("internal_eigensystem requires gamma >= 0")
-    lam_p, lam_m = kernels.internal_rates(gamma, omega)
+    lam_p, lam_m = (complex(rate) for rate in kernels.internal_rates(gamma, omega)[:2])
     return InternalEigensystem(
         lambda_plus=lam_p,
         lambda_minus=lam_m,
@@ -173,10 +181,12 @@ def sharp_edge_rows(k, config: ValidatedConfig, omega=None) -> np.ndarray:
 
     ``omega`` gives one coupling per wavenumber (an array broadcasting
     against ``k``), so a whole (omega, v) scan is one call; by default every
-    point takes ``config.omega``.  Handles omega = 0 (free ground channel)
-    and the degenerate gamma = 2 omega point (two-sided limit average) per
-    point, so it is safe over arbitrary parameter scans.  A point's row
-    does not depend on the other points of the batch.
+    point takes ``config.omega``.  Columns 4-7 are the kernel's Newton
+    coefficients (``kernels.sharp_edge_solve``).  Handles omega = 0 (free
+    ground channel) per point; every coupled point, the degenerate
+    gamma = 2 omega included, is one kernel call, so it is safe over
+    arbitrary parameter scans.  A point's row does not depend on the other
+    points of the batch.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     omega = np.broadcast_to(
@@ -184,24 +194,15 @@ def sharp_edge_rows(k, config: ValidatedConfig, omega=None) -> np.ndarray:
     )
     hbar = config.constants.hbar
 
-    def solve(sel, gamma):
-        return kernels.sharp_edge_solve(
-            k[sel], gamma, omega[sel], config.beam_width, config.mass, hbar
-        )
-
-    degenerate = _is_degenerate(config.gamma, omega)
-    plain = (omega != 0.0) & ~degenerate
-    if plain.all():
-        return solve(slice(None), config.gamma)
+    coupled = omega != 0.0
+    if coupled.all():  # a map without an uncoupled column: no copies
+        return kernels.sharp_edge_solve(k, config.gamma, omega, config.beam_width, config.mass, hbar)
     rows = np.zeros((k.shape[0], 8), dtype=complex)
     rows[:, 2] = 1.0  # T1: ground channel is free at omega = 0
     rows[:, 4] = 1.0  # interior ground plane wave
-    if plain.any():
-        rows[plain] = solve(plain, config.gamma)
-    if degenerate.any():
-        lo, hi = (solve(degenerate, g) for g in _degenerate_gammas(config.gamma))
-        with np.errstate(invalid="ignore"):  # inf - inf: T2 out of range at low speed
-            rows[degenerate] = 0.5 * (lo + hi)
+    rows[coupled] = kernels.sharp_edge_solve(
+        k[coupled], config.gamma, omega[coupled], config.beam_width, config.mass, hbar
+    )
     return rows
 
 
@@ -223,61 +224,62 @@ def _exterior_regions(k, R1, T1, reflected, transmitted, x_left, x_right):
 def _sharp_regions(k: np.ndarray, config: ValidatedConfig):
     """Amplitudes (R1, R2, T1, T2) and regions of the sharp beam at wavenumbers k.
 
-    The rows are those of ``sharp_edge_rows``; (a, b) are anchored at 0 and
-    (c, d) at L, as in the kernel.  The transmitted excited wave is anchored
-    at the exit, as T2_L exp(iq(x - L)) with T2_L the excited channel's
-    value at x = L: it stays finite where exp(iqL) underflows and T2 does
-    not.  The degenerate point is the two-sided limit of ``_two_sided``.
+    The amplitudes are the rows of ``sharp_edge_rows``.  The interior
+    modes take the exponential coefficients a = a' + b'/dk, b = -b'/dk,
+    c = c' + d'/dk and d = -d'/dk of the kernel's Newton coefficients, with
+    dk = k+ - k-; (a, b) are anchored at 0 and (c, d) at L.  The
+    transmitted excited wave is anchored at the exit, as T2_L exp(iq(x - L))
+    with T2_L the kernel's excited value at x = L: it stays finite where
+    exp(iqL) underflows and T2 does not.  At gamma = 2 omega, where dk = 0,
+    the regions are the two-sided limit of ``_two_sided``.
     """
-    if _is_degenerate(config.gamma, config.omega):
-        return _two_sided(_sharp_regions, config, k)
     hbar = config.constants.hbar
     L = config.beam_width
     rows = sharp_edge_rows(k, config)
-    R1, R2, T1 = rows[:, 0], rows[:, 1], rows[:, 2]
+    amplitudes = R1, R2, T1, _ = tuple(rows[:, :4].T)
+    if _is_degenerate(config.gamma, config.omega):
+        return amplitudes, _two_sided(_sharp_regions, config, k)
     if config.omega == 0.0:
         interior = ([(rows[:, 4], k.astype(complex), 0.0)], [])
         reflected, transmitted = [], []
     else:
         q = kernels.channel_q(k, config.gamma, config.mass, hbar)
-        kp, km, lam_p, lam_m = kernels.mode_wavenumbers(
-            k, config.gamma, config.omega, config.mass, hbar
+        kp, km, u_p, u_m, dk, du, ep, em, de = kernels.newton_terms(
+            k, config.gamma, config.omega, L, config.mass, hbar
         )
-        u_p = 2.0 * lam_p / config.omega
-        u_m = 2.0 * lam_m / config.omega
-        a, b, c, d = (rows[:, j] for j in range(4, 8))
-        t2_exit = u_p * (np.exp(1j * kp * L) * a + c) + u_m * (np.exp(1j * km * L) * b + d)
+        a, b, c, d = rows[:, 4:].T
+        t2_exit = u_p * (ep * a + c) + (u_p * de + du * em) * b + du * d
+        a, b, c, d = a + b / dk, -b / dk, c + d / dk, -d / dk
         interior = ([(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)],
                     [(u_p * a, kp, 0.0), (u_m * b, km, 0.0),
                      (u_p * c, -kp, L), (u_m * d, -km, L)])
         reflected, transmitted = [(R2, -q, 0.0)], [(t2_exit, q, L)]
     left, right = _exterior_regions(k, R1, T1, reflected, transmitted, 0.0, L)
-    return (R1, R2, T1, rows[:, 3]), [left, Region(x1=0.0, x2=L, channel_modes=interior), right]
+    return amplitudes, [left, Region(x1=0.0, x2=L, channel_modes=interior), right]
 
 
-def _two_sided(build, config: ValidatedConfig, *args):
-    """``build(*args, config)`` at gamma = 2 omega, as the two-sided limit.
+def _two_sided(build, config: ValidatedConfig, *args) -> list[Region]:
+    """The regions of ``build(*args, config)`` at gamma = 2 omega, as the two-sided limit.
 
     There the two interior modes coincide and the field has an
     x exp(i kappa x) Jordan term, which exponential modes cannot represent.
-    Each solve of ``_degenerate_gammas`` brings its own modes (its own
-    k+-, u+- and q) at half weight.  A channel whose modes do not depend on
-    gamma (the ground channel outside the coupling) keeps one set of modes
-    with averaged coefficients, so it is shared, not doubled.  The
-    amplitudes are the averages of the two solves', as in
-    ``sharp_edge_rows``.
+    The regions are averaged over two solves at
+    gamma (1 -+ DEGENERATE_PERTURBATION), each bringing its own modes (its
+    own k+-, u+- and q) at half weight.  A channel whose modes do not
+    depend on gamma (the ground channel outside the coupling) keeps one set
+    of modes with averaged coefficients, so it is shared, not doubled.
+    Only the modes are averaged: the kernels are exact at gamma = 2 omega,
+    and the builders take the amplitudes from there.
     """
-    (amps_lo, lo), (amps_hi, hi) = (
-        build(*args, replace(config, gamma=g)) for g in _degenerate_gammas(config.gamma)
+    lo, hi = (
+        build(*args, replace(config, gamma=config.gamma * (1.0 + side * DEGENERATE_PERTURBATION)))[1]
+        for side in (-1.0, 1.0)
     )
-    with np.errstate(invalid="ignore"):  # inf - inf: T2 out of range at low speed
-        amplitudes = tuple(0.5 * (a + b) for a, b in zip(amps_lo, amps_hi))
-    regions = [
+    return [
         Region(x1=r.x1, x2=r.x2, channel_modes=tuple(
             _average_modes(m, n) for m, n in zip(r.channel_modes, s.channel_modes)))
         for r, s in zip(lo, hi)
     ]
-    return amplitudes, regions
 
 
 def _average_modes(lo: list, hi: list) -> list:
@@ -417,15 +419,16 @@ def matching_residual(sol: ScatteringSolution) -> float:
 
 
 def absorption(sol: ScatteringSolution) -> float:
-    """Total detection probability A = 1 - |T1|^2 - |R1|^2 (clamped to [0, 1])."""
-    return absorption_value(sol.R1, sol.T1)
+    """Total detection probability A = 1 - |T1|^2 - |R1|^2, as ``absorption_status`` gives it.
 
-
-def absorption_value(R1: complex, T1: complex) -> float:
-    a = 1.0 - abs(T1) ** 2 - abs(R1) ** 2
-    if a < -ABSORPTION_BAND or a > 1.0 + ABSORPTION_BAND:
-        raise NonPhysicalAbsorption(f"absorption {a!r} outside [0, 1] sanity band")
-    return min(max(a, 0.0), 1.0)
+    Clipped to [0, 1] within ABSORPTION_BAND; NaN for a non-finite value;
+    raises NonPhysicalAbsorption for a finite one outside the band.
+    """
+    a, [status] = absorption_status(np.array([[sol.R1, sol.R2, sol.T1, sol.T2]]))
+    if status == "nonphysical":
+        raw = 1.0 - abs(sol.T1) ** 2 - abs(sol.R1) ** 2
+        raise NonPhysicalAbsorption(f"absorption {raw!r} outside [0, 1] sanity band")
+    return float(a[0])
 
 
 def absorption_status(rows: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -443,13 +446,6 @@ def absorption_status(rows: np.ndarray) -> tuple[np.ndarray, list[str]]:
     return np.where(singular | nonphysical, np.nan, np.clip(a, 0.0, 1.0)), status.tolist()
 
 
-def _sin_over(z: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sin(theta)/z for theta = s*z, safe as z -> 0 (returns s * sinc)."""
-    small = np.abs(theta) < 1e-8
-    zs = np.where(small, 1.0, z)
-    return np.where(small, (theta / zs) * (1.0 - theta * theta / 6.0), np.sin(theta) / zs)
-
-
 def semiclassical_state(k: float, config: ValidatedConfig, x) -> np.ndarray:
     """Straight-trajectory interior wave: internal Rabi evolution times a plane wave.
 
@@ -462,7 +458,7 @@ def semiclassical_state(k: float, config: ValidatedConfig, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     op = np.sqrt(complex(omega * omega - 0.25 * gamma * gamma))
     theta = x * op / (2.0 * v)
-    sin_term = _sin_over(np.full_like(x, op, dtype=complex), theta)
+    sin_term = x / (2.0 * v) * kernels.sinc(theta)   # sin(theta) / op
     ground = np.cos(theta) + 0.5 * gamma * sin_term
     excited = -1j * omega * sin_term
     envelope = np.exp(1j * k * x) * np.exp(-gamma * x / (4.0 * v)) / TWO_PI_SQRT
@@ -478,7 +474,7 @@ def semiclassical_T2(k: float, config: ValidatedConfig) -> complex:
     q = complex(kernels.channel_q(np.array([k]), gamma, config.mass, hbar)[0])
     op = np.sqrt(complex(omega * omega - 0.25 * gamma * gamma))
     theta = L * op / (2.0 * v)
-    sin_term = _sin_over(np.asarray(op, dtype=complex), np.asarray(theta))
+    sin_term = L / (2.0 * v) * kernels.sinc(theta)   # sin(theta) / op
     return complex(
         np.exp(1j * (k - q) * L) * math.exp(-gamma * L / (4.0 * v)) * (-1j * omega) * sin_term
     )

@@ -149,13 +149,15 @@ def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedC
     edge; each slice's four exponential modes are fitted to the state at
     its left edge, anchored so that each is bounded across the slice.  At a
     degenerate slice (gamma = 2 omega_j) the modes coincide and cannot be
-    fitted, so the whole solve is the two-sided limit of ``_two_sided``.
+    fitted, so the regions are the two-sided limit of ``_two_sided``; the
+    amplitudes still come from the exact solve.
     """
     edges = np.asarray(decomp.edges)
     omegas = np.asarray(decomp.omegas)
-    if np.any(_is_degenerate(config.gamma, omegas)):
-        return _two_sided(_slice_regions, config, k, decomp)
     hbar = config.constants.hbar
+    if np.any(_is_degenerate(config.gamma, omegas)):
+        amps = kernels.transfer_solve(k, edges, omegas, config.gamma, config.mass, hbar)
+        return tuple(amps.T), _two_sided(_slice_regions, config, k, decomp)
     nk = k.shape[0]
     amps, states = kernels.transfer_solve(
         k, edges, omegas, config.gamma, config.mass, hbar, return_states=True

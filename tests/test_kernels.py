@@ -1,12 +1,22 @@
-"""The numpy kernels: the namespace runs report, and batched solves."""
+"""The numpy kernels: the namespace runs report, batched solves, and exactness."""
 
+import functools
+
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GAMMA, HBAR, MASS
+from oracle import sharp_amplitudes
 from toa_sim import kernels
-from toa_sim.kernels import channel_q, mode_wavenumbers, reference
+from toa_sim.kernels import channel_q, internal_rates, newton_terms, reference
+from toa_sim.model import cesium_config
+from toa_sim.scattering import sharp_edge_rows
+from toa_sim.transfer import discretize, transfer_rows
+
+EPS = np.finfo(float).eps
 
 
 def test_active_backend_is_numpy():
@@ -38,9 +48,8 @@ def sharp_edge_solve_8x8(k, gamma, omega, L):
     k = np.atleast_1d(np.asarray(k, dtype=float))
     nk = k.shape[0]
     q = channel_q(k, gamma, MASS, HBAR)
-    kp, km, lam_p, lam_m = mode_wavenumbers(k, gamma, omega, MASS, HBAR)
-    u_p, u_m = 2.0 * lam_p / omega, 2.0 * lam_m / omega
-    ep, em = np.exp(1j * kp * L), np.exp(1j * km * L)
+    # the kernel's e+- = exp(i k+- L), so that both solve one discrete system
+    kp, km, u_p, u_m, _, _, ep, em, _ = newton_terms(k, gamma, omega, L, MASS, HBAR)
     fk, fq = np.exp(1j * k * L), np.exp(1j * q * L)
     kps, kms, qs = kp / k, km / k, q / k
     A = np.zeros((nk, 8, 8), dtype=complex)
@@ -121,16 +130,24 @@ KERNEL_OMEGAS = [0.5 * (1.0 - 1e-6), 0.5 * (1.0 + 1e-6), 5.0, 0.3]
     L=st.floats(0.5e-6, 50e-6),
 )
 def test_eliminated_solve_matches_8x8(v, omega_in_gamma, L):
+    # The kernel's Newton coefficients against the 8x8 solve's exponential
+    # ones, converted: a' = a + b, b' = -b dk, c' = c + d, d' = -d dk.
     # Agreement is normwise: each entry against the row's largest of R1, R2,
-    # T1, a-d (deep absorption leaves T1 and c, d many decades below it).
-    # T2 is compared through T2 exp(iqL), the excited value at the exit.
+    # T1, a', b' L, c', d' L (b' and d' multiply divided differences of
+    # size ~L; deep absorption leaves T1 and c', d' many decades below the
+    # largest).  T2 is compared through T2 exp(iqL), the excited value at
+    # the exit.
     k = MASS * np.asarray(v) / HBAR
     omega = omega_in_gamma * GAMMA
     new = kernels.sharp_edge_solve(k, GAMMA, omega, L, MASS, HBAR)
     old, fq = sharp_edge_solve_8x8(k, GAMMA, omega, L)
+    dk = newton_terms(k, GAMMA, omega, L, MASS, HBAR)[4]
+    a, b, c, d = old[:, 4:].T
+    old[:, 4:] = np.stack([a + b, -b * dk, c + d, -d * dk], axis=1)
+    unit = np.array([1.0, 1.0, 1.0, 1.0, L, 1.0, L])
     cols = [0, 1, 2, 4, 5, 6, 7]
-    scale = np.abs(old[:, cols]).max(axis=1)
-    assert np.all(np.abs(new[:, cols] - old[:, cols]).max(axis=1) <= 1e-12 * scale)
+    scale = np.abs(old[:, cols] * unit).max(axis=1)
+    assert np.all(np.abs((new[:, cols] - old[:, cols]) * unit).max(axis=1) <= 1e-12 * scale)
     finite = np.isfinite(old[:, 3])
     assert np.array_equal(np.isfinite(new[:, 3]), finite)
     t2_gap = np.abs(new[finite, 3] - old[finite, 3]) * np.abs(fq[finite])
@@ -150,14 +167,15 @@ def test_omega_array_broadcasts_against_k(monkeypatch):
         assert np.array_equal(batch[i], single[0])
 
 
-def test_singular_point_fails_alone():
-    # exactly at gamma = 2 omega the interior modes coincide and the 4x4 system
-    # is singular: that row comes back NaN, its neighbours are unaffected
+def test_degenerate_point_is_finite_and_alone():
+    # exactly at gamma = 2 omega the interior modes coincide, and the Newton
+    # basis does not collapse there: that row is finite, and every row of
+    # the batch is the row of its own solve
     k = MASS * np.array([20.0, 20.0, 20.0]) / HBAR
     omegas = np.array([5.0 * GAMMA, 0.5 * GAMMA, 0.3 * GAMMA])
     rows = kernels.sharp_edge_solve(k, GAMMA, omegas, 5e-6, MASS, HBAR)
-    assert np.all(np.isnan(rows[1]))
-    for i in (0, 2):
+    assert np.all(np.isfinite(rows))
+    for i in range(3):
         single = kernels.sharp_edge_solve(k[i:i + 1], GAMMA, omegas[i], 5e-6, MASS, HBAR)
         assert np.array_equal(rows[i], single[0])
 
@@ -173,3 +191,66 @@ def test_solve_singular_row_is_nan_others_keep_their_bits():
     assert np.all(np.isnan(x[2]))
     for i in (0, 1, 3, 4):
         assert np.array_equal(x[i], np.linalg.solve(A[i], rhs[i]))
+
+
+# --- exactness through gamma = 2 omega, against mpmath --------------------------
+
+
+@pytest.mark.parametrize("omega_in_gamma", [1e-8, 1e-6, 1e-3, 0.3, 0.5, 5.0])
+def test_internal_rates_match_mpmath(omega_in_gamma):
+    # lam+ comes from the product of the roots: no cancellation at weak coupling
+    omega = omega_in_gamma * GAMMA
+    with mpmath.workdps(50):
+        g, om = mpmath.mpf(GAMMA), mpmath.mpf(omega)
+        disc = mpmath.sqrt(g * g - 4 * om * om)
+        exact = (complex(-0.25j * g + 0.25j * disc), complex(-0.25j * g - 0.25j * disc))
+    for got, want in zip(internal_rates(GAMMA, omega)[:2], exact):
+        assert abs(got - want) <= 4 * EPS * abs(want)
+
+
+def test_internal_rates_limits():
+    assert internal_rates(GAMMA, 0.0)[:2] == (0.0, -0.5j * GAMMA)
+    assert internal_rates(0.0, 0.0) == (0.0, 0.0, 0.0)
+    lam_p, lam_m, gap = internal_rates(0.0, 1e8)
+    assert abs(lam_p + 0.5e8) <= 4 * EPS * 0.5e8 and abs(lam_m - 0.5e8) <= 4 * EPS * 0.5e8
+    assert gap == -1e8
+    rates = internal_rates(GAMMA, np.array([0.0, 0.5 * GAMMA]))
+    assert rates[0][0] == 0.0 and rates[1][0] == -0.5j * GAMMA and rates[2][1] == 0.0
+
+
+ORACLE_V = np.array([0.5, 2.0, 20.0, 100.0, 265.0, 400.0, 900.0])
+ORACLE_OMEGAS = [0.5] + [0.5 * (1 + s * e) for e in (1e-9, 1e-7, 1e-5, 1e-3)
+                         for s in (1.0, -1.0)] + [0.3, 5.0]
+
+
+@functools.lru_cache(maxsize=None)
+def sharp_oracle(omega_in_gamma):
+    """mpmath (R1, R2, T1, T2 exp(iqL)) rows and A of the 5-um beam over ORACLE_V."""
+    k = MASS * ORACLE_V / HBAR
+    rows, absorption = zip(*(
+        sharp_amplitudes(kk, omega_in_gamma * GAMMA, 5e-6, GAMMA, MASS, HBAR,
+                         dps=60 if v >= 2.0 else 250)
+        for kk, v in zip(k, ORACLE_V)))
+    return np.array(rows), np.array(absorption)
+
+
+@pytest.mark.parametrize("omega_in_gamma", ORACLE_OMEGAS)
+def test_sharp_rows_match_oracle(omega_in_gamma):
+    cfg = cesium_config(omega=omega_in_gamma * GAMMA)
+    k = MASS * ORACLE_V / HBAR
+    rows = sharp_edge_rows(k, cfg)
+    ref, a_ref = sharp_oracle(omega_in_gamma)
+    a = 1.0 - np.abs(rows[:, 2]) ** 2 - np.abs(rows[:, 0]) ** 2
+    assert np.abs(a - a_ref).max() <= 1e-13
+    got = rows[:, :4].copy()
+    got[:, 3] *= np.exp(1j * channel_q(k, GAMMA, MASS, HBAR) * cfg.beam_width)
+    assert np.all(np.abs(got - ref).max(axis=1) <= 1e-8 * np.abs(ref).max(axis=1))
+
+
+@pytest.mark.parametrize("omega_in_gamma", ORACLE_OMEGAS)
+def test_one_slice_transfer_matches_oracle(omega_in_gamma):
+    cfg = cesium_config(omega=omega_in_gamma * GAMMA)
+    fast = ORACLE_V >= 20.0
+    rows = transfer_rows(MASS * ORACLE_V[fast] / HBAR, discretize(cfg.profile, 1, config=cfg), cfg)
+    a = 1.0 - np.abs(rows[:, 2]) ** 2 - np.abs(rows[:, 0]) ** 2
+    assert np.abs(a - sharp_oracle(omega_in_gamma)[1][fast]).max() <= 1e-13

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from toa_sim.model import cesium_config, with_omega
 from toa_sim.scattering import (
     absorption,
     absorption_status,
-    absorption_value,
     channel_wavenumbers,
     evaluate_state,
     internal_eigensystem,
@@ -253,12 +253,15 @@ class TestEvaluateState:
 
 
 class TestAbsorption:
-    def test_band_check(self):
+    def test_band_check(self, cs_strong):
+        # a solved solution with its amplitudes replaced: A = -1.25 and
+        # A = -1.88 lie below the band, A = -1e-9 is clamped to 0
+        sol = solve_sharp_edge(k_of(265.0), cs_strong)
         with pytest.raises(NonPhysicalAbsorption):
-            absorption_value(0.0 + 0j, 1.5 + 0j)
+            absorption(replace(sol, R1=0.0j, T1=1.5 + 0j))
         with pytest.raises(NonPhysicalAbsorption):
-            absorption_value(1.2 + 0j, 1.2 + 0j)
-        assert absorption_value(0.0j, (1.0 + 5e-10) + 0j) == 0.0
+            absorption(replace(sol, R1=1.2 + 0j, T1=1.2 + 0j))
+        assert absorption(replace(sol, R1=0.0j, T1=(1.0 + 5e-10) + 0j)) == 0.0
 
     def test_status_rows(self):
         # columns [R1, R2, T1, T2]; A = 1 - |T1|^2 - |R1|^2 <= 1 always,

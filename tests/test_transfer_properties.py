@@ -13,15 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GAMMA, HBAR, MASS
+from oracle import spectral_propagator
 from toa_sim.kernels import channel_q, slice_propagator, transfer_solve
 from toa_sim.model import RabiProfile, cesium_config
 from toa_sim.transfer import discretize
 
+EPS = np.finfo(float).eps
 # A fixed example set keeps the suite deterministic.
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
-# Omega = gamma/2 (1 + eps): the Jordan switch (dtheta <= 1e-5) falls near
-# |eps| ~ 1e-7 for a 0.1 um slice at 100 m/s, so this range straddles it.
+# Omega = gamma/2 (1 + eps), from the degenerate point's neighbourhood out.
 NEAR_DEGENERATE_EPS = st.floats(1e-11, 1e-3).flatmap(lambda e: st.sampled_from([e, -e]))
 
 
@@ -33,11 +34,13 @@ def to_scaled_basis(P, k):
     return P
 
 
-def jordan_side(k, omega, width, gamma):
-    """True where the propagator takes the Jordan-limit form (same test as the kernel)."""
-    disc = np.sqrt(complex(gamma * gamma - 4.0 * omega * omega))
-    dz = MASS * disc / HBAR          # |zp - zm|
-    return width * abs(dz) / (2.0 * k) <= 1e-5
+def assert_matches_oracle(P, k, omega, width, gamma, tol=10.0):
+    """Each (nk, 4, 4) propagator within tol eps max(1, w k), normwise, of the mpmath one."""
+    for i, kk in enumerate(k):
+        ref = to_scaled_basis(spectral_propagator(kk, omega, width, gamma, MASS, HBAR, 80)[None],
+                              np.array([kk]))[0]
+        err = np.abs(to_scaled_basis(P[i:i + 1], np.array([kk]))[0] - ref).max()
+        assert err <= tol * EPS * max(1.0, width * kk) * np.abs(ref).max()
 
 
 def assert_batch_matches_scalar(k, omegas, widths, gamma):
@@ -83,13 +86,32 @@ def test_batched_propagator_edge_cases():
     eps = [-1e-3, -1e-9, 1e-9, 1e-3]
     omegas = np.array([0.0, 5 * GAMMA, 0.0] + [0.5 * GAMMA * (1 + e) for e in eps] + [5 * GAMMA])
     widths = np.array([1e-7, 1e-7, 0.0] + [1e-7] * len(eps) + [0.0])
-    sides = [jordan_side(k[1], om, 1e-7, GAMMA) for om in omegas[3:7]]
-    assert sides == [False, True, True, False]
     assert_batch_matches_scalar(k, omegas, widths, GAMMA)
-    # zero width is the identity, with or without coupling
     batch = slice_propagator(k, omegas, widths, GAMMA, MASS, HBAR)
+    # the slices on both sides of gamma = 2 Omega, against the oracle
+    for j in range(3, 7):
+        assert_matches_oracle(batch[j], k, omegas[j], widths[j], GAMMA)
+    # zero width is the identity, with or without coupling
     assert np.array_equal(batch[2], np.broadcast_to(np.eye(4), (3, 4, 4)))
     assert np.array_equal(batch[-1], np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+ORACLE_K = MASS * np.array([0.5, 20.0, 900.0]) / HBAR
+NEIGHBOURHOOD = [1.0] + [1.0 + s * e for e in (1e-9, 1e-7, 1e-5, 1e-3) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("gamma_in_gamma", [0.0, 0.4, 1.0])
+def test_propagator_matches_oracle_through_degenerate_point(gamma_in_gamma):
+    # one formula for every coupling: zero, weak, the gamma/2 neighbourhood
+    # and strong, over slice widths of 1 nm to 5 um
+    gamma = gamma_in_gamma * GAMMA
+    omegas = [0.0, 1e-6 * GAMMA, 0.3 * GAMMA, 5.0 * GAMMA]
+    if gamma > 0.0:
+        omegas += [0.5 * gamma * f for f in NEIGHBOURHOOD]
+    for width in (1e-9, 2e-8, 3e-7, 5e-6):
+        batch = slice_propagator(ORACLE_K, np.array(omegas), width, gamma, MASS, HBAR)
+        for j, omega in enumerate(omegas):
+            assert_matches_oracle(batch[j], ORACLE_K, omega, width, gamma)
 
 
 def test_tabulated_profile_mixes_zero_and_coupled_slices():
@@ -221,14 +243,20 @@ def test_mirrored_stack_matches_sequential_reference(n_slices, monkeypatch):
     amps = transfer_solve(FAST_K, edges, omegas, GAMMA, MASS, HBAR)
     assert counts == [(n_slices + 1) // 2]
     monkeypatch.undo()
-    ref = absorption(np.array([sequential_transfer(kk, edges, omegas, GAMMA) for kk in FAST_K]))
-    # Three 3.5-um slices at 3.5 m/s are ill-conditioned: a 1-ulp move of
-    # the couplings moves the reference itself by 7e-12, so that move is
-    # allowed on top; for the other stacks it is below 2e-15.
-    ulp_move = max(
-        np.abs(absorption(np.array([sequential_transfer(kk, edges, omegas * (1 + s), GAMMA)
-                                    for kk in FAST_K])) - ref).max()
-        for s in (2.0**-52, -(2.0**-52)))
+
+    def reference(k, edges, omegas):
+        return absorption(np.array([sequential_transfer(kk, edges, omegas, GAMMA) for kk in k]))
+
+    ref = reference(FAST_K, edges, omegas)
+    # Three 1.85-um slices at 3.5 m/s (k w = 1.4e4) are ill-conditioned:
+    # 1-ulp moves of the couplings, the edges or k move the reference
+    # itself by up to 6e-12, so the largest such move is allowed on top;
+    # for the other stacks it is below 2e-15.
+    up, down = 1.0 + 2.0**-52, 1.0 - 2.0**-52
+    moves = [(FAST_K * f, edges, omegas) for f in (up, down)]
+    moves += [(FAST_K, edges, omegas * f) for f in (up, down)]
+    moves += [(FAST_K, np.nextafter(edges, side), omegas) for side in (-np.inf, np.inf)]
+    ulp_move = max(np.abs(reference(*move) - ref).max() for move in moves)
     assert np.abs(absorption(amps) - ref).max() <= 1e-12 + ulp_move
 
 
