@@ -13,11 +13,14 @@ from . import reference
 from .reference import (
     channel_q,
     internal_rates,
+    mode_split,
     mode_wavenumbers,
     newton_terms,
+    sharp_edge_modes,
     sharp_edge_solve,
     sinc,
     slice_propagator,
+    split_exp,
     sqrt_upper,
     transfer_solve,
 )

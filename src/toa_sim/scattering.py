@@ -5,18 +5,14 @@ are solved directly for the reflection/transmission amplitudes and the
 four interior mode coefficients, giving an evaluable two-component wave
 for every incident wavenumber.
 
-The kernels are exact through the degenerate point gamma = 2 omega,
-where the two interior modes coincide: ``sharp_edge_rows`` is one kernel
-call for every coupling, and the amplitudes of both backends come from
-their kernels there too.
-
 A solution is one list of ``Region``s of anchored exponential modes,
 batched over wavenumbers.  Both backends build it (``_sharp_regions``
-here, ``transfer._slice_regions`` for sliced profiles).  Exponential
-modes cannot represent the field at gamma = 2 omega, so only there the
-regions of both are the two-sided limit of ``_two_sided``.  One
+here, ``transfer._slice_regions`` for sliced profiles), and one
 evaluator, ``_region_field``, serves the per-k ``evaluate_state`` and the
-evolving packet of ``ConditionalPropagator``.
+evolving packet of ``ConditionalPropagator``.  The kernels are exact
+through the degenerate point gamma = 2 omega, where the two interior
+modes coincide; only the regions, which exponential modes cannot give
+there, are the two-sided limit of ``_two_sided``.
 """
 
 from __future__ import annotations
@@ -42,11 +38,8 @@ TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 def _is_degenerate(gamma: float, omega):
     """True at the degenerate point gamma = 2 omega, to relative precision EPS_DEGENERATE.
 
-    There the two interior modes coincide and exponential modes cannot
-    represent the field, so the region builders take the two-sided limit
-    of ``_two_sided``; the kernels need no such case.  False for
-    omega = 0.  An array of omegas gives the boolean mask of its
-    degenerate points.
+    Only the region builders need it (``_two_sided``).  False for
+    omega = 0; an array of omegas gives the mask of its degenerate points.
     """
     return np.abs(gamma - 2.0 * omega) < EPS_DEGENERATE * (gamma + 2.0 * omega)
 
@@ -55,8 +48,8 @@ def _is_degenerate(gamma: float, omega):
 class InternalEigensystem:
     """Eigenrates and eigenvectors of the internal coupling matrix.
 
-    ``degenerate`` marks gamma = 2 omega, where the two eigenvectors
-    coincide; it matters only to the region builders (``_is_degenerate``).
+    ``degenerate`` marks gamma = 2 omega, where the eigenvectors coincide
+    (``_is_degenerate``); only the region builders need it.
     """
 
     lambda_plus: complex
@@ -71,10 +64,8 @@ def internal_eigensystem(gamma: float, omega: float) -> InternalEigensystem:
 
     Eigenvectors are unnormalized with first component fixed to 1; they are
     undefined for omega = 0 (callers treat that as the uncoupled case).
-    The rates are those of ``kernels.internal_rates``, accurate to
-    rounding for any omega/gamma.  The ``degenerate`` flag marks
-    gamma = 2 omega to relative precision EPS_DEGENERATE; the kernels are
-    exact there, and only a solution's regions are a two-sided limit.
+    The rates are ``kernels.internal_rates``', accurate to rounding for
+    any omega/gamma; ``degenerate`` is ``_is_degenerate``.
     """
     if omega <= 0.0:
         raise ValueError("internal_eigensystem requires omega > 0")
@@ -138,6 +129,12 @@ class Region:
     beam), the transmitted side.  Field evaluation (``_region_field``) and
     the overlap engine (``wavepacket._overlap_sums``) both read it.
 
+    ``splits`` (interior regions) holds per channel and mode the
+    (carrier, offset) of ``kernels.mode_split`` that sum to kappa: the field
+    evaluator forms those waves with ``kernels.split_exp``, as the kernels
+    did, so a region matches its neighbours even where near-equal modes
+    carry large, cancelling coefficients (near gamma = 2 omega).
+
     Invariant: every mode is bounded by |coef| in its region, i.e.
     |exp(i kappa (x - anchor))| <= 1 at each finite endpoint.
     The overlap engine relies on it: it forms each mode's endpoint values
@@ -150,6 +147,7 @@ class Region:
     x1: float
     x2: float
     channel_modes: tuple[list, list]
+    splits: tuple[list, list] | None = None
 
 
 @dataclass(frozen=True)
@@ -183,10 +181,9 @@ def sharp_edge_rows(k, config: ValidatedConfig, omega=None) -> np.ndarray:
     against ``k``), so a whole (omega, v) scan is one call; by default every
     point takes ``config.omega``.  Columns 4-7 are the kernel's Newton
     coefficients (``kernels.sharp_edge_solve``).  Handles omega = 0 (free
-    ground channel) per point; every coupled point, the degenerate
-    gamma = 2 omega included, is one kernel call, so it is safe over
-    arbitrary parameter scans.  A point's row does not depend on the other
-    points of the batch.
+    ground channel) per point; every coupled point, gamma = 2 omega
+    included, is one kernel call.  A point's row does not depend on the
+    other points of the batch.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
     omega = np.broadcast_to(
@@ -224,71 +221,55 @@ def _exterior_regions(k, R1, T1, reflected, transmitted, x_left, x_right):
 def _sharp_regions(k: np.ndarray, config: ValidatedConfig):
     """Amplitudes (R1, R2, T1, T2) and regions of the sharp beam at wavenumbers k.
 
-    The amplitudes are the rows of ``sharp_edge_rows``.  The interior
-    modes take the exponential coefficients a = a' + b'/dk, b = -b'/dk,
-    c = c' + d'/dk and d = -d'/dk of the kernel's Newton coefficients, with
-    dk = k+ - k-; (a, b) are anchored at 0 and (c, d) at L.  The
-    transmitted excited wave is anchored at the exit, as T2_L exp(iq(x - L))
-    with T2_L the kernel's excited value at x = L: it stays finite where
-    exp(iqL) underflows and T2 does not.  At gamma = 2 omega, where dk = 0,
-    the regions are the two-sided limit of ``_two_sided``.
+    The amplitudes are the rows of ``sharp_edge_rows``; the interior
+    modes, (a, b) anchored at 0 and (c, d) at L, are the kernel's
+    (``kernels.sharp_edge_modes``) with their carrier splits.  The
+    transmitted excited wave is T2_L exp(iq(x - L)), T2_L the kernel's
+    excited value at x = L: it stays finite where exp(iqL) underflows and
+    T2 does not.  At gamma = 2 omega the regions are ``_two_sided``'s.
     """
-    hbar = config.constants.hbar
     L = config.beam_width
-    rows = sharp_edge_rows(k, config)
+    if config.omega == 0.0:   # the free ground wave
+        rows = sharp_edge_rows(k, config)
+        left, right = _exterior_regions(k, rows[:, 0], rows[:, 2], [], [], 0.0, L)
+        interior = Region(0.0, L, ([(rows[:, 4], k.astype(complex), 0.0)], []))
+        return tuple(rows[:, :4].T), [left, interior, right]
+    hbar = config.constants.hbar
+    rows, terms, (a, b, c, d), t2_exit = kernels.sharp_edge_modes(
+        k, config.gamma, config.omega, L, config.mass, hbar)
     amplitudes = R1, R2, T1, _ = tuple(rows[:, :4].T)
     if _is_degenerate(config.gamma, config.omega):
-        return amplitudes, _two_sided(_sharp_regions, config, k)
-    if config.omega == 0.0:
-        interior = ([(rows[:, 4], k.astype(complex), 0.0)], [])
-        reflected, transmitted = [], []
-    else:
-        q = kernels.channel_q(k, config.gamma, config.mass, hbar)
-        kp, km, u_p, u_m, dk, du, ep, em, de = kernels.newton_terms(
-            k, config.gamma, config.omega, L, config.mass, hbar
-        )
-        a, b, c, d = rows[:, 4:].T
-        t2_exit = u_p * (ep * a + c) + (u_p * de + du * em) * b + du * d
-        a, b, c, d = a + b / dk, -b / dk, c + d / dk, -d / dk
-        interior = ([(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)],
-                    [(u_p * a, kp, 0.0), (u_m * b, km, 0.0),
-                     (u_p * c, -kp, L), (u_m * d, -km, L)])
-        reflected, transmitted = [(R2, -q, 0.0)], [(t2_exit, q, L)]
-    left, right = _exterior_regions(k, R1, T1, reflected, transmitted, 0.0, L)
-    return amplitudes, [left, Region(x1=0.0, x2=L, channel_modes=interior), right]
+        return amplitudes, _two_sided(lambda perturbed: _sharp_regions(k, perturbed)[1], config)
+    kp, km, r, (off_p, off_m), u_p, u_m = terms[:6]
+    split = [(r, off_p), (r, off_m), (-r, -off_p), (-r, -off_m)]
+    interior = Region(0.0, L, ([(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)],
+                               [(u_p * a, kp, 0.0), (u_m * b, km, 0.0),
+                                (u_p * c, -kp, L), (u_m * d, -km, L)]),
+                      splits=(split, split))
+    q = kernels.channel_q(k, config.gamma, config.mass, hbar)
+    left, right = _exterior_regions(k, R1, T1, [(R2, -q, 0.0)], [(t2_exit, q, L)], 0.0, L)
+    return amplitudes, [left, interior, right]
 
 
-def _two_sided(build, config: ValidatedConfig, *args) -> list[Region]:
-    """The regions of ``build(*args, config)`` at gamma = 2 omega, as the two-sided limit.
+def _two_sided(regions, config: ValidatedConfig) -> list[Region]:
+    """The regions ``regions(config)`` at gamma = 2 omega, as the two-sided limit.
 
-    There the two interior modes coincide and the field has an
-    x exp(i kappa x) Jordan term, which exponential modes cannot represent.
-    The regions are averaged over two solves at
-    gamma (1 -+ DEGENERATE_PERTURBATION), each bringing its own modes (its
-    own k+-, u+- and q) at half weight.  A channel whose modes do not
-    depend on gamma (the ground channel outside the coupling) keeps one set
-    of modes with averaged coefficients, so it is shared, not doubled.
-    Only the modes are averaged: the kernels are exact at gamma = 2 omega,
-    and the builders take the amplitudes from there.
+    There the field has an x exp(i kappa x) Jordan term, which exponential
+    modes cannot represent.  The regions, the exterior ones included, are
+    averaged over two solves at gamma (1 -+ DEGENERATE_PERTURBATION), each
+    bringing its own modes at half weight.  Only the builders' amplitudes
+    come from the exact kernels: with an exact exterior the regions would
+    not match (at 0.05 m/s the two solves' k+- L differ by ~8, and their
+    average misses the exact far-edge field by 14 %).
     """
     lo, hi = (
-        build(*args, replace(config, gamma=config.gamma * (1.0 + side * DEGENERATE_PERTURBATION)))[1]
+        regions(replace(config, gamma=config.gamma * (1.0 + side * DEGENERATE_PERTURBATION)))
         for side in (-1.0, 1.0)
     )
-    return [
-        Region(x1=r.x1, x2=r.x2, channel_modes=tuple(
-            _average_modes(m, n) for m, n in zip(r.channel_modes, s.channel_modes)))
-        for r, s in zip(lo, hi)
-    ]
-
-
-def _average_modes(lo: list, hi: list) -> list:
-    """Half-weight modes of two solves; one averaged set where they coincide."""
-    if len(lo) == len(hi) and all(
-        a[2] == b[2] and np.array_equal(a[1], b[1]) for a, b in zip(lo, hi)
-    ):
-        return [(0.5 * (a[0] + b[0]), a[1], a[2]) for a, b in zip(lo, hi)]
-    return [(0.5 * coef, kappa, anchor) for coef, kappa, anchor in lo + hi]
+    return [Region(r.x1, r.x2, tuple([(0.5 * coef, kappa, anchor) for coef, kappa, anchor in m + n]
+                                     for m, n in zip(r.channel_modes, s.channel_modes)),
+                   None if r.splits is None else tuple(map(list.__add__, r.splits, s.splits)))
+            for r, s in zip(lo, hi)]
 
 
 def _solution_view(k: float, config: ValidatedConfig, amplitudes, regions,
@@ -340,18 +321,32 @@ def _region_values(region: Region, weights, x: np.ndarray, derivative: bool):
     """Both channels of one region at x, and d/dx (or None), each (2, nx).
 
     Sums weights * coef * exp(i kappa (x - anchor)) over the modes, without
-    the plane-wave normalization.
+    the plane-wave normalization; a split mode's wave is ``split_exp``'s.
     """
     val = np.zeros((2, x.shape[0]), dtype=complex)
     der = np.zeros_like(val) if derivative else None
     for ch in (0, 1):
-        for coef, kappa, anchor in region.channel_modes[ch]:
+        for coef, kappa, anchor, split in _channel(region, ch):
             wc = weights * coef
-            waves = np.exp(1j * np.outer(kappa, x - anchor))
+            waves = _wave(kappa, split, x - anchor)
             val[ch] += wc @ waves
             if derivative:
                 der[ch] += (1j * kappa * wc) @ waves
     return val, der
+
+
+def _channel(region: Region, ch: int) -> list:
+    """Channel ``ch`` of a region as (coef, kappa, anchor, split) modes, split None if plain."""
+    modes = region.channel_modes[ch]
+    return [(*mode, split) for mode, split in
+            zip(modes, region.splits[ch] if region.splits else [None] * len(modes))]
+
+
+def _wave(kappa, split, y):
+    """exp(i kappa y) (outer product for array y); ``kernels.split_exp`` for a split mode."""
+    if split is None:
+        return np.exp(1j * np.multiply.outer(kappa, y))
+    return kernels.split_exp(*split, y)
 
 
 def _region_field(regions: list[Region], weights, x, derivative: bool = False):

@@ -146,23 +146,23 @@ def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedC
     """Amplitudes (R1, R2, T1, T2) and regions of the sliced profile at wavenumbers k.
 
     ``transfer_solve`` gives the amplitudes and the state at every slice
-    edge; each slice's four exponential modes are fitted to the state at
-    its left edge, anchored so that each is bounded across the slice.  At a
-    degenerate slice (gamma = 2 omega_j) the modes coincide and cannot be
-    fitted, so the regions are the two-sided limit of ``_two_sided``; the
-    amplitudes still come from the exact solve.
+    edge; each slice's four exponential modes, with their carrier splits
+    (``kernels.mode_split``), are fitted to the state at its left edge,
+    anchored so that each is bounded across the slice.  At a degenerate
+    slice (gamma = 2 omega_j) the modes coincide and cannot be fitted, so
+    the regions are the two-sided limit of ``_two_sided``.
     """
     edges = np.asarray(decomp.edges)
     omegas = np.asarray(decomp.omegas)
     hbar = config.constants.hbar
-    if np.any(_is_degenerate(config.gamma, omegas)):
-        amps = kernels.transfer_solve(k, edges, omegas, config.gamma, config.mass, hbar)
-        return tuple(amps.T), _two_sided(_slice_regions, config, k, decomp)
-    nk = k.shape[0]
     amps, states = kernels.transfer_solve(
         k, edges, omegas, config.gamma, config.mass, hbar, return_states=True
     )
-    R1, R2, T1, T2 = amps[:, 0], amps[:, 1], amps[:, 2], amps[:, 3]
+    amplitudes = R1, R2, T1, T2 = tuple(amps.T)
+    if np.any(_is_degenerate(config.gamma, omegas)):
+        return amplitudes, _two_sided(
+            lambda perturbed: _slice_regions(k, decomp, perturbed)[1], config)
+    nk = k.shape[0]
     q = kernels.channel_q(k, config.gamma, config.mass, hbar)
     left, right = _exterior_regions(
         k, R1, T1, [(R2, -q, 0.0)], [(T2, q, 0.0)], edges[0], edges[-1]
@@ -171,38 +171,33 @@ def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedC
     for j in range(omegas.shape[0]):
         xa, xb = float(edges[j]), float(edges[j + 1])
         om = float(omegas[j])
+        kp, km, r, e, lam_p, lam_m = kernels.mode_split(k, config.gamma, om, config.mass, hbar)
+        kappas = (kp, km, -kp, -km)
+        splits = ((r, e), (r, -e), (-r, -e), (-r, e))
+        anchors = (xa, xa, xb, xb)
         if om > 0.0:
-            kp, km, lam_p, lam_m = kernels.mode_wavenumbers(k, config.gamma, om, config.mass, hbar)
             u_p = 2.0 * lam_p / om
             u_m = 2.0 * lam_m / om
-            kappas = (kp, km, -kp, -km)
             vecs = ((1.0, u_p), (1.0, u_m), (1.0, u_p), (1.0, u_m))
-            anchors = (xa, xa, xb, xb)
-        else:
-            kc = k.astype(complex)
-            kappas = (kc, -kc, q, -q)
-            vecs = ((1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
-            anchors = (xa, xb, xa, xb)
+        else:  # free ground wave (k+ = k) and decaying excited wave (k- = q)
+            vecs = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
         basis = np.zeros((nk, 4, 4), dtype=complex)
         for mu in range(4):
-            kap = kappas[mu]
-            ephase = np.exp(1j * kap * (xa - anchors[mu]))
-            v1 = (vecs[mu][0] * np.ones(nk)) * ephase
-            v2 = (vecs[mu][1] * np.ones(nk)) * ephase
-            basis[:, 0, mu] = v1
-            basis[:, 1, mu] = 1j * kap * v1
-            basis[:, 2, mu] = v2
-            basis[:, 3, mu] = 1j * kap * v2
+            ephase = kernels.split_exp(*splits[mu], xa - anchors[mu])
+            for ch in (0, 1):
+                basis[:, 2 * ch, mu] = vecs[mu][ch] * ephase
+                basis[:, 2 * ch + 1, mu] = 1j * kappas[mu] * basis[:, 2 * ch, mu]
         coeffs = np.linalg.solve(basis, states[:, j, :][:, :, None])[:, :, 0]
-        channels = ([], [])
+        channels, channel_splits = ([], []), ([], [])
         for mu in range(4):
             for ch in (0, 1):
-                c = coeffs[:, mu] * (vecs[mu][ch] * np.ones(nk))
+                c = coeffs[:, mu] * vecs[mu][ch]
                 if np.any(c != 0.0):
                     channels[ch].append((c, kappas[mu], anchors[mu]))
-        regions.append(Region(x1=xa, x2=xb, channel_modes=channels))
+                    channel_splits[ch].append(splits[mu])
+        regions.append(Region(x1=xa, x2=xb, channel_modes=channels, splits=channel_splits))
     regions.append(right)
-    return (R1, R2, T1, T2), regions
+    return amplitudes, regions
 
 
 def solve_profile(

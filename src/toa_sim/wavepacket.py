@@ -55,7 +55,7 @@ from . import kernels, transfer
 from .errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
 # Region is re-exported: the overlap engine integrates its mode lists.
-from .scattering import Region, _region_field, _sharp_regions  # noqa: F401
+from .scattering import Region, _channel, _region_field, _sharp_regions, _wave  # noqa: F401
 from .series import TimeSeries, chebyshev_samples
 
 KGRID_SPAN = 10.0    # half-width of each component's k window, in units of dk
@@ -360,8 +360,9 @@ def _pair_groups(terms) -> list[_PairGroup]:
         points = [(x, s) for x, s in ((x2, 1.0), (x1, -1.0)) if not math.isinf(x)]
         signs = np.array([s for _, s in points])[:, None]
         ends, keys = [], []
-        for coef, kappa, anchor in modes:
-            values = np.stack([coef * np.exp(1j * kappa * (x - anchor)) for x, _ in points])
+        for coef, kappa, anchor, *split in modes:
+            split = split[0] if split else None
+            values = np.stack([coef * _wave(kappa, split, x - anchor) for x, _ in points])
             f1 = None if math.isinf(x1) else values[-1]
             ends.append(((values * signs).T, values.conj(), f1))
             keys.append(key_of(kappa))
@@ -566,7 +567,7 @@ class ConditionalPropagator:
         norm_out = int(detection)
         region_terms = []
         for region in regions:
-            ground, excited = region.channel_modes
+            ground, excited = _channel(region, 0), _channel(region, 1)
             terms = []
             if detection and excited:
                 terms.append((0, excited, region.x1, region.x2, 1.0))

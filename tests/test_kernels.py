@@ -49,7 +49,7 @@ def sharp_edge_solve_8x8(k, gamma, omega, L):
     nk = k.shape[0]
     q = channel_q(k, gamma, MASS, HBAR)
     # the kernel's e+- = exp(i k+- L), so that both solve one discrete system
-    kp, km, u_p, u_m, _, _, ep, em, _ = newton_terms(k, gamma, omega, L, MASS, HBAR)
+    kp, km, _, _, u_p, u_m, _, _, ep, em, _ = newton_terms(k, gamma, omega, L, MASS, HBAR)
     fk, fq = np.exp(1j * k * L), np.exp(1j * q * L)
     kps, kms, qs = kp / k, km / k, q / k
     A = np.zeros((nk, 8, 8), dtype=complex)
@@ -141,7 +141,7 @@ def test_eliminated_solve_matches_8x8(v, omega_in_gamma, L):
     omega = omega_in_gamma * GAMMA
     new = kernels.sharp_edge_solve(k, GAMMA, omega, L, MASS, HBAR)
     old, fq = sharp_edge_solve_8x8(k, GAMMA, omega, L)
-    dk = newton_terms(k, GAMMA, omega, L, MASS, HBAR)[4]
+    dk = newton_terms(k, GAMMA, omega, L, MASS, HBAR)[6]
     a, b, c, d = old[:, 4:].T
     old[:, 4:] = np.stack([a + b, -b * dk, c + d, -d * dk], axis=1)
     unit = np.array([1.0, 1.0, 1.0, 1.0, L, 1.0, L])

@@ -148,6 +148,11 @@ class TestSolveSharpEdge:
         # amplitudes are the batched two-sided-limit row, bit for bit
         row = sharp_edge_rows([k_of(100.0)], cfg)[0]
         assert (sol.R1, sol.R2, sol.T1, sol.T2) == tuple(row[:4])
+        # the regions are the two-sided limit, exterior included, so their
+        # reflected waves (one per solve) carry R1 to its O(delta^2) error
+        ground = sol.regions[0].channel_modes[0]
+        reflected = sum(coef[0] for coef, kappa, _ in ground if kappa[0].real < 0.0)
+        assert abs(reflected - sol.R1) < 1e-12
         assert matching_residual(sol) < 1e-6
         assert 0.0 <= absorption(sol) <= 1.0
         # two-sided limit agrees with a nearby non-degenerate coupling

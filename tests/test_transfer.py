@@ -108,11 +108,11 @@ class TestSliceMatrix:
         off = mat[np.ix_([0, 1], [2, 3])]
         assert np.abs(off).max() == 0.0
         k = math.sqrt(2 * MASS * energy) / HBAR
-        # ground block is free propagation over the slice, exact up to the
+        # ground block is free propagation over the slice, exact up to one
         # rounding of its phase k w = 2.1e5 rad (math.cos(k * width) is
         # itself 2.5e-11 off, as k * width is rounded)
         phase = mpmath.mpf(k) * mpmath.mpf(width)
-        tol = 4 * EPS * k * width
+        tol = EPS * k * width
         assert abs(mat[0, 0] - float(mpmath.cos(phase))) <= tol
         assert abs(mat[0, 1] * k - float(mpmath.sin(phase))) <= tol
 
@@ -235,11 +235,5 @@ def test_one_slice_view_matches_sharp_view(v, omega_in_gamma, L):
     x = np.linspace(-L, 2 * L, 301)
     va, vt = evaluate_state(sharp, x), evaluate_state(sliced, x)
     assert np.abs(va - vt).max() <= 1e-8 * np.abs(va).max()
-    # Both take exact amplitudes from their kernels; each region mode
-    # rounds its phase kappa (x - anchor) at carrier size, eps k L, and
-    # near gamma = 2 Omega the interior coefficients (up to ~350 here)
-    # amplify that at the far edge.  Continuity holds to that floor.
-    for sol in (sharp, sliced):
-        growth = max(np.abs(coef).max() for region in sol.regions[1:-1]
-                     for modes in region.channel_modes for coef, _, _ in modes)
-        assert matching_residual(sol) < 1e-9 + 4 * EPS * k * L * growth
+    assert matching_residual(sharp) < 1e-9
+    assert matching_residual(sliced) < 1e-9

@@ -19,6 +19,7 @@ from toa_sim.wavepacket import (
     PacketSpec,
     _gauss_legendre,
     _overlap_sums,
+    _channel,
     _region_gram,
     conditional_evolve,
     default_kgrid,
@@ -440,12 +441,16 @@ class TestOverlapEngine:
 
 
 def region_detection(prop):
-    """Detection matrix as the plain per-region sum (oracle for the shared engine)."""
+    """Detection matrix as the plain per-region sum (oracle for the shared engine).
+
+    Each channel's modes are taken with their carrier splits (``_channel``),
+    so that the sum integrates the waves the engine integrates.
+    """
     nk = prop.k.shape[0]
     out = np.zeros((nk, nk), dtype=complex)
     for region in prop.regions:
         if region.channel_modes[1]:
-            out += _region_gram(region.channel_modes[1], region.x1, region.x2)
+            out += _region_gram(_channel(region, 1), region.x1, region.x2)
     return out / (2 * math.pi)
 
 
@@ -457,9 +462,9 @@ def region_norm(prop, x_min, x_max):
         lo, hi = max(x_min, region.x1), min(x_max, region.x2)
         if hi <= lo:
             continue
-        for modes in region.channel_modes:
-            if modes:
-                out += _region_gram(modes, lo, hi)
+        for ch in (0, 1):
+            if region.channel_modes[ch]:
+                out += _region_gram(_channel(region, ch), lo, hi)
     return out / (2 * math.pi)
 
 
