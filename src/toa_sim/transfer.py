@@ -155,13 +155,13 @@ def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedC
     edges = np.asarray(decomp.edges)
     omegas = np.asarray(decomp.omegas)
     hbar = config.constants.hbar
+    if np.any(_is_degenerate(config.gamma, omegas)):  # the exact amplitudes need no states
+        return tuple(transfer_rows(k, decomp, config).T), _two_sided(
+            lambda perturbed: _slice_regions(k, decomp, perturbed)[1], config)
     amps, states = kernels.transfer_solve(
         k, edges, omegas, config.gamma, config.mass, hbar, return_states=True
     )
     amplitudes = R1, R2, T1, T2 = tuple(amps.T)
-    if np.any(_is_degenerate(config.gamma, omegas)):
-        return amplitudes, _two_sided(
-            lambda perturbed: _slice_regions(k, decomp, perturbed)[1], config)
     nk = k.shape[0]
     q = kernels.channel_q(k, config.gamma, config.mass, hbar)
     left, right = _exterior_regions(

@@ -335,12 +335,13 @@ def _pair_groups(terms) -> list[_PairGroup]:
     """The mu <= nu pair terms of one region's Gram terms, grouped by denominator.
 
     A term (out, modes, x1, x2, scale) stands for scale times the Gram of
-    the channel ``modes`` over [x1, x2], added to output ``out``.  Pairs
-    are keyed by the values of their two kappas.  A pair (-kappa_mu,
-    -kappa_nu) has the denominator of (kappa_mu, kappa_nu) with its sign
-    flipped, which its left factor takes; the (nu, mu) form of a pair is
-    the conjugate transpose of its (mu, nu) form, which the completion
-    half + half^H absorbs, so either form may join a group.
+    the channel ``modes`` over [x1, x2], added to output ``out``; a mode
+    with a carrier split (``scattering._channel``) takes its endpoint values
+    from ``split_exp``.  Pairs are keyed by the values of their two kappas.
+    A pair (-kappa_mu, -kappa_nu) has the denominator of (kappa_mu,
+    kappa_nu) with its sign flipped, which its left factor takes; the (nu,
+    mu) form of a pair is the conjugate transpose of its (mu, nu) form, so
+    the completion half + half^H lets either form join a group.
     """
     distinct: list[np.ndarray] = []
 

@@ -144,8 +144,8 @@ class TestAbsorptionMap:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_degenerate_coupling_column(self):
-        # an omega grid through gamma = 2 omega: that column is the two-sided
-        # limit of sharp_edge_rows, printed like every other point
+        # an omega grid through gamma = 2 omega: that column is the exact
+        # sharp_edge_rows solve there, printed like every other point
         from toa_sim.cli import _float_fmt
         from toa_sim.model import cesium_config, with_omega
         from toa_sim.scattering import absorption_status, sharp_edge_rows

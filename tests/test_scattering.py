@@ -145,7 +145,7 @@ class TestSolveSharpEdge:
     def test_degenerate_coupling_solves(self):
         cfg = cesium_config(omega=GAMMA / 2)
         sol = solve_sharp_edge(k_of(100.0), cfg)
-        # amplitudes are the batched two-sided-limit row, bit for bit
+        # amplitudes are the batched (exact) row, bit for bit
         row = sharp_edge_rows([k_of(100.0)], cfg)[0]
         assert (sol.R1, sol.R2, sol.T1, sol.T2) == tuple(row[:4])
         # the regions are the two-sided limit, exterior included, so their
@@ -155,7 +155,7 @@ class TestSolveSharpEdge:
         assert abs(reflected - sol.R1) < 1e-12
         assert matching_residual(sol) < 1e-6
         assert 0.0 <= absorption(sol) <= 1.0
-        # two-sided limit agrees with a nearby non-degenerate coupling
+        # the degenerate solution agrees with a nearby non-degenerate coupling
         near = solve_sharp_edge(k_of(100.0), cesium_config(omega=GAMMA / 2 * (1 + 1e-4)))
         assert abs(sol.T1 - near.T1) < 1e-3
 

@@ -243,7 +243,6 @@ def test_mirrored_stack_matches_sequential_reference(n_slices, monkeypatch):
     amps = transfer_solve(FAST_K, edges, omegas, GAMMA, MASS, HBAR)
     assert counts == [(n_slices + 1) // 2]
     monkeypatch.undo()
-
     ref = absorption(np.array([sequential_transfer(kk, edges, omegas, GAMMA) for kk in FAST_K]))
     # Three 1.85-um slices at 3.5 m/s are ill-conditioned: a 1-ulp move of
     # the couplings moves the reference itself by 1e-12, so that move is
