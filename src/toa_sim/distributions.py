@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,14 +40,25 @@ class DistributionSeries(TimeSeries):
                                   meta=merged, kind=kind)
 
 
+# The free-atom basis of the last packet asked for: J and the axiomatic
+# density of one packet read the same one, and it lives no longer than the
+# packet does (keyed weakly), so it holds no memory between packets.
+_FREE_BASIS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _free_waves(spec, x: float, times: TimeSeries):
     """Free packet at x as (k, per-mode waves at the sample nodes, resample).
 
     Column j of the (nk, nodes) waves is w_k psi(k) exp(i k x - i omega_k
     t_j) on the default k-grid.  J and the axiomatic density are bilinear in
     these waves, so their bandwidth is the span of the omegas and they are
-    sampled at ``series.chebyshev_samples`` nodes.
+    sampled at ``series.chebyshev_samples`` nodes.  They are built once per
+    packet, position and time grid, as read-only arrays.
     """
+    key = (x, times.t0, times.dt, len(times))
+    cached = _FREE_BASIS.get(spec)
+    if cached is not None and cached[0] == key:
+        return cached[1]
     from .wavepacket import default_kgrid, grid_amplitude
 
     grid = default_kgrid(spec)
@@ -54,7 +66,12 @@ def _free_waves(spec, x: float, times: TimeSeries):
     omega_rel = relative_frequencies(k, spec.mass, spec.constants.hbar)
     nodes, resample = chebyshev_samples(times.times, np.ptp(omega_rel))
     coeff = grid.weights * grid_amplitude(spec, grid) * np.exp(1j * k * x)
-    return k, coeff[:, None] * np.exp(-1j * np.outer(omega_rel, nodes)), resample
+    waves = coeff[:, None] * np.exp(-1j * np.outer(omega_rel, nodes))
+    k.flags.writeable = False
+    waves.flags.writeable = False
+    _FREE_BASIS.clear()
+    _FREE_BASIS[spec] = (key, (k, waves, resample))
+    return k, waves, resample
 
 
 def free_flux(spec, x: float, times: TimeSeries) -> DistributionSeries:

@@ -18,12 +18,16 @@ engine groups the pair terms of every matrix it builds by that
 denominator: the ground and excited channels share their interior
 wavenumbers, a pair (-kappa_mu, -kappa_nu) only flips its sign, and the
 (nu, mu) form of a pair is the conjugate transpose of its (mu, nu) form.
-It then runs over fixed row tiles: per tile and group it inverts the
-denominator once, and per matrix it forms the group's summed numerator as
-one stacked matrix product and adds numerator times inverse into that
-matrix's upper half, which is completed once, half + half^H.
-Near-resonant elements are evaluated again term by term, each as a series
-or a quotient at its own width.
+The groups whose denominator crosses the carrier (about 2 i k0, so that
+1/(a_i - b_j) is a short exact series in a_i - a_ref) become separable
+factors, and each matrix takes all of them as one low-rank matrix
+product.  The other groups run over fixed row tiles: per tile and group
+the engine inverts the denominator once, and per matrix it forms the
+group's summed numerator as one stacked matrix product and adds numerator
+times inverse into a region accumulator and then into that matrix's upper
+half, which is completed once, half + half^H.  Near-resonant elements are
+evaluated again term by term, each as a series or a quotient at its own
+width.
 
 ``ConditionalPropagator.overlap_matrices`` builds the detection and norm
 matrices in one such pass.  The excited channel is integrated once for
@@ -279,6 +283,18 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257) -> KGrid:
 # 16 rows cost 15 % more on a 256-slice beam, whose many small regions
 # pay per tile.
 OVERLAP_TILE = 32
+# Largest spread rho = max|u| / min|d| of a group's denominators d_j + u_i
+# that the engine expands into separable factors (``_far_factors``): the
+# pairs across the carrier, at rho = 3e-9 ... 6e-6 on the paper's packets.
+FAR_SPREAD = 1e-4
+# Far-factor columns one output collects before a single (nk, K) @ (K, nk)
+# product adds them.  A 256-slice beam at 280 nodes holds about 8000 per
+# output (37 MB per factor if held at once); with 64 the build's peak stays
+# at the tiled engine's (256 cost 3 MB more for a few per cent of speed).
+# The arrival packets collect 20-40, so one product per output.
+FAR_COLUMNS = 64
+# Rows per block of the Hermitian completion.
+MIRROR_BLOCK = 128
 
 
 def _can_resonate(kappa_mu: np.ndarray, kappa_nu: np.ndarray, bound: float) -> bool:
@@ -411,6 +427,94 @@ def _near_values(term: _PairTerm, rows, cols, i_alpha) -> np.ndarray:
     return value
 
 
+def _far_factors(group: _PairGroup):
+    """Powers of the separable expansion of a well-separated group, or None.
+
+    With a = i kappa_a, b = i conj(kappa_b), a_ref the centre of the a,
+    u = a - a_ref (exact where a and a_ref share a binade) and d = a_ref - b,
+    1/(a_i - b_j) = 1/(d_j + u_i) = sum_{q<n} (-u_i)^q / d_j^(q+1) up to a
+    relative rho^n, rho = max|u| / min|d| (Beckermann & Townsend, SIAM J.
+    Matrix Anal. Appl. 38, 1227 (2017)).  Where rho <= FAR_SPREAD (pairs
+    whose denominator crosses the carrier, about 2 i k0) and no element is
+    near resonance, n is the first order with rho^n <= 2^-56, and the
+    result is the (nk, n) powers (-u)^q and the (n, nk) inverses
+    1/d^(q+1): an output's block left @ right / (i alpha) is then the sum
+    over q of (powers[:, q] left) @ (right inverses[q]).
+    """
+    a, b = group.i_kappa_a, group.i_kappa_b
+    a_ref = complex(0.5 * (a.real.min() + a.real.max()), 0.5 * (a.imag.min() + a.imag.max()))
+    u = a - a_ref
+    d = a_ref - b
+    with np.errstate(divide="ignore"):
+        rho = np.abs(u).max() / np.abs(d).min()
+    if group.resonates or not rho <= FAR_SPREAD:
+        return None
+    n = 1 if rho == 0.0 else math.ceil(56.0 / -math.log2(rho))
+    powers = np.empty((a.shape[0], n), dtype=complex)
+    inverses = np.empty((n, b.shape[0]), dtype=complex)
+    powers[:, 0] = 1.0
+    inverses[0] = 1.0 / d
+    for q in range(1, n):
+        np.multiply(powers[:, q - 1], -u, out=powers[:, q])
+        np.multiply(inverses[q - 1], inverses[0], out=inverses[q])
+    return powers, inverses
+
+
+class _FarProducts:
+    """Far factors of one output, added to its half by one product per FAR_COLUMNS columns.
+
+    Each group's factors wait as they are, (powers, left, inverses, right);
+    once FAR_COLUMNS columns are pending, a flush writes the column pairs
+    (powers[:, q] left[:, c], right[c] inverses[q]) into two (K, nk)
+    arrays and adds their product to the half in OVERLAP_TILE row blocks,
+    with no (nk, nk) temporary.
+    """
+
+    def __init__(self, half: np.ndarray):
+        self.half = half
+        self.pending = []
+        self.columns = 0
+
+    def add(self, powers: np.ndarray, left: np.ndarray, inverses: np.ndarray,
+            right: np.ndarray) -> None:
+        self.pending.append((powers, left, inverses, right))
+        self.columns += powers.shape[1] * left.shape[1]
+        if self.columns >= FAR_COLUMNS:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.pending:
+            return
+        left_t = np.empty((self.columns, self.half.shape[0]), dtype=complex)
+        right_all = np.empty((self.columns, self.half.shape[1]), dtype=complex)
+        col = 0
+        for powers, left, inverses, right in self.pending:
+            for q in range(powers.shape[1]):
+                cols = slice(col, col + left.shape[1])
+                np.multiply(left.T, powers[:, q], out=left_t[cols])
+                np.multiply(right, inverses[q], out=right_all[cols])
+                col = cols.stop
+        for start in range(0, self.half.shape[0], OVERLAP_TILE):
+            rows = slice(start, start + OVERLAP_TILE)
+            self.half[rows] += left_t[:, rows].T @ right_all
+        self.pending = []
+        self.columns = 0
+
+
+def _complete_hermitian(half: np.ndarray) -> None:
+    """half + half^H in place, bit for bit, by MIRROR_BLOCK blocks (no (nk, nk) temporary)."""
+    nk = half.shape[0]
+    for i in range(0, nk, MIRROR_BLOCK):
+        bi = slice(i, i + MIRROR_BLOCK)
+        block = half[bi, bi]
+        block += block.conj().T
+        for j in range(i + MIRROR_BLOCK, nk, MIRROR_BLOCK):
+            bj = slice(j, j + MIRROR_BLOCK)
+            upper = half[bi, bj].copy()
+            half[bi, bj] += half[bj, bi].conj().T
+            half[bj, bi] += upper.conj().T
+
+
 def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
     """Hermitian sums of region Grams, one (nk, nk) matrix per output.
 
@@ -420,29 +524,49 @@ def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
     in closed form to [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with f = coef
     exp(i kappa (x - anchor)) and alpha = kappa_mu - conj(kappa_nu); an
     infinite endpoint contributes nothing, since the pair exponent decays
-    there (the excited channel with gamma > 0).  Within each region the
-    pairs of every term are grouped by alpha (``_pair_groups``), and the
-    engine runs over fixed row tiles: per tile and group it forms i alpha
-    once and inverts it in place, and per output it forms the stacked
-    numerator of the group's terms as one (tile, m) @ (m, nk) product of
-    endpoint values and adds numerator times inverse into that output's
-    upper half.  Elements nearer resonance than the group's widest series
-    switch are evaluated again term by term (``_near_values``).  Each
-    half is completed once, half + half^H, so every output is exactly
-    Hermitian.
+    there (the excited channel with gamma > 0).  Within each entry of
+    ``region_terms`` the pairs of every term are grouped by alpha
+    (``_pair_groups``).  The regions are streamed: one region's groups are
+    built, used and dropped before the next region's.
+
+    A group whose denominators are well separated (``_far_factors``: the
+    pairs across the carrier) becomes exact separable factors, which wait
+    in a per-output buffer (``_FarProducts``) until one matmul per
+    FAR_COLUMNS columns adds them, after the region's tiles.  The other
+    groups run over fixed row tiles: per tile and group the engine forms
+    i alpha once and inverts it in place, and per output it forms the
+    stacked numerator of the group's terms as one (tile, m) @ (m, nk)
+    product and adds numerator times inverse into the region's tile
+    accumulator (which the first group's product starts).  Elements nearer
+    resonance than the group's widest series switch are evaluated again
+    term by term (``_near_values``).  Only the summed tile joins the
+    output's upper half: near gamma = 2 omega the interior blocks cancel to
+    about 1e-3 of their size, and that sum then rounds as the region's own
+    Gram does.  Each half is completed once, half + half^H
+    (``_complete_hermitian``), so every output is exactly Hermitian.
     """
     halves = [np.zeros((nk, nk), dtype=complex) for _ in range(n_out)]
+    far = [_FarProducts(half) for half in halves]
     i_alpha = np.empty((OVERLAP_TILE, nk), dtype=complex)
     num = np.empty_like(i_alpha)
+    sums = np.empty((n_out, OVERLAP_TILE, nk), dtype=complex)
     for terms in region_terms:
-        groups = _pair_groups(terms)
+        direct, separable = [], []
+        for group in _pair_groups(terms):
+            factors = _far_factors(group)
+            if factors is None:
+                direct.append(group)
+            else:
+                separable.append((group, factors))
         # an exact resonance (alpha = 0) is always near: its inverse is replaced
         with np.errstate(divide="ignore", invalid="ignore"):
-            for start in range(0, nk, OVERLAP_TILE):
+            for start in range(0, nk if direct else 0, OVERLAP_TILE):
                 rows = slice(start, start + OVERLAP_TILE)
                 ia = i_alpha[:min(OVERLAP_TILE, nk - start)]
                 tile = num[:ia.shape[0]]
-                for group in groups:
+                acc = sums[:, :ia.shape[0]]
+                begun = []  # outputs whose accumulator holds this tile's first group
+                for group in direct:
                     np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b, out=ia)
                     near = None
                     if group.resonates:
@@ -451,14 +575,25 @@ def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
                             near = (r, c, ia[r, c])
                     np.divide(1.0, ia, out=ia)
                     for out, left, right, ts in group.stacks:
-                        np.matmul(left[rows], right, out=tile)
-                        tile *= ia
+                        part = tile if out in begun else acc[out]
+                        np.matmul(left[rows], right, out=part)
+                        part *= ia
                         if near is not None:
                             r, c, ia_near = near
-                            tile[r, c] = sum(_near_values(t, r + start, c, ia_near) for t in ts)
-                        halves[out][rows] += tile
+                            part[r, c] = sum(_near_values(t, r + start, c, ia_near) for t in ts)
+                        if part is tile:
+                            acc[out] += tile
+                        else:
+                            begun.append(out)
+                for out in begun:
+                    halves[out][rows] += acc[out]
+        for group, (powers, inverses) in separable:
+            for out, left, right, _ in group.stacks:
+                far[out].add(powers, left, inverses, right)
+    for products in far:
+        products.flush()
     for half in halves:
-        half += half.conj().T  # in place: a new result array raised peak RSS by 8 MB
+        _complete_hermitian(half)
     return halves
 
 
@@ -518,6 +653,7 @@ class ConditionalPropagator:
 
         self._detection_matrix = None
         self._norm_matrix_cache: dict = {}
+        self._last_samples = None
 
     # -- matrices -------------------------------------------------------
 
@@ -586,6 +722,8 @@ class ConditionalPropagator:
                     terms += [(norm_out, modes, lo, hi, 1.0) for modes in (ground, excited)
                               if modes]
             region_terms.append(terms)
+        # the two half-lines share their (k, k) and (q, q) denominators
+        region_terms = [region_terms[0] + region_terms[-1]] + region_terms[1:-1]
         sums = _overlap_sums(self.k.shape[0], region_terms, norm_out + (window is not None))
         for matrix in sums:
             matrix /= 2.0 * math.pi
@@ -605,7 +743,7 @@ class ConditionalPropagator:
         the band-limited nodes of ``series.chebyshev_samples`` and resampled
         to the times through one shared map.
         """
-        nodes, resample = chebyshev_samples(times, np.ptp(self.omega_rel))
+        nodes, resample = self._samples(times)
         out = np.empty((2, nodes.shape[0]))
         chunk = max(1, int(4e6 // max(self.k.shape[0], 1)))
         for start in range(0, nodes.shape[0], chunk):
@@ -617,6 +755,18 @@ class ConditionalPropagator:
             out[0, part] = terms.real.sum(axis=0)
             out[1, part] = 2.0 * (self.omega_rel @ terms.imag)
         return resample(out)
+
+    def _samples(self, times):
+        """``chebyshev_samples`` of ``times`` at these omegas, kept for the last times asked.
+
+        ``first_photon_density`` forms the detection and the norm forms on
+        the same times, so the nodes and the resampler are made once.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if self._last_samples is None or not np.array_equal(self._last_samples[0], times):
+            times = times.copy()
+            self._last_samples = (times, *chebyshev_samples(times, np.ptp(self.omega_rel)))
+        return self._last_samples[1:]
 
     def _quadratic(self, matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
         return self._forms(matrix, times)[0]

@@ -1,15 +1,58 @@
-"""Extended-precision (mpmath) references for the kernels.
+"""References for the kernels (extended precision) and the overlap engine (dense).
 
-Every function takes the same float inputs as the code it checks and
-evaluates the exact problem they define: the 4x4 first-order system
-psi' = A psi of the (phi1, phi1', phi2, phi2') vector, its propagators and
-the scattering boundary solve.  ``dps`` must carry the growth
-exp(L Im k) of the slowest wavenumber: 60 digits suffice from 2 m/s at
-L = 5 um, 0.5 m/s needs 250.
+The kernel references take the same float inputs as the code they check
+and evaluate the exact problem those define in ``mpmath``: the 4x4
+first-order system psi' = A psi of the (phi1, phi1', phi2, phi2') vector,
+its propagators and the scattering boundary solve.  ``dps`` must carry the
+growth exp(L Im k) of the slowest wavenumber: 60 digits suffice from 2 m/s
+at L = 5 um, 0.5 m/s needs 250.
+
+``dense_gram`` is the overlap engine's reference in double precision: every
+ordered mode pair on its own, as a quotient or a series, with no grouping,
+no factoring and no Hermitian completion.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
+
+from toa_sim.scattering import _wave
+
+SERIES_SWITCH = 1e-4  # |alpha| width below which a pair takes the series
+
+
+def dense_gram(modes, x1, x2):
+    """integral_x1^x2 psi psi^H dx of psi = sum of (coef, kappa, anchor, split) modes, pair by pair.
+
+    A pair integrates to [f_mu f_nu^*]_x1^x2 / (i alpha), f = coef exp(i
+    kappa (x - anchor)) (``_wave``, so split modes carry their rounded
+    carrier) and alpha = kappa_mu - conj(kappa_nu); an infinite endpoint
+    contributes nothing.  Where |alpha| width < SERIES_SWITCH the quotient
+    cancels and width f_mu(x1) f_nu(x1)^* (exp(u) - 1)/u, u = i alpha
+    width, to four terms replaces it.
+    """
+    width = x2 - x1
+    values = [[None if math.isinf(x) else coef * _wave(kappa, split, x - anchor)
+               for x in (x1, x2)] for coef, kappa, anchor, split in modes]
+    nk = modes[0][0].shape[0]
+    out = np.zeros((nk, nk), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (lo_mu, hi_mu), (_, kappa_mu, _, _) in zip(values, modes):
+            for (lo_nu, hi_nu), (_, kappa_nu, _, _) in zip(values, modes):
+                i_alpha = 1j * np.subtract.outer(kappa_mu, np.conj(kappa_nu))
+                numerator = np.zeros((nk, nk), dtype=complex)
+                for sign, mu, nu in ((1.0, hi_mu, hi_nu), (-1.0, lo_mu, lo_nu)):
+                    if mu is not None:
+                        numerator += sign * np.outer(mu, np.conj(nu))
+                block = numerator / i_alpha
+                if not math.isinf(width):
+                    series = np.abs(i_alpha) * width < SERIES_SWITCH
+                    u = i_alpha[series] * width
+                    block[series] = np.outer(lo_mu, np.conj(lo_nu))[series] * width * (
+                        1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0)
+                out += block
+    return out
 
 
 def first_order_matrix(k, omega, gamma, mass, hbar):

@@ -246,6 +246,32 @@ class TestFreeSampling:
             assert np.abs(g - want).max() <= 1e-12 * max(np.abs(want).max(), np.abs(ref).max())
 
 
+    def test_waves_built_once_per_packet(self, monkeypatch):
+        # J and the axiomatic density of one packet share its waves, and
+        # the waves go with the packet
+        import gc
+
+        from toa_sim import wavepacket
+
+        calls = []
+        monkeypatch.setattr(wavepacket, "default_kgrid",
+                            lambda spec: calls.append(spec) or default_kgrid(spec))
+        spec, tw = single_packet()
+        times = grid(tw - 1e-6, tw + 1e-6, 400)
+        flux = ds.free_flux(spec, 5e-6, times).values
+        ds.kijowski_density(spec, 5e-6, times)
+        assert len(calls) == 1
+        k, waves, _ = ds._free_waves(spec, 5e-6, times)
+        assert not (k.flags.writeable or waves.flags.writeable)
+        ds.free_flux(spec, 6e-6, times)
+        assert len(calls) == 2
+        assert np.array_equal(ds.free_flux(spec, 5e-6, times).values, flux)
+        assert len(calls) == 3
+        del spec, calls[:]
+        gc.collect()
+        assert len(ds._FREE_BASIS) == 0
+
+
 class TestDistributionCsv:
     def test_round_trip_keeps_kind(self):
         import io

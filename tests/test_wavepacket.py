@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GAMMA, HBAR, MASS, k_of
+from oracle import dense_gram
 from toa_sim import distributions as ds
+from toa_sim import wavepacket
 from toa_sim.errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from toa_sim.model import RabiProfile, cesium_config
 from toa_sim.series import TimeSeries, _node_count, l1_distance
@@ -20,6 +22,7 @@ from toa_sim.wavepacket import (
     _gauss_legendre,
     _overlap_sums,
     _channel,
+    _complete_hermitian,
     _region_gram,
     conditional_evolve,
     default_kgrid,
@@ -216,6 +219,23 @@ class TestFirstPhotonDensity:
             direct = prop.norm([when], *window)[0]
             assert pi.meta[key] == pytest.approx(direct, rel=1e-12)
         assert pi.meta["survival_start"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_sample_nodes_made_once(self, monkeypatch):
+        # the detection and the norm forms are sampled on the same times
+        calls = []
+        sample = wavepacket.chebyshev_samples
+        monkeypatch.setattr(wavepacket, "chebyshev_samples",
+                            lambda *args: calls.append(args) or sample(*args))
+        cfg, spec, grid, times = self.make()
+        pi = first_photon_density(spec, cfg, grid, times)
+        assert len(calls) == 1
+        prop = ConditionalPropagator(spec, cfg, grid)
+        t = times.times
+        assert np.array_equal(prop.photon_density(t), pi.values)
+        before = prop.photon_density(t[::2])
+        t[::2] = 0.0  # the kept times are a copy
+        assert np.array_equal(prop.photon_density(times.times[::2]), before)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("n_t", [60, 1200])
     def test_route_exact_whatever_the_time_step(self, n_t):
@@ -440,21 +460,23 @@ class TestOverlapEngine:
         assert np.abs(gram[0] - closed).max() <= 1e-12 * width
 
 
-def region_detection(prop):
+def region_detection(prop, gram=_region_gram):
     """Detection matrix as the plain per-region sum (oracle for the shared engine).
 
     Each channel's modes are taken with their carrier splits (``_channel``),
-    so that the sum integrates the waves the engine integrates.
+    so that the sum integrates the waves the engine integrates.  ``gram``
+    integrates one channel over one interval: the engine's one-term call
+    by default, ``oracle.dense_gram`` for a reference with no grouping.
     """
     nk = prop.k.shape[0]
     out = np.zeros((nk, nk), dtype=complex)
     for region in prop.regions:
         if region.channel_modes[1]:
-            out += _region_gram(_channel(region, 1), region.x1, region.x2)
+            out += gram(_channel(region, 1), region.x1, region.x2)
     return out / (2 * math.pi)
 
 
-def region_norm(prop, x_min, x_max):
+def region_norm(prop, x_min, x_max, gram=_region_gram):
     """Norm matrix as the plain per-region, per-channel sum over the clipped window."""
     nk = prop.k.shape[0]
     out = np.zeros((nk, nk), dtype=complex)
@@ -464,7 +486,7 @@ def region_norm(prop, x_min, x_max):
             continue
         for ch in (0, 1):
             if region.channel_modes[ch]:
-                out += _region_gram(_channel(region, ch), lo, hi)
+                out += gram(_channel(region, ch), lo, hi)
     return out / (2 * math.pi)
 
 
@@ -608,8 +630,9 @@ def mpmath_gram(modes, x1, x2, digits=40):
     """integral_x1^x2 psi psi^H dx of the same modes, evaluated in ``digits``-digit arithmetic.
 
     Every pair in closed form, [f_mu f_nu^*]_x1^x2 / (i (kappa_mu -
-    conj(kappa_nu))) with f = coef exp(i kappa (x - anchor)); the double
-    inputs are taken as exact, so the phases carry no rounding.
+    conj(kappa_nu))) with f = coef exp(i kappa (x - anchor)), or (x2 - x1)
+    f_mu(x1) f_nu(x1)^* where that denominator vanishes; the double inputs
+    are taken as exact, so the phases carry no rounding.
     """
     mpmath = pytest.importorskip("mpmath")
     nk = modes[0][0].shape[0]
@@ -628,8 +651,12 @@ def mpmath_gram(modes, x1, x2, digits=40):
                     k_i, (lo_i, hi_i) = mode_mu[i]
                     for mode_nu in ends:
                         k_j, (lo_j, hi_j) = mode_nu[j]
-                        total += (hi_i * mpmath.conj(hi_j) - lo_i * mpmath.conj(lo_j)) / (
-                            1j * (k_i - mpmath.conj(k_j)))
+                        alpha = k_i - mpmath.conj(k_j)
+                        if alpha == 0:  # a real kappa with itself, over a finite interval
+                            total += (mpmath.mpf(x2) - x1) * lo_i * mpmath.conj(lo_j)
+                        else:
+                            total += (hi_i * mpmath.conj(hi_j) - lo_i * mpmath.conj(lo_j)) / (
+                                1j * alpha)
                 out[i, j] = complex(total)
     return out
 
@@ -645,6 +672,112 @@ class TestGramOracle:
                    for region in prop.regions) / (2 * math.pi)
         got = prop.detection_matrix()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# The benchmark's four arrival packets (without its jitter): coupling,
+# component velocities, width and the time window in temporal widths about
+# the waist (None: from 0 until 15 lifetimes after the passage).
+ARRIVAL_SHAPES = {
+    "ridge": (104.43e6, (5e-6 * 104.43e6 / math.pi,), 50e-6, None),
+    "plateau": (5 * GAMMA, (10.0,), 20e-6, None),
+    "weak": (GAMMA / 2 * 1.01, (50.0,), 30e-6, None),
+    "fig6": (104.43e6, (167.05, 167.05 + 0.9e-6), 4233e-6, 5.0),
+}
+FIG7_BEAM = RabiProfile(kind="gaussian", omega0=5 * GAMMA, center=2.5e-6, width=0.529e-6)
+
+
+def arrival_propagator(omega, velocities, delta_x, window_sigmas, profile=None, n_nodes=64):
+    """Packet with its waist at the beam exit on a reduced +-10 dk grid, and its covering window."""
+    cfg = cesium_config(omega=omega, profile=profile)
+    v = velocities[0]
+    tw = (12.0 * delta_x + cfg.beam_width) / v
+    spec = PacketSpec(components=tuple(
+        GaussianComponent(mean_velocity=u, delta_x=delta_x, waist_position=cfg.beam_width,
+                          waist_time=tw) for u in velocities), mass=MASS)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    dk = 0.5 / delta_x
+    grid = KGrid(origin=k_of(v), offsets=10 * dk * x, weights=10 * dk * w)
+    backend = "analytic" if profile is None else "transfer"
+    prop = ConditionalPropagator(spec, cfg, grid, backend=backend)
+    if window_sigmas is None:
+        times = (0.0, tw + 12.0 * delta_x / v + 15.0 / GAMMA)
+    else:
+        times = (tw - window_sigmas * delta_x / v, tw + window_sigmas * delta_x / v)
+    (lo0, hi0), (lo1, hi1) = (prop.default_domain(t) for t in times)
+    return prop, (min(lo0, lo1), max(hi0, hi1))
+
+
+def far_groups(monkeypatch):
+    """Record the groups the engine takes as far factors."""
+    taken = []
+    factors = wavepacket._far_factors
+
+    def spy(group):
+        products = factors(group)
+        if products is not None:
+            taken.append(group)
+        return products
+
+    monkeypatch.setattr(wavepacket, "_far_factors", spy)
+    return taken
+
+
+class TestFarFactors:
+    @pytest.mark.parametrize("shape", list(ARRIVAL_SHAPES) + ["fig7-150"])
+    def test_matrices_match_dense_oracle(self, shape, monkeypatch):
+        # the arrival shapes on the sharp beam, and the CLI's fig7 packet
+        # (150 m/s, 2 um) through the 256-slice Gaussian beam
+        if shape == "fig7-150":
+            prop, window = arrival_propagator(5 * GAMMA, (150.0,), 2e-6, 5.0, FIG7_BEAM, 48)
+        else:
+            prop, window = arrival_propagator(*ARRIVAL_SHAPES[shape])
+        taken = far_groups(monkeypatch)
+        d2, n = prop.overlap_matrices(*window)
+        assert len(taken) >= 4
+        for got, want in ((d2, region_detection(prop, dense_gram)),
+                          (n, region_norm(prop, *window, dense_gram))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("v", [10.0, 166.2])
+    def test_carrier_crossing_pairs_match_mpmath(self, v, monkeypatch):
+        # over a tenth of a radian of the carrier the pairs across it,
+        # 1/(2k) in size, outweigh the others, and those lie deep inside
+        # the series switch: the incident and reflected ground waves beside
+        # the beam, then forward and backward interior modes, all anchored
+        # at x = 0 so that no phase is large
+        prop = small_propagator(5 * GAMMA, v=v)
+        width = 0.1 / k_of(v)
+        taken = far_groups(monkeypatch)
+        left = prop.regions[0]
+        got = prop.norm_matrix(-width, 0.0)
+        want = sum(mpmath_gram(modes, -width, 0.0)
+                   for modes in left.channel_modes if modes) / (2 * math.pi)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        rng = np.random.default_rng(7)
+        kp, km = prop.regions[1].channel_modes[0][0][1], prop.regions[1].channel_modes[0][1][1]
+        modes = [(rng.normal(size=kp.shape) + 1j * rng.normal(size=kp.shape), kappa, 0.0)
+                 for kappa in (kp, -kp, km, -km)]
+        got = _region_gram(modes, 0.0, width)
+        want = mpmath_gram(modes, 0.0, width)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert len(taken) == 4  # (k, -k); (k+, -k+), (-k+, k-), (k-, -k-)
+
+    @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
+    def test_one_column_flushes_match_the_default(self, omega, backend, profile, monkeypatch):
+        make = functools.partial(small_propagator, omega, backend=backend, profile=profile)
+        window = make().default_domain(0.0)
+        default = make().overlap_matrices(*window)
+        monkeypatch.setattr(wavepacket, "FAR_COLUMNS", 1)
+        for got, want in zip(make().overlap_matrices(*window), default):
+            assert_matches(got, want)
+
+    @pytest.mark.parametrize("nk", [24, 129, 641])
+    def test_blocked_completion_is_bitwise(self, nk):
+        rng = np.random.default_rng(nk)
+        half = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
+        want = half + half.conj().T
+        _complete_hermitian(half)
+        assert np.array_equal(half, want)
 
 
 class TestRegionField:
