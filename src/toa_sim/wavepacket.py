@@ -337,7 +337,9 @@ class _PairGroup:
     ``stacks`` holds per output (out, left, right, terms): the terms'
     factors side by side, so that left @ right is the output's summed
     numerator.  ``resonates`` is False when no element can come within
-    the widest series switch of the terms, ``bound``.
+    the widest series switch of the terms, ``bound``.  ``diagonal`` is
+    True when every term pairs a mode with itself, so that every output's
+    block is Hermitian.
     """
 
     i_kappa_a: np.ndarray
@@ -345,6 +347,7 @@ class _PairGroup:
     bound: float
     resonates: bool
     stacks: list
+    diagonal: bool
 
 
 def _pair_groups(terms) -> list[_PairGroup]:
@@ -371,6 +374,7 @@ def _pair_groups(terms) -> list[_PairGroup]:
         return len(distinct) - 1, 1
 
     grouped: dict = {}
+    mixed = set()  # keys of groups holding a pair of two different modes
     for out, modes, x1, x2, scale in terms:
         width = x2 - x1
         bound = 1e-4 / width  # 0 on a half-line: no series there
@@ -392,6 +396,8 @@ def _pair_groups(terms) -> list[_PairGroup]:
                     key=lambda form: form[0])
                 # a diagonal pair enters the half once, halved
                 weight = 0.5 * scale if nu == mu else scale
+                if nu != mu:
+                    mixed.add(key)
                 left_a, _, f1_a = ends[a]
                 _, right_b, f1_b = ends[b]
                 grouped.setdefault(key, {}).setdefault(out, []).append(_PairTerm(
@@ -407,7 +413,8 @@ def _pair_groups(terms) -> list[_PairGroup]:
             bound > 0.0 and _can_resonate(kappa_a, kappa_b, bound),
             [(out, np.concatenate([term.left for term in ts], axis=1),
               np.concatenate([term.right for term in ts]), ts)
-             for out, ts in outputs.items()]))
+             for out, ts in outputs.items()],
+            (i, s, j, t) not in mixed))
     return groups
 
 
@@ -501,26 +508,44 @@ class _FarProducts:
         self.columns = 0
 
 
-def _complete_hermitian(half: np.ndarray) -> None:
-    """half + half^H in place, bit for bit, by MIRROR_BLOCK blocks (no (nk, nk) temporary)."""
+def _complete_hermitian(half: np.ndarray, divisor: float = 1.0,
+                        addend: np.ndarray | None = None) -> np.ndarray:
+    """(half + half^H) / divisor + addend in place, by MIRROR_BLOCK blocks; returns half.
+
+    One pass with no (nk, nk) temporary, giving the values of the three
+    passes half += half^H, half /= divisor, half += addend.  Each block on or
+    above the diagonal takes the sum and the division, and the block
+    below is its conjugate transpose, since l + conj(u) = conj(u + conj(l))
+    exactly.  numpy divides a complex by a real number as the product of
+    both parts with its reciprocal, which the float view forms directly.
+    """
     nk = half.shape[0]
+    scale = 1.0 / divisor
     for i in range(0, nk, MIRROR_BLOCK):
         bi = slice(i, i + MIRROR_BLOCK)
-        block = half[bi, bi]
-        block += block.conj().T
-        for j in range(i + MIRROR_BLOCK, nk, MIRROR_BLOCK):
+        for j in range(i, nk, MIRROR_BLOCK):
             bj = slice(j, j + MIRROR_BLOCK)
-            upper = half[bi, bj].copy()
-            half[bi, bj] += half[bj, bi].conj().T
-            half[bj, bi] += upper.conj().T
+            upper = half[bi, bj]
+            upper += half[bj, bi].conj().T
+            parts = upper.view(float)
+            parts *= scale
+            if j > i:
+                half[bj, bi] = upper.conj().T
+                if addend is not None:
+                    half[bj, bi] += addend[bj, bi]
+            if addend is not None:
+                upper += addend[bi, bj]
+    return half
 
 
 def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
-    """Hermitian sums of region Grams, one (nk, nk) matrix per output.
+    """Halves of Hermitian sums of region Grams, one (nk, nk) array per output.
 
     ``region_terms`` holds each region's Gram terms (out, modes, x1, x2,
     scale): scale times integral_x1^x2 psi psi^H dx of the channel psi =
-    sum of modes, added to output ``out``.  Each pair of modes integrates
+    sum of modes, added to output ``out``.  The sum is the completion
+    half + half^H of the returned half (``_complete_hermitian``), which
+    makes every output exactly Hermitian.  Each pair of modes integrates
     in closed form to [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with f = coef
     exp(i kappa (x - anchor)) and alpha = kappa_mu - conj(kappa_nu); an
     infinite endpoint contributes nothing, since the pair exponent decays
@@ -540,16 +565,24 @@ def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
     accumulator (which the first group's product starts).  Elements nearer
     resonance than the group's widest series switch are evaluated again
     term by term (``_near_values``).  Only the summed tile joins the
-    output's upper half: near gamma = 2 omega the interior blocks cancel to
+    output's half: near gamma = 2 omega the interior blocks cancel to
     about 1e-3 of their size, and that sum then rounds as the region's own
-    Gram does.  Each half is completed once, half + half^H
-    (``_complete_hermitian``), so every output is exactly Hermitian.
+    Gram does.
+
+    A region whose tiled groups all pair each mode with itself (the
+    half-lines, whose (k, k) and (q, q) groups ``_build_overlaps`` passes
+    as one entry) has Hermitian tiles, so it forms only the columns from
+    each tile's first row: the diagonal sub-block as a full tile would
+    hold it, the columns beyond it doubled, and the completion mirrors
+    them.  A region with any other tiled group (the beam interior, every
+    slice) keeps full tiles, so that its cancellation stays inside its
+    own accumulator.
     """
     halves = [np.zeros((nk, nk), dtype=complex) for _ in range(n_out)]
     far = [_FarProducts(half) for half in halves]
-    i_alpha = np.empty((OVERLAP_TILE, nk), dtype=complex)
+    i_alpha = np.empty(OVERLAP_TILE * nk, dtype=complex)
     num = np.empty_like(i_alpha)
-    sums = np.empty((n_out, OVERLAP_TILE, nk), dtype=complex)
+    sums = np.empty(n_out * OVERLAP_TILE * nk, dtype=complex)
     for terms in region_terms:
         direct, separable = [], []
         for group in _pair_groups(terms):
@@ -558,16 +591,20 @@ def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
                 direct.append(group)
             else:
                 separable.append((group, factors))
+        upper = all(group.diagonal for group in direct)
         # an exact resonance (alpha = 0) is always near: its inverse is replaced
         with np.errstate(divide="ignore", invalid="ignore"):
             for start in range(0, nk if direct else 0, OVERLAP_TILE):
                 rows = slice(start, start + OVERLAP_TILE)
-                ia = i_alpha[:min(OVERLAP_TILE, nk - start)]
-                tile = num[:ia.shape[0]]
-                acc = sums[:, :ia.shape[0]]
+                first = start if upper else 0  # first column formed
+                shape = (min(OVERLAP_TILE, nk - start), nk - first)
+                size = shape[0] * shape[1]
+                ia = i_alpha[:size].reshape(shape)
+                tile = num[:size].reshape(shape)
+                acc = sums[:n_out * size].reshape(n_out, *shape)
                 begun = []  # outputs whose accumulator holds this tile's first group
                 for group in direct:
-                    np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b, out=ia)
+                    np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b[first:], out=ia)
                     near = None
                     if group.resonates:
                         r, c = np.nonzero(np.abs(ia) < group.bound)
@@ -576,24 +613,25 @@ def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
                     np.divide(1.0, ia, out=ia)
                     for out, left, right, ts in group.stacks:
                         part = tile if out in begun else acc[out]
-                        np.matmul(left[rows], right, out=part)
+                        np.matmul(left[rows], right[:, first:], out=part)
                         part *= ia
                         if near is not None:
                             r, c, ia_near = near
-                            part[r, c] = sum(_near_values(t, r + start, c, ia_near) for t in ts)
+                            part[r, c] = sum(_near_values(t, r + start, c + first, ia_near)
+                                             for t in ts)
                         if part is tile:
                             acc[out] += tile
                         else:
                             begun.append(out)
                 for out in begun:
-                    halves[out][rows] += acc[out]
+                    if upper:
+                        acc[out][:, shape[0]:] *= 2.0
+                    halves[out][rows, first:] += acc[out]
         for group, (powers, inverses) in separable:
             for out, left, right, _ in group.stacks:
                 far[out].add(powers, left, inverses, right)
     for products in far:
         products.flush()
-    for half in halves:
-        _complete_hermitian(half)
     return halves
 
 
@@ -602,7 +640,8 @@ def _region_gram(modes, x1: float, x2: float) -> np.ndarray:
 
     The one-term call of ``_overlap_sums``; exactly Hermitian.
     """
-    return _overlap_sums(modes[0][0].shape[0], [[(0, modes, x1, x2, 1.0)]], 1)[0]
+    return _complete_hermitian(
+        _overlap_sums(modes[0][0].shape[0], [[(0, modes, x1, x2, 1.0)]], 1)[0])
 
 
 def _window_key(x_min: float, x_max: float) -> tuple[float, float]:
@@ -724,15 +763,12 @@ class ConditionalPropagator:
             region_terms.append(terms)
         # the two half-lines share their (k, k) and (q, q) denominators
         region_terms = [region_terms[0] + region_terms[-1]] + region_terms[1:-1]
-        sums = _overlap_sums(self.k.shape[0], region_terms, norm_out + (window is not None))
-        for matrix in sums:
-            matrix /= 2.0 * math.pi
+        halves = _overlap_sums(self.k.shape[0], region_terms, norm_out + (window is not None))
         if detection:
-            self._detection_matrix = sums[0]
+            self._detection_matrix = _complete_hermitian(halves[0], 2.0 * math.pi)
         if window is not None:
-            if shared:
-                sums[-1] += self._detection_matrix
-            self._norm_matrix_cache[_window_key(*window)] = sums[-1]
+            self._norm_matrix_cache[_window_key(*window)] = _complete_hermitian(
+                halves[-1], 2.0 * math.pi, self._detection_matrix if shared else None)
 
     def _forms(self, matrix: np.ndarray, times) -> np.ndarray:
         """Rows Re v^H matrix^T v and 2 Im sum_k omega_k conj(v_k) (matrix^T v)_k at times.
@@ -743,13 +779,12 @@ class ConditionalPropagator:
         the band-limited nodes of ``series.chebyshev_samples`` and resampled
         to the times through one shared map.
         """
-        nodes, resample = self._samples(times)
-        out = np.empty((2, nodes.shape[0]))
+        phases, resample = self._samples(times)
+        out = np.empty((2, phases.shape[1]))
         chunk = max(1, int(4e6 // max(self.k.shape[0], 1)))
-        for start in range(0, nodes.shape[0], chunk):
+        for start in range(0, phases.shape[1], chunk):
             part = slice(start, start + chunk)
-            v = np.exp(-1j * np.outer(self.omega_rel, nodes[part]))
-            v *= self.coeff[:, None]
+            v = phases[:, part]
             terms = matrix.T @ v
             terms *= np.conj(v)
             out[0, part] = terms.real.sum(axis=0)
@@ -757,16 +792,25 @@ class ConditionalPropagator:
         return resample(out)
 
     def _samples(self, times):
-        """``chebyshev_samples`` of ``times`` at these omegas, kept for the last times asked.
+        """Phase basis and resampler of ``times``, kept for the last times asked.
 
-        ``first_photon_density`` forms the detection and the norm forms on
-        the same times, so the nodes and the resampler are made once.
+        The basis is v = coeff * exp(-i omega t) at the nodes of
+        ``chebyshev_samples``, (nk, nodes).  ``first_photon_density`` forms
+        the detection and the norm forms on the same times, so the nodes,
+        the resampler and the basis are made once.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if self._last_samples is None or not np.array_equal(self._last_samples[0], times):
             times = times.copy()
-            self._last_samples = (times, *chebyshev_samples(times, np.ptp(self.omega_rel)))
+            nodes, resample = chebyshev_samples(times, np.ptp(self.omega_rel))
+            self._last_samples = (times, self._phases(nodes), resample)
         return self._last_samples[1:]
+
+    def _phases(self, nodes: np.ndarray) -> np.ndarray:
+        """coeff * exp(-i omega t) at the nodes, (nk, nodes)."""
+        v = np.exp(-1j * np.outer(self.omega_rel, nodes))
+        v *= self.coeff[:, None]
+        return v
 
     def _quadratic(self, matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
         return self._forms(matrix, times)[0]

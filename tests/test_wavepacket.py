@@ -237,6 +237,32 @@ class TestFirstPhotonDensity:
         assert np.array_equal(prop.photon_density(times.times[::2]), before)
         assert len(calls) == 3
 
+    def test_phase_basis_made_once(self, monkeypatch):
+        # the detection and the norm forms share the (nk, nodes) basis
+        calls = []
+        phases = ConditionalPropagator._phases
+        monkeypatch.setattr(ConditionalPropagator, "_phases",
+                            lambda prop, nodes: calls.append(nodes) or phases(prop, nodes))
+        cfg, spec, grid, times = self.make()
+        first_photon_density(spec, cfg, grid, times)
+        assert len(calls) == 1
+
+    def test_shared_basis_matches_fresh_forms(self):
+        # gamma*P2 and (N, -dN/dt) on one basis equal each form on its own
+        cfg, spec, grid, times = self.make()
+        t = times.times
+        props = [ConditionalPropagator(spec, cfg, grid) for _ in range(3)]
+        window = props[0].default_domain(float(t[-1]))
+        for prop in props:
+            prop.overlap_matrices(*window)
+        shared, alone_pi, alone_norm = props
+        pi = shared.photon_density(t)
+        survival, rate = shared.norm_and_rate(t, *window)
+        assert np.array_equal(pi, alone_pi.photon_density(t))
+        want_survival, want_rate = alone_norm.norm_and_rate(t, *window)
+        assert np.array_equal(survival, want_survival)
+        assert np.array_equal(rate, want_rate)
+
     @pytest.mark.parametrize("n_t", [60, 1200])
     def test_route_exact_whatever_the_time_step(self, n_t):
         # -dN/dt is the derivative of the quadratic form, not a difference
@@ -605,7 +631,7 @@ class TestOverlapMatrices:
             w = x2 - x1
             return w * np.exp(0.5j * alpha * (x1 + x2)) * np.sinc(alpha * w / (2 * np.pi))
 
-        long, short = _overlap_sums(u.size, [terms], 2)
+        long, short = map(_complete_hermitian, _overlap_sums(u.size, [terms], 2))
         # just outside its switch the long term's quotient loses four digits
         assert np.abs(long - closed(0.0, 2.0)).max() <= 2e-12 * 2.0
         assert np.abs(short - closed(2.0 - 2e-3, 2.0)).max() <= 1e-14 * 2e-3
@@ -775,9 +801,70 @@ class TestFarFactors:
     def test_blocked_completion_is_bitwise(self, nk):
         rng = np.random.default_rng(nk)
         half = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
+        addend = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
         want = half + half.conj().T
-        _complete_hermitian(half)
+        fused = _complete_hermitian(half.copy(), 2 * math.pi, addend)
+        assert _complete_hermitian(half) is half
         assert np.array_equal(half, want)
+        # the fused pass: completion, 1/(2 pi) and the detection-into-norm sum
+        half /= 2 * math.pi
+        half += addend
+        assert np.array_equal(fused, half)
+
+
+def half_line_entry(prop, window):
+    """The half-lines' Gram terms as ``_build_overlaps`` passes them, in one entry.
+
+    Output 0 is the detection matrix (excited channel to -inf and +inf),
+    output 1 the norm on ``window`` less the excited tails beyond it
+    (ground channel over the window's finite parts).
+    """
+    left, right = prop.regions[0], prop.regions[-1]
+    x_min, x_max = window
+    terms = [(0, _channel(left, 1), -math.inf, left.x2, 1.0),
+             (1, _channel(left, 1), -math.inf, x_min, -1.0),
+             (1, _channel(left, 0), x_min, left.x2, 1.0),
+             (0, _channel(right, 1), right.x1, math.inf, 1.0),
+             (1, _channel(right, 1), x_max, math.inf, -1.0),
+             (1, _channel(right, 0), right.x1, x_max, 1.0)]
+    return [term for term in terms if term[1]]
+
+
+def below_tile_diagonal(nk):
+    """Mask of the elements strictly below the diagonal OVERLAP_TILE blocks."""
+    tiles = np.arange(nk) // OVERLAP_TILE
+    return tiles[:, None] > tiles[None, :]
+
+
+class TestUpperTiles:
+    @pytest.mark.parametrize("n_nodes", TILE_SIZES)
+    @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
+    def test_half_lines_match_dense_oracle(self, omega, backend, profile, n_nodes):
+        prop = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
+        terms = half_line_entry(prop, prop.default_domain(0.0))
+        halves = _overlap_sums(n_nodes, [terms], 2)
+        for out, half in enumerate(halves):
+            got = _complete_hermitian(half)
+            want = sum((scale * dense_gram(modes, x1, x2)
+                        for o, modes, x1, x2, scale in terms if o == out), np.zeros_like(got))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_nodes", TILE_SIZES)
+    def test_only_half_line_tiles_are_upper(self, n_nodes, monkeypatch):
+        # the half _overlap_sums returns is the one the completion receives.
+        # The far products fill all of it; without them it holds the tiles
+        # alone, and below the diagonal blocks only full tiles write
+        monkeypatch.setattr(wavepacket._FarProducts, "add", lambda self, *factors: None)
+        prop = small_propagator(104.43e6, n_nodes=n_nodes)
+        below = below_tile_diagonal(n_nodes)
+        for half in _overlap_sums(n_nodes, [half_line_entry(prop, prop.default_domain(0.0))], 2):
+            assert np.abs(half).max() > 0.0
+            assert np.all(half[below] == 0.0)
+        interior = prop.regions[1]
+        (half,) = _overlap_sums(n_nodes, [[(0, _channel(interior, 1), interior.x1, interior.x2,
+                                           1.0)]], 1)
+        if below.any():
+            assert np.all(half[below] != 0.0)
 
 
 class TestRegionField:
