@@ -397,9 +397,8 @@ def cmd_distributions(args) -> str:
     flux = dist.free_flux(spec, x_eval, times)
     kij = dist.kijowski_density(spec, x_eval, times)
     if config.gamma > 0.0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pi_id = dist.deconvolve(pi, config.gamma, method="fourier")
+        # the exact deconvolution gamma P2 + dP2/dt, from the route's own product
+        pi_id = pi.tagged(observed.meta["ideal_density"], "ideal")
         try:
             pi_id_norm = dist.normalize(pi_id)
         except ZeroIntegral:

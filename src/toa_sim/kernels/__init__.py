@@ -20,7 +20,6 @@ from .reference import (
     sharp_edge_solve,
     sinc,
     slice_propagator,
-    split_exp,
     sqrt_upper,
     transfer_solve,
 )

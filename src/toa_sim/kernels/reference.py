@@ -89,8 +89,8 @@ def mode_split(k, gamma: float, omega, mass: float, hbar: float):
     k+- = sqrt(k^2 - 2 m lam+- / hbar) (Im >= 0) for the ``internal_rates``
     lam+-, r = (k+ + k-)/2, and e = (k+ - k-)/2 = (zp - zm)/(4 r) with
     zp - zm = -2 m (lam+ - lam-)/hbar from the rates' gap, not cancelling.
-    A slice's waves, in ``slice_propagator`` and in its region, are
-    ``split_exp(r, +-e, y)``.  ``omega`` broadcasts against ``k``.
+    ``slice_propagator`` takes a slice's divided differences in r and e.
+    ``omega`` broadcasts against ``k``.
     """
     lam_p, lam_m, gap = internal_rates(gamma, omega)
     k = np.asarray(k, dtype=float)
@@ -101,15 +101,34 @@ def mode_split(k, gamma: float, omega, mass: float, hbar: float):
     return kp, km, r, _rate_over_hbar(-2.0 * mass, gap, hbar) / (4.0 * r), lam_p, lam_m
 
 
-def split_exp(carrier, offset, y):
-    """exp(i (carrier + offset) y) (an outer product for array y), carrier phase rounded once.
+def _offset(kappa, k, offsets, z):
+    """kappa - k0 for kappa^2 = k^2 + z at k = k0 + offsets: offsets + z / (kappa + k)."""
+    return offsets + z / (kappa + k)
 
-    Waves that share a carrier share the rounding of Re(carrier y), about
-    eps k y, so their relative phases are exact; the modulus comes from one
-    exponential, so a bounded wave cannot overflow.
+
+def _mode_offsets(k, offsets, gamma: float, omega, mass: float, hbar: float):
+    """Offsets delta = kappa - k0 of k+, k- and q at wavenumbers k = k0 + offsets.
+
+    Each kappa solves kappa^2 = k^2 + z (z = -2 m lam+- / hbar for k+-,
+    i gamma m / hbar for q), so kappa - k = z / (kappa + k): delta =
+    offsets + z / (kappa + k) takes no difference of carrier-size numbers.
+    Returns (delta+, delta-, delta_q, lam+, lam-), the rates those of
+    ``internal_rates``.
     """
-    cy = np.multiply.outer(carrier, y)
-    return np.exp(1j * cy.real) * np.exp(1j * np.multiply.outer(offset, y) - cy.imag)
+    kp, km, _, _, lam_p, lam_m = mode_split(k, gamma, omega, mass, hbar)
+    return (_offset(kp, k, offsets, _rate_over_hbar(-2.0 * mass, lam_p, hbar)),
+            _offset(km, k, offsets, _rate_over_hbar(-2.0 * mass, lam_m, hbar)),
+            _offset(channel_q(k, gamma, mass, hbar), k, offsets, 1j * gamma * mass / hbar),
+            lam_p, lam_m)
+
+
+def _phase(origin, delta, L: float):
+    """exp(i (origin + delta) L): the carrier phase origin L rounded once, the modulus from delta.
+
+    Formed as ``scattering._wave`` forms a region's waves, so that the
+    kernel's phases across the beam are those of the regions' modes.
+    """
+    return np.exp(1j * (origin * L)) * np.exp(1j * (delta * L))
 
 
 def sharp_edge_solve(k, gamma: float, omega, beam_width: float, mass: float, hbar: float):
@@ -151,7 +170,7 @@ def sharp_edge_solve(k, gamma: float, omega, beam_width: float, mass: float, hba
     out = np.empty((k.shape[0], 8), dtype=complex)
     for start in range(0, k.shape[0], SHARP_BLOCK):
         part = slice(start, start + SHARP_BLOCK)
-        out[part] = _sharp_edge_block(k[part], gamma, omega[part], beam_width, mass, hbar)[0]
+        out[part] = _sharp_edge_block(k[part], 0.0, gamma, omega[part], beam_width, mass, hbar)[0]
     return out
 
 
@@ -173,26 +192,29 @@ def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def newton_terms(k, gamma: float, omega, L: float, mass: float, hbar: float):
+def newton_terms(origin, offsets, gamma: float, omega, L: float, mass: float, hbar: float):
     """Interior modes of a sharp beam of width L and their Newton-basis terms.
 
-    Returns (kp, km, carrier, offsets, u_p, u_m, dk, du, ep, em, de): k+-
-    (``mode_split``), the carrier k+ or k- of the larger e_big of
-    e+- = exp(i k+- L) and the offsets k+- - carrier, u+- = 2 lam+- / omega,
-    and divided differences over (k+, k-) without cancellation: dk = 2 e,
-    du = u[+,-] = -hbar (k+ + k-) / (m omega) and de = e[+,-] =
-    i L e_big expm1(z)/z, z = -+i dk L.  e_big is ``split_exp(carrier, 0,
-    L)``, the smaller e_big exp(z): both share the carrier rounding.
+    The wavenumbers are k = origin + offsets (``origin`` a float or an
+    array, e.g. k itself with offsets 0).  Returns (kp, km, d_p, d_m, u_p,
+    u_m, dk, du, ep, em, de): k+- (``mode_split``) and their offsets
+    k+- - origin (``_mode_offsets``), u+- = 2 lam+- / omega, and divided
+    differences over (k+, k-) without cancellation: dk = 2 e, du = u[+,-]
+    = -hbar (k+ + k-) / (m omega) and de = e[+,-] = i L e_big expm1(z)/z,
+    z = -+i dk L.  e_big, the larger of e+- = exp(i k+- L), is
+    ``_phase(origin, d, L)`` at its offset d, the smaller e_big exp(z):
+    both share the one rounding of the carrier phase origin L.
     """
+    k = origin + offsets
     kp, km, _, e, lam_p, lam_m = mode_split(k, gamma, omega, mass, hbar)
+    d_p = _offset(kp, k, offsets, _rate_over_hbar(-2.0 * mass, lam_p, hbar))
+    d_m = _offset(km, k, offsets, _rate_over_hbar(-2.0 * mass, lam_m, hbar))
     u_p = 2.0 * lam_p / omega
     u_m = 2.0 * lam_m / omega
     dk = 2.0 * e
     du = -(kp + km) * (hbar / (mass * omega))
     plus_big = e.imag <= 0.0
-    carrier = np.where(plus_big, kp, km)
-    offsets = np.where(plus_big, 0.0, dk), np.where(plus_big, -dk, 0.0)   # k+- - carrier
-    e_big = split_exp(carrier, 0.0, L)
+    e_big = _phase(origin, np.where(plus_big, d_p, d_m), L)
     z = np.where(plus_big, -1j * L, 1j * L) * dk      # Re z <= 0
     expm1 = np.expm1(z)
     e_small = e_big * (1.0 + expm1)
@@ -200,14 +222,20 @@ def newton_terms(k, gamma: float, omega, L: float, mass: float, hbar: float):
     em = np.where(plus_big, e_small, e_big)
     zero = z == 0.0
     phi1 = np.where(zero, 1.0, expm1 / np.where(zero, 1.0, z))   # expm1(z) / z
-    return kp, km, carrier, offsets, u_p, u_m, dk, du, ep, em, 1j * L * e_big * phi1
+    return kp, km, d_p, d_m, u_p, u_m, dk, du, ep, em, 1j * L * e_big * phi1
 
 
-def _sharp_edge_block(k, gamma, omega, L, mass, hbar):
-    """``sharp_edge_solve`` for one block: its rows, the ``newton_terms`` and T2_L."""
+def _sharp_edge_block(origin, offsets, gamma, omega, L, mass, hbar):
+    """``sharp_edge_solve`` for one block: its rows, the ``newton_terms`` and T2_L.
+
+    The wavenumbers are k = origin + offsets.  The phases across the beam,
+    exp(i kappa L) for kappa = k+-, k and q, are ``_phase``'s, from the
+    offsets of kappa to ``origin``.
+    """
+    k = origin + offsets
     nk = k.shape[0]
     q = channel_q(k, gamma, mass, hbar)
-    terms = newton_terms(k, gamma, omega, L, mass, hbar)
+    terms = newton_terms(origin, offsets, gamma, omega, L, mass, hbar)
     kp, _, _, _, u_p, u_m, _, du, ep, em, de = terms
     due = u_p * de + du * em   # (u e)[+,-]
     kps = kp / k
@@ -244,26 +272,29 @@ def _sharp_edge_block(k, gamma, omega, L, mass, hbar):
     sol = np.empty((nk, 8), dtype=complex)
     sol[:, 0] = a + ep * c + de * d - 1.0
     sol[:, 1] = u_p * (a + ep * c) + du * b + due * d
-    sol[:, 2] = (ep * a + de * b + c) / np.exp(1j * k * L)
+    sol[:, 2] = (ep * a + de * b + c) / _phase(origin, offsets, L)
     t2_exit = u_p * (ep * a + c) + due * b + du * d
     # Back to the anchor at 0; T2 is inf where exp(iqL) underflows.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sol[:, 3] = t2_exit / np.exp(1j * q * L)
+        sol[:, 3] = t2_exit / _phase(origin, _offset(q, k, offsets, 1j * gamma * mass / hbar), L)
     sol[:, 4:] = coef
     return sol, terms, t2_exit
 
 
-def sharp_edge_modes(k, gamma: float, omega, beam_width: float, mass: float, hbar: float):
+def sharp_edge_modes(origin: float, offsets, gamma: float, omega, beam_width: float,
+                     mass: float, hbar: float):
     """``sharp_edge_solve``'s rows with their ``newton_terms``, exponential modes and T2_L.
 
-    Returns (rows, terms, (a, b, c, d), t2_exit): (a, b, c, d) =
-    (a' + b'/dk, -b'/dk, c' + d'/dk, -d'/dk) are not finite where dk = 0
-    (gamma = 2 omega); t2_exit = T2 exp(iqL) is, also where exp(iqL)
-    underflows.  Every omega must be > 0.
+    The wavenumbers are k = origin + offsets.  Returns (rows, terms, (a,
+    b, c, d), t2_exit): (a, b, c, d) = (a' + b'/dk, -b'/dk, c' + d'/dk,
+    -d'/dk) are not finite where dk = 0 (gamma = 2 omega); t2_exit = T2
+    exp(iqL) is, also where exp(iqL) underflows.  The phases across the
+    beam are formed from the offsets to ``origin``, as the regions' waves
+    are.  Every omega must be > 0.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), k.shape)
-    rows, terms, t2_exit = _sharp_edge_block(k, gamma, omega, beam_width, mass, hbar)
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), offsets.shape)
+    rows, terms, t2_exit = _sharp_edge_block(origin, offsets, gamma, omega, beam_width, mass, hbar)
     with np.errstate(divide="ignore", invalid="ignore"):
         b_dk, d_dk = rows[:, 5] / terms[6], rows[:, 7] / terms[6]
     return rows, terms, (rows[:, 4] + b_dk, -b_dk, rows[:, 6] + d_dk, -d_dk), t2_exit
@@ -294,8 +325,7 @@ def slice_propagator(k, omega, width, gamma: float, mass: float, hbar: float):
     gap e of ``mode_split``: with mu = w r, eta = w e and a, b = mu +- eta,
     e.g. (cos a - cos b)/(zp - zm) = -sin mu w sinc(eta)/(2 r).  cos b and
     sin b come from mu and eta by angle addition, so every entry shares the
-    one rounding of the carrier phase mu that ``split_exp`` gives the
-    slice's region modes.  All of it is entire through zp = zm
+    one rounding of the carrier phase mu.  All of it is entire through zp = zm
     (gamma = 2 omega) and omega = 0: no special case.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))

@@ -121,33 +121,34 @@ def _wavenumbers(k: float, gamma: float, omega: float, mass: float,
 class Region:
     """One spatial region of a scattering solution, as per-channel mode lists.
 
-    A mode (coef, kappa, anchor) contributes coef * exp(i kappa (x - anchor))
-    to its channel inside [x1, x2]; coef and kappa are (nk,) arrays, one
-    entry per incident wavenumber.  A solution is the list of regions from
-    x1 = -inf to x2 = +inf, each starting where the previous one ends: the
-    incident side, one region per constant-coupling slice (one for the sharp
-    beam), the transmitted side.  Field evaluation (``_region_field``) and
-    the overlap engine (``wavepacket._overlap_sums``) both read it.
-
-    ``splits`` (interior regions) holds per channel and mode the
-    (carrier, offset) of ``kernels.mode_split`` that sum to kappa: the field
-    evaluator forms those waves with ``kernels.split_exp``, as the kernels
-    did, so a region matches its neighbours even where near-equal modes
-    carry large, cancelling coefficients (near gamma = 2 omega).
+    A mode (coef, sign, delta, anchor) contributes coef * exp(i kappa
+    (x - anchor)) to its channel inside [x1, x2], with kappa = sign *
+    carrier + delta: sign is +1 or -1, coef and delta are (nk,) arrays, one
+    entry per incident wavenumber, and ``carrier`` is one float k0 for all
+    of them (``KGrid.origin``; the wavenumber itself for a one-k solution).
+    The offsets delta are formed without subtracting carrier-size numbers
+    (``kernels.reference._mode_offsets``), so two waves of one direction
+    differ in phase by exactly (delta_mu - delta_nu) y: the field
+    evaluator rounds the carrier phase once per point, and the overlap
+    engine integrates products of same-direction waves with no carrier at
+    all.  A solution is the list of regions from x1 = -inf to x2 = +inf,
+    each starting where the previous one ends: the incident side, one
+    region per constant-coupling slice (one for the sharp beam), the
+    transmitted side.  Field evaluation (``_region_field``) and the overlap
+    engine (``wavepacket._overlap_sums``) both read it.
 
     Invariant: every mode is bounded by |coef| in its region, i.e.
     |exp(i kappa (x - anchor))| <= 1 at each finite endpoint.
-    The overlap engine relies on it: it forms each mode's endpoint values
-    on their own and sums products of them in stacked numerators, which
-    cannot overflow only because every factor is bounded.  The infinite
-    endpoints are allowed when the corresponding pair exponents decay
-    (excited channel with gamma > 0).
+    The overlap engine relies on it: it forms each mode's values on their
+    own and sums products of them, which cannot overflow only because
+    every factor is bounded.  The infinite endpoints are allowed when the
+    corresponding pair exponents decay (excited channel with gamma > 0).
     """
 
     x1: float
     x2: float
     channel_modes: tuple[list, list]
-    splits: tuple[list, list] | None = None
+    carrier: float
 
 
 @dataclass(frozen=True)
@@ -206,48 +207,55 @@ def sharp_edge_rows(k, config: ValidatedConfig, omega=None) -> np.ndarray:
 # --- region builders --------------------------------------------------------
 
 
-def _exterior_regions(k, R1, T1, reflected, transmitted, x_left, x_right):
-    """Half-lines beyond the coupling; ``reflected``/``transmitted`` are the excited modes."""
-    kc = k.astype(complex)
-    left = Region(
-        x1=-math.inf,
-        x2=x_left,
-        channel_modes=([(np.ones_like(kc), kc, 0.0), (R1, -kc, 0.0)], reflected),
-    )
-    right = Region(x1=x_right, x2=math.inf, channel_modes=([(T1, kc, 0.0)], transmitted))
+def _exterior_regions(k0: float, offsets, R1, T1, reflected, transmitted, x_left, x_right):
+    """Half-lines beyond the coupling; ``reflected``/``transmitted`` are the excited modes.
+
+    The ground waves are the incident (1, +k, 0), the reflected (R1, -k, 0)
+    and the transmitted (T1, +k, 0), with k = k0 + offsets.
+    """
+    ones = np.ones(offsets.shape, dtype=complex)
+    left = Region(-math.inf, x_left, (
+        [(ones, 1.0, offsets, 0.0), (R1, -1.0, -offsets, 0.0)], reflected), k0)
+    right = Region(x_right, math.inf, ([(T1, 1.0, offsets, 0.0)], transmitted), k0)
     return left, right
 
 
-def _sharp_regions(k: np.ndarray, config: ValidatedConfig):
-    """Amplitudes (R1, R2, T1, T2) and regions of the sharp beam at wavenumbers k.
+def _sharp_regions(k0: float, offsets: np.ndarray, config: ValidatedConfig):
+    """Amplitudes (R1, R2, T1, T2) and regions of the sharp beam at wavenumbers k0 + offsets.
 
     The amplitudes are the rows of ``sharp_edge_rows``; the interior
     modes, (a, b) anchored at 0 and (c, d) at L, are the kernel's
-    (``kernels.sharp_edge_modes``) with their carrier splits.  The
-    transmitted excited wave is T2_L exp(iq(x - L)), T2_L the kernel's
-    excited value at x = L: it stays finite where exp(iqL) underflows and
-    T2 does not.  At gamma = 2 omega the regions are ``_two_sided``'s.
+    (``kernels.sharp_edge_modes``) with their offsets from k0
+    (``kernels.reference._mode_offsets``).  The kernel forms its phases
+    across the beam from the same offsets, so the regions match each
+    other to rounding.  The transmitted excited wave
+    is T2_L exp(iq(x - L)), T2_L the kernel's excited value at x = L: it
+    stays finite where exp(iqL) underflows and T2 does not.  At gamma =
+    2 omega the regions are ``_two_sided``'s.
     """
     L = config.beam_width
+    k = k0 + offsets
     if config.omega == 0.0:   # the free ground wave
         rows = sharp_edge_rows(k, config)
-        left, right = _exterior_regions(k, rows[:, 0], rows[:, 2], [], [], 0.0, L)
-        interior = Region(0.0, L, ([(rows[:, 4], k.astype(complex), 0.0)], []))
+        left, right = _exterior_regions(k0, offsets, rows[:, 0], rows[:, 2], [], [], 0.0, L)
+        interior = Region(0.0, L, ([(rows[:, 4], 1.0, offsets, 0.0)], []), k0)
         return tuple(rows[:, :4].T), [left, interior, right]
     hbar = config.constants.hbar
     rows, terms, (a, b, c, d), t2_exit = kernels.sharp_edge_modes(
-        k, config.gamma, config.omega, L, config.mass, hbar)
+        k0, offsets, config.gamma, config.omega, L, config.mass, hbar)
     amplitudes = R1, R2, T1, _ = tuple(rows[:, :4].T)
     if _is_degenerate(config.gamma, config.omega):
-        return amplitudes, _two_sided(lambda perturbed: _sharp_regions(k, perturbed)[1], config)
-    kp, km, r, (off_p, off_m), u_p, u_m = terms[:6]
-    split = [(r, off_p), (r, off_m), (-r, -off_p), (-r, -off_m)]
-    interior = Region(0.0, L, ([(a, kp, 0.0), (b, km, 0.0), (c, -kp, L), (d, -km, L)],
-                               [(u_p * a, kp, 0.0), (u_m * b, km, 0.0),
-                                (u_p * c, -kp, L), (u_m * d, -km, L)]),
-                      splits=(split, split))
-    q = kernels.channel_q(k, config.gamma, config.mass, hbar)
-    left, right = _exterior_regions(k, R1, T1, [(R2, -q, 0.0)], [(t2_exit, q, L)], 0.0, L)
+        return amplitudes, _two_sided(
+            lambda perturbed: _sharp_regions(k0, offsets, perturbed)[1], config)
+    u_p, u_m = terms[4:6]
+    d_p, d_m, d_q, _, _ = kernels.reference._mode_offsets(
+        k, offsets, config.gamma, config.omega, config.mass, hbar)
+    interior = Region(0.0, L, tuple(
+        [(vp * a, 1.0, d_p, 0.0), (vm * b, 1.0, d_m, 0.0),
+         (vp * c, -1.0, -d_p, L), (vm * d, -1.0, -d_m, L)]
+        for vp, vm in ((1.0, 1.0), (u_p, u_m))), k0)
+    left, right = _exterior_regions(k0, offsets, R1, T1, [(R2, -1.0, -d_q, 0.0)],
+                                    [(t2_exit, 1.0, d_q, L)], 0.0, L)
     return amplitudes, [left, interior, right]
 
 
@@ -266,9 +274,9 @@ def _two_sided(regions, config: ValidatedConfig) -> list[Region]:
         regions(replace(config, gamma=config.gamma * (1.0 + side * DEGENERATE_PERTURBATION)))
         for side in (-1.0, 1.0)
     )
-    return [Region(r.x1, r.x2, tuple([(0.5 * coef, kappa, anchor) for coef, kappa, anchor in m + n]
+    return [Region(r.x1, r.x2, tuple([(0.5 * coef, *rest) for coef, *rest in m + n]
                                      for m, n in zip(r.channel_modes, s.channel_modes)),
-                   None if r.splits is None else tuple(map(list.__add__, r.splits, s.splits)))
+                   r.carrier)
             for r, s in zip(lo, hi)]
 
 
@@ -281,7 +289,7 @@ def _solution_view(k: float, config: ValidatedConfig, amplitudes, regions,
     exceeds 1e-6.
     """
     R1, R2, T1, T2 = (complex(a[0]) for a in amplitudes)
-    coefs = [coef for r in regions for modes in r.channel_modes for coef, _, _ in modes]
+    coefs = [mode[0] for r in regions for modes in r.channel_modes for mode in modes]
     if not np.all(np.isfinite(np.concatenate([[R1, R2, T1], *coefs]))):
         raise SingularMatching(f"{what} is singular at k={k!r}, omega={config.omega!r}")
     sol = ScatteringSolution(
@@ -310,7 +318,7 @@ def solve_sharp_edge(k: float, config: ValidatedConfig) -> ScatteringSolution:
         raise ValueError(f"k must be > 0, got {k!r}")
     if config.profile.kind != "sharp":
         raise ValueError("solve_sharp_edge requires a sharp-edged profile")
-    amplitudes, regions = _sharp_regions(np.array([float(k)]), config)
+    amplitudes, regions = _sharp_regions(float(k), np.zeros(1), config)
     return _solution_view(k, config, amplitudes, regions, "matching")
 
 
@@ -320,33 +328,29 @@ def solve_sharp_edge(k: float, config: ValidatedConfig) -> ScatteringSolution:
 def _region_values(region: Region, weights, x: np.ndarray, derivative: bool):
     """Both channels of one region at x, and d/dx (or None), each (2, nx).
 
-    Sums weights * coef * exp(i kappa (x - anchor)) over the modes, without
-    the plane-wave normalization; a split mode's wave is ``split_exp``'s.
+    Sums weights * coef * exp(i kappa (x - anchor)) over the modes (waves
+    from ``_wave``), without the plane-wave normalization.
     """
     val = np.zeros((2, x.shape[0]), dtype=complex)
     der = np.zeros_like(val) if derivative else None
     for ch in (0, 1):
-        for coef, kappa, anchor, split in _channel(region, ch):
+        for coef, sign, delta, anchor in region.channel_modes[ch]:
             wc = weights * coef
-            waves = _wave(kappa, split, x - anchor)
+            waves = _wave(region.carrier, sign, delta, x - anchor)
             val[ch] += wc @ waves
             if derivative:
-                der[ch] += (1j * kappa * wc) @ waves
+                der[ch] += (1j * (sign * region.carrier + delta) * wc) @ waves
     return val, der
 
 
-def _channel(region: Region, ch: int) -> list:
-    """Channel ``ch`` of a region as (coef, kappa, anchor, split) modes, split None if plain."""
-    modes = region.channel_modes[ch]
-    return [(*mode, split) for mode, split in
-            zip(modes, region.splits[ch] if region.splits else [None] * len(modes))]
+def _wave(carrier: float, sign: float, delta, y):
+    """exp(i (sign carrier + delta) y): an (nk, ny) outer product for array y, (nk,) for a scalar.
 
-
-def _wave(kappa, split, y):
-    """exp(i kappa y) (outer product for array y); ``kernels.split_exp`` for a split mode."""
-    if split is None:
-        return np.exp(1j * np.multiply.outer(kappa, y))
-    return kernels.split_exp(*split, y)
+    The carrier phase sign * carrier * y is rounded once per point and
+    shared by every wavenumber; the modulus comes from exp(i delta y)
+    alone, so a bounded wave cannot overflow.
+    """
+    return np.exp(1j * (sign * carrier * np.asarray(y))) * np.exp(1j * np.multiply.outer(delta, y))
 
 
 def _region_field(regions: list[Region], weights, x, derivative: bool = False):

@@ -24,6 +24,7 @@ from .scattering import (
     _is_degenerate,
     _solution_view,
     _two_sided,
+    _wave,
 )
 
 DEFAULT_SLICES = 256
@@ -142,38 +143,36 @@ def transfer_rows(k, decomp: SliceDecomposition, config: ValidatedConfig) -> np.
     )
 
 
-def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedConfig):
-    """Amplitudes (R1, R2, T1, T2) and regions of the sliced profile at wavenumbers k.
+def _slice_regions(k0: float, offsets: np.ndarray, decomp: SliceDecomposition,
+                   config: ValidatedConfig):
+    """Amplitudes (R1, R2, T1, T2) and regions of the sliced profile at wavenumbers k0 + offsets.
 
     ``transfer_solve`` gives the amplitudes and the state at every slice
-    edge; each slice's four exponential modes, with their carrier splits
-    (``kernels.mode_split``), are fitted to the state at its left edge,
-    anchored so that each is bounded across the slice.  At a degenerate
-    slice (gamma = 2 omega_j) the modes coincide and cannot be fitted, so
-    the regions are the two-sided limit of ``_two_sided``.
+    edge; each slice's four exponential modes, with their offsets from k0
+    (``kernels.reference._mode_offsets``), are fitted to the state at its
+    left edge, anchored so that each is bounded across the slice.  At a
+    degenerate slice (gamma = 2 omega_j) the modes coincide and cannot be
+    fitted, so the regions are the two-sided limit of ``_two_sided``.
     """
     edges = np.asarray(decomp.edges)
     omegas = np.asarray(decomp.omegas)
     hbar = config.constants.hbar
+    k = k0 + offsets
     if np.any(_is_degenerate(config.gamma, omegas)):  # the exact amplitudes need no states
         return tuple(transfer_rows(k, decomp, config).T), _two_sided(
-            lambda perturbed: _slice_regions(k, decomp, perturbed)[1], config)
+            lambda perturbed: _slice_regions(k0, offsets, decomp, perturbed)[1], config)
     amps, states = kernels.transfer_solve(
         k, edges, omegas, config.gamma, config.mass, hbar, return_states=True
     )
-    amplitudes = R1, R2, T1, T2 = tuple(amps.T)
     nk = k.shape[0]
-    q = kernels.channel_q(k, config.gamma, config.mass, hbar)
-    left, right = _exterior_regions(
-        k, R1, T1, [(R2, -q, 0.0)], [(T2, q, 0.0)], edges[0], edges[-1]
-    )
-    regions = [left]
+    signs = (1.0, 1.0, -1.0, -1.0)
+    slices = []
     for j in range(omegas.shape[0]):
         xa, xb = float(edges[j]), float(edges[j + 1])
         om = float(omegas[j])
-        kp, km, r, e, lam_p, lam_m = kernels.mode_split(k, config.gamma, om, config.mass, hbar)
-        kappas = (kp, km, -kp, -km)
-        splits = ((r, e), (r, -e), (-r, -e), (-r, e))
+        d_p, d_m, d_q, lam_p, lam_m = kernels.reference._mode_offsets(
+            k, offsets, config.gamma, om, config.mass, hbar)
+        deltas = (d_p, d_m, -d_p, -d_m)
         anchors = (xa, xa, xb, xb)
         if om > 0.0:
             u_p = 2.0 * lam_p / om
@@ -183,21 +182,24 @@ def _slice_regions(k: np.ndarray, decomp: SliceDecomposition, config: ValidatedC
             vecs = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
         basis = np.zeros((nk, 4, 4), dtype=complex)
         for mu in range(4):
-            ephase = kernels.split_exp(*splits[mu], xa - anchors[mu])
+            wave = _wave(k0, signs[mu], deltas[mu], xa - anchors[mu])
+            kappa = signs[mu] * k0 + deltas[mu]
             for ch in (0, 1):
-                basis[:, 2 * ch, mu] = vecs[mu][ch] * ephase
-                basis[:, 2 * ch + 1, mu] = 1j * kappas[mu] * basis[:, 2 * ch, mu]
+                basis[:, 2 * ch, mu] = vecs[mu][ch] * wave
+                basis[:, 2 * ch + 1, mu] = 1j * kappa * basis[:, 2 * ch, mu]
         coeffs = np.linalg.solve(basis, states[:, j, :][:, :, None])[:, :, 0]
-        channels, channel_splits = ([], []), ([], [])
+        channels = ([], [])
         for mu in range(4):
             for ch in (0, 1):
                 c = coeffs[:, mu] * vecs[mu][ch]
                 if np.any(c != 0.0):
-                    channels[ch].append((c, kappas[mu], anchors[mu]))
-                    channel_splits[ch].append(splits[mu])
-        regions.append(Region(x1=xa, x2=xb, channel_modes=channels, splits=channel_splits))
-    regions.append(right)
-    return amplitudes, regions
+                    channels[ch].append((c, signs[mu], deltas[mu], anchors[mu]))
+        slices.append(Region(x1=xa, x2=xb, channel_modes=channels, carrier=k0))
+    amplitudes = R1, R2, T1, T2 = tuple(amps.T)
+    # d_q, the excited offset, is the same in every slice
+    left, right = _exterior_regions(k0, offsets, R1, T1, [(R2, -1.0, -d_q, 0.0)],
+                                    [(T2, 1.0, d_q, 0.0)], edges[0], edges[-1])
+    return amplitudes, [left, *slices, right]
 
 
 def solve_profile(
@@ -210,5 +212,5 @@ def solve_profile(
     if not (k > 0.0):
         raise ValueError(f"k must be > 0, got {k!r}")
     decomp = discretize(config.profile, n_slices, config=config)
-    amplitudes, regions = _slice_regions(np.array([float(k)]), decomp, config)
+    amplitudes, regions = _slice_regions(float(k), np.zeros(1), decomp, config)
     return _solution_view(k, config, amplitudes, regions, "transfer matching")

@@ -8,26 +8,37 @@ wave or a decaying exponential, so region overlaps have closed forms and
 no spatial grid is ever needed.  That is what makes millimetre-wide
 packets with picometre de Broglie oscillations tractable.
 
-The overlap engine (``_overlap_sums``) needs no (nk, nk) exponential:
-every mode is anchored so that it is bounded by its coefficient inside
-its region (the ``Region`` invariant), so a pair integral is a
-difference of outer products of per-node endpoint values over the Cauchy
-denominator i (kappa_mu - conj(kappa_nu)).  Region construction must keep
-that invariant; the engine does not check it.  Within each region the
-engine groups the pair terms of every matrix it builds by that
-denominator: the ground and excited channels share their interior
-wavenumbers, a pair (-kappa_mu, -kappa_nu) only flips its sign, and the
-(nu, mu) form of a pair is the conjugate transpose of its (mu, nu) form.
-The groups whose denominator crosses the carrier (about 2 i k0, so that
-1/(a_i - b_j) is a short exact series in a_i - a_ref) become separable
-factors, and each matrix takes all of them as one low-rank matrix
-product.  The other groups run over fixed row tiles: per tile and group
-the engine inverts the denominator once, and per matrix it forms the
-group's summed numerator as one stacked matrix product and adds numerator
-times inverse into a region accumulator and then into that matrix's upper
-half, which is completed once, half + half^H.  Near-resonant elements are
-evaluated again term by term, each as a series or a quotient at its own
-width.
+The overlap engine (``_overlap_sums``) needs no (nk, nk) exponential.
+Every wave is sign * k0 + delta with one carrier k0 and small offsets
+delta (``Region``), anchored so that it is bounded by its coefficient
+inside its region (the ``Region`` invariant; region construction must
+keep it, the engine does not check it).  It treats the two kinds of
+region apart:
+
+* Inside the beam (the sharp beam's [0, L], every slice of a sliced
+  profile) a region is finite.  With the carrier taken out, the field of
+  each direction, G(x) = sum of coef exp(i delta (x - anchor)), is smooth,
+  so its Gram is exactly G W G^H at the nodes and weights of a
+  Gauss-Legendre rule whose size follows from the spread of the deltas
+  over the width.  The products of the two directions carry the carrier
+  twice; their pair integrals have denominators near 2 i k0 and become
+  short exact separable sums.  Both are Hermitian low-rank products,
+  which each matrix adds in one product per LOW_RANK_COLUMNS columns,
+  over the upper tiles of its half.  The slices of a beam are evaluated
+  together, INTERIOR_BATCH at a time.
+* The two half-lines reach to infinity.  Each pair integral is a
+  difference of outer products of endpoint values over the Cauchy
+  denominator i (kappa_mu - conj(kappa_nu)); the pairs are grouped by
+  that denominator (the ground and excited channels share it, a pair
+  (-kappa_mu, -kappa_nu) only flips its sign), and the groups run over
+  fixed row tiles, upper tiles only: per tile and group the engine
+  inverts the denominator once, and per matrix it forms the group's
+  summed numerator as one stacked matrix product.  Near-resonant elements
+  are evaluated again term by term, as a series or a quotient at their
+  own width.  The group across the carrier, (k, -k), joins the low-rank
+  products.
+
+Each matrix is then its upper half completed once, half + half^H.
 
 ``ConditionalPropagator.overlap_matrices`` builds the detection and norm
 matrices in one such pass.  The excited channel is integrated once for
@@ -59,7 +70,7 @@ from . import kernels, transfer
 from .errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
 # Region is re-exported: the overlap engine integrates its mode lists.
-from .scattering import Region, _channel, _region_field, _sharp_regions, _wave  # noqa: F401
+from .scattering import Region, _region_field, _sharp_regions  # noqa: F401
 from .series import TimeSeries, chebyshev_samples
 
 KGRID_SPAN = 10.0    # half-width of each component's k window, in units of dk
@@ -277,49 +288,59 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257) -> KGrid:
 
 # --- overlap machinery ----------------------------------------------------
 
-# Rows per tile of the overlap engine: a (32, nk) complex tile keeps the
-# denominator, the numerator and the output rows in cache.  At nk = 641,
-# 32 rows ran 3 % behind 16 and ahead of 64, 128 and untiled (by 13 %);
-# 16 rows cost 15 % more on a 256-slice beam, whose many small regions
-# pay per tile.
+# Rows per tile of the half-lines' Cauchy groups and of the low-rank
+# products: a (32, nk) complex tile keeps the denominator, the numerator
+# and the output rows in cache.  At nk = 641, 32 rows ran 3 % behind 16 and
+# ahead of 64, 128 and untiled (by 13 %).
 OVERLAP_TILE = 32
-# Largest spread rho = max|u| / min|d| of a group's denominators d_j + u_i
-# that the engine expands into separable factors (``_far_factors``): the
-# pairs across the carrier, at rho = 3e-9 ... 6e-6 on the paper's packets.
-FAR_SPREAD = 1e-4
-# Far-factor columns one output collects before a single (nk, K) @ (K, nk)
-# product adds them.  A 256-slice beam at 280 nodes holds about 8000 per
-# output (37 MB per factor if held at once); with 64 the build's peak stays
-# at the tiled engine's (256 cost 3 MB more for a few per cent of speed).
-# The arrival packets collect 20-40, so one product per output.
-FAR_COLUMNS = 64
+# Largest spread rho = max|u| / min|d| of denominators d_j + u_i that the
+# engine expands into separable factors (``_separable``), to n <= 8 orders:
+# the pairs across the carrier.  About the centre of all forward waves of
+# a region rho is 4e-7 ... 2e-4 on the benchmark's sharp packets (the
+# plateau one, with k+ and k- 1.6e7 /m apart, the largest) and 7e-6 on the
+# slices of the fig7 beam.
+FAR_SPREAD = 1e-2
+# Low-rank columns one output collects before a single product adds them
+# (``_LowRank``).  The arrival packets collect 30-130, so one product per
+# output; a 256-slice beam collects thousands, added 256 at a time.
+LOW_RANK_COLUMNS = 256
+# Largest |beta| of exp(i beta t), t in [-1, 1], that one Gauss-Legendre
+# panel of an interior Gram integrates (84 nodes); a wider spread is cut
+# into panels.
+PANEL_SPREAD = 100.0
+# Interior terms (regions) evaluated together: the 256 slices of a
+# Gaussian beam in eight batches.
+INTERIOR_BATCH = 32
+# |alpha| width below which a Cauchy pair takes the eight-term series.
+SERIES_SWITCH = 1e-2
 # Rows per block of the Hermitian completion.
 MIRROR_BLOCK = 128
 
 
-def _can_resonate(kappa_mu: np.ndarray, kappa_nu: np.ndarray, bound: float) -> bool:
-    """False when every |kappa_mu[i] - conj(kappa_nu[j])| is >= bound.
+def _can_resonate(i_kappa_a: np.ndarray, i_kappa_b: np.ndarray, bound: float) -> bool:
+    """False when every |i_kappa_a[i] - i_kappa_b[j]| is >= bound.
 
     Decided from the ranges of the real and imaginary parts in O(nk), so
     pairs that are never near resonance skip the (nk, nk) mask.
     """
-    re_lo = kappa_mu.real.min() - kappa_nu.real.max()
-    re_hi = kappa_mu.real.max() - kappa_nu.real.min()
-    im_lo = kappa_mu.imag.min() + kappa_nu.imag.min()
-    im_hi = kappa_mu.imag.max() + kappa_nu.imag.max()
+    re_lo = i_kappa_a.real.min() - i_kappa_b.real.max()
+    re_hi = i_kappa_a.real.max() - i_kappa_b.real.min()
+    im_lo = i_kappa_a.imag.min() - i_kappa_b.imag.max()
+    im_hi = i_kappa_a.imag.max() - i_kappa_b.imag.min()
     return re_lo < bound and re_hi > -bound and im_lo < bound and im_hi > -bound
 
 
 @dataclass
 class _PairTerm:
-    """One mu <= nu pair of one Gram term, in the orientation of its group.
+    """One ordered (mu, nu) pair of one half-line Gram term, in the orientation of its group.
 
     The pair's block is left @ right / (i alpha) with alpha the group's
-    denominator: ``left`` carries the term's scale, its endpoint signs and
-    ``sign``, the factor between the pair's own alpha and the group's.
-    ``ends`` holds the scaled value of the left mode and the conjugated
-    value of the right mode at x1 (None on a half-line to -inf), for the
-    series.
+    denominator: ``left`` carries the term's weight, its endpoint signs,
+    the pair's carrier phase at each endpoint and ``sign``, the factor
+    between the pair's own alpha and the group's.  ``ends`` holds the
+    weighted value of the left mode (with the carrier phase) and the
+    conjugated value of the right mode at x1 (None on a half-line to
+    -inf), for the series.
     """
 
     left: np.ndarray    # (nk, m)
@@ -332,149 +353,157 @@ class _PairTerm:
 
 @dataclass
 class _PairGroup:
-    """Pair terms of one region that share the denominator i (kappa_a - conj(kappa_b)).
+    """Pair terms that share the denominator i (kappa_a - conj(kappa_b)).
 
+    ``i_kappa_a`` - ``i_kappa_b`` is that denominator with the carriers of
+    the two waves taken out first (exact for two waves of one direction).
     ``stacks`` holds per output (out, left, right, terms): the terms'
     factors side by side, so that left @ right is the output's summed
-    numerator.  ``resonates`` is False when no element can come within
-    the widest series switch of the terms, ``bound``.  ``diagonal`` is
-    True when every term pairs a mode with itself, so that every output's
-    block is Hermitian.
+    numerator.  ``resonates`` is False when no element can come within the
+    widest series switch of the terms, ``bound``.
     """
 
     i_kappa_a: np.ndarray
-    i_kappa_b: np.ndarray   # i conj(kappa_b)
+    i_kappa_b: np.ndarray
     bound: float
     resonates: bool
     stacks: list
-    diagonal: bool
 
 
-def _pair_groups(terms) -> list[_PairGroup]:
-    """The mu <= nu pair terms of one region's Gram terms, grouped by denominator.
+def _pair_groups(k0: float, terms) -> list[_PairGroup]:
+    """The ordered pair terms of the half-lines' Gram terms, grouped by denominator.
 
     A term (out, modes, x1, x2, scale) stands for scale times the Gram of
-    the channel ``modes`` over [x1, x2], added to output ``out``; a mode
-    with a carrier split (``scattering._channel``) takes its endpoint values
-    from ``split_exp``.  Pairs are keyed by the values of their two kappas.
-    A pair (-kappa_mu, -kappa_nu) has the denominator of (kappa_mu,
-    kappa_nu) with its sign flipped, which its left factor takes; the (nu,
-    mu) form of a pair is the conjugate transpose of its (mu, nu) form, so
-    the completion half + half^H lets either form join a group.
+    the channel ``modes`` over [x1, x2], added to output ``out``.  Every
+    ordered pair (mu, nu) enters at half weight, so that each output's
+    summed blocks are Hermitian and the completion half + half^H restores
+    the whole weight.  Modes are keyed by the values of (sign, delta); a
+    pair (-kappa_mu, -kappa_nu) has the denominator of (kappa_mu, kappa_nu)
+    with its sign flipped, which its left factor takes.
     """
-    distinct: list[np.ndarray] = []
+    distinct: list = []
 
-    def key_of(kappa):
-        for i, other in enumerate(distinct):
-            if kappa is other or np.array_equal(kappa, other):
+    def key_of(sign, delta):
+        for i, (s, d) in enumerate(distinct):
+            if s == sign and (delta is d or np.array_equal(delta, d)):
                 return i, 1
-            if np.array_equal(kappa, -other):
+            if s == -sign and np.array_equal(delta, -d):
                 return i, -1
-        distinct.append(kappa)
+        distinct.append((sign, delta))
         return len(distinct) - 1, 1
 
     grouped: dict = {}
-    mixed = set()  # keys of groups holding a pair of two different modes
     for out, modes, x1, x2, scale in terms:
         width = x2 - x1
-        bound = 1e-4 / width  # 0 on a half-line: no series there
+        bound = SERIES_SWITCH / width  # 0 on a half-line: no series there
         points = [(x, s) for x, s in ((x2, 1.0), (x1, -1.0)) if not math.isinf(x)]
         signs = np.array([s for _, s in points])[:, None]
-        ends, keys = [], []
-        for coef, kappa, anchor, *split in modes:
-            split = split[0] if split else None
-            values = np.stack([coef * _wave(kappa, split, x - anchor) for x, _ in points])
-            f1 = None if math.isinf(x1) else values[-1]
-            ends.append(((values * signs).T, values.conj(), f1))
-            keys.append(key_of(kappa))
-        for mu in range(len(modes)):
-            for nu in range(mu, len(modes)):
+        xs = np.array([x for x, _ in points])
+        # carrier-free values coef exp(i delta (x - anchor)) at the finite ends
+        values = [coef * np.exp(1j * np.multiply.outer(xs - anchor, delta))
+                  for coef, _, delta, anchor in modes]
+        keys = [key_of(mode[1], mode[2]) for mode in modes]
+        for mu, (_, s_mu, _, a_mu) in enumerate(modes):
+            for nu, (_, s_nu, _, a_nu) in enumerate(modes):
                 (i, s), (j, t) = keys[mu], keys[nu]
-                key, a, b, sign = min(
-                    ((i, s, j, t), mu, nu, 1.0), ((i, -s, j, -t), mu, nu, -1.0),
-                    ((j, t, i, s), nu, mu, 1.0), ((j, -t, i, -s), nu, mu, -1.0),
-                    key=lambda form: form[0])
-                # a diagonal pair enters the half once, halved
-                weight = 0.5 * scale if nu == mu else scale
-                if nu != mu:
-                    mixed.add(key)
-                left_a, _, f1_a = ends[a]
-                _, right_b, f1_b = ends[b]
+                key, sign = min(((i, s, j, t), 1.0), ((i, -s, j, -t), -1.0))
+                # the pair's carrier at the ends: exactly 1 for one direction and anchor
+                phases = np.exp(1j * k0 * (s_mu * (xs - a_mu) - s_nu * (xs - a_nu)))
+                left = ((0.5 * scale * sign) * signs * phases[:, None] * values[mu]).T
+                ends = None if math.isinf(x1) else (
+                    0.5 * scale * phases[-1] * values[mu][-1], np.conj(values[nu][-1]))
                 grouped.setdefault(key, {}).setdefault(out, []).append(_PairTerm(
-                    (weight * sign) * left_a, right_b,
-                    None if f1_a is None else (weight * f1_a, np.conj(f1_b)),
-                    sign, width, bound))
+                    left, np.conj(values[nu]), ends, sign, width, bound))
     groups = []
     for (i, s, j, t), outputs in grouped.items():
-        kappa_a, kappa_b = s * distinct[i], t * distinct[j]
+        (s_a, d_a), (s_b, d_b) = distinct[i], distinct[j]
+        gap = (s * s_a - t * s_b) * k0   # 0 or +-2 k0
+        i_kappa_a = 1j * (gap + s * d_a)
+        i_kappa_b = 1j * (t * np.conj(d_b))
         bound = max(term.bound for ts in outputs.values() for term in ts)
         groups.append(_PairGroup(
-            1j * kappa_a, 1j * np.conj(kappa_b), bound,
-            bound > 0.0 and _can_resonate(kappa_a, kappa_b, bound),
+            i_kappa_a, i_kappa_b, bound,
+            bound > 0.0 and _can_resonate(i_kappa_a, i_kappa_b, bound),
             [(out, np.concatenate([term.left for term in ts], axis=1),
               np.concatenate([term.right for term in ts]), ts)
-             for out, ts in outputs.items()],
-            (i, s, j, t) not in mixed))
+             for out, ts in outputs.items()]))
     return groups
 
 
 def _near_values(term: _PairTerm, rows, cols, i_alpha) -> np.ndarray:
     """One term at near-resonant elements: the series or the quotient at its own width.
 
-    Where |alpha| width < 1e-4 the difference quotient cancels, and the
-    series about x1 of width (exp(u) - 1)/u, u = i alpha width, replaces it.
+    Where |alpha| width < SERIES_SWITCH the difference quotient cancels,
+    and the series about x1 of width (exp(u) - 1)/u = width sum_n u^n /
+    (n + 1)!, u = i alpha width, to eight terms replaces it (its first
+    omitted term is below 3e-22).
     """
     value = np.einsum("im,mi->i", term.left[rows], term.right[:, cols]) / i_alpha
     if term.bound > 0.0:
         series = np.abs(i_alpha) < term.bound
         if series.any():
             u = term.sign * i_alpha[series] * term.width
+            total = np.ones_like(u)
+            for n in range(8, 1, -1):
+                total = 1.0 + total * u / n
             value[series] = term.ends[0][rows[series]] * term.ends[1][cols[series]] * (
-                term.width * (1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0))
+                term.width * total)
     return value
 
 
-def _far_factors(group: _PairGroup):
-    """Powers of the separable expansion of a well-separated group, or None.
+def _spread(a: np.ndarray, b: np.ndarray):
+    """(rho, u, d) of 1/(a_i - b_j) = 1/(d_j + u_i) about the centre a_ref of the a.
 
-    With a = i kappa_a, b = i conj(kappa_b), a_ref the centre of the a,
-    u = a - a_ref (exact where a and a_ref share a binade) and d = a_ref - b,
-    1/(a_i - b_j) = 1/(d_j + u_i) = sum_{q<n} (-u_i)^q / d_j^(q+1) up to a
-    relative rho^n, rho = max|u| / min|d| (Beckermann & Townsend, SIAM J.
-    Matrix Anal. Appl. 38, 1227 (2017)).  Where rho <= FAR_SPREAD (pairs
-    whose denominator crosses the carrier, about 2 i k0) and no element is
-    near resonance, n is the first order with rho^n <= 2^-56, and the
-    result is the (nk, n) powers (-u)^q and the (n, nk) inverses
-    1/d^(q+1): an output's block left @ right / (i alpha) is then the sum
-    over q of (powers[:, q] left) @ (right inverses[q]).
+    a_ref is the centre of the box the a span in the complex plane, u = a -
+    a_ref and d = a_ref - b, and rho = max|u| / min|d|.  Leading axes of
+    ``a`` and ``b`` are separate sets: the centre and rho are per set,
+    over the last axis.
     """
-    a, b = group.i_kappa_a, group.i_kappa_b
-    a_ref = complex(0.5 * (a.real.min() + a.real.max()), 0.5 * (a.imag.min() + a.imag.max()))
-    u = a - a_ref
-    d = a_ref - b
+    a_ref = 0.5 * (a.real.min(axis=-1) + a.real.max(axis=-1)) + 0.5j * (
+        a.imag.min(axis=-1) + a.imag.max(axis=-1))
+    u = a - a_ref[..., None]
+    d = a_ref[..., None] - b
     with np.errstate(divide="ignore"):
-        rho = np.abs(u).max() / np.abs(d).min()
-    if group.resonates or not rho <= FAR_SPREAD:
+        return np.abs(u).max(axis=-1) / np.abs(d).min(axis=-1), u, d
+
+
+def _separable(a: np.ndarray, b: np.ndarray):
+    """Powers and inverses of 1/(a_i - b_j) as a short separable sum, or None.
+
+    With u and d of ``_spread``, 1/(a_i - b_j) = 1/(d_j + u_i) =
+    sum_{q<n} (-u_i)^q / d_j^(q+1) up to a relative rho^n (Beckermann &
+    Townsend, SIAM J. Matrix Anal. Appl. 38, 1227 (2017)).  Where rho <=
+    FAR_SPREAD in every set (pairs whose denominator crosses the carrier,
+    about 2 i k0), n is the first order with rho^n <= 2^-53, and the
+    result is the powers (-u)^q and the inverses 1/d^(q+1), the order
+    first.
+    """
+    rho, u, d = _spread(a, b)
+    rho = float(np.max(rho))
+    if not rho <= FAR_SPREAD:
         return None
-    n = 1 if rho == 0.0 else math.ceil(56.0 / -math.log2(rho))
-    powers = np.empty((a.shape[0], n), dtype=complex)
-    inverses = np.empty((n, b.shape[0]), dtype=complex)
-    powers[:, 0] = 1.0
+    n = 1 if rho == 0.0 else math.ceil(53.0 / -math.log2(rho))
+    powers = np.empty((n,) + u.shape, dtype=complex)
+    inverses = np.empty((n,) + d.shape, dtype=complex)
+    powers[0] = 1.0
     inverses[0] = 1.0 / d
     for q in range(1, n):
-        np.multiply(powers[:, q - 1], -u, out=powers[:, q])
+        np.multiply(powers[q - 1], -u, out=powers[q])
         np.multiply(inverses[q - 1], inverses[0], out=inverses[q])
     return powers, inverses
 
 
-class _FarProducts:
-    """Far factors of one output, added to its half by one product per FAR_COLUMNS columns.
+class _LowRank:
+    """Hermitian low-rank contributions to one output, added to the upper tiles of its half.
 
-    Each group's factors wait as they are, (powers, left, inverses, right);
-    once FAR_COLUMNS columns are pending, a flush writes the column pairs
-    (powers[:, q] left[:, c], right[c] inverses[q]) into two (K, nk)
-    arrays and adds their product to the half in OVERLAP_TILE row blocks,
-    with no (nk, nk) temporary.
+    A contribution is H = sum_c left_c right_c^T with H Hermitian, given as
+    the (m, nk) rows ``left`` and ``right``.  Once LOW_RANK_COLUMNS columns
+    are pending (and at the end), a flush runs over OVERLAP_TILE row blocks
+    and forms each block's columns from its first row on, one product per
+    pending contribution: the diagonal sub-block at weight 1/2 and the
+    columns beyond it at full weight, so that the completion half + half^H
+    gives H.  No (nk, nk) temporary is made, and the pending rows are not
+    copied.
     """
 
     def __init__(self, half: np.ndarray):
@@ -482,28 +511,32 @@ class _FarProducts:
         self.pending = []
         self.columns = 0
 
-    def add(self, powers: np.ndarray, left: np.ndarray, inverses: np.ndarray,
-            right: np.ndarray) -> None:
-        self.pending.append((powers, left, inverses, right))
-        self.columns += powers.shape[1] * left.shape[1]
-        if self.columns >= FAR_COLUMNS:
+    def add(self, left: np.ndarray, right: np.ndarray) -> None:
+        self.pending.append((left, right))
+        self.columns += left.shape[0]
+        if self.columns >= LOW_RANK_COLUMNS:
             self.flush()
+
+    def add_far(self, left: np.ndarray, right: np.ndarray) -> None:
+        """Add F + F^H for F = sum_c left_c right_c^T."""
+        self.add(left, right)
+        self.add(right.conj(), left.conj())
 
     def flush(self) -> None:
         if not self.pending:
             return
-        left_t = np.empty((self.columns, self.half.shape[0]), dtype=complex)
-        right_all = np.empty((self.columns, self.half.shape[1]), dtype=complex)
-        col = 0
-        for powers, left, inverses, right in self.pending:
-            for q in range(powers.shape[1]):
-                cols = slice(col, col + left.shape[1])
-                np.multiply(left.T, powers[:, q], out=left_t[cols])
-                np.multiply(right, inverses[q], out=right_all[cols])
-                col = cols.stop
-        for start in range(0, self.half.shape[0], OVERLAP_TILE):
+        nk = self.half.shape[0]
+        block = np.empty(OVERLAP_TILE * nk, dtype=complex)
+        for start in range(0, nk, OVERLAP_TILE):
             rows = slice(start, start + OVERLAP_TILE)
-            self.half[rows] += left_t[:, rows].T @ right_all
+            part = block[:min(OVERLAP_TILE, nk - start) * (nk - start)].reshape(-1, nk - start)
+            for i, (left, right) in enumerate(self.pending):
+                if i == 0:
+                    np.matmul(left[:, rows].T, right[:, start:], out=part)
+                else:
+                    part += left[:, rows].T @ right[:, start:]
+            part[:, :part.shape[0]] *= 0.5
+            self.half[rows, start:] += part
         self.pending = []
         self.columns = 0
 
@@ -538,110 +571,254 @@ def _complete_hermitian(half: np.ndarray, divisor: float = 1.0,
     return half
 
 
-def _overlap_sums(nk: int, region_terms, n_out: int) -> list[np.ndarray]:
+def _gl_nodes(spread: float) -> int:
+    """Gauss-Legendre nodes that integrate every exp(i beta t), |beta| <= spread, on [-1, 1].
+
+    The n-node rule's error is f^(2n)(xi) 2^(2n+1) (n!)^4 / ((2n + 1)
+    ((2n)!)^3); with |f^(2n)| <= spread^2n max|f| that is at most 2^-53
+    of 2 max|f| at the returned n.
+    """
+    n = 1
+    if spread > 0.0:
+        log_spread = math.log(spread)
+        while (2 * n * math.log(2.0) + 4 * math.lgamma(n + 1) + 2 * n * log_spread
+               - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)) > -53.0 * math.log(2.0):
+            n += 1
+    return n
+
+
+def _interior_products(k0: float, terms, low_rank: _LowRank) -> None:
+    """Add the Grams of interior terms of one output to its low-rank buffer.
+
+    A term (out, modes, x1, x2, scale) has finite ends.  Its modes split
+    into the waves of each direction, sign * k0 + delta.  With the carrier
+    taken out, a direction's field G(x) = sum of coef exp(i delta (x -
+    anchor)) is smooth, and its Gram is exactly G W G^H at the nodes and
+    weights of a Gauss-Legendre rule (``_gauss_products``).  The products
+    of the two directions carry the carrier twice, exp(2 i k0 x): their
+    pair integrals [f_mu conj(f_nu)]_x1^x2 / (i alpha) have alpha about
+    2 k0 and become short separable sums (``_crossing``), taken about the
+    centre of the forward waves.  Where that does not separate (slow
+    atoms, whose k+ and k- differ by much; near a closed channel, Re k+-
+    -> 0), the channel is one field, the carrier included, under a wider
+    rule.  Up to INTERIOR_BATCH terms with the same mode signs and
+    treatment are evaluated together, as (terms, nk, nodes) arrays.
+    """
+    buckets: dict = {}
+    for _, modes, x1, x2, scale in terms:
+        buckets.setdefault(tuple(mode[1] for mode in modes), []).append((modes, x1, x2, scale))
+    # a few dozen terms per batch bound the (terms, modes, nk) stacks
+    batches = [(signs, terms[start:start + INTERIOR_BATCH])
+               for signs, terms in buckets.items()
+               for start in range(0, len(terms), INTERIOR_BATCH)]
+    for signs, batch in batches:
+        signs = np.array(signs)
+        coef = np.array([[mode[0] for mode in modes] for modes, *_ in batch])
+        delta = np.array([[mode[2] for mode in modes] for modes, *_ in batch])
+        anchor = np.array([[mode[3] for mode in modes] for modes, *_ in batch])
+        x1, x2, scale = (np.array(column, dtype=float) for column in list(zip(*batch))[1:])
+        fwd, bwd = np.flatnonzero(signs > 0.0), np.flatnonzero(signs < 0.0)
+        separable = np.ones(len(batch), dtype=bool)   # one direction: nothing crosses the carrier
+        if fwd.size and bwd.size:
+            separable = _spread(1j * (k0 + delta[:, fwd]).reshape(len(batch), -1),
+                                1j * (-k0 + np.conj(delta[:, bwd])).reshape(len(batch), -1)
+                                )[0] <= FAR_SPREAD
+        for one_field in (False, True):
+            chosen = ~separable if one_field else separable
+            if not chosen.any():
+                continue
+            args = (coef[chosen], delta[chosen], anchor[chosen], x1[chosen], x2[chosen],
+                    scale[chosen], low_rank)
+            if one_field:   # the carrier included
+                _gauss_products(k0, signs, *args)
+                continue
+            if fwd.size and bwd.size:
+                # 16 terms give at most 256 rows at the usual 2-4 orders
+                for start in range(0, int(chosen.sum()), 16):
+                    _crossing(k0, fwd, bwd, *(arg[start:start + 16] for arg in args[:-1]),
+                              low_rank)
+            for members in (fwd, bwd):
+                if members.size:
+                    _gauss_products(k0, signs[members], coef[chosen][:, members],
+                                    delta[chosen][:, members], anchor[chosen][:, members],
+                                    *args[3:])
+
+
+def _gauss_products(k0, signs, coef, delta, anchor, x1, x2, scale, low_rank) -> None:
+    """G W G^H of the fields sum_m coef exp(i kappa_m (x - anchor)) of each term, by Gauss-Legendre.
+
+    ``coef``, ``delta``: (T, M, nk); ``anchor``: (T, M); ``x1``, ``x2``,
+    ``scale``: (T,).  Each wave is taken relative to the carrier of the
+    first mode, sign_0 k0 (x - anchor_0), which cancels in G G^H (and is
+    exactly 0 for waves of its direction and anchor).  The rule follows
+    from the spread of kappa_m - sign_0 k0 over the width (``_gl_nodes``),
+    cut into equal panels of at most PANEL_SPREAD; the nodes of all terms
+    with one rule are evaluated LOW_RANK_COLUMNS at a time.
+    """
+    effective = (signs - signs[0])[None, :, None] * k0 + delta
+    re = effective.real.reshape(len(x1), -1)
+    spread = 0.5 * (x2 - x1) * np.hypot(re.max(axis=1) - re.min(axis=1),
+                                        2.0 * np.abs(effective.imag).reshape(len(x1), -1).max(axis=1))
+    panels = np.maximum(1, np.ceil(spread / PANEL_SPREAD)).astype(int)
+    nodes = np.array([_gl_nodes(s / p) for s, p in zip(spread, panels)])
+    for n_panels, n_nodes in set(zip(panels.tolist(), nodes.tolist())):
+        chosen = np.flatnonzero((panels == n_panels) & (nodes == n_nodes))
+        t_unit, w_unit = _gauss_legendre(n_nodes)
+        # the composite rule on [-1, 1]: panel p is centred at (2p + 1 - P) / P
+        t = (((2.0 * np.arange(n_panels) + 1.0 - n_panels)[:, None] + t_unit) / n_panels).ravel()
+        half = 0.5 * (x2[chosen] - x1[chosen])
+        x = (x1[chosen] + half)[:, None] + half[:, None] * t
+        weight = (half * scale[chosen])[:, None] * np.tile(w_unit / n_panels, n_panels)
+        term = np.repeat(chosen, t.size)
+        x, weight = x.ravel(), weight.ravel()
+        for start in range(0, x.size, LOW_RANK_COLUMNS):
+            cols = slice(start, start + LOW_RANK_COLUMNS)
+            y = x[cols, None] - anchor[term[cols]]                         # (C, M)
+            carrier = np.exp(1j * k0 * (signs * y - signs[0] * y[:, :1]))
+            field = 0j
+            for m in range(signs.size):                                    # (C, nk)
+                wave = np.exp(1j * delta[term[cols], m] * y[:, m, None])
+                wave *= coef[term[cols], m] * carrier[:, m, None]
+                field = field + wave
+            low_rank.add(field * weight[cols, None], field.conj())
+
+
+def _crossing(k0, fwd, bwd, coef, delta, anchor, x1, x2, scale, low_rank) -> None:
+    """Products of the forward and backward waves of each term, as separable factors.
+
+    For forward waves (k0 + delta_a, modes ``fwd``) anchored at A and
+    backward waves (-k0 + delta_b, modes ``bwd``) anchored at B, the pair
+    integrals add up to sum over the ends x (+ at x2, - at x1) of
+    exp(i k0 ((x - A) + (x - B))) sum_q L_q(x) R_q(x)^T, with L_q = sum_a
+    f_a(x) (-u_a)^q and R_q = sum_b conj(f_b(x)) / d_b^(q+1) about the
+    centre of the forward waves (``_separable``); the products of the
+    backward with the forward waves are their conjugate transpose.
+    """
+    n_terms, nk = x1.size, coef.shape[2]
+    powers, inverses = _separable(1j * (k0 + delta[:, fwd]).reshape(n_terms, -1),
+                                  1j * (-k0 + np.conj(delta[:, bwd])).reshape(n_terms, -1))
+    powers = powers.reshape(powers.shape[:2] + (-1, nk))
+    inverses = inverses.reshape(inverses.shape[:2] + (-1, nk))
+    # waves of one direction relative to its first anchor (exactly 1 where they share it)
+    ref_a, ref_b = anchor[:, fwd[:1]], anchor[:, bwd[:1]]
+    coef_a = np.exp(1j * k0 * (ref_a - anchor[:, fwd]))[:, :, None] * coef[:, fwd]
+    coef_b = np.exp(-1j * k0 * (ref_b - anchor[:, bwd]))[:, :, None] * coef[:, bwd]
+    left, right = [], []
+    for x, end_sign in ((x2, 1.0), (x1, -1.0)):
+        phase = end_sign * scale * np.exp(1j * k0 * ((x - ref_a[:, 0]) + (x - ref_b[:, 0])))
+        f_a = coef_a * np.exp(1j * delta[:, fwd] * (x[:, None] - anchor[:, fwd])[:, :, None])
+        f_b = np.conj(coef_b * np.exp(
+            1j * delta[:, bwd] * (x[:, None] - anchor[:, bwd])[:, :, None]))
+        for q in range(powers.shape[0]):
+            left.append(phase[:, None] * np.einsum("tmi,tmi->ti", f_a, powers[q]))
+            right.append(np.einsum("tmi,tmi->ti", f_b, inverses[q]))
+    low_rank.add_far(np.concatenate(left), np.concatenate(right))
+
+
+def _overlap_sums(nk: int, k0: float, n_out: int, half_lines=(), interiors=()) -> list[np.ndarray]:
     """Halves of Hermitian sums of region Grams, one (nk, nk) array per output.
 
-    ``region_terms`` holds each region's Gram terms (out, modes, x1, x2,
-    scale): scale times integral_x1^x2 psi psi^H dx of the channel psi =
-    sum of modes, added to output ``out``.  The sum is the completion
-    half + half^H of the returned half (``_complete_hermitian``), which
-    makes every output exactly Hermitian.  Each pair of modes integrates
-    in closed form to [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with f = coef
-    exp(i kappa (x - anchor)) and alpha = kappa_mu - conj(kappa_nu); an
-    infinite endpoint contributes nothing, since the pair exponent decays
-    there (the excited channel with gamma > 0).  Within each entry of
-    ``region_terms`` the pairs of every term are grouped by alpha
-    (``_pair_groups``).  The regions are streamed: one region's groups are
-    built, used and dropped before the next region's.
+    A term (out, modes, x1, x2, scale) stands for scale times
+    integral_x1^x2 psi psi^H dx of the channel psi = sum of modes (waves
+    sign * k0 + delta, ``Region``), added to output ``out``.  The sum is
+    the completion half + half^H of the returned half
+    (``_complete_hermitian``), which makes every output exactly Hermitian;
+    the half holds only its upper OVERLAP_TILE blocks.
 
-    A group whose denominators are well separated (``_far_factors``: the
-    pairs across the carrier) becomes exact separable factors, which wait
-    in a per-output buffer (``_FarProducts``) until one matmul per
-    FAR_COLUMNS columns adds them, after the region's tiles.  The other
-    groups run over fixed row tiles: per tile and group the engine forms
-    i alpha once and inverts it in place, and per output it forms the
-    stacked numerator of the group's terms as one (tile, m) @ (m, nk)
-    product and adds numerator times inverse into the region's tile
-    accumulator (which the first group's product starts).  Elements nearer
-    resonance than the group's widest series switch are evaluated again
-    term by term (``_near_values``).  Only the summed tile joins the
-    output's half: near gamma = 2 omega the interior blocks cancel to
-    about 1e-3 of their size, and that sum then rounds as the region's own
-    Gram does.
+    ``interiors`` are terms over finite regions (the beam, its slices):
+    Gauss-Legendre products of the carrier-free fields and separable
+    factors for the products across the carrier (``_interior_products``),
+    all of them low-rank Hermitian products that wait in a per-output
+    buffer (``_LowRank``) until one matmul per LOW_RANK_COLUMNS columns
+    adds them.
 
-    A region whose tiled groups all pair each mode with itself (the
-    half-lines, whose (k, k) and (q, q) groups ``_build_overlaps`` passes
-    as one entry) has Hermitian tiles, so it forms only the columns from
-    each tile's first row: the diagonal sub-block as a full tile would
-    hold it, the columns beyond it doubled, and the completion mirrors
-    them.  A region with any other tiled group (the beam interior, every
-    slice) keeps full tiles, so that its cancellation stays inside its
-    own accumulator.
+    ``half_lines`` are the terms of the two half-lines, which
+    ``_build_overlaps`` passes together so that their (k, k) and (q, q)
+    denominators are shared.  Each pair of modes integrates in closed form
+    to [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with alpha = kappa_mu -
+    conj(kappa_nu); an infinite endpoint contributes nothing, since the
+    pair exponent decays there (the excited channel with gamma > 0).  The
+    pairs are grouped by alpha (``_pair_groups``).  The group across the
+    carrier, (k, -k), becomes separable factors in the low-rank buffer;
+    the others are Cauchy groups over fixed row tiles: per tile and group
+    the engine forms i alpha once and inverts it in place, and per output
+    it forms the group's stacked numerator as one (tile, m) @ (m, nk)
+    product from the tile's first row on and adds numerator times inverse
+    into a tile accumulator.  Elements nearer resonance than the group's
+    widest series switch are evaluated again term by term
+    (``_near_values``).  Every ordered pair enters at half weight, so the
+    accumulated tile is Hermitian: its diagonal sub-block joins the half
+    as it is, the columns beyond it doubled, and the completion mirrors
+    them.
     """
     halves = [np.zeros((nk, nk), dtype=complex) for _ in range(n_out)]
-    far = [_FarProducts(half) for half in halves]
+    direct, separable = [], []
+    for group in _pair_groups(k0, half_lines):
+        factors = None if group.resonates else _separable(group.i_kappa_a, group.i_kappa_b)
+        if factors is None:
+            direct.append(group)
+        else:
+            separable.append((group, factors))
+    # one output at a time, so that only its low-rank rows wait
+    for out, half in enumerate(halves):
+        low_rank = _LowRank(half)
+        _interior_products(k0, [term for term in interiors if term[0] == out], low_rank)
+        for group, (powers, inverses) in separable:
+            for _, left, right, _ in (stack for stack in group.stacks if stack[0] == out):
+                # the ordered pairs of a group enter at half weight
+                low_rank.add(
+                    (2.0 * powers[:, :, None] * left[None]).transpose(0, 2, 1).reshape(-1, nk),
+                    (right[None] * inverses[:, None, :]).reshape(-1, nk))
+        low_rank.flush()
     i_alpha = np.empty(OVERLAP_TILE * nk, dtype=complex)
     num = np.empty_like(i_alpha)
     sums = np.empty(n_out * OVERLAP_TILE * nk, dtype=complex)
-    for terms in region_terms:
-        direct, separable = [], []
-        for group in _pair_groups(terms):
-            factors = _far_factors(group)
-            if factors is None:
-                direct.append(group)
-            else:
-                separable.append((group, factors))
-        upper = all(group.diagonal for group in direct)
-        # an exact resonance (alpha = 0) is always near: its inverse is replaced
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for start in range(0, nk if direct else 0, OVERLAP_TILE):
-                rows = slice(start, start + OVERLAP_TILE)
-                first = start if upper else 0  # first column formed
-                shape = (min(OVERLAP_TILE, nk - start), nk - first)
-                size = shape[0] * shape[1]
-                ia = i_alpha[:size].reshape(shape)
-                tile = num[:size].reshape(shape)
-                acc = sums[:n_out * size].reshape(n_out, *shape)
-                begun = []  # outputs whose accumulator holds this tile's first group
-                for group in direct:
-                    np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b[first:], out=ia)
-                    near = None
-                    if group.resonates:
-                        r, c = np.nonzero(np.abs(ia) < group.bound)
-                        if r.size:
-                            near = (r, c, ia[r, c])
-                    np.divide(1.0, ia, out=ia)
-                    for out, left, right, ts in group.stacks:
-                        part = tile if out in begun else acc[out]
-                        np.matmul(left[rows], right[:, first:], out=part)
-                        part *= ia
-                        if near is not None:
-                            r, c, ia_near = near
-                            part[r, c] = sum(_near_values(t, r + start, c + first, ia_near)
-                                             for t in ts)
-                        if part is tile:
-                            acc[out] += tile
-                        else:
-                            begun.append(out)
-                for out in begun:
-                    if upper:
-                        acc[out][:, shape[0]:] *= 2.0
-                    halves[out][rows, first:] += acc[out]
-        for group, (powers, inverses) in separable:
-            for out, left, right, _ in group.stacks:
-                far[out].add(powers, left, inverses, right)
-    for products in far:
-        products.flush()
+    # an exact resonance (alpha = 0) is always near: its inverse is replaced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, nk if direct else 0, OVERLAP_TILE):
+            rows = slice(start, start + OVERLAP_TILE)
+            shape = (min(OVERLAP_TILE, nk - start), nk - start)
+            size = shape[0] * shape[1]
+            ia = i_alpha[:size].reshape(shape)
+            tile = num[:size].reshape(shape)
+            acc = sums[:n_out * size].reshape(n_out, *shape)
+            begun = []  # outputs whose accumulator holds this tile's first group
+            for group in direct:
+                np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b[start:], out=ia)
+                near = None
+                if group.resonates:
+                    r, c = np.nonzero(np.abs(ia) < group.bound)
+                    if r.size:
+                        near = (r, c, ia[r, c])
+                np.divide(1.0, ia, out=ia)
+                for out, left, right, ts in group.stacks:
+                    part = tile if out in begun else acc[out]
+                    np.matmul(left[rows], right[:, start:], out=part)
+                    part *= ia
+                    if near is not None:
+                        r, c, ia_near = near
+                        part[r, c] = sum(_near_values(t, r + start, c + start, ia_near)
+                                         for t in ts)
+                    if part is tile:
+                        acc[out] += tile
+                    else:
+                        begun.append(out)
+            for out in begun:
+                acc[out][:, shape[0]:] *= 2.0
+                halves[out][rows, start:] += acc[out]
     return halves
 
 
-def _region_gram(modes, x1: float, x2: float) -> np.ndarray:
+def _region_gram(modes, x1: float, x2: float, k0: float) -> np.ndarray:
     """integral_x1^x2 psi psi^H dx of the channel psi = sum of modes, (nk, nk).
 
-    The one-term call of ``_overlap_sums``; exactly Hermitian.
+    The one-term call of ``_overlap_sums``: an interior term where both
+    ends are finite, a half-line term otherwise; exactly Hermitian.
     """
-    return _complete_hermitian(
-        _overlap_sums(modes[0][0].shape[0], [[(0, modes, x1, x2, 1.0)]], 1)[0])
+    term = [(0, modes, x1, x2, 1.0)]
+    finite = not (math.isinf(x1) or math.isinf(x2))
+    return _complete_hermitian(_overlap_sums(
+        modes[0][0].shape[0], k0, 1, *(((), term) if finite else (term, ())))[0])
 
 
 def _window_key(x_min: float, x_max: float) -> tuple[float, float]:
@@ -676,17 +853,25 @@ class ConditionalPropagator:
         self.q = kernels.channel_q(k, config.gamma, config.mass, hbar)
         self.psi = grid_amplitude(spec, self.grid)
         self.coeff = self.grid.weights * self.psi
-        omega = hbar * k * k / (2.0 * config.mass)
-        self.omega_ref = float(omega.mean())
-        self.omega_rel = omega - self.omega_ref
+        # omega - omega_ref in the offset form of the waves, which are exactly
+        # origin + offsets: (k^2 - origin^2) = offsets (2 origin + offsets)
+        # keeps every frequency difference to rounding of itself, as the
+        # route check needs
+        offsets = self.grid.offsets
+        excess = offsets * (2.0 * self.grid.origin + offsets)
+        rate = hbar / (2.0 * config.mass)
+        self.omega_ref = float(rate * (self.grid.origin ** 2 + excess.mean()))
+        self.omega_rel = rate * (excess - excess.mean())
 
         if backend == "analytic":
             if config.profile.kind != "sharp":
                 raise ValueError("analytic backend requires a sharp-edged profile")
-            self.amplitudes, self.regions = _sharp_regions(k, config)
+            self.amplitudes, self.regions = _sharp_regions(self.grid.origin, self.grid.offsets,
+                                                           config)
         elif backend == "transfer":
             decomp = transfer.discretize(config.profile, n_slices, config=config)
-            self.amplitudes, self.regions = transfer._slice_regions(k, decomp, config)
+            self.amplitudes, self.regions = transfer._slice_regions(
+                self.grid.origin, self.grid.offsets, decomp, config)
         else:
             raise ValueError(f"backend must be 'analytic' or 'transfer', got {backend!r}")
 
@@ -741,9 +926,9 @@ class ConditionalPropagator:
             detection or self._detection_matrix is not None
         ) and window[0] <= regions[0].x2 and window[1] >= regions[-1].x1
         norm_out = int(detection)
-        region_terms = []
-        for region in regions:
-            ground, excited = _channel(region, 0), _channel(region, 1)
+        half_lines, interiors = [], []
+        for index, region in enumerate(regions):
+            ground, excited = region.channel_modes
             terms = []
             if detection and excited:
                 terms.append((0, excited, region.x1, region.x2, 1.0))
@@ -760,17 +945,17 @@ class ConditionalPropagator:
                 if hi > lo:
                     terms += [(norm_out, modes, lo, hi, 1.0) for modes in (ground, excited)
                               if modes]
-            region_terms.append(terms)
-        # the two half-lines share their (k, k) and (q, q) denominators
-        region_terms = [region_terms[0] + region_terms[-1]] + region_terms[1:-1]
-        halves = _overlap_sums(self.k.shape[0], region_terms, norm_out + (window is not None))
+            # the two half-lines share their (k, k) and (q, q) denominators
+            (interiors if 0 < index < len(regions) - 1 else half_lines).extend(terms)
+        halves = _overlap_sums(self.k.shape[0], self.grid.origin, norm_out + (window is not None),
+                               half_lines, interiors)
         if detection:
             self._detection_matrix = _complete_hermitian(halves[0], 2.0 * math.pi)
         if window is not None:
             self._norm_matrix_cache[_window_key(*window)] = _complete_hermitian(
                 halves[-1], 2.0 * math.pi, self._detection_matrix if shared else None)
 
-    def _forms(self, matrix: np.ndarray, times) -> np.ndarray:
+    def _quadratic(self, matrix: np.ndarray, times) -> np.ndarray:
         """Rows Re v^H matrix^T v and 2 Im sum_k omega_k conj(v_k) (matrix^T v)_k at times.
 
         v = coeff * exp(-i omega t) is the state vector in the mode basis.
@@ -786,9 +971,13 @@ class ConditionalPropagator:
             part = slice(start, start + chunk)
             v = phases[:, part]
             terms = matrix.T @ v
-            terms *= np.conj(v)
+            # conj(terms) v = conj(terms conj(v)) in place, and the imaginary
+            # parts summed where they lie: no temporary of the block's size,
+            # which keeps the peak of a measurement low
+            np.conjugate(terms, out=terms)
+            terms *= v
             out[0, part] = terms.real.sum(axis=0)
-            out[1, part] = 2.0 * (self.omega_rel @ terms.imag)
+            out[1, part] = -2.0 * np.einsum("i,ij->j", self.omega_rel, terms.imag)
         return resample(out)
 
     def _samples(self, times):
@@ -812,9 +1001,6 @@ class ConditionalPropagator:
         v *= self.coeff[:, None]
         return v
 
-    def _quadratic(self, matrix: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return self._forms(matrix, times)[0]
-
     # -- physics --------------------------------------------------------
 
     def state(self, x, t: float) -> np.ndarray:
@@ -825,7 +1011,7 @@ class ConditionalPropagator:
         return _region_field(self.regions, phases, x)
 
     def excited_population(self, times) -> np.ndarray:
-        return self._quadratic(self.detection_matrix(), times)
+        return self._quadratic(self.detection_matrix(), times)[0]
 
     def photon_density(self, times) -> np.ndarray:
         """First-photon density gamma * P2(t)."""
@@ -840,7 +1026,7 @@ class ConditionalPropagator:
         gamma = self.config.gamma
         d2 = self.detection_matrix()
         dw = np.subtract.outer(self.omega_rel, self.omega_rel)
-        return self._quadratic(d2 * (gamma - 1j * dw), times)
+        return self._quadratic(d2 * (gamma - 1j * dw), times)[0]
 
     def ridge_density(self, times) -> np.ndarray:
         """Behind-the-beam approximation of the photon density.
@@ -858,7 +1044,7 @@ class ConditionalPropagator:
             0.5j * gamma * mass / hbar
         ) * np.add.outer(k, k) / np.multiply.outer(k, k)
         kernel = (gamma / (2.0 * math.pi)) * 1j * np.exp(1j * alpha * L) / alpha
-        return self._quadratic(kernel, times)
+        return self._quadratic(kernel, times)[0]
 
     def ideal_ridge_density(self, times) -> np.ndarray:
         """Deconvolved ridge approximation (the closed bracket kernel)."""
@@ -873,10 +1059,10 @@ class ConditionalPropagator:
         kernel = (
             np.exp(1j * np.subtract.outer(k, k) * L) * bracket / (2.0 * math.pi)
         )
-        return self._quadratic(kernel, times)
+        return self._quadratic(kernel, times)[0]
 
     def norm(self, t, x_min: float, x_max: float) -> np.ndarray:
-        return self._quadratic(self.norm_matrix(x_min, x_max), t)
+        return self._quadratic(self.norm_matrix(x_min, x_max), t)[0]
 
     def norm_and_rate(self, t, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
         """Survival N(t) on [x_min, x_max] and its exact loss rate -dN/dt.
@@ -886,7 +1072,7 @@ class ConditionalPropagator:
         the quadratic form itself, free of any time grid, from the same
         product as N(t).
         """
-        return tuple(self._forms(self.norm_matrix(x_min, x_max), t))
+        return tuple(self._quadratic(self.norm_matrix(x_min, x_max), t))
 
     def default_domain(self, t: float) -> tuple[float, float]:
         """Spatial window guaranteed to hold the surviving state at time t.
@@ -978,7 +1164,10 @@ def first_photon_density(
     Computed as gamma times the excited population; an independent route
     (the exact time derivative of the survival norm over a fixed covering
     domain, ``norm_and_rate``) is compared against it and the integrated
-    discrepancy is reported in ``meta['route_discrepancy']``.  The two
+    discrepancy is reported in ``meta['route_discrepancy']``.  The ideal
+    (deconvolved) density gamma P2 + dP2/dt, ``ideal_density`` exactly,
+    comes from the same product as gamma P2 and is
+    ``meta['ideal_density']`` (an array on the same times).  The two
     routes agree through the continuity equation of the conditional
     dynamics, not through the time grid, so the discrepancy measures the
     overlap matrices and the window, whatever dt is.  Disagreement beyond
@@ -992,7 +1181,9 @@ def first_photon_density(
     lo1, hi1 = prop.default_domain(float(t[-1]))
     x_min, x_max = min(lo0, lo1), max(hi0, hi1)
     prop.overlap_matrices(x_min, x_max)
-    pi = prop.photon_density(t)
+    # gamma P2 and -dP2/dt from one product: Pi_id = gamma P2 - (-dP2/dt)
+    p2, p2_rate = prop._quadratic(prop.detection_matrix(), t)
+    pi = config.gamma * p2
     survival, dn = prop.norm_and_rate(t, x_min, x_max)
     denom = float(np.trapezoid(np.abs(pi), dx=times.dt))
     if denom > 0.0:
@@ -1008,7 +1199,8 @@ def first_photon_density(
         dt=times.dt,
         values=pi,
         meta={"route_discrepancy": discrepancy, "kind": "observed",
-              "survival_start": float(survival[0]), "survival_end": float(survival[-1])},
+              "survival_start": float(survival[0]), "survival_end": float(survival[-1]),
+              "ideal_density": pi - p2_rate},
     )
 
 

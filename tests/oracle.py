@@ -9,7 +9,8 @@ at L = 5 um, 0.5 m/s needs 250.
 
 ``dense_gram`` is the overlap engine's reference in double precision: every
 ordered mode pair on its own, as a quotient or a series, with no grouping,
-no factoring and no Hermitian completion.
+no factoring, no quadrature and no Hermitian completion.  ``mpmath_gram``
+evaluates the same offset-form pair integrals in extended precision.
 """
 
 import math
@@ -17,41 +18,94 @@ import math
 import mpmath as mp
 import numpy as np
 
-from toa_sim.scattering import _wave
-
-SERIES_SWITCH = 1e-4  # |alpha| width below which a pair takes the series
+SERIES_SWITCH = 1e-2  # |alpha| width below which a pair takes the series
 
 
-def dense_gram(modes, x1, x2):
-    """integral_x1^x2 psi psi^H dx of psi = sum of (coef, kappa, anchor, split) modes, pair by pair.
+def dense_gram(modes, x1, x2, k0):
+    """integral_x1^x2 psi psi^H dx of psi = sum of (coef, sign, delta, anchor) modes, pair by pair.
 
-    A pair integrates to [f_mu f_nu^*]_x1^x2 / (i alpha), f = coef exp(i
-    kappa (x - anchor)) (``_wave``, so split modes carry their rounded
-    carrier) and alpha = kappa_mu - conj(kappa_nu); an infinite endpoint
-    contributes nothing.  Where |alpha| width < SERIES_SWITCH the quotient
-    cancels and width f_mu(x1) f_nu(x1)^* (exp(u) - 1)/u, u = i alpha
-    width, to four terms replaces it.
+    The offset form of ``Region``'s waves: a pair integrates to [f_mu
+    f_nu^*]_x1^x2 / (i alpha), f = coef exp(i delta (x - anchor)) times the
+    pair's carrier exp(i k0 (s_mu (x - a_mu) - s_nu (x - a_nu))) (exactly 1
+    for one direction and anchor), alpha = (s_mu - s_nu) k0 + delta_mu -
+    conj(delta_nu); an infinite endpoint contributes nothing.  Where
+    |alpha| width < SERIES_SWITCH the quotient cancels and width
+    f_mu(x1) f_nu(x1)^* (exp(u) - 1)/u, u = i alpha width, to eight terms
+    replaces it.
     """
     width = x2 - x1
-    values = [[None if math.isinf(x) else coef * _wave(kappa, split, x - anchor)
-               for x in (x1, x2)] for coef, kappa, anchor, split in modes]
     nk = modes[0][0].shape[0]
     out = np.zeros((nk, nk), dtype=complex)
+
+    def value(mode, x):
+        coef, _, delta, anchor = mode
+        return None if math.isinf(x) else coef * np.exp(1j * delta * (x - anchor))
+
+    def carrier(mu, nu, x):
+        return np.exp(1j * k0 * (mu[1] * (x - mu[3]) - nu[1] * (x - nu[3])))
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for (lo_mu, hi_mu), (_, kappa_mu, _, _) in zip(values, modes):
-            for (lo_nu, hi_nu), (_, kappa_nu, _, _) in zip(values, modes):
-                i_alpha = 1j * np.subtract.outer(kappa_mu, np.conj(kappa_nu))
+        for mu in modes:
+            for nu in modes:
+                i_alpha = 1j * ((mu[1] - nu[1]) * k0 + np.subtract.outer(mu[2], np.conj(nu[2])))
                 numerator = np.zeros((nk, nk), dtype=complex)
-                for sign, mu, nu in ((1.0, hi_mu, hi_nu), (-1.0, lo_mu, lo_nu)):
-                    if mu is not None:
-                        numerator += sign * np.outer(mu, np.conj(nu))
+                for sign, x in ((1.0, x2), (-1.0, x1)):
+                    if not math.isinf(x):
+                        numerator += sign * carrier(mu, nu, x) * np.outer(
+                            value(mu, x), np.conj(value(nu, x)))
                 block = numerator / i_alpha
                 if not math.isinf(width):
                     series = np.abs(i_alpha) * width < SERIES_SWITCH
                     u = i_alpha[series] * width
-                    block[series] = np.outer(lo_mu, np.conj(lo_nu))[series] * width * (
-                        1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0)
+                    total = np.ones_like(u)
+                    for n in range(8, 1, -1):
+                        total = 1.0 + total * u / n
+                    block[series] = (carrier(mu, nu, x1) * np.outer(
+                        value(mu, x1), np.conj(value(nu, x1))))[series] * width * total
                 out += block
+    return out
+
+
+def mpmath_gram(modes, x1, x2, k0, rows=None, cols=None, digits=30):
+    """Elements of integral_x1^x2 psi psi^H dx of offset-form modes, in ``digits``-digit arithmetic.
+
+    Every pair in closed form, [f_mu f_nu^*]_x1^x2 / (i (kappa_mu -
+    conj(kappa_nu))) with f = coef exp(i kappa (x - anchor)) and kappa =
+    sign k0 + delta formed exactly from the double inputs, or (x2 - x1)
+    f_mu(x1) f_nu(x1)^* where that denominator vanishes; an infinite
+    endpoint contributes nothing.  So the carrier phases k0 (x - anchor)
+    carry no rounding.  ``rows`` and ``cols`` select the elements (all by
+    default).
+    """
+    nk = modes[0][0].shape[0]
+    rows = range(nk) if rows is None else rows
+    cols = range(nk) if cols is None else cols
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    with mp.workdps(digits):
+        carrier = mp.mpf(float(k0))
+        ends = []  # per mode and sampled node: kappa and the values at x1 and x2
+        for coef, sign, delta, anchor in modes:
+            node_ends = {}
+            for n in set(rows) | set(cols):
+                kappa = float(sign) * carrier + mp.mpc(complex(delta[n]))
+                node_ends[n] = (kappa, [
+                    0 if math.isinf(x) else mp.mpc(complex(coef[n]))
+                    * mp.exp(1j * kappa * (mp.mpf(float(x)) - mp.mpf(float(anchor))))
+                    for x in (x1, x2)])
+            ends.append(node_ends)
+        for r, i in enumerate(rows):
+            for c, j in enumerate(cols):
+                total = mp.mpc(0)
+                for mode_mu in ends:
+                    k_i, (lo_i, hi_i) = mode_mu[i]
+                    for mode_nu in ends:
+                        k_j, (lo_j, hi_j) = mode_nu[j]
+                        alpha = k_i - mp.conj(k_j)
+                        if alpha == 0:  # a real kappa with itself, over a finite interval
+                            total += (mp.mpf(float(x2)) - mp.mpf(float(x1))) * lo_i * mp.conj(lo_j)
+                        else:
+                            total += (hi_i * mp.conj(hi_j) - lo_i * mp.conj(lo_j)) / (1j * alpha)
+                out[r, c] = complex(total)
     return out
 
 

@@ -378,11 +378,15 @@ class TestDistributions:
         assert float(meta["route_discrepancy"]) < 1e-3
         assert 0.0 <= float(meta["survival_end"]) < 1.0
 
-        # the checked Pi is photon_density's, byte for byte
+        # the checked Pi is photon_density's, byte for byte, and Pi_id is
+        # gamma P2 + dP2/dt from the same product
         def unchecked(spec, config, grid, times, backend):
             prop = wpk.ConditionalPropagator(spec, config, grid, backend=backend)
-            return TimeSeries(t0=times.t0, dt=times.dt, values=prop.photon_density(times.times),
-                              meta={"route_discrepancy": 0.0, "survival_end": 0.0})
+            pi = prop.photon_density(times.times)
+            rate = prop._quadratic(prop.detection_matrix(), times.times)[1]
+            return TimeSeries(t0=times.t0, dt=times.dt, values=pi,
+                              meta={"route_discrepancy": 0.0, "survival_end": 0.0,
+                                    "ideal_density": pi - rate})
 
         monkeypatch.setattr(wpk, "first_photon_density", unchecked)
         assert run_cli(args)[1].split("t_s,J,Pi")[1] == out.split("t_s,J,Pi")[1]

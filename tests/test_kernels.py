@@ -48,9 +48,11 @@ def sharp_edge_solve_8x8(k, gamma, omega, L):
     k = np.atleast_1d(np.asarray(k, dtype=float))
     nk = k.shape[0]
     q = channel_q(k, gamma, MASS, HBAR)
-    # the kernel's e+- = exp(i k+- L), so that both solve one discrete system
-    kp, km, _, _, u_p, u_m, _, _, ep, em, _ = newton_terms(k, gamma, omega, L, MASS, HBAR)
-    fk, fq = np.exp(1j * k * L), np.exp(1j * q * L)
+    # the kernel's e+- = exp(i k+- L) and exp(iqL), so that both solve one
+    # discrete system
+    kp, km, _, _, u_p, u_m, _, _, ep, em, _ = newton_terms(k, 0.0, gamma, omega, L, MASS, HBAR)
+    d_q = reference._mode_offsets(k, 0.0, gamma, omega, MASS, HBAR)[2]
+    fk, fq = np.exp(1j * k * L), reference._phase(k, d_q, L)
     kps, kms, qs = kp / k, km / k, q / k
     A = np.zeros((nk, 8, 8), dtype=complex)
     rhs = np.zeros((nk, 8), dtype=complex)
@@ -141,7 +143,7 @@ def test_eliminated_solve_matches_8x8(v, omega_in_gamma, L):
     omega = omega_in_gamma * GAMMA
     new = kernels.sharp_edge_solve(k, GAMMA, omega, L, MASS, HBAR)
     old, fq = sharp_edge_solve_8x8(k, GAMMA, omega, L)
-    dk = newton_terms(k, GAMMA, omega, L, MASS, HBAR)[6]
+    dk = newton_terms(k, 0.0, GAMMA, omega, L, MASS, HBAR)[6]
     a, b, c, d = old[:, 4:].T
     old[:, 4:] = np.stack([a + b, -b * dk, c + d, -d * dk], axis=1)
     unit = np.array([1.0, 1.0, 1.0, 1.0, L, 1.0, L])

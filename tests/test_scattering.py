@@ -151,7 +151,7 @@ class TestSolveSharpEdge:
         # the regions are the two-sided limit, exterior included, so their
         # reflected waves (one per solve) carry R1 to its O(delta^2) error
         ground = sol.regions[0].channel_modes[0]
-        reflected = sum(coef[0] for coef, kappa, _ in ground if kappa[0].real < 0.0)
+        reflected = sum(coef[0] for coef, sign, _, _ in ground if sign < 0.0)
         assert abs(reflected - sol.R1) < 1e-12
         assert matching_residual(sol) < 1e-6
         assert 0.0 <= absorption(sol) <= 1.0

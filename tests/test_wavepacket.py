@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GAMMA, HBAR, MASS, k_of
-from oracle import dense_gram
+from oracle import dense_gram, mpmath_gram
 from toa_sim import distributions as ds
 from toa_sim import wavepacket
 from toa_sim.errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
@@ -21,7 +21,6 @@ from toa_sim.wavepacket import (
     PacketSpec,
     _gauss_legendre,
     _overlap_sums,
-    _channel,
     _complete_hermitian,
     _region_gram,
     conditional_evolve,
@@ -285,9 +284,9 @@ class TestFirstPhotonDensity:
 
     def test_route_flags_inconsistent_density(self, monkeypatch):
         cfg, spec, grid, times = self.make()
-        density = ConditionalPropagator.photon_density
-        monkeypatch.setattr(ConditionalPropagator, "photon_density",
-                            lambda self, t: 1.01 * density(self, t))
+        detection = ConditionalPropagator.detection_matrix
+        monkeypatch.setattr(ConditionalPropagator, "detection_matrix",
+                            lambda self: 1.01 * detection(self))
         with pytest.raises(ConsistencyFailure):
             first_photon_density(spec, cfg, grid, times)
 
@@ -435,11 +434,11 @@ class TestOverlapEngine:
         checked = 0
         for region in prop.regions:
             for modes in region.channel_modes:
-                for _coef, kappa, anchor in modes:
+                for _coef, _sign, delta, anchor in modes:
                     for x in (region.x1, region.x2):
                         if math.isinf(x):
                             continue
-                        assert np.abs(np.exp(1j * kappa * (x - anchor))).max() <= 1.0 + 1e-12
+                        assert np.abs(np.exp(1j * delta * (x - anchor))).max() <= 1.0 + 1e-12
                         checked += 1
         assert checked > 0
 
@@ -465,40 +464,63 @@ class TestOverlapEngine:
         half = 0.5 * np.diff(edges)
         xs = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
         ws = (half[:, None] * w).ravel()
+        k0 = interior.carrier
         for modes in interior.channel_modes:
             if not modes:
                 continue
-            psi = sum(c[:, None] * np.exp(1j * kap[:, None] * (xs - a)) for c, kap, a in modes)
+            psi = sum(c[:, None] * np.exp(1j * (s * k0 + d)[:, None] * (xs - a))
+                      for c, s, d, a in modes)
             quad = (psi * ws) @ psi.conj().T
-            gram = _region_gram(modes, 0.0, L)
+            gram = _region_gram(modes, 0.0, L, k0)
             assert np.abs(gram - quad).max() <= 1e-10 * np.abs(quad).max()
 
+    def test_closed_channel_is_one_field(self, monkeypatch):
+        # without decay, below the dressed threshold k+ is imaginary: a
+        # forward and a backward k+ wave resonate (alpha = 2 Re k+ = 0),
+        # so the two directions do not separate and the channel is
+        # integrated as one field, carrier included, in panels
+        taken = gauss_sets(monkeypatch)
+        spec, _ = packet(v=0.05)
+        k0 = k_of(0.05)
+        x, w = np.polynomial.legendre.leggauss(24)
+        grid = KGrid(origin=k0, offsets=8e4 * x, weights=8e4 * w)
+        prop = ConditionalPropagator(spec, cesium_config(omega=5 * GAMMA, gamma=0.0), grid)
+        interior = prop.regions[1]
+        rows = [0, 11, 23]
+        for modes in interior.channel_modes:
+            # the resonant cross pairs are beyond a double-precision quotient
+            # (dense_gram reads 2e-11 here): the oracle is mpmath's
+            got = _region_gram(modes, interior.x1, interior.x2, k0)
+            want = mpmath_gram(modes, interior.x1, interior.x2, k0, rows=rows)
+            assert np.abs(got[rows] - want).max() <= 1e-12 * np.abs(got).max()
+        assert any(len(set(signs)) == 2 for signs in taken)
+
     def test_series_branch_at_near_resonance(self):
-        # nodes at |u| = |k_i - k_j| (x2 - x1) on both sides of the 1e-4
-        # switch; below it the difference quotient alone would lose
-        # -log10(u) digits
+        # a Cauchy (half-line) group with nodes at |u| = |k_i - k_j| (x2 -
+        # x1) on both sides of the 1e-2 switch; below it the difference
+        # quotient alone would lose -log10(u) digits
         width = 2.0
-        u = np.array([0.0, 1e-7, 1e-5, 3e-5, 0.5e-4, 0.99e-4, 1.25e-4, 3e-4])
-        k = (u / width).astype(complex)
-        gram = _region_gram([(np.ones(u.size, dtype=complex), k, 0.0)], 0.0, width)
+        u = np.array([0.0, 1e-7, 1e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2])
+        modes = [(np.ones(u.size, dtype=complex), 1.0, (u / width).astype(complex), 0.0)]
+        (half,) = _overlap_sums(u.size, 0.0, 1, half_lines=[(0, modes, 0.0, width, 1.0)])
+        gram = _complete_hermitian(half)
         assert np.array_equal(np.diag(gram), np.full(u.size, width, dtype=complex))
         closed = width * np.exp(-0.5j * u) * np.sinc(u / (2 * np.pi))
-        assert np.abs(gram[0] - closed).max() <= 1e-12 * width
+        assert np.abs(gram[0] - closed).max() <= 1e-14 * width
 
 
 def region_detection(prop, gram=_region_gram):
     """Detection matrix as the plain per-region sum (oracle for the shared engine).
 
-    Each channel's modes are taken with their carrier splits (``_channel``),
-    so that the sum integrates the waves the engine integrates.  ``gram``
-    integrates one channel over one interval: the engine's one-term call
-    by default, ``oracle.dense_gram`` for a reference with no grouping.
+    ``gram`` integrates one channel over one interval with the regions'
+    carrier: the engine's one-term call by default, ``oracle.dense_gram``
+    for a pair-by-pair reference in the same offset form.
     """
     nk = prop.k.shape[0]
     out = np.zeros((nk, nk), dtype=complex)
     for region in prop.regions:
         if region.channel_modes[1]:
-            out += gram(_channel(region, 1), region.x1, region.x2)
+            out += gram(region.channel_modes[1], region.x1, region.x2, region.carrier)
     return out / (2 * math.pi)
 
 
@@ -512,7 +534,7 @@ def region_norm(prop, x_min, x_max, gram=_region_gram):
             continue
         for ch in (0, 1):
             if region.channel_modes[ch]:
-                out += gram(_channel(region, ch), lo, hi)
+                out += gram(region.channel_modes[ch], lo, hi, region.carrier)
     return out / (2 * math.pi)
 
 
@@ -619,11 +641,13 @@ class TestOverlapMatrices:
             assert_matches(d2, region_detection(prop))
 
     def test_two_series_switches_in_one_group(self):
-        # one group holds a term over [0, 2] and one over [2 - 2e-3, 2]: the
-        # elements on both sides of the long term's switch are a series for
-        # the short term, where a quotient would lose up to nine digits
-        u = np.array([0.0, 1e-7, 1e-5, 3e-5, 0.5e-4, 0.99e-4, 1.25e-4, 3e-4, 1e-3])
-        modes = [(np.ones(u.size, dtype=complex), (u / 2.0).astype(complex), 0.0)]
+        # one Cauchy group holds a term over [0, 2] and one over [2 - 2e-3,
+        # 2]: the elements on both sides of the long term's switch are a
+        # series for the short term, where a quotient would lose up to nine
+        # digits.  The eight-term series reaches 1e-2, so on both sides of
+        # each switch the elements sit at rounding
+        u = np.array([0.0, 1e-7, 1e-5, 3e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2, 0.1])
+        modes = [(np.ones(u.size, dtype=complex), 1.0, (u / 2.0).astype(complex), 0.0)]
         terms = [(0, modes, 0.0, 2.0, 1.0), (1, modes, 2.0 - 2e-3, 2.0, 1.0)]
         alpha = np.subtract.outer(u, u) / 2.0
 
@@ -631,9 +655,8 @@ class TestOverlapMatrices:
             w = x2 - x1
             return w * np.exp(0.5j * alpha * (x1 + x2)) * np.sinc(alpha * w / (2 * np.pi))
 
-        long, short = map(_complete_hermitian, _overlap_sums(u.size, [terms], 2))
-        # just outside its switch the long term's quotient loses four digits
-        assert np.abs(long - closed(0.0, 2.0)).max() <= 2e-12 * 2.0
+        long, short = map(_complete_hermitian, _overlap_sums(u.size, 0.0, 2, half_lines=terms))
+        assert np.abs(long - closed(0.0, 2.0)).max() <= 1e-14 * 2.0
         assert np.abs(short - closed(2.0 - 2e-3, 2.0)).max() <= 1e-14 * 2e-3
 
     def test_detection_built_after_the_norm(self):
@@ -652,49 +675,13 @@ class TestOverlapMatrices:
             prop.overlap_matrices(-1e-3, 1e-3)
 
 
-def mpmath_gram(modes, x1, x2, digits=40):
-    """integral_x1^x2 psi psi^H dx of the same modes, evaluated in ``digits``-digit arithmetic.
-
-    Every pair in closed form, [f_mu f_nu^*]_x1^x2 / (i (kappa_mu -
-    conj(kappa_nu))) with f = coef exp(i kappa (x - anchor)), or (x2 - x1)
-    f_mu(x1) f_nu(x1)^* where that denominator vanishes; the double inputs
-    are taken as exact, so the phases carry no rounding.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    nk = modes[0][0].shape[0]
-    out = np.zeros((nk, nk), dtype=complex)
-    with mpmath.workdps(digits):
-        ends = []  # per mode and node: kappa and the values at x1 and x2
-        for coef, kappa, anchor in modes:
-            kap = [mpmath.mpc(complex(z)) for z in kappa]
-            ends.append([(z, [0 if math.isinf(x) else mpmath.mpc(complex(c))
-                              * mpmath.exp(1j * z * (mpmath.mpf(x) - anchor))
-                              for x in (x1, x2)]) for c, z in zip(coef, kap)])
-        for i in range(nk):
-            for j in range(nk):
-                total = mpmath.mpc(0)
-                for mode_mu in ends:
-                    k_i, (lo_i, hi_i) = mode_mu[i]
-                    for mode_nu in ends:
-                        k_j, (lo_j, hi_j) = mode_nu[j]
-                        alpha = k_i - mpmath.conj(k_j)
-                        if alpha == 0:  # a real kappa with itself, over a finite interval
-                            total += (mpmath.mpf(x2) - x1) * lo_i * mpmath.conj(lo_j)
-                        else:
-                            total += (hi_i * mpmath.conj(hi_j) - lo_i * mpmath.conj(lo_j)) / (
-                                1j * alpha)
-                out[i, j] = complex(total)
-    return out
-
-
 class TestGramOracle:
     @pytest.mark.parametrize("v", [2.0, 10.0])
     def test_sharp_detection_matrix_matches_mpmath(self, v):
-        # slow atoms: each decaying mode is small at its far end, so the
-        # rounding of the carrier-size phases kappa (x - anchor) does not
-        # limit the comparison
+        # slow atoms: the interior fields are carrier-free products of
+        # decaying waves, and the oracle takes the carrier phases exactly
         prop = small_propagator(104.43e6, v=v)
-        want = sum(mpmath_gram(region.channel_modes[1], region.x1, region.x2)
+        want = sum(mpmath_gram(region.channel_modes[1], region.x1, region.x2, region.carrier)
                    for region in prop.regions) / (2 * math.pi)
         got = prop.detection_matrix()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -733,18 +720,87 @@ def arrival_propagator(omega, velocities, delta_x, window_sigmas, profile=None, 
     return prop, (min(lo0, lo1), max(hi0, hi1))
 
 
-def far_groups(monkeypatch):
-    """Record the groups the engine takes as far factors."""
+# Rows of the mpmath comparisons, against every third column: a fixed
+# sample, so that the oracle stays cheap.
+ORACLE_ROWS = (0, 21, 42, 63)
+
+
+def interior_oracle_error(region, rows=ORACLE_ROWS):
+    """Largest max-abs normalised gap of a region's channel Grams to the offset-form oracle."""
+    worst = 0.0
+    for modes in region.channel_modes:
+        if not modes:
+            continue
+        got = _region_gram(modes, region.x1, region.x2, region.carrier)
+        rows = [row for row in rows if row < got.shape[0]]
+        cols = list(range(0, got.shape[0], 3))
+        want = mpmath_gram(modes, region.x1, region.x2, region.carrier, rows=rows, cols=cols)
+        worst = max(worst, np.abs(got[np.ix_(rows, cols)] - want).max() / np.abs(got).max())
+    return worst
+
+
+class TestOffsetFormOracle:
+    @pytest.mark.parametrize("shape", list(ARRIVAL_SHAPES))
+    def test_interior_grams_match_mpmath(self, shape):
+        prop, _ = arrival_propagator(*ARRIVAL_SHAPES[shape])
+        assert interior_oracle_error(prop.regions[1]) <= 1e-12
+
+    @pytest.mark.parametrize("side", [-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
+    def test_near_degenerate_interior_grams_match_mpmath(self, side):
+        # at 1 +- 1e-9 the coupling is on the degenerate point to its
+        # threshold, and the interior holds both solves' waves
+        prop, _ = arrival_propagator(GAMMA / 2 * (1.0 + side), (50.0,), 30e-6, None)
+        assert interior_oracle_error(prop.regions[1], ORACLE_ROWS[:2]) <= 1e-12
+
+    def test_sliced_gaussian_interior_grams_match_mpmath(self):
+        # the fig7 packet through the 256-slice beam: all slices in one
+        # batch equal their one-slice builds, and those the oracle
+        prop, _ = arrival_propagator(5 * GAMMA, (150.0,), 2e-6, 5.0, FIG7_BEAM, 48)
+        k0 = prop.grid.origin
+        slices = prop.regions[1:-1]
+        terms = [(0, region.channel_modes[1], region.x1, region.x2, 1.0) for region in slices]
+        batched = _complete_hermitian(_overlap_sums(48, k0, 1, interiors=terms)[0])
+        alone = sum(_region_gram(*term[1:4], k0) for term in terms)
+        assert np.abs(batched - alone).max() <= 1e-14 * np.abs(alone).max()
+        for region in (slices[0], slices[64], slices[128], slices[-1]):
+            assert interior_oracle_error(region, (0, 24, 47)) <= 1e-12
+
+
+class TestExactIdealColumn:
+    @pytest.mark.parametrize("shape", ["fig6", "fig7-150"])
+    def test_route_product_gives_the_ideal_density(self, shape):
+        # Pi_id = gamma P2 + dP2/dt from the route's own product equals the
+        # per-pair spectral deconvolution, window ends included.  The
+        # reduced grid of 128 nodes is the smallest on which the fig7
+        # packet passes the route check
+        if shape == "fig6":
+            omega, velocities, delta_x, sigmas = ARRIVAL_SHAPES["fig6"]
+            profile, backend = None, "analytic"
+        else:
+            omega, velocities, delta_x, sigmas = 5 * GAMMA, (150.0,), 2e-6, 5.0
+            profile, backend = FIG7_BEAM, "transfer"
+        prop, _ = arrival_propagator(omega, velocities, delta_x, sigmas, profile, 128)
+        spec, cfg, grid = prop.spec, prop.config, prop.grid
+        v = velocities[0]
+        tw = spec.components[0].waist_time
+        half = sigmas * delta_x / v
+        times = TimeSeries(t0=tw - half, dt=2 * half / 400, values=np.zeros(401))
+        observed = first_photon_density(spec, cfg, grid, times, backend=backend)
+        want = prop.ideal_density(times.times)
+        got = observed.meta["ideal_density"]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def gauss_sets(monkeypatch):
+    """Record the mode signs of every field the interior Gauss-Legendre products integrate."""
     taken = []
-    factors = wavepacket._far_factors
+    products = wavepacket._gauss_products
 
-    def spy(group):
-        products = factors(group)
-        if products is not None:
-            taken.append(group)
-        return products
+    def spy(k0, signs, *args):
+        taken.append(tuple(signs))
+        return products(k0, signs, *args)
 
-    monkeypatch.setattr(wavepacket, "_far_factors", spy)
+    monkeypatch.setattr(wavepacket, "_gauss_products", spy)
     return taken
 
 
@@ -757,9 +813,10 @@ class TestFarFactors:
             prop, window = arrival_propagator(5 * GAMMA, (150.0,), 2e-6, 5.0, FIG7_BEAM, 48)
         else:
             prop, window = arrival_propagator(*ARRIVAL_SHAPES[shape])
-        taken = far_groups(monkeypatch)
+        taken = gauss_sets(monkeypatch)
         d2, n = prop.overlap_matrices(*window)
-        assert len(taken) >= 4
+        # every interior field is one direction: the crossing products are separable
+        assert taken and all(len(set(signs)) == 1 for signs in taken)
         for got, want in ((d2, region_detection(prop, dense_gram)),
                           (n, region_norm(prop, *window, dense_gram))):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -773,27 +830,30 @@ class TestFarFactors:
         # at x = 0 so that no phase is large
         prop = small_propagator(5 * GAMMA, v=v)
         width = 0.1 / k_of(v)
-        taken = far_groups(monkeypatch)
+        taken = gauss_sets(monkeypatch)
         left = prop.regions[0]
+        k0 = left.carrier
         got = prop.norm_matrix(-width, 0.0)
-        want = sum(mpmath_gram(modes, -width, 0.0)
+        want = sum(mpmath_gram(modes, -width, 0.0, k0)
                    for modes in left.channel_modes if modes) / (2 * math.pi)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         rng = np.random.default_rng(7)
-        kp, km = prop.regions[1].channel_modes[0][0][1], prop.regions[1].channel_modes[0][1][1]
-        modes = [(rng.normal(size=kp.shape) + 1j * rng.normal(size=kp.shape), kappa, 0.0)
-                 for kappa in (kp, -kp, km, -km)]
-        got = _region_gram(modes, 0.0, width)
-        want = mpmath_gram(modes, 0.0, width)
+        d_p, d_m = (mode[2] for mode in prop.regions[1].channel_modes[0][:2])
+        modes = [(rng.normal(size=d_p.shape) + 1j * rng.normal(size=d_p.shape), sign,
+                  sign * delta, 0.0) for delta in (d_p, d_m) for sign in (1.0, -1.0)]
+        got = _region_gram(modes, 0.0, width, k0)
+        want = mpmath_gram(modes, 0.0, width, k0)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert len(taken) == 4  # (k, -k); (k+, -k+), (-k+, k-), (k-, -k-)
+        # the window holds no interior region; the two directions of the
+        # random set are integrated apart, their products as separable sums
+        assert sorted(taken) == [(-1.0, -1.0), (1.0, 1.0)]
 
     @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
     def test_one_column_flushes_match_the_default(self, omega, backend, profile, monkeypatch):
         make = functools.partial(small_propagator, omega, backend=backend, profile=profile)
         window = make().default_domain(0.0)
         default = make().overlap_matrices(*window)
-        monkeypatch.setattr(wavepacket, "FAR_COLUMNS", 1)
+        monkeypatch.setattr(wavepacket, "LOW_RANK_COLUMNS", 1)
         for got, want in zip(make().overlap_matrices(*window), default):
             assert_matches(got, want)
 
@@ -821,12 +881,12 @@ def half_line_entry(prop, window):
     """
     left, right = prop.regions[0], prop.regions[-1]
     x_min, x_max = window
-    terms = [(0, _channel(left, 1), -math.inf, left.x2, 1.0),
-             (1, _channel(left, 1), -math.inf, x_min, -1.0),
-             (1, _channel(left, 0), x_min, left.x2, 1.0),
-             (0, _channel(right, 1), right.x1, math.inf, 1.0),
-             (1, _channel(right, 1), x_max, math.inf, -1.0),
-             (1, _channel(right, 0), right.x1, x_max, 1.0)]
+    terms = [(0, left.channel_modes[1], -math.inf, left.x2, 1.0),
+             (1, left.channel_modes[1], -math.inf, x_min, -1.0),
+             (1, left.channel_modes[0], x_min, left.x2, 1.0),
+             (0, right.channel_modes[1], right.x1, math.inf, 1.0),
+             (1, right.channel_modes[1], x_max, math.inf, -1.0),
+             (1, right.channel_modes[0], right.x1, x_max, 1.0)]
     return [term for term in terms if term[1]]
 
 
@@ -841,30 +901,37 @@ class TestUpperTiles:
     @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
     def test_half_lines_match_dense_oracle(self, omega, backend, profile, n_nodes):
         prop = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
+        k0 = prop.grid.origin
         terms = half_line_entry(prop, prop.default_domain(0.0))
-        halves = _overlap_sums(n_nodes, [terms], 2)
+        halves = _overlap_sums(n_nodes, k0, 2, half_lines=terms)
         for out, half in enumerate(halves):
             got = _complete_hermitian(half)
-            want = sum((scale * dense_gram(modes, x1, x2)
+            want = sum((scale * dense_gram(modes, x1, x2, k0)
                         for o, modes, x1, x2, scale in terms if o == out), np.zeros_like(got))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
     def test_only_half_line_tiles_are_upper(self, n_nodes, monkeypatch):
-        # the half _overlap_sums returns is the one the completion receives.
-        # The far products fill all of it; without them it holds the tiles
-        # alone, and below the diagonal blocks only full tiles write
-        monkeypatch.setattr(wavepacket._FarProducts, "add", lambda self, *factors: None)
+        # the half _overlap_sums returns is the one the completion receives,
+        # and it holds upper tiles only.  Without the low-rank products it
+        # holds the half-lines' Cauchy tiles alone; the beam interior makes
+        # no tiles at all, and its low-rank products fill upper tiles too
         prop = small_propagator(104.43e6, n_nodes=n_nodes)
+        k0 = prop.grid.origin
         below = below_tile_diagonal(n_nodes)
-        for half in _overlap_sums(n_nodes, [half_line_entry(prop, prop.default_domain(0.0))], 2):
+        interior = prop.regions[1]
+        inside = [(0, interior.channel_modes[1], interior.x1, interior.x2, 1.0)]
+        (half,) = _overlap_sums(n_nodes, k0, 1, interiors=inside)
+        assert np.all(half[below] == 0.0)
+        want = dense_gram(interior.channel_modes[1], interior.x1, interior.x2, k0)
+        got = _complete_hermitian(half)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        monkeypatch.setattr(wavepacket._LowRank, "add", lambda self, *factors: None)
+        for half in _overlap_sums(n_nodes, k0, 2, half_lines=half_line_entry(
+                prop, prop.default_domain(0.0))):
             assert np.abs(half).max() > 0.0
             assert np.all(half[below] == 0.0)
-        interior = prop.regions[1]
-        (half,) = _overlap_sums(n_nodes, [[(0, _channel(interior, 1), interior.x1, interior.x2,
-                                           1.0)]], 1)
-        if below.any():
-            assert np.all(half[below] != 0.0)
+        assert not np.any(_overlap_sums(n_nodes, k0, 1, interiors=inside)[0])
 
 
 class TestRegionField:
@@ -899,7 +966,9 @@ class TestTransmittedExcitedAnchor:
         prop = small_propagator(104.43e6, v=20.0)
         oracle = small_propagator(104.43e6, v=20.0)
         right = oracle.regions[-1]
-        right.channel_modes = (right.channel_modes[0], [(oracle.amplitudes[3], oracle.q, 0.0)])
+        _, sign, delta_q, _ = right.channel_modes[1][0]
+        right.channel_modes = (right.channel_modes[0],
+                               [(oracle.amplitudes[3], sign, delta_q, 0.0)])
         window = prop.default_domain(0.0)
         for got, want in ((prop.detection_matrix(), region_detection(oracle)),
                           (prop.norm_matrix(*window), region_norm(oracle, *window))):
