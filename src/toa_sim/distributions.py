@@ -63,7 +63,7 @@ def _free_waves(spec, x: float, times: TimeSeries):
 
     grid = default_kgrid(spec)
     k = grid.nodes
-    omega_rel = relative_frequencies(k, spec.mass, spec.constants.hbar)
+    omega_rel = grid.frequencies(spec.mass, spec.constants.hbar)[1]
     nodes, resample = chebyshev_samples(times.times, np.ptp(omega_rel))
     coeff = grid.weights * grid_amplitude(spec, grid) * np.exp(1j * k * x)
     waves = coeff[:, None] * np.exp(-1j * np.outer(omega_rel, nodes))
@@ -94,12 +94,6 @@ def kijowski_density(spec, x: float, times: TimeSeries) -> DistributionSeries:
     return DistributionSeries(t0=times.t0, dt=times.dt,
                               values=resample(np.abs(amp) ** 2 / (2.0 * math.pi)),
                               meta={"position_m": x}, kind="kijowski")
-
-
-def relative_frequencies(k: np.ndarray, mass: float, hbar: float) -> np.ndarray:
-    """Energy frequencies E_k/hbar offset by their mean, for phase stability."""
-    w = hbar * k * k / (2.0 * mass)
-    return w - w.mean()
 
 
 def emission_kernel(gamma: float, times: TimeSeries) -> DistributionSeries:

@@ -15,6 +15,7 @@ from .reference import (
     internal_rates,
     mode_split,
     mode_wavenumbers,
+    newton_mode,
     newton_terms,
     sharp_edge_modes,
     sharp_edge_solve,

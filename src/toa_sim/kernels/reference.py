@@ -140,8 +140,7 @@ def sharp_edge_solve(k, gamma: float, omega, beam_width: float, mass: float, hba
     a' v+ exp(i k+ x) + b' (v exp(i kappa x))[+,-] +
     c' v+ exp(-i k+ (x - L)) + d' (v exp(-i kappa (x - L)))[+,-]: these
     Newton coefficients stay finite and well conditioned through
-    gamma = 2 omega, where k+ = k- (the exponential ones are
-    a = a' + b'/dk, b = -b'/dk, c and d alike).  ``omega`` is a scalar or
+    gamma = 2 omega, where k+ = k-.  ``omega`` is a scalar or
     an array broadcasting against ``k`` (one coupling per wavenumber, so a
     whole (omega, v) scan is one call; both forms give bit-identical rows);
     every omega must be > 0.  T2 multiplies exp(iqx); where exp(iqL)
@@ -170,7 +169,7 @@ def sharp_edge_solve(k, gamma: float, omega, beam_width: float, mass: float, hba
     out = np.empty((k.shape[0], 8), dtype=complex)
     for start in range(0, k.shape[0], SHARP_BLOCK):
         part = slice(start, start + SHARP_BLOCK)
-        out[part] = _sharp_edge_block(k[part], 0.0, gamma, omega[part], beam_width, mass, hbar)[0]
+        out[part] = sharp_edge_modes(k[part], 0.0, gamma, omega[part], beam_width, mass, hbar)[0]
     return out
 
 
@@ -192,6 +191,24 @@ def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def newton_mode(phase, d_p, d_m, gap, y):
+    """N = (E+ - E-)/gap of the waves E+- = phase exp(i d+- y), without cancellation.
+
+    gap = d+ - d- is given on its own (it may be 0).  The larger wave,
+    E_big = E+ where Im(gap) y <= 0, is formed from its offset, the smaller
+    is E_big (1 + expm1(z)), z = -+i gap y, Re z <= 0, and N = i y E_big
+    expm1(z)/z: |N| <= |y| |E_big|, N = i y E+ at gap = 0, and no sinc of
+    a complex argument, which overflows at large optical depth.  Arguments
+    broadcast, y real.  Returns (N, plus_big, E_big, expm1(z)).
+    """
+    plus_big = gap.imag * y <= 0.0
+    e_big = phase * np.exp(1j * (np.where(plus_big, d_p, d_m) * y))
+    z = np.where(plus_big, -1j * y, 1j * y) * gap      # Re z <= 0
+    expm1 = np.expm1(z)
+    phi1 = np.divide(expm1, z, out=np.ones(np.shape(z), dtype=complex), where=z != 0.0)
+    return 1j * y * e_big * phi1, plus_big, e_big, expm1
+
+
 def newton_terms(origin, offsets, gamma: float, omega, L: float, mass: float, hbar: float):
     """Interior modes of a sharp beam of width L and their Newton-basis terms.
 
@@ -200,39 +217,32 @@ def newton_terms(origin, offsets, gamma: float, omega, L: float, mass: float, hb
     u_m, dk, du, ep, em, de): k+- (``mode_split``) and their offsets
     k+- - origin (``_mode_offsets``), u+- = 2 lam+- / omega, and divided
     differences over (k+, k-) without cancellation: dk = 2 e, du = u[+,-]
-    = -hbar (k+ + k-) / (m omega) and de = e[+,-] = i L e_big expm1(z)/z,
-    z = -+i dk L.  e_big, the larger of e+- = exp(i k+- L), is
-    ``_phase(origin, d, L)`` at its offset d, the smaller e_big exp(z):
-    both share the one rounding of the carrier phase origin L.
+    = -hbar (k+ + k-) / (m omega), and ep, em = exp(i k+- L) with de =
+    e[+,-] from ``newton_mode`` at y = L, the carrier phase origin L
+    rounded once for all.
     """
     k = origin + offsets
     kp, km, _, e, lam_p, lam_m = mode_split(k, gamma, omega, mass, hbar)
     d_p = _offset(kp, k, offsets, _rate_over_hbar(-2.0 * mass, lam_p, hbar))
     d_m = _offset(km, k, offsets, _rate_over_hbar(-2.0 * mass, lam_m, hbar))
-    u_p = 2.0 * lam_p / omega
-    u_m = 2.0 * lam_m / omega
     dk = 2.0 * e
     du = -(kp + km) * (hbar / (mass * omega))
-    plus_big = e.imag <= 0.0
-    e_big = _phase(origin, np.where(plus_big, d_p, d_m), L)
-    z = np.where(plus_big, -1j * L, 1j * L) * dk      # Re z <= 0
-    expm1 = np.expm1(z)
+    de, plus_big, e_big, expm1 = newton_mode(np.exp(1j * (origin * L)), d_p, d_m, dk, L)
     e_small = e_big * (1.0 + expm1)
-    ep = np.where(plus_big, e_big, e_small)
-    em = np.where(plus_big, e_small, e_big)
-    zero = z == 0.0
-    phi1 = np.where(zero, 1.0, expm1 / np.where(zero, 1.0, z))   # expm1(z) / z
-    return kp, km, d_p, d_m, u_p, u_m, dk, du, ep, em, 1j * L * e_big * phi1
+    ep, em = np.where(plus_big, e_big, e_small), np.where(plus_big, e_small, e_big)
+    return kp, km, d_p, d_m, 2.0 * lam_p / omega, 2.0 * lam_m / omega, dk, du, ep, em, de
 
 
-def _sharp_edge_block(origin, offsets, gamma, omega, L, mass, hbar):
-    """``sharp_edge_solve`` for one block: its rows, the ``newton_terms`` and T2_L.
+def sharp_edge_modes(origin, offsets, gamma: float, omega, L: float, mass: float, hbar: float):
+    """``sharp_edge_solve``'s rows with their ``newton_terms`` and T2_L = T2 exp(iqL).
 
-    The wavenumbers are k = origin + offsets.  The phases across the beam,
-    exp(i kappa L) for kappa = k+-, k and q, are ``_phase``'s, from the
-    offsets of kappa to ``origin``.
+    The wavenumbers are k = origin + offsets, ``omega`` broadcasting
+    against them (every omega > 0); T2_L is finite where exp(iqL)
+    underflows.  The phases across the beam, exp(i kappa L), are
+    ``_phase``'s, from the offsets of kappa to ``origin``.
     """
-    k = origin + offsets
+    k = np.atleast_1d(origin + np.asarray(offsets, dtype=float))
+    omega = np.broadcast_to(np.asarray(omega, dtype=float), k.shape)
     nk = k.shape[0]
     q = channel_q(k, gamma, mass, hbar)
     terms = newton_terms(origin, offsets, gamma, omega, L, mass, hbar)
@@ -279,25 +289,6 @@ def _sharp_edge_block(origin, offsets, gamma, omega, L, mass, hbar):
         sol[:, 3] = t2_exit / _phase(origin, _offset(q, k, offsets, 1j * gamma * mass / hbar), L)
     sol[:, 4:] = coef
     return sol, terms, t2_exit
-
-
-def sharp_edge_modes(origin: float, offsets, gamma: float, omega, beam_width: float,
-                     mass: float, hbar: float):
-    """``sharp_edge_solve``'s rows with their ``newton_terms``, exponential modes and T2_L.
-
-    The wavenumbers are k = origin + offsets.  Returns (rows, terms, (a,
-    b, c, d), t2_exit): (a, b, c, d) = (a' + b'/dk, -b'/dk, c' + d'/dk,
-    -d'/dk) are not finite where dk = 0 (gamma = 2 omega); t2_exit = T2
-    exp(iqL) is, also where exp(iqL) underflows.  The phases across the
-    beam are formed from the offsets to ``origin``, as the regions' waves
-    are.  Every omega must be > 0.
-    """
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    omega = np.broadcast_to(np.asarray(omega, dtype=float), offsets.shape)
-    rows, terms, t2_exit = _sharp_edge_block(origin, offsets, gamma, omega, beam_width, mass, hbar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b_dk, d_dk = rows[:, 5] / terms[6], rows[:, 7] / terms[6]
-    return rows, terms, (rows[:, 4] + b_dk, -b_dk, rows[:, 6] + d_dk, -d_dk), t2_exit
 
 
 # --- transfer matrices ---------------------------------------------------
@@ -407,16 +398,19 @@ def _compose(stack: np.ndarray, exps: np.ndarray):
 
 
 def transfer_solve(
-    k,
+    origin,
     edges,
     omegas,
     gamma: float,
     mass: float,
     hbar: float,
     return_states: bool = False,
+    offsets=0.0,
 ):
     """Compose slice propagators and impose scattering boundary conditions.
 
+    The wavenumbers are k = origin + offsets (a scan passes k, offsets 0);
+    the ground waves at the outer edges are ``_phase``'s, as the regions'.
     ``edges`` has n_slices + 1 entries; slice j spans [edges[j], edges[j+1]]
     with constant coupling omegas[j].  Outside the first/last edge the
     coupling is zero.  Returns an (nk, 4) array [R1, R2, T1, T2]; with
@@ -437,7 +431,8 @@ def transfer_solve(
     propagator call's peak working memory is about 2.7 times that
     (tracemalloc, 128 slices x 161 k).
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    origin = np.atleast_1d(np.asarray(origin, dtype=float))
+    k = origin + offsets
     nk = k.shape[0]
     edges = np.asarray(edges, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
@@ -475,15 +470,16 @@ def transfer_solve(
 
     q = channel_q(k, gamma, mass, hbar)
 
-    def wave(channel, kappa, x):
-        """exp(i kappa x) in one channel at a support edge, in the scaled basis."""
+    def wave(channel, kappa, value):
+        """A wave of wavenumber kappa and this value at a support edge, in the scaled basis."""
         v = np.zeros((nk, 4), dtype=complex)
-        v[:, 2 * channel] = np.exp(1j * kappa * x)
+        v[:, 2 * channel] = value
         v[:, 2 * channel + 1] = 1j * (kappa / scale) * v[:, 2 * channel]
         return v
 
-    inc, r1, r2 = wave(0, k, x_left), wave(0, -k, x_left), wave(1, -q, x_left)
-    t1, t2 = wave(0, k, x_right), wave(1, q, x_right)
+    inc, r1 = wave(0, k, _phase(origin, offsets, x_left)), wave(0, -k, _phase(-origin, -offsets, x_left))
+    t1 = wave(0, k, _phase(origin, offsets, x_right))
+    r2, t2 = wave(1, -q, np.exp(-1j * q * x_left)), wave(1, q, np.exp(1j * q * x_right))
 
     # With M = 2^e Mt:  Tt1 t1 + Tt2 t2 - R1 Mt r1 - R2 Mt r2 = Mt inc,
     # where Tt = T 2^-e.

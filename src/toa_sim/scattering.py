@@ -5,20 +5,19 @@ are solved directly for the reflection/transmission amplitudes and the
 four interior mode coefficients, giving an evaluable two-component wave
 for every incident wavenumber.
 
-A solution is one list of ``Region``s of anchored exponential modes,
-batched over wavenumbers.  Both backends build it (``_sharp_regions``
-here, ``transfer._slice_regions`` for sliced profiles), and one
-evaluator, ``_region_field``, serves the per-k ``evaluate_state`` and the
-evolving packet of ``ConditionalPropagator``.  The kernels are exact
-through the degenerate point gamma = 2 omega, where the two interior
-modes coincide; only the regions, which exponential modes cannot give
-there, are the two-sided limit of ``_two_sided``.
+A solution is one list of ``Region``s of anchored modes, batched over
+wavenumbers.  Both backends build it (``_sharp_regions`` here,
+``transfer._slice_regions`` for sliced profiles), and one evaluator,
+``_region_field``, serves the per-k ``evaluate_state`` and the evolving
+packet of ``ConditionalPropagator``.  Inside the beam the modes are the
+kernel's Newton basis, exact through gamma = 2 omega, where the two
+interior modes coincide and the field has a Jordan term x exp(i kappa x).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,37 +25,18 @@ from . import kernels
 from .errors import NonPhysicalAbsorption, SingularMatching
 from .model import CONSTANTS, ValidatedConfig
 
-# Relative degeneracy threshold on |gamma - 2 omega| / (gamma + 2 omega).
-EPS_DEGENERATE = 1e-9
-# Relative offset used to evaluate the degenerate point as a two-sided limit.
-DEGENERATE_PERTURBATION = 1e-5
-
 ABSORPTION_BAND = 1e-8
 TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 
 
-def _is_degenerate(gamma: float, omega):
-    """True at the degenerate point gamma = 2 omega, to relative precision EPS_DEGENERATE.
-
-    Only the region builders need it (``_two_sided``).  False for
-    omega = 0; an array of omegas gives the mask of its degenerate points.
-    """
-    return np.abs(gamma - 2.0 * omega) < EPS_DEGENERATE * (gamma + 2.0 * omega)
-
-
 @dataclass(frozen=True)
 class InternalEigensystem:
-    """Eigenrates and eigenvectors of the internal coupling matrix.
-
-    ``degenerate`` marks gamma = 2 omega, where the eigenvectors coincide
-    (``_is_degenerate``); only the region builders need it.
-    """
+    """Eigenrates and eigenvectors of the internal coupling matrix (one pair at gamma = 2 omega)."""
 
     lambda_plus: complex
     lambda_minus: complex
     eigvec_plus: tuple[complex, complex]
     eigvec_minus: tuple[complex, complex]
-    degenerate: bool
 
 
 def internal_eigensystem(gamma: float, omega: float) -> InternalEigensystem:
@@ -65,7 +45,7 @@ def internal_eigensystem(gamma: float, omega: float) -> InternalEigensystem:
     Eigenvectors are unnormalized with first component fixed to 1; they are
     undefined for omega = 0 (callers treat that as the uncoupled case).
     The rates are ``kernels.internal_rates``', accurate to rounding for
-    any omega/gamma; ``degenerate`` is ``_is_degenerate``.
+    any omega/gamma.
     """
     if omega <= 0.0:
         raise ValueError("internal_eigensystem requires omega > 0")
@@ -77,7 +57,6 @@ def internal_eigensystem(gamma: float, omega: float) -> InternalEigensystem:
         lambda_minus=lam_m,
         eigvec_plus=(1.0 + 0j, 2.0 * lam_p / omega),
         eigvec_minus=(1.0 + 0j, 2.0 * lam_m / omega),
-        degenerate=bool(_is_degenerate(gamma, omega)),
     )
 
 
@@ -121,12 +100,16 @@ def _wavenumbers(k: float, gamma: float, omega: float, mass: float,
 class Region:
     """One spatial region of a scattering solution, as per-channel mode lists.
 
-    A mode (coef, sign, delta, anchor) contributes coef * exp(i kappa
-    (x - anchor)) to its channel inside [x1, x2], with kappa = sign *
-    carrier + delta: sign is +1 or -1, coef and delta are (nk,) arrays, one
-    entry per incident wavenumber, and ``carrier`` is one float k0 for all
-    of them (``KGrid.origin``; the wavenumber itself for a one-k solution).
-    The offsets delta are formed without subtracting carrier-size numbers
+    A mode (coef, sign, delta, anchor, gap) adds to its channel inside [x1,
+    x2], with y = x - anchor and kappa = sign * carrier + delta, a plane
+    wave coef exp(i kappa y) (gap None) or a Newton mode coef N(y)
+    (``_newton_wave``): N = (E+ - E-)/gap over the interior pair of its
+    direction, E+ = exp(i kappa y), E- = exp(i (kappa - gap) y), dN/dy =
+    i (E+ + (kappa - gap) N), and N = i y E+ at gap = 0 (gamma = 2 omega),
+    the Jordan term.  sign is +1 or -1; coef, delta and gap are (nk,) arrays, one entry per
+    incident wavenumber, and ``carrier`` is one float k0 for all of them
+    (``KGrid.origin``; the wavenumber itself for a one-k solution).  The
+    offsets delta are formed without subtracting carrier-size numbers
     (``kernels.reference._mode_offsets``), so two waves of one direction
     differ in phase by exactly (delta_mu - delta_nu) y: the field
     evaluator rounds the carrier phase once per point, and the overlap
@@ -137,12 +120,13 @@ class Region:
     transmitted side.  Field evaluation (``_region_field``) and the overlap
     engine (``wavepacket._overlap_sums``) both read it.
 
-    Invariant: every mode is bounded by |coef| in its region, i.e.
-    |exp(i kappa (x - anchor))| <= 1 at each finite endpoint.
-    The overlap engine relies on it: it forms each mode's values on their
-    own and sums products of them, which cannot overflow only because
-    every factor is bounded.  The infinite endpoints are allowed when the
-    corresponding pair exponents decay (excited channel with gamma > 0).
+    Invariant: every mode is bounded in its region: |exp(i kappa y)| <= 1
+    for a plane wave and both E+- of a Newton mode at each finite
+    endpoint, so |N| <= width * |coef|.  The overlap engine relies on it:
+    it forms each mode's values on their own and sums products of them,
+    which cannot overflow only because every factor is bounded.  The
+    infinite endpoints are allowed when the corresponding pair exponents
+    decay (excited channel with gamma > 0).
     """
 
     x1: float
@@ -215,69 +199,57 @@ def _exterior_regions(k0: float, offsets, R1, T1, reflected, transmitted, x_left
     """
     ones = np.ones(offsets.shape, dtype=complex)
     left = Region(-math.inf, x_left, (
-        [(ones, 1.0, offsets, 0.0), (R1, -1.0, -offsets, 0.0)], reflected), k0)
-    right = Region(x_right, math.inf, ([(T1, 1.0, offsets, 0.0)], transmitted), k0)
+        [(ones, 1.0, offsets, 0.0, None), (R1, -1.0, -offsets, 0.0, None)], reflected), k0)
+    right = Region(x_right, math.inf, ([(T1, 1.0, offsets, 0.0, None)], transmitted), k0)
     return left, right
+
+
+def _newton_regions(k0: float, terms, coefficients, x1: float, x2: float) -> Region:
+    """A finite region from its Newton coefficients (a, b, c, d) and the ``newton_terms``.
+
+    The field is a v+ E+ + b (v E)[+,-] forward from x1 and c v+ E+ + d (v
+    E)[+,-] backward from x2, v = (1, u), over (k+, k-): (E)[+,-] = N and (u
+    E)[+,-] = du E+ + u- N, -1 times those over the backward (-k+, -k-).
+    """
+    _, _, d_p, _, u_p, u_m, dk, du, _, _, _ = terms
+    a, b, c, d = coefficients
+    channels = ([], [])
+    for sign, anchor, plane, newton in ((1.0, x1, a, b), (-1.0, x2, c, -d)):
+        channels[0].extend([(plane, sign, sign * d_p, anchor, None),
+                            (newton, sign, sign * d_p, anchor, sign * dk)])
+        channels[1].extend([(u_p * plane + sign * du * newton, sign, sign * d_p, anchor, None),
+                            (u_m * newton, sign, sign * d_p, anchor, sign * dk)])
+    return Region(x1, x2, channels, k0)
 
 
 def _sharp_regions(k0: float, offsets: np.ndarray, config: ValidatedConfig):
     """Amplitudes (R1, R2, T1, T2) and regions of the sharp beam at wavenumbers k0 + offsets.
 
     The amplitudes are the rows of ``sharp_edge_rows``; the interior
-    modes, (a, b) anchored at 0 and (c, d) at L, are the kernel's
-    (``kernels.sharp_edge_modes``) with their offsets from k0
-    (``kernels.reference._mode_offsets``).  The kernel forms its phases
-    across the beam from the same offsets, so the regions match each
-    other to rounding.  The transmitted excited wave
-    is T2_L exp(iq(x - L)), T2_L the kernel's excited value at x = L: it
-    stays finite where exp(iqL) underflows and T2 does not.  At gamma =
-    2 omega the regions are ``_two_sided``'s.
+    holds their Newton coefficients, columns 4-7 (``_newton_regions``).
+    The kernel forms its phases across the beam from the same offsets and
+    ``kernels.newton_mode``, so the regions match to rounding at every
+    coupling.  The transmitted excited wave is T2_L exp(iq(x - L)), T2_L
+    the kernel's excited value at x = L: it stays finite where exp(iqL)
+    underflows and T2 does not.
     """
     L = config.beam_width
     k = k0 + offsets
     if config.omega == 0.0:   # the free ground wave
         rows = sharp_edge_rows(k, config)
         left, right = _exterior_regions(k0, offsets, rows[:, 0], rows[:, 2], [], [], 0.0, L)
-        interior = Region(0.0, L, ([(rows[:, 4], 1.0, offsets, 0.0)], []), k0)
+        interior = Region(0.0, L, ([(rows[:, 4], 1.0, offsets, 0.0, None)], []), k0)
         return tuple(rows[:, :4].T), [left, interior, right]
     hbar = config.constants.hbar
-    rows, terms, (a, b, c, d), t2_exit = kernels.sharp_edge_modes(
+    rows, terms, t2_exit = kernels.sharp_edge_modes(
         k0, offsets, config.gamma, config.omega, L, config.mass, hbar)
     amplitudes = R1, R2, T1, _ = tuple(rows[:, :4].T)
-    if _is_degenerate(config.gamma, config.omega):
-        return amplitudes, _two_sided(
-            lambda perturbed: _sharp_regions(k0, offsets, perturbed)[1], config)
-    u_p, u_m = terms[4:6]
-    d_p, d_m, d_q, _, _ = kernels.reference._mode_offsets(
-        k, offsets, config.gamma, config.omega, config.mass, hbar)
-    interior = Region(0.0, L, tuple(
-        [(vp * a, 1.0, d_p, 0.0), (vm * b, 1.0, d_m, 0.0),
-         (vp * c, -1.0, -d_p, L), (vm * d, -1.0, -d_m, L)]
-        for vp, vm in ((1.0, 1.0), (u_p, u_m))), k0)
-    left, right = _exterior_regions(k0, offsets, R1, T1, [(R2, -1.0, -d_q, 0.0)],
-                                    [(t2_exit, 1.0, d_q, L)], 0.0, L)
+    interior = _newton_regions(k0, terms, rows[:, 4:].T, 0.0, L)
+    d_q = kernels.reference._mode_offsets(k, offsets, config.gamma, config.omega,
+                                          config.mass, hbar)[2]
+    left, right = _exterior_regions(k0, offsets, R1, T1, [(R2, -1.0, -d_q, 0.0, None)],
+                                    [(t2_exit, 1.0, d_q, L, None)], 0.0, L)
     return amplitudes, [left, interior, right]
-
-
-def _two_sided(regions, config: ValidatedConfig) -> list[Region]:
-    """The regions ``regions(config)`` at gamma = 2 omega, as the two-sided limit.
-
-    There the field has an x exp(i kappa x) Jordan term, which exponential
-    modes cannot represent.  The regions, the exterior ones included, are
-    averaged over two solves at gamma (1 -+ DEGENERATE_PERTURBATION), each
-    bringing its own modes at half weight.  Only the builders' amplitudes
-    come from the exact kernels: with an exact exterior the regions would
-    not match (at 0.05 m/s the two solves' k+- L differ by ~8, and their
-    average misses the exact far-edge field by 14 %).
-    """
-    lo, hi = (
-        regions(replace(config, gamma=config.gamma * (1.0 + side * DEGENERATE_PERTURBATION)))
-        for side in (-1.0, 1.0)
-    )
-    return [Region(r.x1, r.x2, tuple([(0.5 * coef, *rest) for coef, *rest in m + n]
-                                     for m, n in zip(r.channel_modes, s.channel_modes)),
-                   r.carrier)
-            for r, s in zip(lo, hi)]
 
 
 def _solution_view(k: float, config: ValidatedConfig, amplitudes, regions,
@@ -311,8 +283,8 @@ def _solution_view(k: float, config: ValidatedConfig, amplitudes, regions,
 def solve_sharp_edge(k: float, config: ValidatedConfig) -> ScatteringSolution:
     """Matched stationary wave of the sharp beam for one incident wavenumber k > 0.
 
-    The amplitudes are the row of ``sharp_edge_rows``; at the degenerate
-    point gamma = 2 omega the regions hold the two-sided limit.
+    The amplitudes are the row of ``sharp_edge_rows``, the regions
+    ``_sharp_regions``'.
     """
     if not (k > 0.0):
         raise ValueError(f"k must be > 0, got {k!r}")
@@ -328,18 +300,25 @@ def solve_sharp_edge(k: float, config: ValidatedConfig) -> ScatteringSolution:
 def _region_values(region: Region, weights, x: np.ndarray, derivative: bool):
     """Both channels of one region at x, and d/dx (or None), each (2, nx).
 
-    Sums weights * coef * exp(i kappa (x - anchor)) over the modes (waves
-    from ``_wave``), without the plane-wave normalization.
+    Sums weights * coef times each mode (``Region``: plane waves from
+    ``_wave``, Newton modes from ``_newton_wave``), without the plane-wave
+    normalization.
     """
     val = np.zeros((2, x.shape[0]), dtype=complex)
     der = np.zeros_like(val) if derivative else None
     for ch in (0, 1):
-        for coef, sign, delta, anchor in region.channel_modes[ch]:
+        for coef, sign, delta, anchor, gap in region.channel_modes[ch]:
             wc = weights * coef
-            waves = _wave(region.carrier, sign, delta, x - anchor)
+            kappa = sign * region.carrier + delta
+            if gap is None:
+                waves = _wave(region.carrier, sign, delta, x - anchor)
+                slope = (1j * kappa * wc) @ waves if derivative else 0.0
+            else:   # dN/dy = i (E+ + kappa- N)
+                e_p, waves = _newton_wave(region.carrier, sign, delta, gap, x - anchor)
+                slope = (1j * wc) @ e_p + (1j * (kappa - gap) * wc) @ waves if derivative else 0.0
             val[ch] += wc @ waves
             if derivative:
-                der[ch] += (1j * (sign * region.carrier + delta) * wc) @ waves
+                der[ch] += slope
     return val, der
 
 
@@ -351,6 +330,15 @@ def _wave(carrier: float, sign: float, delta, y):
     alone, so a bounded wave cannot overflow.
     """
     return np.exp(1j * (sign * carrier * np.asarray(y))) * np.exp(1j * np.multiply.outer(delta, y))
+
+
+def _newton_wave(carrier: float, sign: float, delta, gap, y):
+    """(E+, N) of a Newton mode (``Region``) at y, shaped and phased as ``_wave``'s waves."""
+    y = np.asarray(y)
+    col = (Ellipsis,) + (None,) * y.ndim
+    newton, plus_big, e_big, expm1 = kernels.newton_mode(
+        np.exp(1j * (sign * carrier * y)), delta[col], (delta - gap)[col], gap[col], y)
+    return np.where(plus_big, e_big, e_big * (1.0 + expm1)), newton
 
 
 def _region_field(regions: list[Region], weights, x, derivative: bool = False):
@@ -387,8 +375,8 @@ def _region_field(regions: list[Region], weights, x, derivative: bool = False):
 def evaluate_state(sol: ScatteringSolution, x, derivative: bool = False):
     """Evaluate the matched two-component wave (and optionally d/dx) at x.
 
-    Reads the solution's regions, so both backends and the degenerate
-    point evaluate alike.  Returns an array of shape (2, ...) or a
+    Reads the solution's regions, so both backends and every coupling
+    evaluate alike.  Returns an array of shape (2, ...) or a
     ((2, ...), (2, ...)) tuple with ``derivative=True``.  Includes the
     1/sqrt(2 pi) plane-wave normalization.
     """

@@ -4,7 +4,8 @@ The profile is sliced into piecewise-constant segments; a 4x4 propagator
 in the (phi1, phi1', phi2, phi2') value/derivative basis maps each slice,
 so coupled and uncoupled segments compose in a single basis.  For the
 sharp-edged profile this reduces to one slice and serves as the
-independent cross-check of the closed-form solver.
+independent cross-check of the closed-form solver.  A coupled slice holds
+the sharp beam's Newton basis, exact through gamma = 2 omega_j.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .scattering import (
     Region,
     ScatteringSolution,
     _exterior_regions,
-    _is_degenerate,
+    _newton_regions,
     _solution_view,
-    _two_sided,
     _wave,
 )
 
@@ -148,58 +148,54 @@ def _slice_regions(k0: float, offsets: np.ndarray, decomp: SliceDecomposition,
     """Amplitudes (R1, R2, T1, T2) and regions of the sliced profile at wavenumbers k0 + offsets.
 
     ``transfer_solve`` gives the amplitudes and the state at every slice
-    edge; each slice's four exponential modes, with their offsets from k0
-    (``kernels.reference._mode_offsets``), are fitted to the state at its
-    left edge, anchored so that each is bounded across the slice.  At a
-    degenerate slice (gamma = 2 omega_j) the modes coincide and cannot be
-    fitted, so the regions are the two-sided limit of ``_two_sided``.
+    edge.  A coupled slice holds the Newton basis over its width
+    (``_newton_regions``), fitted to the state at its left edge, where the
+    forward Newton mode is 0 with slope i; an uncoupled one the free ground
+    wave (k+ = k) and the decaying excited wave (k- = q).  The excited
+    half-lines start from the edge states, so they meet the outer slices
+    whatever the rounding of exp(iqx) there.
     """
     edges = np.asarray(decomp.edges)
     omegas = np.asarray(decomp.omegas)
     hbar = config.constants.hbar
-    k = k0 + offsets
-    if np.any(_is_degenerate(config.gamma, omegas)):  # the exact amplitudes need no states
-        return tuple(transfer_rows(k, decomp, config).T), _two_sided(
-            lambda perturbed: _slice_regions(k0, offsets, decomp, perturbed)[1], config)
-    amps, states = kernels.transfer_solve(
-        k, edges, omegas, config.gamma, config.mass, hbar, return_states=True
-    )
-    nk = k.shape[0]
-    signs = (1.0, 1.0, -1.0, -1.0)
+    nk = offsets.shape[0]
+    amps, states = kernels.transfer_solve(np.full(nk, k0), edges, omegas, config.gamma,
+                                          config.mass, hbar, return_states=True, offsets=offsets)
+    # slopes in units of the power of two in (k0, 2 k0], as in transfer_solve
+    unit = np.array([1.0, math.ldexp(1.0, math.frexp(k0)[1])] * 2)[:, None]
     slices = []
-    for j in range(omegas.shape[0]):
+    for j, om in enumerate(omegas.tolist()):
         xa, xb = float(edges[j]), float(edges[j + 1])
-        om = float(omegas[j])
-        d_p, d_m, d_q, lam_p, lam_m = kernels.reference._mode_offsets(
-            k, offsets, config.gamma, om, config.mass, hbar)
-        deltas = (d_p, d_m, -d_p, -d_m)
-        anchors = (xa, xa, xb, xb)
         if om > 0.0:
-            u_p = 2.0 * lam_p / om
-            u_m = 2.0 * lam_m / om
-            vecs = ((1.0, u_p), (1.0, u_m), (1.0, u_p), (1.0, u_m))
-        else:  # free ground wave (k+ = k) and decaying excited wave (k- = q)
-            vecs = ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
-        basis = np.zeros((nk, 4, 4), dtype=complex)
-        for mu in range(4):
-            wave = _wave(k0, signs[mu], deltas[mu], xa - anchors[mu])
-            kappa = signs[mu] * k0 + deltas[mu]
-            for ch in (0, 1):
-                basis[:, 2 * ch, mu] = vecs[mu][ch] * wave
-                basis[:, 2 * ch + 1, mu] = 1j * kappa * basis[:, 2 * ch, mu]
-        coeffs = np.linalg.solve(basis, states[:, j, :][:, :, None])[:, :, 0]
-        channels = ([], [])
-        for mu in range(4):
-            for ch in (0, 1):
-                c = coeffs[:, mu] * vecs[mu][ch]
-                if np.any(c != 0.0):
-                    channels[ch].append((c, signs[mu], deltas[mu], anchors[mu]))
-        slices.append(Region(x1=xa, x2=xb, channel_modes=channels, carrier=k0))
-    amplitudes = R1, R2, T1, T2 = tuple(amps.T)
-    # d_q, the excited offset, is the same in every slice
-    left, right = _exterior_regions(k0, offsets, R1, T1, [(R2, -1.0, -d_q, 0.0)],
-                                    [(T2, 1.0, d_q, 0.0)], edges[0], edges[-1])
-    return amplitudes, [left, *slices, right]
+            terms = kernels.newton_terms(k0, offsets, config.gamma, om, xb - xa, config.mass, hbar)
+            _, _, d_p, d_m, u_p, u_m, _, du, ep, _, de = terms
+            kp, km, back = k0 + d_p, k0 + d_m, ep + (k0 + d_m) * de
+            # the kernel's columns (ground value, slope, excited value, slope)
+            columns = [(1.0, 1j * kp, u_p, 1j * kp * u_p), (0.0, 1j, du, 1j * (kp * du + u_m)),
+                       (ep, -1j * kp * ep, u_p * ep, -1j * kp * u_p * ep),
+                       (de, -1j * back, du * ep + u_m * de, -1j * (du * kp * ep + u_m * back))]
+        else:
+            d_p, d_m = kernels.reference._mode_offsets(k0 + offsets, offsets, config.gamma, om,
+                                                       config.mass, hbar)[:2]
+            free = ((1.0, d_p, xa), (1.0, d_m, xa), (-1.0, -d_p, xb), (-1.0, -d_m, xb))
+            columns = []
+            for mu, (sign, delta, anchor) in enumerate(free):
+                wave = _wave(k0, sign, delta, xa - anchor)
+                pair = (wave, 1j * (sign * k0 + delta) * wave)
+                columns.append(pair + (0.0, 0.0) if mu % 2 == 0 else (0.0, 0.0) + pair)
+        basis = np.stack([np.stack(np.broadcast_arrays(*column), axis=-1) for column in columns], -1)
+        coeffs = np.linalg.solve(basis / unit, states[:, j, :, None] / unit)
+        a, b, c, d = coeffs[:, :, 0].T
+        slices.append(_newton_regions(k0, terms, (a, b, c, d), xa, xb) if om > 0.0 else
+                      Region(xa, xb, ([(a, 1.0, d_p, xa, None), (c, -1.0, -d_p, xb, None)],
+                                      [(b, 1.0, d_m, xa, None), (d, -1.0, -d_m, xb, None)]), k0))
+    R1, _, T1, _ = amps.T
+    d_q = kernels.reference._mode_offsets(k0 + offsets, offsets, config.gamma, 0.0,
+                                          config.mass, hbar)[2]
+    left, right = _exterior_regions(
+        k0, offsets, R1, T1, [(states[:, 0, 2], -1.0, -d_q, edges[0], None)],
+        [(states[:, -1, 2], 1.0, d_q, edges[-1], None)], edges[0], edges[-1])
+    return tuple(amps.T), [left, *slices, right]
 
 
 def solve_profile(

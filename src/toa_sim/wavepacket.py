@@ -2,43 +2,20 @@
 
 The packet is expanded over stationary scattering states on a
 Gauss-Legendre wavenumber grid.  Spatial integrals of the evolving state
-(excited population, survival norm) are quadratic forms in analytically
-integrated overlap matrices: every piece of a stationary state is a plane
-wave or a decaying exponential, so region overlaps have closed forms and
-no spatial grid is ever needed.  That is what makes millimetre-wide
-packets with picometre de Broglie oscillations tractable.
+(excited population, survival norm) are quadratic forms in overlap
+matrices integrated exactly, region by region, with no spatial grid: that
+is what makes millimetre-wide packets with picometre de Broglie
+oscillations tractable.
 
 The overlap engine (``_overlap_sums``) needs no (nk, nk) exponential.
 Every wave is sign * k0 + delta with one carrier k0 and small offsets
-delta (``Region``), anchored so that it is bounded by its coefficient
-inside its region (the ``Region`` invariant; region construction must
-keep it, the engine does not check it).  It treats the two kinds of
-region apart:
-
-* Inside the beam (the sharp beam's [0, L], every slice of a sliced
-  profile) a region is finite.  With the carrier taken out, the field of
-  each direction, G(x) = sum of coef exp(i delta (x - anchor)), is smooth,
-  so its Gram is exactly G W G^H at the nodes and weights of a
-  Gauss-Legendre rule whose size follows from the spread of the deltas
-  over the width.  The products of the two directions carry the carrier
-  twice; their pair integrals have denominators near 2 i k0 and become
-  short exact separable sums.  Both are Hermitian low-rank products,
-  which each matrix adds in one product per LOW_RANK_COLUMNS columns,
-  over the upper tiles of its half.  The slices of a beam are evaluated
-  together, INTERIOR_BATCH at a time.
-* The two half-lines reach to infinity.  Each pair integral is a
-  difference of outer products of endpoint values over the Cauchy
-  denominator i (kappa_mu - conj(kappa_nu)); the pairs are grouped by
-  that denominator (the ground and excited channels share it, a pair
-  (-kappa_mu, -kappa_nu) only flips its sign), and the groups run over
-  fixed row tiles, upper tiles only: per tile and group the engine
-  inverts the denominator once, and per matrix it forms the group's
-  summed numerator as one stacked matrix product.  Near-resonant elements
-  are evaluated again term by term, as a series or a quotient at their
-  own width.  The group across the carrier, (k, -k), joins the low-rank
-  products.
-
-Each matrix is then its upper half completed once, half + half^H.
+delta, bounded inside its region (``Region``; region construction keeps
+that, the engine does not check it).  Inside the beam a direction's field
+is smooth once the carrier is out, so its Gram is a Gauss-Legendre
+product, and the products across the carrier are short separable sums;
+on the two half-lines the pair integrals are Cauchy blocks grouped by
+denominator.  All of it fills the upper tiles of each matrix's half,
+completed once, half + half^H.
 
 ``ConditionalPropagator.overlap_matrices`` builds the detection and norm
 matrices in one such pass.  The excited channel is integrated once for
@@ -233,6 +210,16 @@ class KGrid:
     def nodes(self) -> np.ndarray:
         return self.origin + self.offsets
 
+    def frequencies(self, mass: float, hbar: float) -> tuple[float, np.ndarray]:
+        """(omega_ref, omega_rel): E_k / hbar = omega_ref + omega_rel, omega_rel of mean 0.
+
+        k^2 - origin^2 = offsets (2 origin + offsets) keeps every frequency
+        difference to rounding of itself.
+        """
+        excess = self.offsets * (2.0 * self.origin + self.offsets)
+        rate = hbar / (2.0 * mass)
+        return float(rate * (self.origin ** 2 + excess.mean())), rate * (excess - excess.mean())
+
 
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +361,7 @@ def _pair_groups(k0: float, terms) -> list[_PairGroup]:
     """The ordered pair terms of the half-lines' Gram terms, grouped by denominator.
 
     A term (out, modes, x1, x2, scale) stands for scale times the Gram of
-    the channel ``modes`` over [x1, x2], added to output ``out``.  Every
+    the channel ``modes`` (plane waves) over [x1, x2], added to output ``out``.  Every
     ordered pair (mu, nu) enters at half weight, so that each output's
     summed blocks are Hermitian and the completion half + half^H restores
     the whole weight.  Modes are keyed by the values of (sign, delta); a
@@ -401,10 +388,10 @@ def _pair_groups(k0: float, terms) -> list[_PairGroup]:
         xs = np.array([x for x, _ in points])
         # carrier-free values coef exp(i delta (x - anchor)) at the finite ends
         values = [coef * np.exp(1j * np.multiply.outer(xs - anchor, delta))
-                  for coef, _, delta, anchor in modes]
+                  for coef, _, delta, anchor, _ in modes]
         keys = [key_of(mode[1], mode[2]) for mode in modes]
-        for mu, (_, s_mu, _, a_mu) in enumerate(modes):
-            for nu, (_, s_nu, _, a_nu) in enumerate(modes):
+        for mu, (_, s_mu, _, a_mu, _) in enumerate(modes):
+            for nu, (_, s_nu, _, a_nu, _) in enumerate(modes):
                 (i, s), (j, t) = keys[mu], keys[nu]
                 key, sign = min(((i, s, j, t), 1.0), ((i, -s, j, -t), -1.0))
                 # the pair's carrier at the ends: exactly 1 for one direction and anchor
@@ -467,22 +454,22 @@ def _spread(a: np.ndarray, b: np.ndarray):
         return np.abs(u).max(axis=-1) / np.abs(d).min(axis=-1), u, d
 
 
-def _separable(a: np.ndarray, b: np.ndarray):
+def _separable(a: np.ndarray, b: np.ndarray, min_order: int = 1):
     """Powers and inverses of 1/(a_i - b_j) as a short separable sum, or None.
 
     With u and d of ``_spread``, 1/(a_i - b_j) = 1/(d_j + u_i) =
     sum_{q<n} (-u_i)^q / d_j^(q+1) up to a relative rho^n (Beckermann &
     Townsend, SIAM J. Matrix Anal. Appl. 38, 1227 (2017)).  Where rho <=
     FAR_SPREAD in every set (pairs whose denominator crosses the carrier,
-    about 2 i k0), n is the first order with rho^n <= 2^-53, and the
-    result is the powers (-u)^q and the inverses 1/d^(q+1), the order
-    first.
+    about 2 i k0), n is the first order with rho^n <= 2^-53, at least
+    ``min_order``, and the result is the powers (-u)^q and the inverses
+    1/d^(q+1), the order first.
     """
     rho, u, d = _spread(a, b)
     rho = float(np.max(rho))
     if not rho <= FAR_SPREAD:
         return None
-    n = 1 if rho == 0.0 else math.ceil(53.0 / -math.log2(rho))
+    n = max(min_order, 1 if rho == 0.0 else math.ceil(53.0 / -math.log2(rho)))
     powers = np.empty((n,) + u.shape, dtype=complex)
     inverses = np.empty((n,) + d.shape, dtype=complex)
     powers[0] = 1.0
@@ -590,77 +577,87 @@ def _gl_nodes(spread: float) -> int:
 def _interior_products(k0: float, terms, low_rank: _LowRank) -> None:
     """Add the Grams of interior terms of one output to its low-rank buffer.
 
-    A term (out, modes, x1, x2, scale) has finite ends.  Its modes split
-    into the waves of each direction, sign * k0 + delta.  With the carrier
-    taken out, a direction's field G(x) = sum of coef exp(i delta (x -
-    anchor)) is smooth, and its Gram is exactly G W G^H at the nodes and
-    weights of a Gauss-Legendre rule (``_gauss_products``).  The products
-    of the two directions carry the carrier twice, exp(2 i k0 x): their
-    pair integrals [f_mu conj(f_nu)]_x1^x2 / (i alpha) have alpha about
-    2 k0 and become short separable sums (``_crossing``), taken about the
-    centre of the forward waves.  Where that does not separate (slow
-    atoms, whose k+ and k- differ by much; near a closed channel, Re k+-
-    -> 0), the channel is one field, the carrier included, under a wider
-    rule.  Up to INTERIOR_BATCH terms with the same mode signs and
-    treatment are evaluated together, as (terms, nk, nodes) arrays.
+    A term (out, modes, x1, x2, scale) has finite ends.  With the carrier
+    taken out, the field G(x) of each direction's modes (``Region``) is
+    smooth, and its Gram is exactly G W G^H at the nodes and weights of a
+    Gauss-Legendre rule (``_gauss_products``).  The products of the two
+    directions carry the carrier twice, exp(2 i k0 x): their pair
+    integrals [f_mu conj(f_nu)]_x1^x2 / (i alpha) have alpha about 2 k0 and
+    become short separable sums (``_crossing``) about the centre of the
+    forward waves.  Where that does not separate (slow atoms, whose k+ and
+    k- differ by much; near a closed channel, Re k+- -> 0), the channel is
+    one field, the carrier included, under a wider rule.  Up to
+    INTERIOR_BATCH terms with the same mode kinds and treatment are
+    evaluated together, as (terms, nk, nodes) arrays.
     """
     buckets: dict = {}
     for _, modes, x1, x2, scale in terms:
-        buckets.setdefault(tuple(mode[1] for mode in modes), []).append((modes, x1, x2, scale))
+        kinds = tuple((mode[1], mode[4] is not None) for mode in modes)
+        buckets.setdefault(kinds, []).append((modes, x1, x2, scale))
     # a few dozen terms per batch bound the (terms, modes, nk) stacks
-    batches = [(signs, terms[start:start + INTERIOR_BATCH])
-               for signs, terms in buckets.items()
+    batches = [(kinds, terms[start:start + INTERIOR_BATCH])
+               for kinds, terms in buckets.items()
                for start in range(0, len(terms), INTERIOR_BATCH)]
-    for signs, batch in batches:
-        signs = np.array(signs)
+    for kinds, batch in batches:
+        signs, newton = (np.array(column) for column in zip(*kinds))
         coef = np.array([[mode[0] for mode in modes] for modes, *_ in batch])
         delta = np.array([[mode[2] for mode in modes] for modes, *_ in batch])
+        gap = np.array([[0 * m[2] if m[4] is None else m[4] for m in modes] for modes, *_ in batch])
         anchor = np.array([[mode[3] for mode in modes] for modes, *_ in batch])
         x1, x2, scale = (np.array(column, dtype=float) for column in list(zip(*batch))[1:])
         fwd, bwd = np.flatnonzero(signs > 0.0), np.flatnonzero(signs < 0.0)
         separable = np.ones(len(batch), dtype=bool)   # one direction: nothing crosses the carrier
-        if fwd.size and bwd.size:
-            separable = _spread(1j * (k0 + delta[:, fwd]).reshape(len(batch), -1),
-                                1j * (-k0 + np.conj(delta[:, bwd])).reshape(len(batch), -1)
-                                )[0] <= FAR_SPREAD
+        if fwd.size and bwd.size:   # both waves of a Newton pair, kappa and kappa - gap
+            a, b = (np.concatenate([delta[:, m], delta[:, m] - gap[:, m]], 1) for m in (fwd, bwd))
+            separable = _spread(1j * (k0 + a).reshape(len(batch), -1),
+                                1j * (-k0 + np.conj(b)).reshape(len(batch), -1))[0] <= FAR_SPREAD
         for one_field in (False, True):
             chosen = ~separable if one_field else separable
             if not chosen.any():
                 continue
-            args = (coef[chosen], delta[chosen], anchor[chosen], x1[chosen], x2[chosen],
-                    scale[chosen], low_rank)
+            args = (coef[chosen], delta[chosen], gap[chosen], anchor[chosen], x1[chosen],
+                    x2[chosen], scale[chosen], low_rank)
             if one_field:   # the carrier included
-                _gauss_products(k0, signs, *args)
+                _gauss_products(k0, signs, newton, *args)
                 continue
             if fwd.size and bwd.size:
                 # 16 terms give at most 256 rows at the usual 2-4 orders
                 for start in range(0, int(chosen.sum()), 16):
-                    _crossing(k0, fwd, bwd, *(arg[start:start + 16] for arg in args[:-1]),
-                              low_rank)
+                    _crossing(k0, fwd, bwd, newton,
+                              *(arg[start:start + 16] for arg in args[:-1]), low_rank)
             for members in (fwd, bwd):
                 if members.size:
-                    _gauss_products(k0, signs[members], coef[chosen][:, members],
-                                    delta[chosen][:, members], anchor[chosen][:, members],
-                                    *args[3:])
+                    _gauss_products(k0, signs[members], newton[members],
+                                    *(arg[:, members] for arg in args[:4]), *args[4:])
 
 
-def _gauss_products(k0, signs, coef, delta, anchor, x1, x2, scale, low_rank) -> None:
-    """G W G^H of the fields sum_m coef exp(i kappa_m (x - anchor)) of each term, by Gauss-Legendre.
+def _gauss_products(k0, signs, newton, coef, delta, gap, anchor, x1, x2, scale, low_rank) -> None:
+    """G W G^H of the fields of each term (``Region`` modes), by Gauss-Legendre.
 
-    ``coef``, ``delta``: (T, M, nk); ``anchor``: (T, M); ``x1``, ``x2``,
-    ``scale``: (T,).  Each wave is taken relative to the carrier of the
-    first mode, sign_0 k0 (x - anchor_0), which cancels in G G^H (and is
-    exactly 0 for waves of its direction and anchor).  The rule follows
-    from the spread of kappa_m - sign_0 k0 over the width (``_gl_nodes``),
-    cut into equal panels of at most PANEL_SPREAD; the nodes of all terms
-    with one rule are evaluated LOW_RANK_COLUMNS at a time.
+    ``coef``, ``delta``, ``gap``: (T, M, nk), ``gap`` 0 for a plane wave;
+    ``anchor``: (T, M); ``x1``, ``x2``, ``scale``: (T,); ``newton``: (M,).
+    Each wave is taken relative to the carrier of the first mode, sign_0
+    k0 (x - anchor_0), which cancels in G G^H.  The rule follows from the
+    spread s of kappa_m - sign_0 k0 over the width, both waves of a Newton
+    mode included (``_gl_nodes``), with one node more for a Newton mode: y
+    times waves, its products' 2n-th derivatives on a panel mapped to [-1,
+    1] exceed s^2n by at most 2n s^(2n-1) + n^2 s^(2n-2), which the
+    remainder of one more node absorbs.  It is cut into panels of at most
+    PANEL_SPREAD.  The nodes of all terms with one rule are evaluated
+    LOW_RANK_COLUMNS at a time, a plane wave at a Newton mode's kappa and
+    anchor from that mode's larger wave.
     """
-    effective = (signs - signs[0])[None, :, None] * k0 + delta
+    lower = delta - gap
+    partners = {m: p for m in np.flatnonzero(newton) for p in np.flatnonzero(~newton)
+                if signs[p] == signs[m] and np.array_equal(anchor[:, p], anchor[:, m])
+                and np.array_equal(delta[:, p], delta[:, m])}
+    shift = (signs - signs[0])[None, :, None] * k0
+    effective = np.concatenate([shift + delta, shift + lower], axis=1)
     re = effective.real.reshape(len(x1), -1)
     spread = 0.5 * (x2 - x1) * np.hypot(re.max(axis=1) - re.min(axis=1),
                                         2.0 * np.abs(effective.imag).reshape(len(x1), -1).max(axis=1))
     panels = np.maximum(1, np.ceil(spread / PANEL_SPREAD)).astype(int)
-    nodes = np.array([_gl_nodes(s / p) for s, p in zip(spread, panels)])
+    nodes = np.array([_gl_nodes(s / p) + int(newton.any()) for s, p in zip(spread, panels)])
     for n_panels, n_nodes in set(zip(panels.tolist(), nodes.tolist())):
         chosen = np.flatnonzero((panels == n_panels) & (nodes == n_nodes))
         t_unit, w_unit = _gauss_legendre(n_nodes)
@@ -673,45 +670,81 @@ def _gauss_products(k0, signs, coef, delta, anchor, x1, x2, scale, low_rank) -> 
         x, weight = x.ravel(), weight.ravel()
         for start in range(0, x.size, LOW_RANK_COLUMNS):
             cols = slice(start, start + LOW_RANK_COLUMNS)
-            y = x[cols, None] - anchor[term[cols]]                         # (C, M)
+            t_m = term[cols]
+            y = x[cols, None] - anchor[t_m]                                # (C, M)
             carrier = np.exp(1j * k0 * (signs * y - signs[0] * y[:, :1]))
             field = 0j
             for m in range(signs.size):                                    # (C, nk)
-                wave = np.exp(1j * delta[term[cols], m] * y[:, m, None])
-                wave *= coef[term[cols], m] * carrier[:, m, None]
+                if m in partners.values():
+                    continue
+                if newton[m]:
+                    wave, plus_big, e_big, expm1 = kernels.newton_mode(
+                        carrier[:, m, None], delta[t_m, m], lower[t_m, m], gap[t_m, m],
+                        y[:, m, None])
+                    if m in partners:   # its plane wave E+, the larger wave or E_big exp(z)
+                        field = field + coef[t_m, partners[m]] * np.where(
+                            plus_big, e_big, e_big * (1.0 + expm1))
+                else:
+                    wave = np.exp(1j * delta[t_m, m] * y[:, m, None])
+                    wave *= carrier[:, m, None]
+                wave *= coef[t_m, m]
                 field = field + wave
             low_rank.add(field * weight[cols, None], field.conj())
 
 
-def _crossing(k0, fwd, bwd, coef, delta, anchor, x1, x2, scale, low_rank) -> None:
-    """Products of the forward and backward waves of each term, as separable factors.
+def _crossing(k0, fwd, bwd, newton, coef, delta, gap, anchor, x1, x2, scale, low_rank) -> None:
+    """Products of the forward and backward modes of each term, as separable factors.
 
     For forward waves (k0 + delta_a, modes ``fwd``) anchored at A and
     backward waves (-k0 + delta_b, modes ``bwd``) anchored at B, the pair
     integrals add up to sum over the ends x (+ at x2, - at x1) of
     exp(i k0 ((x - A) + (x - B))) sum_q L_q(x) R_q(x)^T, with L_q = sum_a
     f_a(x) (-u_a)^q and R_q = sum_b conj(f_b(x)) / d_b^(q+1) about the
-    centre of the forward waves (``_separable``); the products of the
-    backward with the forward waves are their conjugate transpose.
+    centre of the forward waves (``_separable``, two orders at least); the
+    backward-forward products are their conjugate transpose.  A Newton
+    mode's factors are divided differences over its pair, by Leibniz's
+    rule: with (-u)[+,-] = -i, L_q = -i f+ (-u+)^(q-1) + L_(q-1) (-u-)
+    from L_0 = N; with (1/d)[+,-] = i / (d+ d-), R_q = i conj(f+) /
+    (d+^(q+1) d-) + R_(q-1) / d- from R_-1 = conj(N).  No division by the
+    gap.
     """
     n_terms, nk = x1.size, coef.shape[2]
-    powers, inverses = _separable(1j * (k0 + delta[:, fwd]).reshape(n_terms, -1),
-                                  1j * (-k0 + np.conj(delta[:, bwd])).reshape(n_terms, -1))
+    lower = delta - gap
+    fwd_n, bwd_n = newton[fwd], newton[bwd]
+    a = np.concatenate([delta[:, fwd], lower[:, fwd[fwd_n]]], axis=1)
+    b = np.concatenate([delta[:, bwd], lower[:, bwd[bwd_n]]], axis=1)
+    powers, inverses = _separable(1j * (k0 + a).reshape(n_terms, -1),
+                                  1j * (-k0 + np.conj(b)).reshape(n_terms, -1), min_order=2)
     powers = powers.reshape(powers.shape[:2] + (-1, nk))
     inverses = inverses.reshape(inverses.shape[:2] + (-1, nk))
+    # the factors at kappa- of the Newton pairs: -u- and 1/d-
+    minus_u, inv_d = powers[1, :, fwd.size:], inverses[0, :, bwd.size:]
+    powers, inverses = powers[:, :, :fwd.size], inverses[:, :, :bwd.size]
     # waves of one direction relative to its first anchor (exactly 1 where they share it)
     ref_a, ref_b = anchor[:, fwd[:1]], anchor[:, bwd[:1]]
     coef_a = np.exp(1j * k0 * (ref_a - anchor[:, fwd]))[:, :, None] * coef[:, fwd]
     coef_b = np.exp(-1j * k0 * (ref_b - anchor[:, bwd]))[:, :, None] * coef[:, bwd]
+    # both ends at once, (2, terms, modes, nk): x2 (+) and x1 (-)
+    ends = np.stack([x2, x1])
+    y_a = (ends[:, :, None] - anchor[:, fwd])[..., None]
+    y_b = (ends[:, :, None] - anchor[:, bwd])[..., None]
+    f_as = coef_a * np.exp(1j * delta[:, fwd] * y_a)
+    f_bs = np.conj(coef_b * np.exp(1j * delta[:, bwd] * y_b))
+    l_ns = coef_a[:, fwd_n] * kernels.newton_mode(
+        1.0, delta[:, fwd[fwd_n]], lower[:, fwd[fwd_n]], gap[:, fwd[fwd_n]], y_a[:, :, fwd_n])[0]
+    r_ns = np.conj(coef_b[:, bwd_n] * kernels.newton_mode(
+        1.0, delta[:, bwd[bwd_n]], lower[:, bwd[bwd_n]], gap[:, bwd[bwd_n]], y_b[:, :, bwd_n])[0])
     left, right = [], []
-    for x, end_sign in ((x2, 1.0), (x1, -1.0)):
+    for x, end_sign, f_a, f_b, l_n, r_n in zip(ends, (1.0, -1.0), f_as, f_bs, l_ns, r_ns):
         phase = end_sign * scale * np.exp(1j * k0 * ((x - ref_a[:, 0]) + (x - ref_b[:, 0])))
-        f_a = coef_a * np.exp(1j * delta[:, fwd] * (x[:, None] - anchor[:, fwd])[:, :, None])
-        f_b = np.conj(coef_b * np.exp(
-            1j * delta[:, bwd] * (x[:, None] - anchor[:, bwd])[:, :, None]))
         for q in range(powers.shape[0]):
-            left.append(phase[:, None] * np.einsum("tmi,tmi->ti", f_a, powers[q]))
-            right.append(np.einsum("tmi,tmi->ti", f_b, inverses[q]))
+            if q:
+                l_n = -1j * f_a[:, fwd_n] * powers[q - 1][:, fwd_n] + l_n * minus_u
+            r_n = 1j * f_b[:, bwd_n] * inverses[q][:, bwd_n] * inv_d + r_n * inv_d
+            left.append(phase[:, None] * (
+                np.einsum("tmi,tmi->ti", f_a[:, ~fwd_n], powers[q][:, ~fwd_n]) + l_n.sum(axis=1)))
+            right.append(np.einsum("tmi,tmi->ti", f_b[:, ~bwd_n], inverses[q][:, ~bwd_n])
+                         + r_n.sum(axis=1))
     low_rank.add_far(np.concatenate(left), np.concatenate(right))
 
 
@@ -853,15 +886,7 @@ class ConditionalPropagator:
         self.q = kernels.channel_q(k, config.gamma, config.mass, hbar)
         self.psi = grid_amplitude(spec, self.grid)
         self.coeff = self.grid.weights * self.psi
-        # omega - omega_ref in the offset form of the waves, which are exactly
-        # origin + offsets: (k^2 - origin^2) = offsets (2 origin + offsets)
-        # keeps every frequency difference to rounding of itself, as the
-        # route check needs
-        offsets = self.grid.offsets
-        excess = offsets * (2.0 * self.grid.origin + offsets)
-        rate = hbar / (2.0 * config.mass)
-        self.omega_ref = float(rate * (self.grid.origin ** 2 + excess.mean()))
-        self.omega_rel = rate * (excess - excess.mean())
+        self.omega_ref, self.omega_rel = self.grid.frequencies(config.mass, hbar)
 
         if backend == "analytic":
             if config.profile.kind != "sharp":

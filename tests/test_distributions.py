@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,37 @@ class TestFreeFlux:
         assert spacing == pytest.approx(beat, rel=0.05)
 
 
+def fig6_packet():
+    """The paper's interference packet (the CLI's fig6 preset), its waist time and width."""
+    v1, sigx, L = 167.05, 4233e-6, 5e-6
+    tw = (12 * sigx + L) / v1
+    comps = tuple(GaussianComponent(mean_velocity=v, delta_x=sigx, waist_position=L,
+                                    waist_time=tw) for v in (v1, v1 + 0.9e-6))
+    return PacketSpec(components=comps, mass=MASS), tw, 5 * sigx / v1
+
+
+class TestFreeFrequencies:
+    def test_fig6_flux_matches_exact_frequency_differences(self):
+        # over the 0.6 s passage the rounded k^2 moved J by 3e-7 of its
+        # maximum; the nodes' offset form keeps every frequency difference
+        spec, tw, half = fig6_packet()
+        L = 5e-6
+        times = grid(tw - half, tw + half, 400)
+        got = ds.free_flux(spec, L, times).values
+        g = default_kgrid(spec)
+        rows = list(range(0, 401, 50))
+        with mp.workdps(40):
+            origin = mp.mpf(float(g.origin))
+            rate = mp.mpf(HBAR) / (2 * mp.mpf(MASS))
+            excess = [mp.mpf(float(d)) * (2 * origin + mp.mpf(float(d))) for d in g.offsets]
+            phases = np.array([[complex(mp.exp(-1j * rate * e * mp.mpf(float(times.times[i]))))
+                                for e in excess] for i in rows])
+        coeff = g.weights * grid_amplitude(spec, g) * np.exp(1j * g.nodes * L)
+        b, a = phases @ coeff, phases @ (g.nodes * coeff)
+        want = HBAR / (2 * math.pi * MASS) * np.real(np.conj(b) * a)
+        assert np.abs(got[rows] - want).max() <= 1e-9 * np.abs(got).max()
+
+
 class TestKijowski:
     def test_nonnegative_unit_norm(self):
         spec, tw = single_packet()
@@ -220,7 +252,7 @@ def direct_free(spec, x, t):
     g = default_kgrid(spec)
     k = g.nodes
     coeff = g.weights * grid_amplitude(spec, g) * np.exp(1j * k * x)
-    waves = coeff[:, None] * np.exp(-1j * np.outer(ds.relative_frequencies(k, MASS, HBAR), t))
+    waves = coeff[:, None] * np.exp(-1j * np.outer(g.frequencies(MASS, HBAR)[1], t))
     b, a, amp = np.stack([np.ones_like(k), k, np.sqrt(HBAR * k / MASS)]) @ waves
     return HBAR / (2 * math.pi * MASS) * np.real(np.conj(b) * a), np.abs(amp) ** 2 / (2 * math.pi)
 
@@ -233,7 +265,7 @@ class TestFreeSampling:
         # size -1, 0, 1j: one below, at and above the node count
         spec, tw = single_packet()
         sig_t = 50e-6 / 166.2
-        omega = ds.relative_frequencies(default_kgrid(spec).nodes, MASS, HBAR)
+        omega = default_kgrid(spec).frequencies(MASS, HBAR)[1]
         r = _node_count(np.ptp(omega) * half * sig_t)
         n = r + int(size.imag) + int(size.real) if size in (-1, 0, 1j) else size
         lo = tw + (offset - half) * sig_t

@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import GAMMA, HBAR, MASS, k_of, random_draws
+from oracle import propagator
 from toa_sim.cli import main
 from toa_sim.errors import NonPhysicalAbsorption
 from toa_sim.model import cesium_config, with_omega
@@ -20,6 +22,7 @@ from toa_sim.scattering import (
     sharp_edge_rows,
     solve_sharp_edge,
 )
+from toa_sim.transfer import solve_profile
 
 
 class TestInternalEigensystem:
@@ -36,12 +39,12 @@ class TestInternalEigensystem:
         assert abs(eig.lambda_plus) < 1e-6 * GAMMA
         assert eig.lambda_minus == pytest.approx(-0.5j * GAMMA, rel=1e-5)
 
-    def test_degenerate_flag(self):
+    def test_rates_coincide_at_the_degenerate_point(self):
         eig = internal_eigensystem(GAMMA, GAMMA / 2)
-        assert eig.degenerate
         assert eig.lambda_plus == pytest.approx(-0.25j * GAMMA)
         assert eig.lambda_minus == pytest.approx(-0.25j * GAMMA)
-        assert not internal_eigensystem(GAMMA, GAMMA / 2 * (1 + 1e-6)).degenerate
+        beside = internal_eigensystem(GAMMA, GAMMA / 2 * (1 + 1e-6))
+        assert beside.lambda_plus != pytest.approx(beside.lambda_minus, rel=1e-4)
 
     def test_trace_determinant_invariants(self):
         rng = np.random.default_rng(3)
@@ -119,6 +122,46 @@ class TestChannelWavenumbers:
             assert sol.wavenumbers.k == sol.k
 
 
+class TestNewtonRegions:
+    @pytest.mark.parametrize("v", [0.05, 0.5])
+    def test_exit_field_is_t1_at_the_point(self, v):
+        # at gamma = 2 Omega the interior holds the Jordan term exactly: at
+        # and beyond the exit the ground field is T1 exp(ikx), which the
+        # two-sided average of the regions missed by 14 % at 0.05 m/s
+        cfg = cesium_config(omega=GAMMA / 2)
+        k = k_of(v)
+        sol = solve_sharp_edge(k, cfg)
+        L = cfg.beam_width
+        x = np.array([np.nextafter(L, 0.0), L, 1.5 * L])
+        want = sol.T1 * np.exp(1j * k * x) / math.sqrt(2 * math.pi)
+        got = evaluate_state(sol, x)[0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("backend", ["analytic", "transfer"])
+    @pytest.mark.parametrize("side", [0.0, 1e-6])
+    def test_interior_field_is_the_exact_propagation(self, side, backend):
+        # on the point, where the two-sided average was off by 4e-8, and 1e-6
+        # from it, where exponential modes carried |a| ~ 350: the interior
+        # is the exact propagation of the left-edge state.  The carrier
+        # phase k x is rounded once per point, as the field evaluator
+        # rounds it, and taken out of both
+        cfg = cesium_config(omega=GAMMA / 2 * (1 + side), beam_width=15e-6)
+        k = k_of(245.0)
+        sol = solve_sharp_edge(k, cfg) if backend == "analytic" else solve_profile(k, cfg, 1)
+        q = sol.wavenumbers.q
+        left = np.array([1 + sol.R1, 1j * k * (1 - sol.R1), sol.R2, -1j * q * sol.R2])
+        unit = np.array([1.0, 1.0 / k, 1.0, 1.0 / k])
+        for x in np.array([0.4, 1.0]) * cfg.beam_width:
+            x = float(np.nextafter(x, 0.0))   # inside the beam
+            value, slope = evaluate_state(sol, x, derivative=True)
+            got = np.array([value[0], slope[0], value[1], slope[1]]) * math.sqrt(2 * math.pi)
+            want = propagator(k, cfg.omega, x, GAMMA, MASS, HBAR, dps=40) @ left
+            with mp.workdps(40):
+                carrier = complex(mp.exp(-1j * mp.mpf(k) * mp.mpf(x)))
+            gap = (got * np.exp(-1j * (k * x)) - want * carrier) * unit
+            assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(want * unit)
+
+
 class TestSolveSharpEdge:
     def test_uncoupled_is_free(self):
         cfg = cesium_config(omega=0.0)
@@ -148,12 +191,11 @@ class TestSolveSharpEdge:
         # amplitudes are the batched (exact) row, bit for bit
         row = sharp_edge_rows([k_of(100.0)], cfg)[0]
         assert (sol.R1, sol.R2, sol.T1, sol.T2) == tuple(row[:4])
-        # the regions are the two-sided limit, exterior included, so their
-        # reflected waves (one per solve) carry R1 to its O(delta^2) error
+        # the half-lines carry the kernel's amplitudes, and the interior its
+        # Newton basis, which holds the Jordan term exactly
         ground = sol.regions[0].channel_modes[0]
-        reflected = sum(coef[0] for coef, sign, _, _ in ground if sign < 0.0)
-        assert abs(reflected - sol.R1) < 1e-12
-        assert matching_residual(sol) < 1e-6
+        assert [coef[0] for coef, sign, *_ in ground if sign < 0.0] == [sol.R1]
+        assert matching_residual(sol) < 1e-12
         assert 0.0 <= absorption(sol) <= 1.0
         # the degenerate solution agrees with a nearby non-degenerate coupling
         near = solve_sharp_edge(k_of(100.0), cesium_config(omega=GAMMA / 2 * (1 + 1e-4)))

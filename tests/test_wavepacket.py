@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import GAMMA, HBAR, MASS, k_of
 from oracle import dense_gram, mpmath_gram
 from toa_sim import distributions as ds
-from toa_sim import wavepacket
+from toa_sim import kernels, wavepacket
 from toa_sim.errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from toa_sim.model import RabiProfile, cesium_config
+from toa_sim.scattering import _newton_wave, _wave
 from toa_sim.series import TimeSeries, _node_count, l1_distance
 from toa_sim.wavepacket import (
     ConditionalPropagator,
@@ -38,6 +39,16 @@ def packet(v=166.2, delta_x=50e-6, waist=5e-6, offset_sigmas=12.0):
     comp = GaussianComponent(mean_velocity=v, delta_x=delta_x,
                              waist_position=waist, waist_time=tw)
     return PacketSpec(components=(comp,), mass=MASS), tw
+
+
+def mode_values(modes, k0, x):
+    """The sum of ``Region`` modes at the points x, (nk, nx)."""
+    total = 0.0
+    for coef, sign, delta, anchor, gap in modes:
+        wave = (_wave(k0, sign, delta, x - anchor) if gap is None
+                else _newton_wave(k0, sign, delta, gap, x - anchor)[1])
+        total = total + coef[:, None] * wave
+    return total
 
 
 def fig6_packet():
@@ -429,16 +440,23 @@ OVERLAP_CASES = [
 class TestOverlapEngine:
     @pytest.mark.parametrize("omega,backend,profile", OVERLAP_CASES)
     def test_modes_bounded_at_region_endpoints(self, omega, backend, profile):
-        # the endpoint factors of the overlap engine rely on this bound
+        # the endpoint factors of the overlap engine rely on this bound: both
+        # waves of a Newton mode bounded, so that |N| <= width
         prop = small_propagator(omega, backend=backend, profile=profile)
         checked = 0
         for region in prop.regions:
             for modes in region.channel_modes:
-                for _coef, _sign, delta, anchor in modes:
+                for _coef, _sign, delta, anchor, gap in modes:
                     for x in (region.x1, region.x2):
                         if math.isinf(x):
                             continue
-                        assert np.abs(np.exp(1j * delta * (x - anchor))).max() <= 1.0 + 1e-12
+                        waves = [delta] if gap is None else [delta, delta - gap]
+                        for d in waves:
+                            assert np.abs(np.exp(1j * d * (x - anchor))).max() <= 1.0 + 1e-12
+                        if gap is not None:
+                            newton = kernels.newton_mode(1.0, delta, delta - gap, gap, x - anchor)[0]
+                            width = region.x2 - region.x1
+                            assert np.abs(newton).max() <= width * (1.0 + 1e-12)
                         checked += 1
         assert checked > 0
 
@@ -468,8 +486,7 @@ class TestOverlapEngine:
         for modes in interior.channel_modes:
             if not modes:
                 continue
-            psi = sum(c[:, None] * np.exp(1j * (s * k0 + d)[:, None] * (xs - a))
-                      for c, s, d, a in modes)
+            psi = mode_values(modes, k0, xs)
             quad = (psi * ws) @ psi.conj().T
             gram = _region_gram(modes, 0.0, L, k0)
             assert np.abs(gram - quad).max() <= 1e-10 * np.abs(quad).max()
@@ -501,7 +518,7 @@ class TestOverlapEngine:
         # quotient alone would lose -log10(u) digits
         width = 2.0
         u = np.array([0.0, 1e-7, 1e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2])
-        modes = [(np.ones(u.size, dtype=complex), 1.0, (u / width).astype(complex), 0.0)]
+        modes = [(np.ones(u.size, dtype=complex), 1.0, (u / width).astype(complex), 0.0, None)]
         (half,) = _overlap_sums(u.size, 0.0, 1, half_lines=[(0, modes, 0.0, width, 1.0)])
         gram = _complete_hermitian(half)
         assert np.array_equal(np.diag(gram), np.full(u.size, width, dtype=complex))
@@ -647,7 +664,7 @@ class TestOverlapMatrices:
         # digits.  The eight-term series reaches 1e-2, so on both sides of
         # each switch the elements sit at rounding
         u = np.array([0.0, 1e-7, 1e-5, 3e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2, 0.1])
-        modes = [(np.ones(u.size, dtype=complex), 1.0, (u / 2.0).astype(complex), 0.0)]
+        modes = [(np.ones(u.size, dtype=complex), 1.0, (u / 2.0).astype(complex), 0.0, None)]
         terms = [(0, modes, 0.0, 2.0, 1.0), (1, modes, 2.0 - 2e-3, 2.0, 1.0)]
         alpha = np.subtract.outer(u, u) / 2.0
 
@@ -699,8 +716,12 @@ ARRIVAL_SHAPES = {
 FIG7_BEAM = RabiProfile(kind="gaussian", omega0=5 * GAMMA, center=2.5e-6, width=0.529e-6)
 
 
-def arrival_propagator(omega, velocities, delta_x, window_sigmas, profile=None, n_nodes=64):
-    """Packet with its waist at the beam exit on a reduced +-10 dk grid, and its covering window."""
+def arrival_propagator(omega, velocities, delta_x, window_sigmas, profile=None, n_nodes=64,
+                       backend=None):
+    """Packet with its waist at the beam exit on a reduced +-10 dk grid, and its covering window.
+
+    The backend is the transfer one for a profile, else the analytic one.
+    """
     cfg = cesium_config(omega=omega, profile=profile)
     v = velocities[0]
     tw = (12.0 * delta_x + cfg.beam_width) / v
@@ -710,7 +731,7 @@ def arrival_propagator(omega, velocities, delta_x, window_sigmas, profile=None, 
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     dk = 0.5 / delta_x
     grid = KGrid(origin=k_of(v), offsets=10 * dk * x, weights=10 * dk * w)
-    backend = "analytic" if profile is None else "transfer"
+    backend = backend or ("analytic" if profile is None else "transfer")
     prop = ConditionalPropagator(spec, cfg, grid, backend=backend)
     if window_sigmas is None:
         times = (0.0, tw + 12.0 * delta_x / v + 15.0 / GAMMA)
@@ -745,12 +766,21 @@ class TestOffsetFormOracle:
         prop, _ = arrival_propagator(*ARRIVAL_SHAPES[shape])
         assert interior_oracle_error(prop.regions[1]) <= 1e-12
 
-    @pytest.mark.parametrize("side", [-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("side", [-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])
     def test_near_degenerate_interior_grams_match_mpmath(self, side):
-        # at 1 +- 1e-9 the coupling is on the degenerate point to its
-        # threshold, and the interior holds both solves' waves
+        # on and beside gamma = 2 Omega the interior holds the kernel's
+        # Newton modes; at the point itself the oracle takes their Jordan
+        # form, as a derivative
         prop, _ = arrival_propagator(GAMMA / 2 * (1.0 + side), (50.0,), 30e-6, None)
-        assert interior_oracle_error(prop.regions[1], ORACLE_ROWS[:2]) <= 1e-12
+        assert interior_oracle_error(prop.regions[1], ORACLE_ROWS[:2]) <= 1e-13
+
+    @pytest.mark.parametrize("side", [-1e-6, 0.0, 1e-9, 1e-3])
+    def test_one_slice_interior_grams_match_mpmath(self, side):
+        # the transfer backend's slice, fitted in the Newton basis
+        prop, _ = arrival_propagator(GAMMA / 2 * (1.0 + side), (50.0,), 30e-6, None,
+                                     backend="transfer")
+        assert len(prop.regions) == 3
+        assert interior_oracle_error(prop.regions[1], ORACLE_ROWS[1:2]) <= 1e-13
 
     def test_sliced_gaussian_interior_grams_match_mpmath(self):
         # the fig7 packet through the 256-slice beam: all slices in one
@@ -838,9 +868,9 @@ class TestFarFactors:
                    for modes in left.channel_modes if modes) / (2 * math.pi)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         rng = np.random.default_rng(7)
-        d_p, d_m = (mode[2] for mode in prop.regions[1].channel_modes[0][:2])
+        _, _, d_p, _, gap = prop.regions[1].channel_modes[0][1]   # the forward Newton mode
         modes = [(rng.normal(size=d_p.shape) + 1j * rng.normal(size=d_p.shape), sign,
-                  sign * delta, 0.0) for delta in (d_p, d_m) for sign in (1.0, -1.0)]
+                  sign * delta, 0.0, None) for delta in (d_p, d_p - gap) for sign in (1.0, -1.0)]
         got = _region_gram(modes, 0.0, width, k0)
         want = mpmath_gram(modes, 0.0, width, k0)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -966,9 +996,9 @@ class TestTransmittedExcitedAnchor:
         prop = small_propagator(104.43e6, v=20.0)
         oracle = small_propagator(104.43e6, v=20.0)
         right = oracle.regions[-1]
-        _, sign, delta_q, _ = right.channel_modes[1][0]
+        _, sign, delta_q, _, _ = right.channel_modes[1][0]
         right.channel_modes = (right.channel_modes[0],
-                               [(oracle.amplitudes[3], sign, delta_q, 0.0)])
+                               [(oracle.amplitudes[3], sign, delta_q, 0.0, None)])
         window = prop.default_domain(0.0)
         for got, want in ((prop.detection_matrix(), region_detection(oracle)),
                           (prop.norm_matrix(*window), region_norm(oracle, *window))):
