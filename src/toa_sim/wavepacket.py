@@ -14,11 +14,13 @@ that, the engine does not check it).  Inside the beam a direction's field
 is smooth once the carrier is out, so its Gram is a Gauss-Legendre
 product, and the products across the carrier are short separable sums;
 on the two half-lines the pair integrals are Cauchy blocks grouped by
-denominator.  All of it fills the upper tiles of each matrix's half,
-completed once, half + half^H.
+denominator.  Every part enters the upper row tiles of its matrix at full
+weight, its diagonal block halved, and one pass over the row tiles adds
+the last parts and finishes the matrix: diagonal block plus its conjugate
+transpose, the block below the diagonal the tile's conjugate transpose.
 
 ``ConditionalPropagator.overlap_matrices`` builds the detection and norm
-matrices in one such pass.  The excited channel is integrated once for
+matrices in one run of the engine.  The excited channel is integrated once for
 both: once the detection matrix is built (or alongside it), a norm window
 that covers every finite region equals the detection matrix plus the
 ground-channel Grams minus the excited Grams of the half-line tails
@@ -275,10 +277,10 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257) -> KGrid:
 
 # --- overlap machinery ----------------------------------------------------
 
-# Rows per tile of the half-lines' Cauchy groups and of the low-rank
-# products: a (32, nk) complex tile keeps the denominator, the numerator
-# and the output rows in cache.  At nk = 641, 32 rows ran 3 % behind 16 and
-# ahead of 64, 128 and untiled (by 13 %).
+# Rows per tile of the half-lines' Cauchy groups, of the low-rank products
+# and of the finishing: a (32, nk) complex tile keeps the denominator, the
+# numerator and the output rows in cache.  At nk = 641, 32 rows ran 3 %
+# behind 16 and ahead of 64, 128 and untiled (by 13 %).
 OVERLAP_TILE = 32
 # Largest spread rho = max|u| / min|d| of denominators d_j + u_i that the
 # engine expands into separable factors (``_separable``), to n <= 8 orders:
@@ -300,8 +302,6 @@ PANEL_SPREAD = 100.0
 INTERIOR_BATCH = 32
 # |alpha| width below which a Cauchy pair takes the eight-term series.
 SERIES_SWITCH = 1e-2
-# Rows per block of the Hermitian completion.
-MIRROR_BLOCK = 128
 
 
 def _can_resonate(i_kappa_a: np.ndarray, i_kappa_b: np.ndarray, bound: float) -> bool:
@@ -362,9 +362,8 @@ def _pair_groups(k0: float, terms) -> list[_PairGroup]:
 
     A term (out, modes, x1, x2, scale) stands for scale times the Gram of
     the channel ``modes`` (plane waves) over [x1, x2], added to output ``out``.  Every
-    ordered pair (mu, nu) enters at half weight, so that each output's
-    summed blocks are Hermitian and the completion half + half^H restores
-    the whole weight.  Modes are keyed by the values of (sign, delta); a
+    ordered pair (mu, nu) enters at full weight, so each output's summed
+    blocks are its Hermitian Gram.  Modes are keyed by the values of (sign, delta); a
     pair (-kappa_mu, -kappa_nu) has the denominator of (kappa_mu, kappa_nu)
     with its sign flipped, which its left factor takes.
     """
@@ -396,9 +395,9 @@ def _pair_groups(k0: float, terms) -> list[_PairGroup]:
                 key, sign = min(((i, s, j, t), 1.0), ((i, -s, j, -t), -1.0))
                 # the pair's carrier at the ends: exactly 1 for one direction and anchor
                 phases = np.exp(1j * k0 * (s_mu * (xs - a_mu) - s_nu * (xs - a_nu)))
-                left = ((0.5 * scale * sign) * signs * phases[:, None] * values[mu]).T
+                left = ((scale * sign) * signs * phases[:, None] * values[mu]).T
                 ends = None if math.isinf(x1) else (
-                    0.5 * scale * phases[-1] * values[mu][-1], np.conj(values[nu][-1]))
+                    scale * phases[-1] * values[mu][-1], np.conj(values[nu][-1]))
                 grouped.setdefault(key, {}).setdefault(out, []).append(_PairTerm(
                     left, np.conj(values[nu]), ends, sign, width, bound))
     groups = []
@@ -481,20 +480,16 @@ def _separable(a: np.ndarray, b: np.ndarray, min_order: int = 1):
 
 
 class _LowRank:
-    """Hermitian low-rank contributions to one output, added to the upper tiles of its half.
+    """Hermitian low-rank contributions to one output ``matrix``, waiting for a tile pass.
 
     A contribution is H = sum_c left_c right_c^T with H Hermitian, given as
-    the (m, nk) rows ``left`` and ``right``.  Once LOW_RANK_COLUMNS columns
-    are pending (and at the end), a flush runs over OVERLAP_TILE row blocks
-    and forms each block's columns from its first row on, one product per
-    pending contribution: the diagonal sub-block at weight 1/2 and the
-    columns beyond it at full weight, so that the completion half + half^H
-    gives H.  No (nk, nk) temporary is made, and the pending rows are not
-    copied.
+    the (m, nk) rows ``left`` and ``right``; the rows are kept, not copied.
+    Once LOW_RANK_COLUMNS columns are pending, a tile pass (``_tile_pass``)
+    adds them to the matrix; the rest wait for the pass that finishes it.
     """
 
-    def __init__(self, half: np.ndarray):
-        self.half = half
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
         self.pending = []
         self.columns = 0
 
@@ -502,60 +497,79 @@ class _LowRank:
         self.pending.append((left, right))
         self.columns += left.shape[0]
         if self.columns >= LOW_RANK_COLUMNS:
-            self.flush()
+            _tile_pass(self)
 
     def add_far(self, left: np.ndarray, right: np.ndarray) -> None:
         """Add F + F^H for F = sum_c left_c right_c^T."""
         self.add(left, right)
         self.add(right.conj(), left.conj())
 
-    def flush(self) -> None:
-        if not self.pending:
-            return
-        nk = self.half.shape[0]
-        block = np.empty(OVERLAP_TILE * nk, dtype=complex)
+
+def _tile_pass(low_rank: _LowRank, cauchy=(), scale=None, addend=None) -> None:
+    """Add the pending parts of one output to its matrix by OVERLAP_TILE row tiles.
+
+    Per row tile the matrix takes its parts from the tile's first row on,
+    each part at full weight with its diagonal sub-block halved: first the
+    sum of the pending low-rank products, then the sum over ``cauchy``, the
+    output's (group, left, right, terms) stacks of the Cauchy groups
+    (``_PairGroup``), of numerator left @ right times the inverted
+    denominator.  Elements nearer resonance than the group's widest series
+    switch are evaluated again term by term (``_near_values``).
+
+    With ``scale`` the pass also finishes each tile while it is in cache:
+    the diagonal block plus its conjugate transpose, the tile times
+    ``scale`` (as the float-view product numpy forms when it divides a
+    complex by a real), plus ``addend`` if given (a finished matrix), and
+    the conjugate transpose of the tile beyond its diagonal block written
+    below it.  So the matrix comes out exactly Hermitian, with no (nk, nk)
+    temporary.
+    """
+    matrix = low_rank.matrix
+    nk = matrix.shape[0]
+    buffers = np.empty((3, OVERLAP_TILE * nk), dtype=complex)
+    # an exact resonance (alpha = 0) is always near: its inverse is replaced
+    with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, nk, OVERLAP_TILE):
             rows = slice(start, start + OVERLAP_TILE)
-            part = block[:min(OVERLAP_TILE, nk - start) * (nk - start)].reshape(-1, nk - start)
-            for i, (left, right) in enumerate(self.pending):
-                if i == 0:
-                    np.matmul(left[:, rows].T, right[:, start:], out=part)
-                else:
-                    part += left[:, rows].T @ right[:, start:]
-            part[:, :part.shape[0]] *= 0.5
-            self.half[rows, start:] += part
-        self.pending = []
-        self.columns = 0
-
-
-def _complete_hermitian(half: np.ndarray, divisor: float = 1.0,
-                        addend: np.ndarray | None = None) -> np.ndarray:
-    """(half + half^H) / divisor + addend in place, by MIRROR_BLOCK blocks; returns half.
-
-    One pass with no (nk, nk) temporary, giving the values of the three
-    passes half += half^H, half /= divisor, half += addend.  Each block on or
-    above the diagonal takes the sum and the division, and the block
-    below is its conjugate transpose, since l + conj(u) = conj(u + conj(l))
-    exactly.  numpy divides a complex by a real number as the product of
-    both parts with its reciprocal, which the float view forms directly.
-    """
-    nk = half.shape[0]
-    scale = 1.0 / divisor
-    for i in range(0, nk, MIRROR_BLOCK):
-        bi = slice(i, i + MIRROR_BLOCK)
-        for j in range(i, nk, MIRROR_BLOCK):
-            bj = slice(j, j + MIRROR_BLOCK)
-            upper = half[bi, bj]
-            upper += half[bj, bi].conj().T
-            parts = upper.view(float)
-            parts *= scale
-            if j > i:
-                half[bj, bi] = upper.conj().T
+            n = min(OVERLAP_TILE, nk - start)
+            acc, product, ia = (buffer[:n * (nk - start)].reshape(n, -1) for buffer in buffers)
+            upper = matrix[rows, start:]
+            parts = ([(left[:, rows].T, right[:, start:], None, ())
+                      for left, right in low_rank.pending],
+                     [(left[rows], right[:, start:], group, terms)
+                      for group, left, right, terms in cauchy])
+            for part in parts:
+                for i, (left, right, group, terms) in enumerate(part):
+                    into = product if i else acc
+                    np.matmul(left, right, out=into)
+                    if group is not None:
+                        np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b[start:], out=ia)
+                        near = None
+                        if group.resonates:
+                            r, c = np.nonzero(np.abs(ia) < group.bound)
+                            if r.size:
+                                near = (r, c, ia[r, c])
+                        np.divide(1.0, ia, out=ia)
+                        into *= ia
+                        if near is not None:
+                            r, c, ia_near = near
+                            into[r, c] = sum(_near_values(t, r + start, c + start, ia_near)
+                                             for t in terms)
+                    if i:
+                        acc += product
+                if part:
+                    acc[:, :n] *= 0.5
+                    upper += acc
+            if scale is not None:
+                diagonal = upper[:, :n]
+                diagonal += diagonal.conj().T
+                floats = upper.view(float)
+                floats *= scale
                 if addend is not None:
-                    half[bj, bi] += addend[bj, bi]
-            if addend is not None:
-                upper += addend[bi, bj]
-    return half
+                    upper += addend[rows, start:]
+                matrix[start + n:, rows] = upper[:, n:].conj().T
+    low_rank.pending = []
+    low_rank.columns = 0
 
 
 def _gl_nodes(spread: float) -> int:
@@ -748,15 +762,16 @@ def _crossing(k0, fwd, bwd, newton, coef, delta, gap, anchor, x1, x2, scale, low
     low_rank.add_far(np.concatenate(left), np.concatenate(right))
 
 
-def _overlap_sums(nk: int, k0: float, n_out: int, half_lines=(), interiors=()) -> list[np.ndarray]:
-    """Halves of Hermitian sums of region Grams, one (nk, nk) array per output.
+def _overlap_sums(k0: float, divisor: float, outputs, half_lines=(), interiors=()) -> None:
+    """Hermitian sums of region Grams over ``divisor``, into the outputs' matrices.
 
+    ``outputs`` are (matrix, addend) pairs: a zeroed (nk, nk) complex
+    matrix, and None or a finished matrix added to it once divided
+    (``_tile_pass``).
     A term (out, modes, x1, x2, scale) stands for scale times
     integral_x1^x2 psi psi^H dx of the channel psi = sum of modes (waves
-    sign * k0 + delta, ``Region``), added to output ``out``.  The sum is
-    the completion half + half^H of the returned half
-    (``_complete_hermitian``), which makes every output exactly Hermitian;
-    the half holds only its upper OVERLAP_TILE blocks.
+    sign * k0 + delta, ``Region``), added to output ``out``.  Every output
+    comes out finished and exactly Hermitian.
 
     ``interiors`` are terms over finite regions (the beam, its slices):
     Gauss-Legendre products of the carrier-free fields and separable
@@ -773,18 +788,9 @@ def _overlap_sums(nk: int, k0: float, n_out: int, half_lines=(), interiors=()) -
     pair exponent decays there (the excited channel with gamma > 0).  The
     pairs are grouped by alpha (``_pair_groups``).  The group across the
     carrier, (k, -k), becomes separable factors in the low-rank buffer;
-    the others are Cauchy groups over fixed row tiles: per tile and group
-    the engine forms i alpha once and inverts it in place, and per output
-    it forms the group's stacked numerator as one (tile, m) @ (m, nk)
-    product from the tile's first row on and adds numerator times inverse
-    into a tile accumulator.  Elements nearer resonance than the group's
-    widest series switch are evaluated again term by term
-    (``_near_values``).  Every ordered pair enters at half weight, so the
-    accumulated tile is Hermitian: its diagonal sub-block joins the half
-    as it is, the columns beyond it doubled, and the completion mirrors
-    them.
+    the others are Cauchy groups, evaluated with the low-rank remainder in
+    the one pass over row tiles that finishes each matrix.
     """
-    halves = [np.zeros((nk, nk), dtype=complex) for _ in range(n_out)]
     direct, separable = [], []
     for group in _pair_groups(k0, half_lines):
         factors = None if group.resonates else _separable(group.i_kappa_a, group.i_kappa_b)
@@ -793,53 +799,17 @@ def _overlap_sums(nk: int, k0: float, n_out: int, half_lines=(), interiors=()) -
         else:
             separable.append((group, factors))
     # one output at a time, so that only its low-rank rows wait
-    for out, half in enumerate(halves):
-        low_rank = _LowRank(half)
+    for out, (matrix, addend) in enumerate(outputs):
+        nk = matrix.shape[0]
+        low_rank = _LowRank(matrix)
         _interior_products(k0, [term for term in interiors if term[0] == out], low_rank)
         for group, (powers, inverses) in separable:
             for _, left, right, _ in (stack for stack in group.stacks if stack[0] == out):
-                # the ordered pairs of a group enter at half weight
-                low_rank.add(
-                    (2.0 * powers[:, :, None] * left[None]).transpose(0, 2, 1).reshape(-1, nk),
-                    (right[None] * inverses[:, None, :]).reshape(-1, nk))
-        low_rank.flush()
-    i_alpha = np.empty(OVERLAP_TILE * nk, dtype=complex)
-    num = np.empty_like(i_alpha)
-    sums = np.empty(n_out * OVERLAP_TILE * nk, dtype=complex)
-    # an exact resonance (alpha = 0) is always near: its inverse is replaced
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, nk if direct else 0, OVERLAP_TILE):
-            rows = slice(start, start + OVERLAP_TILE)
-            shape = (min(OVERLAP_TILE, nk - start), nk - start)
-            size = shape[0] * shape[1]
-            ia = i_alpha[:size].reshape(shape)
-            tile = num[:size].reshape(shape)
-            acc = sums[:n_out * size].reshape(n_out, *shape)
-            begun = []  # outputs whose accumulator holds this tile's first group
-            for group in direct:
-                np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b[start:], out=ia)
-                near = None
-                if group.resonates:
-                    r, c = np.nonzero(np.abs(ia) < group.bound)
-                    if r.size:
-                        near = (r, c, ia[r, c])
-                np.divide(1.0, ia, out=ia)
-                for out, left, right, ts in group.stacks:
-                    part = tile if out in begun else acc[out]
-                    np.matmul(left[rows], right[:, start:], out=part)
-                    part *= ia
-                    if near is not None:
-                        r, c, ia_near = near
-                        part[r, c] = sum(_near_values(t, r + start, c + start, ia_near)
-                                         for t in ts)
-                    if part is tile:
-                        acc[out] += tile
-                    else:
-                        begun.append(out)
-            for out in begun:
-                acc[out][:, shape[0]:] *= 2.0
-                halves[out][rows, start:] += acc[out]
-    return halves
+                low_rank.add((powers[:, :, None] * left[None]).transpose(0, 2, 1).reshape(-1, nk),
+                             (right[None] * inverses[:, None, :]).reshape(-1, nk))
+        cauchy = [(group,) + stack[1:] for group in direct for stack in group.stacks
+                  if stack[0] == out]
+        _tile_pass(low_rank, cauchy, 1.0 / divisor, addend)
 
 
 def _region_gram(modes, x1: float, x2: float, k0: float) -> np.ndarray:
@@ -848,15 +818,20 @@ def _region_gram(modes, x1: float, x2: float, k0: float) -> np.ndarray:
     The one-term call of ``_overlap_sums``: an interior term where both
     ends are finite, a half-line term otherwise; exactly Hermitian.
     """
+    nk = modes[0][0].shape[0]
+    gram = np.zeros((nk, nk), dtype=complex)
     term = [(0, modes, x1, x2, 1.0)]
     finite = not (math.isinf(x1) or math.isinf(x2))
-    return _complete_hermitian(_overlap_sums(
-        modes[0][0].shape[0], k0, 1, *(((), term) if finite else (term, ())))[0])
+    _overlap_sums(k0, 1.0, [(gram, None)], *(((), term) if finite else (term, ())))
+    return gram
 
 
-def _window_key(x_min: float, x_max: float) -> tuple[float, float]:
-    """Cache key of a norm window."""
-    return (round(x_min, 12), round(x_max, 12))
+def _norm_window(x_min: float, x_max: float) -> tuple[float, float]:
+    """The window [x_min, x_max] as its cache key, if both ends are finite and ordered."""
+    window = (float(x_min), float(x_max))
+    if not (math.isfinite(window[0]) and math.isfinite(window[1]) and window[0] < window[1]):
+        raise DomainTooSmall(f"norm window [{x_min!r}, {x_max!r}] is not a finite interval")
+    return window
 
 
 class ConditionalPropagator:
@@ -925,24 +900,28 @@ class ConditionalPropagator:
         built (a caller that only needs the norm), the excited channel is
         integrated over the window like the ground channel, and no
         detection matrix is formed.  The two paths agree to rounding.
+
+        The window is the cache key as given; DomainTooSmall is raised
+        unless both ends are finite and x_min < x_max.
         """
-        key = _window_key(x_min, x_max)
-        if key not in self._norm_matrix_cache:
-            self._build_overlaps(window=(x_min, x_max))
-        return self._norm_matrix_cache[key]
+        window = _norm_window(x_min, x_max)
+        if window not in self._norm_matrix_cache:
+            self._build_overlaps(window=window)
+        return self._norm_matrix_cache[window]
 
     def overlap_matrices(self, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
         """Detection matrix and norm matrix on [x_min, x_max], built in one pass.
 
-        Both matrices come from one run of the overlap engine, so pairs of
-        the two that share a denominator share its inverse.  They are the
-        matrices ``detection_matrix`` and ``norm_matrix`` return, and are
-        cached as theirs.
+        Both matrices come from one run of the overlap engine, which groups
+        the half-line pairs of both by denominator and finishes the detection
+        matrix before the norm that adds it.  They are the matrices
+        ``detection_matrix`` and ``norm_matrix`` return, and are cached as
+        theirs.
         """
-        if self.config.gamma > 0.0 and _window_key(x_min, x_max) not in self._norm_matrix_cache:
-            self._build_overlaps(detection=self._detection_matrix is None,
-                                 window=(x_min, x_max))
-        return self.detection_matrix(), self.norm_matrix(x_min, x_max)
+        window = _norm_window(x_min, x_max)
+        if self.config.gamma > 0.0 and window not in self._norm_matrix_cache:
+            self._build_overlaps(detection=self._detection_matrix is None, window=window)
+        return self.detection_matrix(), self.norm_matrix(*window)
 
     def _build_overlaps(self, detection: bool = False, window=None) -> None:
         """Build the detection matrix and/or the norm matrix on ``window`` in one engine pass."""
@@ -972,13 +951,17 @@ class ConditionalPropagator:
                               if modes]
             # the two half-lines share their (k, k) and (q, q) denominators
             (interiors if 0 < index < len(regions) - 1 else half_lines).extend(terms)
-        halves = _overlap_sums(self.k.shape[0], self.grid.origin, norm_out + (window is not None),
-                               half_lines, interiors)
+        nk = self.k.shape[0]
+        matrices = [np.zeros((nk, nk), dtype=complex)
+                    for _ in range(norm_out + (window is not None))]
+        outputs = [(matrix, None) for matrix in matrices]
+        if shared:   # the norm adds the detection matrix, cached or finished first in this pass
+            outputs[-1] = (matrices[-1], matrices[0] if detection else self._detection_matrix)
+        _overlap_sums(self.grid.origin, 2.0 * math.pi, outputs, half_lines, interiors)
         if detection:
-            self._detection_matrix = _complete_hermitian(halves[0], 2.0 * math.pi)
+            self._detection_matrix = matrices[0]
         if window is not None:
-            self._norm_matrix_cache[_window_key(*window)] = _complete_hermitian(
-                halves[-1], 2.0 * math.pi, self._detection_matrix if shared else None)
+            self._norm_matrix_cache[window] = matrices[-1]
 
     def _quadratic(self, matrix: np.ndarray, times) -> np.ndarray:
         """Rows Re v^H matrix^T v and 2 Im sum_k omega_k conj(v_k) (matrix^T v)_k at times.
@@ -1126,9 +1109,9 @@ class ConditionalPropagator:
         return lo - tail, max(hi, cfg.beam_width) + tail
 
     def boundary_density_ok(self, t: float, x_min: float, x_max: float) -> bool:
+        norm = float(self.norm(np.array([t]), x_min, x_max)[0])
         psi_lo = self.state(np.array([x_min]), t)
         psi_hi = self.state(np.array([x_max]), t)
-        norm = float(self.norm(np.array([t]), x_min, x_max)[0])
         width = x_max - x_min
         boundary = float(
             (np.abs(psi_lo) ** 2 + np.abs(psi_hi) ** 2).sum()

@@ -22,7 +22,6 @@ from toa_sim.wavepacket import (
     PacketSpec,
     _gauss_legendre,
     _overlap_sums,
-    _complete_hermitian,
     _region_gram,
     conditional_evolve,
     default_kgrid,
@@ -49,6 +48,13 @@ def mode_values(modes, k0, x):
                 else _newton_wave(k0, sign, delta, gap, x - anchor)[1])
         total = total + coef[:, None] * wave
     return total
+
+
+def engine(nk, k0, n_out, half_lines=(), interiors=()):
+    """The overlap engine's outputs for these terms, unscaled, as finished matrices."""
+    matrices = [np.zeros((nk, nk), dtype=complex) for _ in range(n_out)]
+    _overlap_sums(k0, 1.0, [(matrix, None) for matrix in matrices], half_lines, interiors)
+    return matrices
 
 
 def fig6_packet():
@@ -179,6 +185,28 @@ class TestConditionalEvolve:
         with pytest.raises(DomainTooSmall):
             no_detection_probability(spec, cfg, default_kgrid(spec), 0.0,
                                      spatial_domain=(-1e-4, 1e-4))
+
+    @pytest.mark.parametrize("window", [
+        pytest.param((3e-4, -3e-4), id="reversed"),
+        pytest.param((-3e-4, -3e-4), id="empty"),
+        pytest.param((-math.inf, 3e-4), id="infinite"),
+        pytest.param((-3e-4, math.nan), id="nan"),
+    ])
+    def test_bad_window_is_domain_too_small(self, window):
+        prop = small_propagator(104.43e6)
+        with pytest.raises(DomainTooSmall):
+            no_detection_probability(prop.spec, prop.config, prop.grid, 0.0,
+                                     spatial_domain=window)
+        for build in (prop.norm_matrix, prop.overlap_matrices):
+            with pytest.raises(DomainTooSmall):
+                build(*window)
+        assert prop._detection_matrix is None and not prop._norm_matrix_cache
+
+    def test_norm_windows_are_keyed_exactly(self):
+        prop = small_propagator(104.43e6)
+        n = prop.norm_matrix(-3e-4, 6e-4)
+        assert prop.norm_matrix(-3e-4 + 2e-13, 6e-4) is not n
+        assert prop.norm_matrix(-3e-4, 6e-4) is n
 
     def test_backend_uniformity(self):
         # analytic and transfer backends produce the same evolving state
@@ -430,6 +458,9 @@ def small_propagator(omega, v=166.2, backend="analytic", profile=None, n_nodes=2
 
 
 GAUSSIAN_BEAM = RabiProfile(kind="gaussian", omega0=104.43e6, center=2.5e-6, width=0.529e-6)
+
+# nk below the row tile of the overlap engine, and one row past a multiple of it
+TILE_SIZES = [24, OVERLAP_TILE + 1, 3 * OVERLAP_TILE + 1]
 OVERLAP_CASES = [
     pytest.param(104.43e6, "analytic", None, id="sharp"),
     pytest.param(0.0, "analytic", None, id="sharp-uncoupled"),
@@ -495,21 +526,24 @@ class TestOverlapEngine:
         # without decay, below the dressed threshold k+ is imaginary: a
         # forward and a backward k+ wave resonate (alpha = 2 Re k+ = 0),
         # so the two directions do not separate and the channel is
-        # integrated as one field, carrier included, in panels
+        # integrated as one field, carrier included, in panels; past one
+        # row tile its low-rank products span several tiles
         taken = gauss_sets(monkeypatch)
         spec, _ = packet(v=0.05)
         k0 = k_of(0.05)
-        x, w = np.polynomial.legendre.leggauss(24)
-        grid = KGrid(origin=k0, offsets=8e4 * x, weights=8e4 * w)
-        prop = ConditionalPropagator(spec, cesium_config(omega=5 * GAMMA, gamma=0.0), grid)
-        interior = prop.regions[1]
-        rows = [0, 11, 23]
-        for modes in interior.channel_modes:
-            # the resonant cross pairs are beyond a double-precision quotient
-            # (dense_gram reads 2e-11 here): the oracle is mpmath's
-            got = _region_gram(modes, interior.x1, interior.x2, k0)
-            want = mpmath_gram(modes, interior.x1, interior.x2, k0, rows=rows)
-            assert np.abs(got[rows] - want).max() <= 1e-12 * np.abs(got).max()
+        for n_nodes in TILE_SIZES:
+            x, w = np.polynomial.legendre.leggauss(n_nodes)
+            grid = KGrid(origin=k0, offsets=8e4 * x, weights=8e4 * w)
+            prop = ConditionalPropagator(spec, cesium_config(omega=5 * GAMMA, gamma=0.0), grid)
+            interior = prop.regions[1]
+            rows = [0, n_nodes // 2 - 1, n_nodes - 1]
+            for modes in interior.channel_modes:
+                # the resonant cross pairs are beyond a double-precision
+                # quotient (dense_gram reads 2e-11 at 24 nodes): the oracle
+                # is mpmath's
+                got = _region_gram(modes, interior.x1, interior.x2, k0)
+                want = mpmath_gram(modes, interior.x1, interior.x2, k0, rows=rows)
+                assert np.abs(got[rows] - want).max() <= 1e-12 * np.abs(got).max()
         assert any(len(set(signs)) == 2 for signs in taken)
 
     def test_series_branch_at_near_resonance(self):
@@ -519,8 +553,7 @@ class TestOverlapEngine:
         width = 2.0
         u = np.array([0.0, 1e-7, 1e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2])
         modes = [(np.ones(u.size, dtype=complex), 1.0, (u / width).astype(complex), 0.0, None)]
-        (half,) = _overlap_sums(u.size, 0.0, 1, half_lines=[(0, modes, 0.0, width, 1.0)])
-        gram = _complete_hermitian(half)
+        (gram,) = engine(u.size, 0.0, 1, half_lines=[(0, modes, 0.0, width, 1.0)])
         assert np.array_equal(np.diag(gram), np.full(u.size, width, dtype=complex))
         closed = width * np.exp(-0.5j * u) * np.sinc(u / (2 * np.pi))
         assert np.abs(gram[0] - closed).max() <= 1e-14 * width
@@ -599,10 +632,6 @@ class TestSharedExcitedBlocks:
         assert_matches(shared.norm_matrix(*window), alone)
 
 
-# nk below the row tile of the overlap engine, and one row past a multiple of it
-TILE_SIZES = [24, OVERLAP_TILE + 1, 3 * OVERLAP_TILE + 1]
-
-
 def sliced_inside_windows(prop):
     """Norm windows that cut the outer slices of a sliced beam.
 
@@ -624,9 +653,11 @@ class TestOverlapMatrices:
         d2, n = prop.overlap_matrices(*window)
         assert prop.detection_matrix() is d2
         assert prop.norm_matrix(*window) is n
+        # a norm built in one pass with the detection matrix is the norm
+        # built later on the cached one, to the bit
         separate = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
-        assert_matches(d2, separate.detection_matrix())
-        assert_matches(n, separate.norm_matrix(*window))
+        assert np.array_equal(d2, separate.detection_matrix())
+        assert np.array_equal(n, separate.norm_matrix(*window))
         assert_matches(d2, region_detection(prop))
         assert_matches(n, region_norm(prop, *window))
 
@@ -672,7 +703,7 @@ class TestOverlapMatrices:
             w = x2 - x1
             return w * np.exp(0.5j * alpha * (x1 + x2)) * np.sinc(alpha * w / (2 * np.pi))
 
-        long, short = map(_complete_hermitian, _overlap_sums(u.size, 0.0, 2, half_lines=terms))
+        long, short = engine(u.size, 0.0, 2, half_lines=terms)
         assert np.abs(long - closed(0.0, 2.0)).max() <= 1e-14 * 2.0
         assert np.abs(short - closed(2.0 - 2e-3, 2.0)).max() <= 1e-14 * 2e-3
 
@@ -789,7 +820,7 @@ class TestOffsetFormOracle:
         k0 = prop.grid.origin
         slices = prop.regions[1:-1]
         terms = [(0, region.channel_modes[1], region.x1, region.x2, 1.0) for region in slices]
-        batched = _complete_hermitian(_overlap_sums(48, k0, 1, interiors=terms)[0])
+        (batched,) = engine(48, k0, 1, interiors=terms)
         alone = sum(_region_gram(*term[1:4], k0) for term in terms)
         assert np.abs(batched - alone).max() <= 1e-14 * np.abs(alone).max()
         for region in (slices[0], slices[64], slices[128], slices[-1]):
@@ -889,17 +920,21 @@ class TestFarFactors:
 
     @pytest.mark.parametrize("nk", [24, 129, 641])
     def test_blocked_completion_is_bitwise(self, nk):
-        rng = np.random.default_rng(nk)
-        half = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
-        addend = rng.normal(size=(nk, nk)) + 1j * rng.normal(size=(nk, nk))
-        want = half + half.conj().T
-        fused = _complete_hermitian(half.copy(), 2 * math.pi, addend)
-        assert _complete_hermitian(half) is half
-        assert np.array_equal(half, want)
-        # the fused pass: completion, 1/(2 pi) and the detection-into-norm sum
-        half /= 2 * math.pi
-        half += addend
-        assert np.array_equal(fused, half)
+        # the tile pass finishes each row tile as the three whole-matrix
+        # passes would: the Hermitian sum, the division by 2 pi and the
+        # detection matrix added into the norm
+        prop = small_propagator(104.43e6, n_nodes=nk)
+        k0 = prop.grid.origin
+        interior = prop.regions[1]
+        inside = [(0, modes, interior.x1, interior.x2, 1.0)
+                  for modes in interior.channel_modes if modes]
+        half_lines = [(0,) + term[1:] for term in half_line_entry(prop, prop.default_domain(0.0))]
+        (gram,) = engine(nk, k0, 1, half_lines, inside)
+        addend = prop.detection_matrix()
+        fused = np.zeros_like(gram)
+        _overlap_sums(k0, 2 * math.pi, [(fused, addend)], half_lines, inside)
+        assert np.array_equal(gram, gram.conj().T)
+        assert np.array_equal(fused, gram / (2 * math.pi) + addend)
 
 
 def half_line_entry(prop, window):
@@ -920,12 +955,6 @@ def half_line_entry(prop, window):
     return [term for term in terms if term[1]]
 
 
-def below_tile_diagonal(nk):
-    """Mask of the elements strictly below the diagonal OVERLAP_TILE blocks."""
-    tiles = np.arange(nk) // OVERLAP_TILE
-    return tiles[:, None] > tiles[None, :]
-
-
 class TestUpperTiles:
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
     @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
@@ -933,35 +962,30 @@ class TestUpperTiles:
         prop = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
         k0 = prop.grid.origin
         terms = half_line_entry(prop, prop.default_domain(0.0))
-        halves = _overlap_sums(n_nodes, k0, 2, half_lines=terms)
-        for out, half in enumerate(halves):
-            got = _complete_hermitian(half)
+        for out, got in enumerate(engine(n_nodes, k0, 2, half_lines=terms)):
             want = sum((scale * dense_gram(modes, x1, x2, k0)
                         for o, modes, x1, x2, scale in terms if o == out), np.zeros_like(got))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
     def test_only_half_line_tiles_are_upper(self, n_nodes, monkeypatch):
-        # the half _overlap_sums returns is the one the completion receives,
-        # and it holds upper tiles only.  Without the low-rank products it
-        # holds the half-lines' Cauchy tiles alone; the beam interior makes
-        # no tiles at all, and its low-rank products fill upper tiles too
+        # the half-lines' Cauchy groups are the only tiles the engine forms,
+        # on the upper row tiles, whose mirror fills the rest: without the
+        # low-rank products the half-line outputs are exactly Hermitian and
+        # not zero, and the beam interior forms no tile at all
         prop = small_propagator(104.43e6, n_nodes=n_nodes)
         k0 = prop.grid.origin
-        below = below_tile_diagonal(n_nodes)
         interior = prop.regions[1]
         inside = [(0, interior.channel_modes[1], interior.x1, interior.x2, 1.0)]
-        (half,) = _overlap_sums(n_nodes, k0, 1, interiors=inside)
-        assert np.all(half[below] == 0.0)
+        (got,) = engine(n_nodes, k0, 1, interiors=inside)
         want = dense_gram(interior.channel_modes[1], interior.x1, interior.x2, k0)
-        got = _complete_hermitian(half)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         monkeypatch.setattr(wavepacket._LowRank, "add", lambda self, *factors: None)
-        for half in _overlap_sums(n_nodes, k0, 2, half_lines=half_line_entry(
+        for got in engine(n_nodes, k0, 2, half_lines=half_line_entry(
                 prop, prop.default_domain(0.0))):
-            assert np.abs(half).max() > 0.0
-            assert np.all(half[below] == 0.0)
-        assert not np.any(_overlap_sums(n_nodes, k0, 1, interiors=inside)[0])
+            assert np.abs(got).max() > 0.0
+            assert np.array_equal(got, got.conj().T)
+        assert not np.any(engine(n_nodes, k0, 1, interiors=inside)[0])
 
 
 class TestRegionField:
