@@ -234,6 +234,8 @@ def cmd_absorption_map(args) -> str:
         raise ConfigError("map needs n_v >= 2 and n_omega >= 2")
     if not (0.0 < args.v_min < args.v_max) or not (0.0 < args.omega_min < args.omega_max):
         raise ConfigError("scan ranges must be positive and ordered")
+    if args.n_slices < 1 or args.jobs < 1:
+        raise ConfigError("map needs n_slices >= 1 and jobs >= 1")
     backend = _backend(args, config)
     v = np.linspace(args.v_min, args.v_max, args.n_v)
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_omega)
@@ -283,6 +285,8 @@ def cmd_absorption_cut(args) -> str:
     config = _base_config(args)
     if args.n_v < 2 or not (0.0 < args.v_min < args.v_max):
         raise ConfigError("cut needs n_v >= 2 and a positive ordered range")
+    if args.n_slices < 1 or args.jobs < 1 or args.ridge_markers < 0:
+        raise ConfigError("cut needs n_slices >= 1, jobs >= 1 and ridge_markers >= 0")
     backend = _backend(args, config)
     v = np.linspace(args.v_min, args.v_max, args.n_v)
 
@@ -351,6 +355,8 @@ def cmd_critical_temperature(args) -> str:
 
 def cmd_distributions(args) -> str:
     config = _base_config(args)
+    if args.n_times < 1 or not args.window_sigmas > 0.0:
+        raise ConfigError("distributions needs n_times >= 1 and window_sigmas > 0")
     backend = _backend(args, config)
     L = config.beam_width
     if args.preset == "fig6" or (args.v_mean is None and args.delta_x_um is None):

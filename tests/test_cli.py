@@ -73,6 +73,23 @@ class TestExitCodes:
         assert "config error: unrecognized arguments" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["distributions", "--preset", "fig6", "--n-times", "0"],
+        ["distributions", "--preset", "fig6", "--window-sigmas", "0"],
+        ["distributions", "--preset", "fig6", "--window-sigmas", "-1"],
+        ["absorption-map", "--preset", "fig7", "--n-slices", "0"],
+        ["absorption-cut", "--ridge-markers", "-1"],
+        ["absorption-map", "--jobs", "0"],
+        ["absorption-cut", "--jobs", "0"],
+    ], ids=["n-times-0", "window-sigmas-0", "window-sigmas-negative", "n-slices-0",
+            "ridge-markers-negative", "map-jobs-0", "cut-jobs-0"])
+    def test_bad_count_is_config_error(self, argv):
+        # rejected before any work, with a config error line and no traceback
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert err.startswith("config error: ")
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["plane", "critical-temperature"])
     def test_undamped_config_is_config_error(self, command, tmp_path):
         cfg = tmp_path / "undamped.cfg"

@@ -50,11 +50,16 @@ def mode_values(modes, k0, x):
     return total
 
 
-def engine(nk, k0, n_out, half_lines=(), interiors=()):
-    """The overlap engine's outputs for these terms, unscaled, as finished matrices."""
-    matrices = [np.zeros((nk, nk), dtype=complex) for _ in range(n_out)]
-    _overlap_sums(k0, 1.0, [(matrix, None) for matrix in matrices], half_lines, interiors)
-    return matrices
+def engine(nk, k0, half_lines=(), interiors=()):
+    """The overlap engine's matrix for these terms, unscaled and finished."""
+    matrix = np.zeros((nk, nk), dtype=complex)
+    _overlap_sums(k0, 1.0, matrix, half_lines, interiors)
+    return matrix
+
+
+def both_matrices(prop, window):
+    """The detection matrix and the norm matrix on ``window``, in that order."""
+    return prop.detection_matrix(), prop.norm_matrix(*window)
 
 
 def fig6_packet():
@@ -197,9 +202,8 @@ class TestConditionalEvolve:
         with pytest.raises(DomainTooSmall):
             no_detection_probability(prop.spec, prop.config, prop.grid, 0.0,
                                      spatial_domain=window)
-        for build in (prop.norm_matrix, prop.overlap_matrices):
-            with pytest.raises(DomainTooSmall):
-                build(*window)
+        with pytest.raises(DomainTooSmall):
+            prop.norm_matrix(*window)
         assert prop._detection_matrix is None and not prop._norm_matrix_cache
 
     def test_norm_windows_are_keyed_exactly(self):
@@ -292,7 +296,7 @@ class TestFirstPhotonDensity:
         props = [ConditionalPropagator(spec, cfg, grid) for _ in range(3)]
         window = props[0].default_domain(float(t[-1]))
         for prop in props:
-            prop.overlap_matrices(*window)
+            both_matrices(prop, window)
         shared, alone_pi, alone_norm = props
         pi = shared.photon_density(t)
         survival, rate = shared.norm_and_rate(t, *window)
@@ -553,7 +557,7 @@ class TestOverlapEngine:
         width = 2.0
         u = np.array([0.0, 1e-7, 1e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2])
         modes = [(np.ones(u.size, dtype=complex), 1.0, (u / width).astype(complex), 0.0, None)]
-        (gram,) = engine(u.size, 0.0, 1, half_lines=[(0, modes, 0.0, width, 1.0)])
+        gram = engine(u.size, 0.0, half_lines=[(modes, 0.0, width, 1.0)])
         assert np.array_equal(np.diag(gram), np.full(u.size, width, dtype=complex))
         closed = width * np.exp(-0.5j * u) * np.sinc(u / (2 * np.pi))
         assert np.abs(gram[0] - closed).max() <= 1e-14 * width
@@ -622,14 +626,15 @@ class TestSharedExcitedBlocks:
             assert_matches(prop.norm_matrix(*window), region_norm(prop, *window))
 
     @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES[:1] + SHARED_CASES[3:])
-    def test_norm_before_detection_builds_no_detection_matrix(self, omega, backend, profile):
+    def test_norm_only_covering_build_caches_detection_matrix(self, omega, backend, profile):
+        # a covering norm adds the detection matrix, so a caller that asks
+        # only for the norm builds it, and it is the one a fresh build gives
         first = small_propagator(omega, backend=backend, profile=profile)
-        window = first.default_domain(0.0)
-        alone = first.norm_matrix(*window)
-        assert first._detection_matrix is None
-        shared = small_propagator(omega, backend=backend, profile=profile)
-        shared.detection_matrix()
-        assert_matches(shared.norm_matrix(*window), alone)
+        first.norm_matrix(*first.default_domain(0.0))
+        cached = first._detection_matrix
+        assert cached is not None and first.detection_matrix() is cached
+        fresh = small_propagator(omega, backend=backend, profile=profile)
+        assert np.array_equal(cached, fresh.detection_matrix())
 
 
 def sliced_inside_windows(prop):
@@ -648,27 +653,43 @@ class TestOverlapMatrices:
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
     @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES)
     def test_one_pass_matches_separate_builds(self, omega, backend, profile, n_nodes):
+        # each matrix is one engine run: the norm built on a cached detection
+        # matrix is the norm whose build forms that matrix first, to the bit
         prop = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
         window = prop.default_domain(0.0)
-        d2, n = prop.overlap_matrices(*window)
+        d2, n = both_matrices(prop, window)
         assert prop.detection_matrix() is d2
         assert prop.norm_matrix(*window) is n
-        # a norm built in one pass with the detection matrix is the norm
-        # built later on the cached one, to the bit
         separate = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
-        assert np.array_equal(d2, separate.detection_matrix())
         assert np.array_equal(n, separate.norm_matrix(*window))
+        assert np.array_equal(d2, separate.detection_matrix())
         assert_matches(d2, region_detection(prop))
         assert_matches(n, region_norm(prop, *window))
 
+    @pytest.mark.parametrize("shape", ["ridge", "plateau", "weak", "fig6", "fig7-150"])
+    def test_norm_is_independent_of_call_order(self, shape):
+        # a covering norm takes the detection-matrix path whether or not the
+        # detection matrix was asked for first, so both orders give its bits
+        if shape == "fig7-150":
+            make = functools.partial(arrival_propagator, 5 * GAMMA, (150.0,), 2e-6, 5.0,
+                                     FIG7_BEAM, 48)
+        else:
+            make = functools.partial(arrival_propagator, *ARRIVAL_SHAPES[shape])
+        norm_first, window = make()
+        n = norm_first.norm_matrix(*window)
+        detection_first, _ = make()
+        d2 = detection_first.detection_matrix()
+        assert np.array_equal(n, detection_first.norm_matrix(*window))
+        assert np.array_equal(d2, norm_first.detection_matrix())
+
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
     def test_windows_inside_the_beam(self, n_nodes):
-        # the interior groups hold the detection term over [0, L] and the
+        # the interior terms hold the detection term over [0, L] and the
         # norm terms over the part of the beam in the window
         L = small_propagator(104.43e6).config.beam_width
         for window in ((0.5 * L, 50e-6), (-50e-6, 0.5 * L), (0.25 * L, 0.75 * L)):
             prop = small_propagator(104.43e6, n_nodes=n_nodes)
-            d2, n = prop.overlap_matrices(*window)
+            d2, n = both_matrices(prop, window)
             assert_matches(n, small_propagator(104.43e6, n_nodes=n_nodes).norm_matrix(*window))
             assert_matches(d2, region_detection(prop))
             assert_matches(n, region_norm(prop, *window))
@@ -684,7 +705,7 @@ class TestOverlapMatrices:
                                  profile=GAUSSIAN_BEAM, n_nodes=n_nodes)
         for window in sliced_inside_windows(make()):
             prop = make()
-            d2, n = prop.overlap_matrices(*window)
+            d2, n = both_matrices(prop, window)
             assert_matches(n, make().norm_matrix(*window))
             assert_matches(d2, region_detection(prop))
 
@@ -696,31 +717,34 @@ class TestOverlapMatrices:
         # each switch the elements sit at rounding
         u = np.array([0.0, 1e-7, 1e-5, 3e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2, 0.1])
         modes = [(np.ones(u.size, dtype=complex), 1.0, (u / 2.0).astype(complex), 0.0, None)]
-        terms = [(0, modes, 0.0, 2.0, 1.0), (1, modes, 2.0 - 2e-3, 2.0, 1.0)]
+        terms = [(modes, 0.0, 2.0, 1.0), (modes, 2.0 - 2e-3, 2.0, 1.0)]
         alpha = np.subtract.outer(u, u) / 2.0
 
         def closed(x1, x2):
             w = x2 - x1
             return w * np.exp(0.5j * alpha * (x1 + x2)) * np.sinc(alpha * w / (2 * np.pi))
 
-        long, short = engine(u.size, 0.0, 2, half_lines=terms)
-        assert np.abs(long - closed(0.0, 2.0)).max() <= 1e-14 * 2.0
-        assert np.abs(short - closed(2.0 - 2e-3, 2.0)).max() <= 1e-14 * 2e-3
+        got = engine(u.size, 0.0, half_lines=terms)
+        assert np.abs(got - closed(0.0, 2.0) - closed(2.0 - 2e-3, 2.0)).max() <= 1e-14 * 2.0
 
     def test_detection_built_after_the_norm(self):
         prop = small_propagator(104.43e6)
         window = prop.default_domain(0.0)
         n = prop.norm_matrix(*window)
-        d2, again = prop.overlap_matrices(*window)
+        d2, again = both_matrices(prop, window)
         assert again is n
         assert_matches(d2, region_detection(prop))
 
     def test_requires_decay(self):
+        # without decay the excited half-lines do not converge: there is no
+        # detection matrix, and a norm integrates both channels over its window
         spec, _ = packet()
         prop = ConditionalPropagator(spec, cesium_config(omega=104.43e6, gamma=0.0),
                                      default_kgrid(spec, n_nodes=32))
         with pytest.raises(ValueError, match="gamma > 0"):
-            prop.overlap_matrices(-1e-3, 1e-3)
+            prop.detection_matrix()
+        n = prop.norm_matrix(-1e-3, 1e-3)
+        assert np.array_equal(n, n.conj().T) and prop._detection_matrix is None
 
 
 class TestGramOracle:
@@ -819,9 +843,9 @@ class TestOffsetFormOracle:
         prop, _ = arrival_propagator(5 * GAMMA, (150.0,), 2e-6, 5.0, FIG7_BEAM, 48)
         k0 = prop.grid.origin
         slices = prop.regions[1:-1]
-        terms = [(0, region.channel_modes[1], region.x1, region.x2, 1.0) for region in slices]
-        (batched,) = engine(48, k0, 1, interiors=terms)
-        alone = sum(_region_gram(*term[1:4], k0) for term in terms)
+        terms = [(region.channel_modes[1], region.x1, region.x2, 1.0) for region in slices]
+        batched = engine(48, k0, interiors=terms)
+        alone = sum(_region_gram(*term[:3], k0) for term in terms)
         assert np.abs(batched - alone).max() <= 1e-14 * np.abs(alone).max()
         for region in (slices[0], slices[64], slices[128], slices[-1]):
             assert interior_oracle_error(region, (0, 24, 47)) <= 1e-12
@@ -831,8 +855,9 @@ class TestExactIdealColumn:
     @pytest.mark.parametrize("shape", ["fig6", "fig7-150"])
     def test_route_product_gives_the_ideal_density(self, shape):
         # Pi_id = gamma P2 + dP2/dt from the route's own product equals the
-        # per-pair spectral deconvolution, window ends included.  The
-        # reduced grid of 128 nodes is the smallest on which the fig7
+        # per-pair spectral deconvolution, each pair times gamma - i (omega_mu
+        # - omega_nu), window ends included, and is ideal_density to the bit.
+        # The reduced grid of 128 nodes is the smallest on which the fig7
         # packet passes the route check
         if shape == "fig6":
             omega, velocities, delta_x, sigmas = ARRIVAL_SHAPES["fig6"]
@@ -847,9 +872,11 @@ class TestExactIdealColumn:
         half = sigmas * delta_x / v
         times = TimeSeries(t0=tw - half, dt=2 * half / 400, values=np.zeros(401))
         observed = first_photon_density(spec, cfg, grid, times, backend=backend)
-        want = prop.ideal_density(times.times)
+        dw = np.subtract.outer(prop.omega_rel, prop.omega_rel)
+        want = prop._quadratic(prop.detection_matrix() * (cfg.gamma - 1j * dw), times.times)[0]
         got = observed.meta["ideal_density"]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got, prop.ideal_density(times.times))
 
 
 def gauss_sets(monkeypatch):
@@ -875,7 +902,7 @@ class TestFarFactors:
         else:
             prop, window = arrival_propagator(*ARRIVAL_SHAPES[shape])
         taken = gauss_sets(monkeypatch)
-        d2, n = prop.overlap_matrices(*window)
+        d2, n = both_matrices(prop, window)
         # every interior field is one direction: the crossing products are separable
         assert taken and all(len(set(signs)) == 1 for signs in taken)
         for got, want in ((d2, region_detection(prop, dense_gram)),
@@ -913,9 +940,9 @@ class TestFarFactors:
     def test_one_column_flushes_match_the_default(self, omega, backend, profile, monkeypatch):
         make = functools.partial(small_propagator, omega, backend=backend, profile=profile)
         window = make().default_domain(0.0)
-        default = make().overlap_matrices(*window)
+        default = both_matrices(make(), window)
         monkeypatch.setattr(wavepacket, "LOW_RANK_COLUMNS", 1)
-        for got, want in zip(make().overlap_matrices(*window), default):
+        for got, want in zip(both_matrices(make(), window), default):
             assert_matches(got, want)
 
     @pytest.mark.parametrize("nk", [24, 129, 641])
@@ -926,33 +953,33 @@ class TestFarFactors:
         prop = small_propagator(104.43e6, n_nodes=nk)
         k0 = prop.grid.origin
         interior = prop.regions[1]
-        inside = [(0, modes, interior.x1, interior.x2, 1.0)
+        inside = [(modes, interior.x1, interior.x2, 1.0)
                   for modes in interior.channel_modes if modes]
-        half_lines = [(0,) + term[1:] for term in half_line_entry(prop, prop.default_domain(0.0))]
-        (gram,) = engine(nk, k0, 1, half_lines, inside)
+        half_lines = sum(half_line_entry(prop, prop.default_domain(0.0)), [])
+        gram = engine(nk, k0, half_lines, inside)
         addend = prop.detection_matrix()
         fused = np.zeros_like(gram)
-        _overlap_sums(k0, 2 * math.pi, [(fused, addend)], half_lines, inside)
+        _overlap_sums(k0, 2 * math.pi, fused, half_lines, inside, addend)
         assert np.array_equal(gram, gram.conj().T)
         assert np.array_equal(fused, gram / (2 * math.pi) + addend)
 
 
 def half_line_entry(prop, window):
-    """The half-lines' Gram terms as ``_build_overlaps`` passes them, in one entry.
+    """The half-lines' Gram terms as ``_build_overlaps`` passes them, per matrix.
 
-    Output 0 is the detection matrix (excited channel to -inf and +inf),
-    output 1 the norm on ``window`` less the excited tails beyond it
-    (ground channel over the window's finite parts).
+    The first list is the detection matrix's (excited channel to -inf and
+    +inf), the second the norm's on ``window`` less the excited tails
+    beyond it (ground channel over the window's finite parts).
     """
     left, right = prop.regions[0], prop.regions[-1]
     x_min, x_max = window
-    terms = [(0, left.channel_modes[1], -math.inf, left.x2, 1.0),
-             (1, left.channel_modes[1], -math.inf, x_min, -1.0),
-             (1, left.channel_modes[0], x_min, left.x2, 1.0),
-             (0, right.channel_modes[1], right.x1, math.inf, 1.0),
-             (1, right.channel_modes[1], x_max, math.inf, -1.0),
-             (1, right.channel_modes[0], right.x1, x_max, 1.0)]
-    return [term for term in terms if term[1]]
+    detection = [(left.channel_modes[1], -math.inf, left.x2, 1.0),
+                 (right.channel_modes[1], right.x1, math.inf, 1.0)]
+    norm = [(left.channel_modes[1], -math.inf, x_min, -1.0),
+            (left.channel_modes[0], x_min, left.x2, 1.0),
+            (right.channel_modes[1], x_max, math.inf, -1.0),
+            (right.channel_modes[0], right.x1, x_max, 1.0)]
+    return [[term for term in terms if term[0]] for terms in (detection, norm)]
 
 
 class TestUpperTiles:
@@ -961,10 +988,10 @@ class TestUpperTiles:
     def test_half_lines_match_dense_oracle(self, omega, backend, profile, n_nodes):
         prop = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
         k0 = prop.grid.origin
-        terms = half_line_entry(prop, prop.default_domain(0.0))
-        for out, got in enumerate(engine(n_nodes, k0, 2, half_lines=terms)):
+        for terms in half_line_entry(prop, prop.default_domain(0.0)):
+            got = engine(n_nodes, k0, half_lines=terms)
             want = sum((scale * dense_gram(modes, x1, x2, k0)
-                        for o, modes, x1, x2, scale in terms if o == out), np.zeros_like(got))
+                        for modes, x1, x2, scale in terms), np.zeros_like(got))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
@@ -976,16 +1003,16 @@ class TestUpperTiles:
         prop = small_propagator(104.43e6, n_nodes=n_nodes)
         k0 = prop.grid.origin
         interior = prop.regions[1]
-        inside = [(0, interior.channel_modes[1], interior.x1, interior.x2, 1.0)]
-        (got,) = engine(n_nodes, k0, 1, interiors=inside)
+        inside = [(interior.channel_modes[1], interior.x1, interior.x2, 1.0)]
+        got = engine(n_nodes, k0, interiors=inside)
         want = dense_gram(interior.channel_modes[1], interior.x1, interior.x2, k0)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         monkeypatch.setattr(wavepacket._LowRank, "add", lambda self, *factors: None)
-        for got in engine(n_nodes, k0, 2, half_lines=half_line_entry(
-                prop, prop.default_domain(0.0))):
+        for terms in half_line_entry(prop, prop.default_domain(0.0)):
+            got = engine(n_nodes, k0, half_lines=terms)
             assert np.abs(got).max() > 0.0
             assert np.array_equal(got, got.conj().T)
-        assert not np.any(engine(n_nodes, k0, 1, interiors=inside)[0])
+        assert not np.any(engine(n_nodes, k0, interiors=inside))
 
 
 class TestRegionField:
