@@ -19,15 +19,23 @@ weight, its diagonal block halved, and one pass over the row tiles adds
 the last parts and finishes the matrix: diagonal block plus its conjugate
 transpose, the block below the diagonal the tile's conjugate transpose.
 
+The detection matrix is nearly rank-deficient (the excited channel lives
+in the beam and a few decay lengths beside it), so it is held as the
+rows F of a pivoted Cholesky factor read column by column from those
+parts (``_compress``), and its time forms take O(r nk) per node.  Half-line
+terms that run to infinity are never tiled; the ground channel's clips
+of the half-lines are the only Cauchy tiles.
+
 Each run of the engine builds one matrix.  The excited channel is
 integrated once for both the detection and the norm matrix: with gamma >
 0, a norm window that covers every finite region equals the detection
-matrix (built first if it is missing) plus the ground-channel Grams minus
-the excited Grams of the half-line tails beyond the window; any other
-window is integrated region by region.  So each matrix follows from its
-inputs alone, whatever was built before it.  The survival loss rate
--dN/dt is the exact derivative of its quadratic form, so the
-first-photon route check carries no time-step error.
+matrix (built first if it is missing, its factor's rows as low-rank
+columns) plus the ground-channel Grams minus the excited Grams of the
+half-line tails beyond the window; any other window is integrated region
+by region.  So each matrix follows from its inputs alone, whatever was
+built before it.  The survival loss rate -dN/dt is the exact derivative
+of its quadratic form, so the first-photon route check carries no
+time-step error.
 
 Every time-domain output is a quadratic form in the phases
 exp(-i omega_k t), with frequencies only at differences of the omegas, so
@@ -55,6 +63,13 @@ from .series import TimeSeries, chebyshev_samples
 
 KGRID_SPAN = 10.0    # half-width of each component's k window, in units of dk
 ROUTE_TOL = 1e-3     # largest gamma*P2 vs -dN/dt discrepancy first_photon_density accepts
+# Largest excess of the survival N(t) over the packet norm the k-grid
+# carries that first_photon_density accepts.  On a grid that resolves the
+# packet, N(t) is at most that norm up to the quadrature's own error, which
+# ``default_kgrid`` holds below 1e-10 (its coverage invariant); ten times
+# that leaves room for rounding (measured excess 4e-14) and still refuses
+# the O(1) excess of aliased packet copies.
+SURVIVAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-10  # largest edge density * width / norm boundary_density_ok accepts
 
 
@@ -303,6 +318,11 @@ PANEL_SPREAD = 100.0
 INTERIOR_BATCH = 32
 # |alpha| width below which a Cauchy pair takes the eight-term series.
 SERIES_SWITCH = 1e-2
+# Largest residual diagonal, relative to the largest diagonal, at which the
+# pivoted Cholesky of a Gram stops (``_pivoted_cholesky``): 64 units of
+# rounding.  At one unit it would not stop, since the updated diagonal
+# itself rounds at a few units.
+FACTOR_LEVEL = 64 * 2.0 ** -53
 
 
 def _can_resonate(i_kappa_a: np.ndarray, i_kappa_b: np.ndarray, bound: float) -> bool:
@@ -482,16 +502,18 @@ def _separable(a: np.ndarray, b: np.ndarray, min_order: int = 1):
 
 
 class _LowRank:
-    """Hermitian low-rank contributions to ``matrix``, waiting for a tile pass.
+    """Hermitian low-rank contributions to an (nk, nk) matrix, waiting for a tile pass.
 
     A contribution is H = sum_c left_c right_c^T with H Hermitian, given as
     the (m, nk) rows ``left`` and ``right``; the rows are kept, not copied.
     Once LOW_RANK_COLUMNS columns are pending, a tile pass (``_tile_pass``)
-    adds them to the matrix; the rest wait for the pass that finishes it.
+    adds them to ``matrix``, allocated then; the rest wait for the pass that
+    finishes it, or for the factorisation that reads them (``_compress``).
     """
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, nk: int):
+        self.nk = nk
+        self.matrix = None
         self.pending = []
         self.columns = 0
 
@@ -507,7 +529,7 @@ class _LowRank:
         self.add(right.conj(), left.conj())
 
 
-def _tile_pass(low_rank: _LowRank, cauchy=(), scale=None, addend=None) -> None:
+def _tile_pass(low_rank: _LowRank, cauchy=(), finish: bool = False, addends=()) -> np.ndarray:
     """Add the pending parts to the low-rank buffer's matrix by OVERLAP_TILE row tiles.
 
     Per row tile the matrix takes its parts from the tile's first row on,
@@ -518,16 +540,17 @@ def _tile_pass(low_rank: _LowRank, cauchy=(), scale=None, addend=None) -> None:
     widest series switch are evaluated again term by term
     (``_near_values``).
 
-    With ``scale`` the pass also finishes each tile while it is in cache:
-    the diagonal block plus its conjugate transpose, the tile times
-    ``scale`` (as the float-view product numpy forms when it divides a
-    complex by a real), plus ``addend`` if given (a finished matrix), and
-    the conjugate transpose of the tile beyond its diagonal block written
-    below it.  So the matrix comes out exactly Hermitian, with no (nk, nk)
-    temporary.
+    With ``finish`` the pass also finishes each tile while it is in cache:
+    the diagonal block plus its conjugate transpose, plus sign times each
+    (matrix, sign) of ``addends`` (finished matrices), and the conjugate
+    transpose of the tile beyond its diagonal block written below it.  So
+    the matrix, which the pass returns, comes out exactly Hermitian with a
+    real diagonal, and no (nk, nk) temporary.
     """
+    nk = low_rank.nk
+    if low_rank.matrix is None:
+        low_rank.matrix = np.zeros((nk, nk), dtype=complex)
     matrix = low_rank.matrix
-    nk = matrix.shape[0]
     buffers = np.empty((3, OVERLAP_TILE * nk), dtype=complex)
     # an exact resonance (alpha = 0) is always near: its inverse is replaced
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -561,16 +584,18 @@ def _tile_pass(low_rank: _LowRank, cauchy=(), scale=None, addend=None) -> None:
                 if part:
                     acc[:, :n] *= 0.5
                     upper += acc
-            if scale is not None:
+            if finish:
                 diagonal = upper[:, :n]
                 diagonal += diagonal.conj().T
-                floats = upper.view(float)
-                floats *= scale
-                if addend is not None:
-                    upper += addend[rows, start:]
+                for addend, sign in addends:
+                    if sign > 0.0:
+                        upper += addend[rows, start:]
+                    else:
+                        upper -= addend[rows, start:]
                 matrix[start + n:, rows] = upper[:, n:].conj().T
     low_rank.pending = []
     low_rank.columns = 0
+    return matrix
 
 
 def _gl_nodes(spread: float) -> int:
@@ -763,35 +788,30 @@ def _crossing(k0, fwd, bwd, newton, coef, delta, gap, anchor, x1, x2, scale, low
     low_rank.add_far(np.concatenate(left), np.concatenate(right))
 
 
-def _overlap_sums(k0: float, divisor: float, matrix: np.ndarray, half_lines, interiors,
-                  addend=None) -> None:
-    """The Hermitian sum of region Grams over ``divisor``, plus ``addend``, into ``matrix``.
+def _collect(k0: float, nk: int, half_lines, interiors):
+    """The parts of the Hermitian sum of region Grams: a low-rank buffer and Cauchy groups.
 
-    ``matrix`` is a zeroed (nk, nk) complex array; ``addend`` is None or a
-    finished matrix added to it once divided (``_tile_pass``).  A term
-    (modes, x1, x2, scale) stands for scale times integral_x1^x2 psi psi^H
-    dx of the channel psi = sum of modes (waves sign * k0 + delta,
-    ``Region``).  The matrix comes out finished and exactly Hermitian.
+    A term (modes, x1, x2, scale) stands for scale times integral_x1^x2 psi
+    psi^H dx of the channel psi = sum of modes (waves sign * k0 + delta,
+    ``Region``).
 
     ``interiors`` are terms over finite regions (the beam, its slices):
     Gauss-Legendre products of the carrier-free fields and separable
     factors for the products across the carrier (``_interior_products``),
-    all of them low-rank Hermitian products that wait in a buffer
-    (``_LowRank``) until one matmul per LOW_RANK_COLUMNS columns adds them.
+    all of them low-rank Hermitian products that wait in the buffer
+    (``_LowRank``).
 
     ``half_lines`` are the terms of the two half-lines, which
-    ``_build_overlaps`` passes together so that their (k, k) and (q, q)
-    denominators are shared.  Each pair of modes integrates in closed form
-    to [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with alpha = kappa_mu -
-    conj(kappa_nu); an infinite endpoint contributes nothing, since the
-    pair exponent decays there (the excited channel with gamma > 0).  The
-    pairs are grouped by alpha (``_pair_groups``).  The group across the
-    carrier, (k, -k), becomes separable factors in the low-rank buffer;
-    the others are Cauchy groups, evaluated with the low-rank remainder in
-    the one pass over row tiles that finishes the matrix.
+    ``ConditionalPropagator._overlap_terms`` passes together so that their
+    (k, k) and (q, q) denominators are shared.  Each pair of modes
+    integrates in closed form to [f_mu(x) f_nu(x)^H]_x1^x2 / (i alpha) with
+    alpha = kappa_mu - conj(kappa_nu); an infinite endpoint contributes
+    nothing, since the pair exponent decays there (the excited channel with
+    gamma > 0).  The pairs are grouped by alpha (``_pair_groups``).  The
+    group across the carrier, (k, -k), becomes separable factors in the
+    low-rank buffer; the others are the returned Cauchy groups.
     """
-    nk = matrix.shape[0]
-    low_rank = _LowRank(matrix)
+    low_rank = _LowRank(nk)
     _interior_products(k0, interiors, low_rank)
     cauchy = []
     for group in _pair_groups(k0, half_lines):
@@ -802,21 +822,130 @@ def _overlap_sums(k0: float, divisor: float, matrix: np.ndarray, half_lines, int
         powers, inverses = factors
         low_rank.add((powers[:, :, None] * group.left[None]).transpose(0, 2, 1).reshape(-1, nk),
                      (group.right[None] * inverses[:, None, :]).reshape(-1, nk))
-    _tile_pass(low_rank, cauchy, 1.0 / divisor, addend)
+    return low_rank, cauchy
 
 
-def _region_gram(modes, x1: float, x2: float, k0: float) -> np.ndarray:
+def _compress(k0: float, nk: int, half_lines, interiors, scale: float = 0.0) -> np.ndarray:
+    """The Gram of the terms as the rows F of a factor, F^T conj(F), or as itself.
+
+    The terms (``_collect``) must sum to a positive semidefinite Gram, and
+    their half-line terms must each run to -inf or +inf, so that no Cauchy
+    group needs the series.  A pivoted Cholesky (``_pivoted_cholesky``)
+    reads the Gram's diagonal and the columns it pivots on from the parts:
+    the pending low-rank products and the Cauchy groups in closed form or,
+    where the buffer overflowed LOW_RANK_COLUMNS (sliced beams), the matrix
+    its tile passes accumulated.  F, (r, nk), is returned while r is at
+    most nk // 2 and at most the parts' own row count (low-rank rows and
+    Cauchy numerator columns): beyond either, its time forms or its rows in
+    a norm would cost more than the (nk, nk) matrix, which is then returned
+    instead, finished by a tile pass of the same parts.  ``scale`` is a
+    diagonal the factor's rounding level may be taken from instead
+    (``_pivoted_cholesky``).
+    """
+    low_rank, cauchy = _collect(k0, nk, half_lines, interiors)
+    if low_rank.matrix is not None:
+        dense = _tile_pass(low_rank, cauchy, finish=True)
+        factor = _pivoted_cholesky(dense.diagonal().real, lambda p: dense[:, p], nk // 2, scale)
+        return dense if factor is None else factor
+    left = np.concatenate([part[0] for part in low_rank.pending] or [np.zeros((0, nk), complex)])
+    right = np.concatenate([part[1] for part in low_rank.pending] or [np.zeros((0, nk), complex)])
+    diagonal = np.einsum("ci,ci->i", left, right)
+    for group in cauchy:
+        diagonal += np.einsum("im,mi->i", group.left, group.right) / (
+            group.i_kappa_a - group.i_kappa_b)
+
+    def column(p):
+        out = right[:, p] @ left
+        for group in cauchy:
+            out += (group.left @ group.right[:, p]) / (group.i_kappa_a - group.i_kappa_b[p])
+        return out
+
+    rows = left.shape[0] + sum(group.left.shape[1] for group in cauchy)
+    factor = _pivoted_cholesky(diagonal.real, column, min(rows, nk // 2), scale)
+    return _tile_pass(low_rank, cauchy, finish=True) if factor is None else factor
+
+
+def _pivoted_cholesky(diagonal: np.ndarray, column, limit: int, scale: float = 0.0):
+    """Rows F of a pivoted Cholesky factor, F^T conj(F) ~ the Hermitian PSD matrix A.
+
+    ``diagonal`` is A's real diagonal and ``column(p)`` returns A[:, p].
+    Each step pivots on the largest residual diagonal d_p and takes the row
+    (A[:, p] - F^T conj(F[:, p])) / sqrt(d_p); it stops once every residual
+    diagonal is at most FACTOR_LEVEL times the larger of A's largest
+    diagonal and ``scale``, which bounds every residual element (Harbrecht,
+    Peters & Schneider, Appl. Numer. Math. 62, 428 (2012)).
+    None if that takes more than ``limit`` rows.
+    """
+    nk = diagonal.size
+    level = FACTOR_LEVEL * max(scale, diagonal.max(initial=0.0))
+    residual = diagonal.copy()
+    rows = np.empty((limit, nk), dtype=complex)
+    for rank in range(limit + 1):
+        p = int(np.argmax(residual))
+        if not residual[p] > level:
+            return rows[:rank].copy()
+        if rank == limit:
+            return None
+        row = rows[rank]
+        np.subtract(column(p), rows[:rank, p].conj() @ rows[:rank], out=row)
+        row *= 1.0 / math.sqrt(row[p].real)
+        residual -= row.real ** 2 + row.imag ** 2
+
+
+def _is_factor(gram: np.ndarray) -> bool:
+    """True for the rows F of a factor from ``_compress``, False for an (nk, nk) matrix."""
+    return gram.shape[0] < gram.shape[1]
+
+
+def _diagonal(gram: np.ndarray) -> np.ndarray:
+    """The real diagonal of a Gram from ``_compress``."""
+    return (gram.real ** 2 + gram.imag ** 2).sum(axis=0) if _is_factor(gram) else (
+        gram.diagonal().real)
+
+
+def _overlap_sums(k0: float, nk: int, half_lines, interiors, grams=()) -> np.ndarray:
+    """The Hermitian sum of region Grams, plus sign times each (gram, sign) of ``grams``.
+
+    The terms are those of ``_collect``; a gram is one of ``_compress``.  A
+    half-line term that runs to -inf or +inf is compressed too (those of
+    each sign together) to the rounding level of the largest diagonal of
+    ``grams``, which these tails join.  A factor enters as low-rank rows, a
+    matrix as an addend; what is left of the half-lines, finite clips of
+    them, are Cauchy groups, evaluated with the low-rank remainder in the
+    one pass over row tiles (``_tile_pass``) that finishes the (nk, nk)
+    matrix.  It comes out exactly Hermitian.
+    """
+    clips, tails = [], []
+    for term in half_lines:
+        (clips if math.isfinite(term[1]) and math.isfinite(term[2]) else tails).append(term)
+    grams = list(grams)
+    level = max([_diagonal(gram).max(initial=0.0) for gram, sign in grams if sign > 0.0],
+                default=0.0)
+    for sign in (1.0, -1.0):
+        terms = [(modes, x1, x2, sign * scale) for modes, x1, x2, scale in tails
+                 if sign * scale > 0.0]
+        if terms:
+            grams.append((_compress(k0, nk, terms, (), level), sign))
+    low_rank, cauchy = _collect(k0, nk, clips, interiors)
+    for gram, sign in grams:
+        if _is_factor(gram):
+            low_rank.add(sign * gram, gram.conj())
+    addends = [(gram, sign) for gram, sign in grams if not _is_factor(gram)]
+    return _tile_pass(low_rank, cauchy, finish=True, addends=addends)
+
+
+def _region_gram(modes, x1: float, x2: float, region: Region) -> np.ndarray:
     """integral_x1^x2 psi psi^H dx of the channel psi = sum of modes, (nk, nk).
 
-    The one-term call of ``_overlap_sums``: an interior term where both
-    ends are finite, a half-line term otherwise; exactly Hermitian.
+    [x1, x2] lies in ``region``, whose carrier the modes take.  The
+    one-term call of ``_overlap_sums``, routed as the propagator routes the
+    region: a half-line term for any part of a region with an infinite end,
+    an interior term otherwise; exactly Hermitian.
     """
-    nk = modes[0][0].shape[0]
-    gram = np.zeros((nk, nk), dtype=complex)
     term = [(modes, x1, x2, 1.0)]
-    finite = not (math.isinf(x1) or math.isinf(x2))
-    _overlap_sums(k0, 1.0, gram, *(((), term) if finite else (term, ())))
-    return gram
+    half_line = math.isinf(region.x1) or math.isinf(region.x2)
+    return _overlap_sums(region.carrier, modes[0][0].shape[0],
+                         *((term, ()) if half_line else ((), term)))
 
 
 def _norm_window(x_min: float, x_max: float) -> tuple[float, float]:
@@ -868,6 +997,7 @@ class ConditionalPropagator:
         else:
             raise ValueError(f"backend must be 'analytic' or 'transfer', got {backend!r}")
 
+        # the detection matrix, or its factor (``_detection``)
         self._detection_matrix = None
         self._norm_matrix_cache: dict = {}
         self._last_samples = None
@@ -875,11 +1005,30 @@ class ConditionalPropagator:
     # -- matrices -------------------------------------------------------
 
     def detection_matrix(self) -> np.ndarray:
-        """Gram matrix of the excited components over the whole line."""
+        """Gram matrix of the excited components over the whole line.
+
+        Where the detection matrix is held as a factor F (``_detection``)
+        it is formed on each call as F^T conj(F), exactly Hermitian.
+        """
+        detection = self._detection()
+        if not _is_factor(detection):
+            return detection
+        return _overlap_sums(self.grid.origin, self.k.shape[0], (), (), [(detection, 1.0)])
+
+    def _detection(self) -> np.ndarray:
+        """The detection matrix as ``_compress`` gives it, built once.
+
+        The excited channel lives in the beam and a few decay lengths
+        beside it, so on the paper's packets that is a factor F, (r, nk),
+        with r far below nk; a packet that resolves many decay lengths of
+        it (fast atoms, narrow packets) keeps the (nk, nk) matrix.
+        """
         if self.config.gamma <= 0.0:
             raise ValueError("detection matrix requires gamma > 0")
         if self._detection_matrix is None:
-            self._detection_matrix = self._build_overlaps()
+            half_lines, interiors, _ = self._overlap_terms()
+            self._detection_matrix = _compress(self.grid.origin, self.k.shape[0],
+                                               half_lines, interiors)
         return self._detection_matrix
 
     def norm_matrix(self, x_min: float, x_max: float) -> np.ndarray:
@@ -887,52 +1036,59 @@ class ConditionalPropagator:
 
         With gamma > 0, a window that covers every finite region holds all
         of the excited channel except the half-line tails beyond it, so the
-        matrix is the detection matrix (built and cached first if it is
-        missing), plus the ground-channel Grams, minus the excited Gram of
-        each tail: the excited pairs are integrated once for both matrices.
-        Any other window, and gamma = 0, integrates both channels over the
-        window region by region.  Either way the path depends on the window
-        alone, not on which matrices were built before.
+        matrix is the detection matrix (``_detection``, built and cached
+        first if missing), plus the ground-channel Grams, minus the excited
+        Gram of each tail: the excited pairs are integrated once for both
+        matrices.  Any other window, and gamma = 0, integrates both channels
+        over the window region by region.  Either way the path depends on
+        the window alone, not on which matrices were built before.
 
         The window is the cache key as given; DomainTooSmall is raised
         unless both ends are finite and x_min < x_max.
         """
         window = _norm_window(x_min, x_max)
         if window not in self._norm_matrix_cache:
-            self._norm_matrix_cache[window] = self._build_overlaps(window)
+            half_lines, interiors, covering = self._overlap_terms(window)
+            grams = [(self._detection(), 1.0)] if covering else []
+            self._norm_matrix_cache[window] = _overlap_sums(
+                self.grid.origin, self.k.shape[0], half_lines, interiors, grams)
         return self._norm_matrix_cache[window]
 
-    def _build_overlaps(self, window=None) -> np.ndarray:
-        """The detection matrix, or the norm matrix on ``window``, from one engine run."""
+    def _overlap_terms(self, window=None):
+        """(half_lines, interiors, covering): the engine's terms of one matrix.
+
+        Without ``window`` the terms of the detection matrix (the excited
+        channel over the line); with it those of the norm on ``window``,
+        which, if ``covering``, leave the excited channel to the detection
+        matrix except its tails beyond the window, at scale -1.  Every
+        scale carries the 1 / (2 pi) of the wavenumber measure.
+        """
         regions = self.regions
         covering = window is not None and self.config.gamma > 0.0 and (
             window[0] <= regions[0].x2 and window[1] >= regions[-1].x1)
-        addend = self.detection_matrix() if covering else None
+        scale = 1.0 / (2.0 * math.pi)
         half_lines, interiors = [], []
         for index, region in enumerate(regions):
             ground, excited = region.channel_modes
             terms = []
             if window is None:
                 if excited:
-                    terms.append((excited, region.x1, region.x2, 1.0))
+                    terms.append((excited, region.x1, region.x2, scale))
             else:
                 x_min, x_max = window
                 if covering:
                     if excited and math.isinf(region.x1):
-                        terms.append((excited, -math.inf, x_min, -1.0))
+                        terms.append((excited, -math.inf, x_min, -scale))
                     if excited and math.isinf(region.x2):
-                        terms.append((excited, x_max, math.inf, -1.0))
+                        terms.append((excited, x_max, math.inf, -scale))
                     excited = []
                 lo = max(x_min, region.x1)
                 hi = min(x_max, region.x2)
                 if hi > lo:
-                    terms += [(modes, lo, hi, 1.0) for modes in (ground, excited) if modes]
+                    terms += [(modes, lo, hi, scale) for modes in (ground, excited) if modes]
             # the two half-lines share their (k, k) and (q, q) denominators
             (interiors if 0 < index < len(regions) - 1 else half_lines).extend(terms)
-        nk = self.k.shape[0]
-        matrix = np.zeros((nk, nk), dtype=complex)
-        _overlap_sums(self.grid.origin, 2.0 * math.pi, matrix, half_lines, interiors, addend)
-        return matrix
+        return half_lines, interiors, covering
 
     def _quadratic(self, matrix: np.ndarray, times) -> np.ndarray:
         """Rows Re v^H matrix^T v and 2 Im sum_k omega_k conj(v_k) (matrix^T v)_k at times.
@@ -957,6 +1113,25 @@ class ConditionalPropagator:
             terms *= v
             out[0, part] = terms.real.sum(axis=0)
             out[1, part] = -2.0 * np.einsum("i,ij->j", self.omega_rel, terms.imag)
+        return resample(out)
+
+    def _detection_forms(self, times) -> np.ndarray:
+        """The rows of ``_quadratic`` for the detection matrix, P2 and -dP2/dt, at times.
+
+        For its factor F (``_detection``), with g = F v and h = F (omega v),
+        they are sum_l |g_l|^2 and 2 Im sum_l g_l conj(h_l): one (2r, nk)
+        product per node, not an (nk, nk) one.  A kept (nk, nk) matrix
+        takes ``_quadratic``.
+        """
+        detection = self._detection()
+        if not _is_factor(detection):
+            return self._quadratic(detection, times)
+        phases, resample = self._samples(times)
+        g, h = np.split(np.concatenate([detection, detection * self.omega_rel]) @ phases, 2)
+        out = np.empty((2, phases.shape[1]))
+        out[0] = np.einsum("ij,ij->j", g.real, g.real) + np.einsum("ij,ij->j", g.imag, g.imag)
+        out[1] = 2.0 * (np.einsum("ij,ij->j", g.imag, h.real)
+                        - np.einsum("ij,ij->j", g.real, h.imag))
         return resample(out)
 
     def _samples(self, times):
@@ -990,7 +1165,7 @@ class ConditionalPropagator:
         return _region_field(self.regions, phases, x)
 
     def excited_population(self, times) -> np.ndarray:
-        return self._quadratic(self.detection_matrix(), times)[0]
+        return self._detection_forms(times)[0]
 
     def photon_density(self, times) -> np.ndarray:
         """First-photon density gamma * P2(t)."""
@@ -1005,7 +1180,7 @@ class ConditionalPropagator:
         Summed, that is gamma P2 plus the derivative of P2, whose negative
         is the second row of P2's quadratic form (``_quadratic``).
         """
-        p2, rate = self._quadratic(self.detection_matrix(), times)
+        p2, rate = self._detection_forms(times)
         return self.config.gamma * p2 - rate
 
     def ridge_density(self, times) -> np.ndarray:
@@ -1151,7 +1326,9 @@ def first_photon_density(
     routes agree through the continuity equation of the conditional
     dynamics, not through the time grid, so the discrepancy measures the
     overlap matrices and the window, whatever dt is.  Disagreement beyond
-    ``ROUTE_TOL`` (relative, integrated) raises ConsistencyFailure.
+    ``ROUTE_TOL`` (relative, integrated) raises ConsistencyFailure, and so
+    does a survival above the packet norm by more than ``SURVIVAL_TOL``,
+    which only a k-grid too coarse for the window produces.
     """
     if not (config.gamma > 0.0):
         raise ValueError("first_photon_density requires gamma > 0")
@@ -1160,12 +1337,10 @@ def first_photon_density(
     lo0, hi0 = prop.default_domain(float(t[0]))
     lo1, hi1 = prop.default_domain(float(t[-1]))
     x_min, x_max = min(lo0, lo1), max(hi0, hi1)
-    # the norm first: it builds the detection matrix and its own array right
-    # after it, which keeps the peak resident size of repeated calls about
-    # 2 MB (641 nodes) below forming gamma P2 in between
+    # the covering norm builds the detection matrix, which gamma P2 reuses
     survival, dn = prop.norm_and_rate(t, x_min, x_max)
     # gamma P2 and -dP2/dt from one product: Pi_id = gamma P2 - (-dP2/dt)
-    p2, p2_rate = prop._quadratic(prop.detection_matrix(), t)
+    p2, p2_rate = prop._detection_forms(t)
     pi = config.gamma * p2
     denom = float(np.trapezoid(np.abs(pi), dx=times.dt))
     if denom > 0.0:
@@ -1175,6 +1350,14 @@ def first_photon_density(
     if discrepancy > ROUTE_TOL:
         raise ConsistencyFailure(
             f"gamma*P2 vs -dN/dt disagree by {discrepancy:.2e} (integrated, relative)"
+        )
+    packet_norm = float(np.vdot(prop.psi, prop.coeff).real)
+    peak = float(survival.max())
+    if peak > packet_norm + SURVIVAL_TOL:
+        raise ConsistencyFailure(
+            f"survival {peak:.6g} exceeds the packet norm {packet_norm:.6g}: "
+            f"{prop.k.shape[0]} k-nodes alias the packet over its {x_max - x_min:.3g} m "
+            "window; use more nodes (--k-nodes)"
         )
     return TimeSeries(
         t0=times.t0,

@@ -400,7 +400,7 @@ class TestDistributions:
         def unchecked(spec, config, grid, times, backend):
             prop = wpk.ConditionalPropagator(spec, config, grid, backend=backend)
             pi = prop.photon_density(times.times)
-            rate = prop._quadratic(prop.detection_matrix(), times.times)[1]
+            rate = prop._detection_forms(times.times)[1]
             return TimeSeries(t0=times.t0, dt=times.dt, values=pi,
                               meta={"route_discrepancy": 0.0, "survival_end": 0.0,
                                     "ideal_density": pi - rate})
@@ -422,6 +422,29 @@ class TestDistributions:
         assert code == 2
         assert "numeric failure: gamma*P2 vs -dN/dt disagree" in err
         assert out == ""
+
+
+    def test_aliased_packet_exits_2(self, tmp_path):
+        # 257 k-nodes do not resolve the 400 m/s, 2 um packet over its
+        # 0.8 mm window: aliased copies lift the survival to 2.3 while the
+        # routes still agree.  At 641 nodes it reads what 1601 and 2400
+        # nodes read, to 1e-11
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("mass_kg = 2.2069e-25\ngamma_per_s = 3.28e7\n"
+                       "omega_in_gamma = 5\nL_um = 5\n")
+        args = ["distributions", "--config", str(cfg), "--v-mean", "400", "--delta-x-um", "2"]
+        with pytest.warns(UserWarning):
+            code, out, err = run_cli(args)
+        assert code == 2
+        assert "numeric failure: survival" in err and "--k-nodes" in err
+        assert out == ""
+        with pytest.warns(UserWarning):
+            code, out, _ = run_cli(args + ["--k-nodes", "641"])
+        assert code == 0
+        meta = dict(line[2:].split(" = ", 1) for line in out.splitlines()
+                    if line.startswith("# ") and " = " in line)
+        assert float(meta["survival_end"]) == pytest.approx(0.5689194662, abs=1e-10)
+        assert float(meta["route_discrepancy"]) <= 1e-12
 
 
 class TestRegimeCommand:

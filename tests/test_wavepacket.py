@@ -12,7 +12,7 @@ from toa_sim import distributions as ds
 from toa_sim import kernels, wavepacket
 from toa_sim.errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from toa_sim.model import RabiProfile, cesium_config
-from toa_sim.scattering import _newton_wave, _wave
+from toa_sim.scattering import Region, _newton_wave, _wave
 from toa_sim.series import TimeSeries, _node_count, l1_distance
 from toa_sim.wavepacket import (
     ConditionalPropagator,
@@ -20,9 +20,12 @@ from toa_sim.wavepacket import (
     KGrid,
     OVERLAP_TILE,
     PacketSpec,
+    _collect,
     _gauss_legendre,
     _overlap_sums,
+    _pivoted_cholesky,
     _region_gram,
+    _tile_pass,
     conditional_evolve,
     default_kgrid,
     first_photon_density,
@@ -51,10 +54,8 @@ def mode_values(modes, k0, x):
 
 
 def engine(nk, k0, half_lines=(), interiors=()):
-    """The overlap engine's matrix for these terms, unscaled and finished."""
-    matrix = np.zeros((nk, nk), dtype=complex)
-    _overlap_sums(k0, 1.0, matrix, half_lines, interiors)
-    return matrix
+    """The overlap engine's matrix for these terms, finished."""
+    return _overlap_sums(k0, nk, half_lines, interiors)
 
 
 def both_matrices(prop, window):
@@ -326,11 +327,17 @@ class TestFirstPhotonDensity:
         assert np.abs(rate - fd).max() <= 1e-6 * np.abs(rate).max()
 
     def test_route_flags_inconsistent_density(self, monkeypatch):
+        # the detection factor F scaled by sqrt(1.01): D = F^T conj(F) 1 % too large
         cfg, spec, grid, times = self.make()
-        detection = ConditionalPropagator.detection_matrix
-        monkeypatch.setattr(ConditionalPropagator, "detection_matrix",
-                            lambda self: 1.01 * detection(self))
-        with pytest.raises(ConsistencyFailure):
+        detection = ConditionalPropagator._detection
+
+        def corrupted(prop):
+            factor = detection(prop)
+            assert factor.shape[0] < factor.shape[1]
+            return math.sqrt(1.01) * factor
+
+        monkeypatch.setattr(ConditionalPropagator, "_detection", corrupted)
+        with pytest.raises(ConsistencyFailure, match="gamma"):
             first_photon_density(spec, cfg, grid, times)
 
     def test_density_nonnegative_and_monotone_norm(self):
@@ -523,7 +530,7 @@ class TestOverlapEngine:
                 continue
             psi = mode_values(modes, k0, xs)
             quad = (psi * ws) @ psi.conj().T
-            gram = _region_gram(modes, 0.0, L, k0)
+            gram = _region_gram(modes, 0.0, L, interior)
             assert np.abs(gram - quad).max() <= 1e-10 * np.abs(quad).max()
 
     def test_closed_channel_is_one_field(self, monkeypatch):
@@ -545,7 +552,7 @@ class TestOverlapEngine:
                 # the resonant cross pairs are beyond a double-precision
                 # quotient (dense_gram reads 2e-11 at 24 nodes): the oracle
                 # is mpmath's
-                got = _region_gram(modes, interior.x1, interior.x2, k0)
+                got = _region_gram(modes, interior.x1, interior.x2, interior)
                 want = mpmath_gram(modes, interior.x1, interior.x2, k0, rows=rows)
                 assert np.abs(got[rows] - want).max() <= 1e-12 * np.abs(got).max()
         assert any(len(set(signs)) == 2 for signs in taken)
@@ -563,18 +570,23 @@ class TestOverlapEngine:
         assert np.abs(gram[0] - closed).max() <= 1e-14 * width
 
 
+def region_dense_gram(modes, x1, x2, region):
+    """``oracle.dense_gram`` with the carrier of the region [x1, x2] lies in."""
+    return dense_gram(modes, x1, x2, region.carrier)
+
+
 def region_detection(prop, gram=_region_gram):
     """Detection matrix as the plain per-region sum (oracle for the shared engine).
 
-    ``gram`` integrates one channel over one interval with the regions'
-    carrier: the engine's one-term call by default, ``oracle.dense_gram``
-    for a pair-by-pair reference in the same offset form.
+    ``gram`` integrates one channel over one interval of one region: the
+    engine's one-term call by default, ``region_dense_gram`` for a
+    pair-by-pair reference in the same offset form.
     """
     nk = prop.k.shape[0]
     out = np.zeros((nk, nk), dtype=complex)
     for region in prop.regions:
         if region.channel_modes[1]:
-            out += gram(region.channel_modes[1], region.x1, region.x2, region.carrier)
+            out += gram(region.channel_modes[1], region.x1, region.x2, region)
     return out / (2 * math.pi)
 
 
@@ -588,7 +600,7 @@ def region_norm(prop, x_min, x_max, gram=_region_gram):
             continue
         for ch in (0, 1):
             if region.channel_modes[ch]:
-                out += gram(region.channel_modes[ch], lo, hi, region.carrier)
+                out += gram(region.channel_modes[ch], lo, hi, region)
     return out / (2 * math.pi)
 
 
@@ -627,14 +639,17 @@ class TestSharedExcitedBlocks:
 
     @pytest.mark.parametrize("omega,backend,profile", SHARED_CASES[:1] + SHARED_CASES[3:])
     def test_norm_only_covering_build_caches_detection_matrix(self, omega, backend, profile):
-        # a covering norm adds the detection matrix, so a caller that asks
-        # only for the norm builds it, and it is the one a fresh build gives
+        # a covering norm adds the detection matrix's factor, so a caller
+        # that asks only for the norm builds it, and it is the one a fresh
+        # build gives
         first = small_propagator(omega, backend=backend, profile=profile)
         first.norm_matrix(*first.default_domain(0.0))
         cached = first._detection_matrix
-        assert cached is not None and first.detection_matrix() is cached
+        assert cached is not None and first._detection() is cached
+        assert cached.shape[0] < cached.shape[1]
         fresh = small_propagator(omega, backend=backend, profile=profile)
-        assert np.array_equal(cached, fresh.detection_matrix())
+        assert np.array_equal(cached, fresh._detection())
+        assert np.array_equal(first.detection_matrix(), fresh.detection_matrix())
 
 
 def sliced_inside_windows(prop):
@@ -658,10 +673,12 @@ class TestOverlapMatrices:
         prop = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
         window = prop.default_domain(0.0)
         d2, n = both_matrices(prop, window)
-        assert prop.detection_matrix() is d2
+        detection = prop._detection()
+        assert prop._detection() is detection
         assert prop.norm_matrix(*window) is n
         separate = small_propagator(omega, backend=backend, profile=profile, n_nodes=n_nodes)
         assert np.array_equal(n, separate.norm_matrix(*window))
+        assert np.array_equal(detection, separate._detection())
         assert np.array_equal(d2, separate.detection_matrix())
         assert_matches(d2, region_detection(prop))
         assert_matches(n, region_norm(prop, *window))
@@ -745,6 +762,9 @@ class TestOverlapMatrices:
             prop.detection_matrix()
         n = prop.norm_matrix(-1e-3, 1e-3)
         assert np.array_equal(n, n.conj().T) and prop._detection_matrix is None
+        # the per-region sum takes the wide clips of the half-lines as the
+        # engine does, as Cauchy groups
+        assert_matches(n, region_norm(prop, -1e-3, 1e-3))
 
 
 class TestGramOracle:
@@ -807,7 +827,7 @@ def interior_oracle_error(region, rows=ORACLE_ROWS):
     for modes in region.channel_modes:
         if not modes:
             continue
-        got = _region_gram(modes, region.x1, region.x2, region.carrier)
+        got = _region_gram(modes, region.x1, region.x2, region)
         rows = [row for row in rows if row < got.shape[0]]
         cols = list(range(0, got.shape[0], 3))
         want = mpmath_gram(modes, region.x1, region.x2, region.carrier, rows=rows, cols=cols)
@@ -845,10 +865,55 @@ class TestOffsetFormOracle:
         slices = prop.regions[1:-1]
         terms = [(region.channel_modes[1], region.x1, region.x2, 1.0) for region in slices]
         batched = engine(48, k0, interiors=terms)
-        alone = sum(_region_gram(*term[:3], k0) for term in terms)
+        alone = sum(_region_gram(*term[:3], region) for term, region in zip(terms, slices))
         assert np.abs(batched - alone).max() <= 1e-14 * np.abs(alone).max()
         for region in (slices[0], slices[64], slices[128], slices[-1]):
             assert interior_oracle_error(region, (0, 24, 47)) <= 1e-12
+
+
+# Packets whose detection matrix is compressed or kept: the four arrival
+# shapes at the benchmark's 641 nodes (factors of rank 4-13), the fig7
+# transfer packet, the degenerate point, a slow atom, and a fast narrow
+# packet whose excited channel the grid resolves over many decay lengths
+# (pivoted to the end, rank 372 of 641).
+FACTOR_CASES = {
+    **{shape: args + (None, 641) for shape, args in ARRIVAL_SHAPES.items()},
+    "fig7-150": (5 * GAMMA, (150.0,), 2e-6, 5.0, FIG7_BEAM, 280),
+    "degenerate": (GAMMA / 2, (20.0,), 2e-6, 5.0, None, 257),
+    "2-mps": (5 * GAMMA, (2.0,), 2e-6, 5.0, None, 257),
+    "400-mps": (5 * GAMMA, (400.0,), 2e-6, 5.0, None, 641),
+}
+
+
+def dense_detection(prop):
+    """The detection matrix from one tile pass over all the engine's parts (no factor)."""
+    half_lines, interiors, _ = prop._overlap_terms()
+    return _tile_pass(*_collect(prop.grid.origin, prop.k.shape[0], half_lines, interiors),
+                      finish=True)
+
+
+class TestDetectionFactor:
+    @pytest.mark.parametrize("shape", list(FACTOR_CASES))
+    def test_factor_matches_the_dense_build(self, shape):
+        # the detection matrix as the engine keeps it, and a factor pivoted
+        # without the rank limit, against the dense build of the same parts;
+        # P2 and -dP2/dt from g = F v and h = F (omega v) for both, against
+        # the dense form
+        prop, _ = arrival_propagator(*FACTOR_CASES[shape])
+        nk = prop.k.shape[0]
+        want = dense_detection(prop)
+        scale = np.abs(want).max()
+        assert np.abs(prop.detection_matrix() - want).max() <= 1e-13 * scale
+        if shape in ARRIVAL_SHAPES:
+            assert prop._detection().shape[0] <= 16
+        t = np.linspace(0.0, 2.0 * prop.spec.components[0].waist_time, 101)
+        forms = prop._quadratic(want, t)
+        bound = 1e-12 * np.abs(forms).max(axis=1)
+        assert np.all(np.abs(prop._detection_forms(t) - forms).max(axis=1) <= bound)
+        factor = _pivoted_cholesky(want.diagonal().real, lambda p: want[:, p], nk)
+        assert np.abs(factor.T @ factor.conj() - want).max() <= 1e-13 * scale
+        prop._detection_matrix = factor
+        assert np.all(np.abs(prop._detection_forms(t) - forms).max(axis=1) <= bound)
 
 
 class TestExactIdealColumn:
@@ -857,15 +922,16 @@ class TestExactIdealColumn:
         # Pi_id = gamma P2 + dP2/dt from the route's own product equals the
         # per-pair spectral deconvolution, each pair times gamma - i (omega_mu
         # - omega_nu), window ends included, and is ideal_density to the bit.
-        # The reduced grid of 128 nodes is the smallest on which the fig7
-        # packet passes the route check
+        # The reduced grid of 256 nodes resolves the fig7 packet over its
+        # covering window: on 128-224 nodes aliased copies lift its survival
+        # to 1.7-2.7, which first_photon_density refuses
         if shape == "fig6":
             omega, velocities, delta_x, sigmas = ARRIVAL_SHAPES["fig6"]
             profile, backend = None, "analytic"
         else:
             omega, velocities, delta_x, sigmas = 5 * GAMMA, (150.0,), 2e-6, 5.0
             profile, backend = FIG7_BEAM, "transfer"
-        prop, _ = arrival_propagator(omega, velocities, delta_x, sigmas, profile, 128)
+        prop, _ = arrival_propagator(omega, velocities, delta_x, sigmas, profile, 256)
         spec, cfg, grid = prop.spec, prop.config, prop.grid
         v = velocities[0]
         tw = spec.components[0].waist_time
@@ -905,8 +971,8 @@ class TestFarFactors:
         d2, n = both_matrices(prop, window)
         # every interior field is one direction: the crossing products are separable
         assert taken and all(len(set(signs)) == 1 for signs in taken)
-        for got, want in ((d2, region_detection(prop, dense_gram)),
-                          (n, region_norm(prop, *window, dense_gram))):
+        for got, want in ((d2, region_detection(prop, region_dense_gram)),
+                          (n, region_norm(prop, *window, region_dense_gram))):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("v", [10.0, 166.2])
@@ -929,7 +995,7 @@ class TestFarFactors:
         _, _, d_p, _, gap = prop.regions[1].channel_modes[0][1]   # the forward Newton mode
         modes = [(rng.normal(size=d_p.shape) + 1j * rng.normal(size=d_p.shape), sign,
                   sign * delta, 0.0, None) for delta in (d_p, d_p - gap) for sign in (1.0, -1.0)]
-        got = _region_gram(modes, 0.0, width, k0)
+        got = _region_gram(modes, 0.0, width, Region(0.0, width, (modes, []), k0))
         want = mpmath_gram(modes, 0.0, width, k0)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the window holds no interior region; the two directions of the
@@ -947,21 +1013,34 @@ class TestFarFactors:
 
     @pytest.mark.parametrize("nk", [24, 129, 641])
     def test_blocked_completion_is_bitwise(self, nk):
-        # the tile pass finishes each row tile as the three whole-matrix
-        # passes would: the Hermitian sum, the division by 2 pi and the
-        # detection matrix added into the norm
+        # the tile pass finishes each row tile as whole-matrix passes would:
+        # the Hermitian sum, a finished matrix added, and, for the rows of
+        # the detection factor, the Hermitian completion of their upper
+        # row-tile products
         prop = small_propagator(104.43e6, n_nodes=nk)
         k0 = prop.grid.origin
         interior = prop.regions[1]
         inside = [(modes, interior.x1, interior.x2, 1.0)
                   for modes in interior.channel_modes if modes]
-        half_lines = sum(half_line_entry(prop, prop.default_domain(0.0)), [])
-        gram = engine(nk, k0, half_lines, inside)
-        addend = prop.detection_matrix()
-        fused = np.zeros_like(gram)
-        _overlap_sums(k0, 2 * math.pi, fused, half_lines, inside, addend)
+        clips = [term for term in sum(half_line_entry(prop, prop.default_domain(0.0)), [])
+                 if math.isfinite(term[1]) and math.isfinite(term[2])]
+        gram = engine(nk, k0, clips, inside)
+        detection = prop.detection_matrix()
+        fused = _overlap_sums(k0, nk, clips, inside, [(detection, 1.0)])
         assert np.array_equal(gram, gram.conj().T)
-        assert np.array_equal(fused, gram / (2 * math.pi) + addend)
+        assert np.array_equal(fused, gram + detection)
+        factor = prop._detection()
+        assert factor.shape[0] < nk
+        want = np.zeros((nk, nk), dtype=complex)
+        for start in range(0, nk, OVERLAP_TILE):
+            rows = slice(start, start + OVERLAP_TILE)
+            n = min(OVERLAP_TILE, nk - start)
+            upper = factor[:, rows].T @ factor.conj()[:, start:]
+            upper[:, :n] *= 0.5
+            upper[:, :n] += upper[:, :n].conj().T
+            want[rows, start:] = upper
+            want[start + n:, rows] = upper[:, n:].conj().T
+        assert np.array_equal(detection, want)
 
 
 def half_line_entry(prop, window):
@@ -996,10 +1075,13 @@ class TestUpperTiles:
 
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
     def test_only_half_line_tiles_are_upper(self, n_nodes, monkeypatch):
-        # the half-lines' Cauchy groups are the only tiles the engine forms,
-        # on the upper row tiles, whose mirror fills the rest: without the
-        # low-rank products the half-line outputs are exactly Hermitian and
-        # not zero, and the beam interior forms no tile at all
+        # the ground channel's clips of the half-lines are the only Cauchy
+        # groups the engine tiles, on the upper row tiles, whose mirror fills
+        # the rest: without the low-rank products their output is exactly
+        # Hermitian and not zero.  The excited half-lines, which run to
+        # +-inf, are read column by column into the detection factor with
+        # no tile pass at all, the norm's excited tails too, and the beam
+        # interior forms no tile at all
         prop = small_propagator(104.43e6, n_nodes=n_nodes)
         k0 = prop.grid.origin
         interior = prop.regions[1]
@@ -1007,11 +1089,25 @@ class TestUpperTiles:
         got = engine(n_nodes, k0, interiors=inside)
         want = dense_gram(interior.channel_modes[1], interior.x1, interior.x2, k0)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        tiled = []
+        tile_pass = wavepacket._tile_pass
+
+        def spy(low_rank, cauchy=(), *args, **kwargs):
+            tiled.append([term.width for group in cauchy for term in group.terms])
+            return tile_pass(low_rank, cauchy, *args, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "_tile_pass", spy)
+        assert prop._detection().shape[0] < n_nodes and not tiled
+        window = prop.default_domain(0.0)
+        prop.norm_matrix(*window)
+        widths = sum(tiled, [])
+        assert widths and all(math.isfinite(width) for width in widths)
         monkeypatch.setattr(wavepacket._LowRank, "add", lambda self, *factors: None)
-        for terms in half_line_entry(prop, prop.default_domain(0.0)):
-            got = engine(n_nodes, k0, half_lines=terms)
-            assert np.abs(got).max() > 0.0
-            assert np.array_equal(got, got.conj().T)
+        clips = [term for term in half_line_entry(prop, window)[1]
+                 if math.isfinite(term[1]) and math.isfinite(term[2])]
+        got = engine(n_nodes, k0, half_lines=clips)
+        assert np.abs(got).max() > 0.0
+        assert np.array_equal(got, got.conj().T)
         assert not np.any(engine(n_nodes, k0, interiors=inside))
 
 
