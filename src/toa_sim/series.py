@@ -100,10 +100,11 @@ def chebyshev_samples(times, bandwidth: float):
     nodes[0], nodes[-1] = hi, lo
     weights = np.where(np.arange(r) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    diff = (((times - lo) - (hi - times)) / (hi - lo))[:, None] - x  # exactly +-1 at the ends
-    hit = diff == 0.0
+    # the differences, exactly +-1 at the ends, then the weights over them in their buffer
+    basis = (((times - lo) - (hi - times)) / (hi - lo))[:, None] - x
+    hit = basis == 0.0
     with np.errstate(divide="ignore"):
-        basis = weights / diff
+        np.divide(weights, basis, out=basis)
     rows = hit.any(axis=1)
     basis[rows] = hit[rows]
     basis /= basis.sum(axis=1, keepdims=True)

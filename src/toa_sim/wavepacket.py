@@ -15,9 +15,9 @@ is smooth once the carrier is out, so its Gram is a Gauss-Legendre
 product, and the products across the carrier are short separable sums;
 on the two half-lines the pair integrals are Cauchy blocks grouped by
 denominator.  Every part enters the upper row tiles of its matrix at full
-weight, its diagonal block halved, and one pass over the row tiles adds
-the last parts and finishes the matrix: diagonal block plus its conjugate
-transpose, the block below the diagonal the tile's conjugate transpose.
+weight, and one pass over the row tiles adds the last parts and finishes
+the matrix: half the diagonal block plus its conjugate transpose, the
+block below the diagonal the tile's conjugate transpose.
 
 The detection matrix is nearly rank-deficient (the excited channel lives
 in the beam and a few decay lengths beside it), so it is held as the
@@ -294,9 +294,12 @@ def default_kgrid(spec: PacketSpec, n_nodes: int = 257) -> KGrid:
 # --- overlap machinery ----------------------------------------------------
 
 # Rows per tile of the half-lines' Cauchy groups, of the low-rank products
-# and of the finishing: a (32, nk) complex tile keeps the denominator, the
-# numerator and the output rows in cache.  At nk = 641, 32 rows ran 3 %
-# behind 16 and ahead of 64, 128 and untiled (by 13 %).
+# and of the finishing.  With one stacked low-rank product per tile, the
+# covering norms of the four arrival packets at nk = 641 built 4-5 % slower
+# at 16 rows than at 32 and 3-4 % faster at 64 (9-10 of 12 paired runs
+# each), about 0.4 ms; whole arrival operations at 64 were within their
+# run-to-run spread of those at 32 (median ratios 0.95-1.00, 4-7 of 8
+# pairs faster), so the tile stays at 32 rows.
 OVERLAP_TILE = 32
 # Largest spread rho = max|u| / min|d| of denominators d_j + u_i that the
 # engine expands into separable factors (``_separable``), to n <= 8 orders:
@@ -316,26 +319,19 @@ PANEL_SPREAD = 100.0
 # Interior terms (regions) evaluated together: the 256 slices of a
 # Gaussian beam in eight batches.
 INTERIOR_BATCH = 32
-# |alpha| width below which a Cauchy pair takes the eight-term series.
-SERIES_SWITCH = 1e-2
+# |u| = |alpha| width below which a Cauchy pair takes its form about x1
+# (``_near_values``).  The quotient's numerator is a difference of endpoint
+# products whose phases delta (x - anchor) round at eps times their size
+# (130 rad on the ridge packet's covering window), so it is off by about
+# that rounding over |u|: at a 1e-2 switch the covering norm at 641 nodes
+# was 1.2e-12 (ridge) and 1.5e-12 (fig6) off a 30-digit sum, at 1 it is
+# 2.3e-14 and 2.5e-14, the rounding of the phases themselves.
+SERIES_SWITCH = 1.0
 # Largest residual diagonal, relative to the largest diagonal, at which the
 # pivoted Cholesky of a Gram stops (``_pivoted_cholesky``): 64 units of
 # rounding.  At one unit it would not stop, since the updated diagonal
 # itself rounds at a few units.
 FACTOR_LEVEL = 64 * 2.0 ** -53
-
-
-def _can_resonate(i_kappa_a: np.ndarray, i_kappa_b: np.ndarray, bound: float) -> bool:
-    """False when every |i_kappa_a[i] - i_kappa_b[j]| is >= bound.
-
-    Decided from the ranges of the real and imaginary parts in O(nk), so
-    pairs that are never near resonance skip the (nk, nk) mask.
-    """
-    re_lo = i_kappa_a.real.min() - i_kappa_b.real.max()
-    re_hi = i_kappa_a.real.max() - i_kappa_b.real.min()
-    im_lo = i_kappa_a.imag.min() - i_kappa_b.imag.max()
-    im_hi = i_kappa_a.imag.max() - i_kappa_b.imag.min()
-    return re_lo < bound and re_hi > -bound and im_lo < bound and im_hi > -bound
 
 
 @dataclass
@@ -348,7 +344,7 @@ class _PairTerm:
     between the pair's own alpha and the group's.  ``ends`` holds the
     weighted value of the left mode (with the carrier phase) and the
     conjugated value of the right mode at x1 (None on a half-line to
-    -inf), for the series.
+    -inf), for the form about x1.
     """
 
     left: np.ndarray    # (nk, m)
@@ -366,18 +362,18 @@ class _PairGroup:
     ``i_kappa_a`` - ``i_kappa_b`` is that denominator with the carriers of
     the two waves taken out first (exact for two waves of one direction).
     ``left`` and ``right`` hold the factors of ``terms`` side by side, so
-    that left @ right is the group's summed numerator.  ``resonates`` is
-    False when no element can come within the widest series switch of the
-    terms, ``bound``.
+    that left @ right is the group's summed numerator.  ``near`` is
+    (rows, cols, values): the elements of the upper row tiles nearer
+    resonance than the widest series switch of the terms, rows in order,
+    and their values (``_near_set``).
     """
 
     i_kappa_a: np.ndarray
     i_kappa_b: np.ndarray
-    bound: float
-    resonates: bool
     left: np.ndarray    # (nk, m)
     right: np.ndarray   # (m, nk)
     terms: list
+    near: tuple
 
 
 def _pair_groups(k0: float, terms) -> list[_PairGroup]:
@@ -404,7 +400,7 @@ def _pair_groups(k0: float, terms) -> list[_PairGroup]:
     grouped: dict = {}
     for modes, x1, x2, scale in terms:
         width = x2 - x1
-        bound = SERIES_SWITCH / width  # 0 on a half-line: no series there
+        bound = SERIES_SWITCH / width  # 0 on a half-line: no form about x1 there
         points = [(x, s) for x, s in ((x2, 1.0), (x1, -1.0)) if not math.isinf(x)]
         signs = np.array([s for _, s in points])[:, None]
         xs = np.array([x for x, _ in points])
@@ -429,33 +425,56 @@ def _pair_groups(k0: float, terms) -> list[_PairGroup]:
         gap = (s * s_a - t * s_b) * k0   # 0 or +-2 k0
         i_kappa_a = 1j * (gap + s * d_a)
         i_kappa_b = 1j * (t * np.conj(d_b))
-        bound = max(term.bound for term in ts)
         groups.append(_PairGroup(
-            i_kappa_a, i_kappa_b, bound,
-            bound > 0.0 and _can_resonate(i_kappa_a, i_kappa_b, bound),
-            np.concatenate([term.left for term in ts], axis=1),
-            np.concatenate([term.right for term in ts]), ts))
+            i_kappa_a, i_kappa_b, np.concatenate([term.left for term in ts], axis=1),
+            np.concatenate([term.right for term in ts]), ts, _near_set(i_kappa_a, i_kappa_b, ts)))
     return groups
 
 
+def _near_set(i_kappa_a: np.ndarray, i_kappa_b: np.ndarray, terms) -> tuple:
+    """(rows, cols, values) of a group's elements nearer resonance than its widest switch.
+
+    The elements are those of the upper row tiles, the ones a tile pass
+    evaluates (column at least the first row of the row's OVERLAP_TILE
+    tile), with |i_kappa_a[i] - i_kappa_b[j]| < bound, the largest series
+    switch of the terms (0 on a half-line to -inf or +inf, so none).  The
+    candidates of row i are the i_kappa_b, sorted by imaginary part, within
+    twice the bound of i_kappa_a[i] in it, so that rounding of the window
+    ends drops none; the rows come out in order.  ``values`` sums the
+    terms there (``_near_values``).
+    """
+    bound = max(term.bound for term in terms)
+    order = np.argsort(i_kappa_b.imag, kind="stable")
+    lo, hi = (np.searchsorted(i_kappa_b.imag[order], i_kappa_a.imag + reach)
+              for reach in (-2.0 * bound, 2.0 * bound))
+    counts = hi - lo
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols = order[np.arange(rows.size) + np.repeat(lo + counts - np.cumsum(counts), counts)]
+    upper = cols >= rows - rows % OVERLAP_TILE
+    rows, cols = rows[upper], cols[upper]
+    i_alpha = i_kappa_a[rows] - i_kappa_b[cols]
+    near = np.abs(i_alpha) < bound
+    rows, cols, i_alpha = rows[near], cols[near], i_alpha[near]
+    return rows, cols, sum(_near_values(term, rows, cols, i_alpha) for term in terms)
+
+
 def _near_values(term: _PairTerm, rows, cols, i_alpha) -> np.ndarray:
-    """One term at near-resonant elements: the series or the quotient at its own width.
+    """One term at near-resonant elements: the form about x1 or the quotient at its own width.
 
     Where |alpha| width < SERIES_SWITCH the difference quotient cancels,
-    and the series about x1 of width (exp(u) - 1)/u = width sum_n u^n /
-    (n + 1)!, u = i alpha width, to eight terms replaces it (its first
-    omitted term is below 3e-22).
+    and the pair integral about x1, width f_mu(x1) conj(f_nu(x1)) (exp(u) -
+    1)/u with u = i alpha width, replaces it; (exp(u) - 1)/u is taken as
+    expm1(u)/u, 1 at u = 0 (within 5 ulps of a 40-digit value at |u| <= 1).
     """
-    value = np.einsum("im,mi->i", term.left[rows], term.right[:, cols]) / i_alpha
-    if term.bound > 0.0:
-        series = np.abs(i_alpha) < term.bound
-        if series.any():
-            u = term.sign * i_alpha[series] * term.width
-            total = np.ones_like(u)
-            for n in range(8, 1, -1):
-                total = 1.0 + total * u / n
-            value[series] = term.ends[0][rows[series]] * term.ends[1][cols[series]] * (
-                term.width * total)
+    small = np.abs(i_alpha) < term.bound   # none on a half-line (bound 0)
+    value = np.empty_like(i_alpha)
+    far = ~small
+    value[far] = np.einsum("im,mi->i", term.left[rows[far]],
+                           term.right[:, cols[far]]) / i_alpha[far]
+    if small.any():
+        u = term.sign * i_alpha[small] * term.width
+        ratio = np.divide(np.expm1(u), u, out=np.ones_like(u), where=u != 0.0)
+        value[small] = term.ends[0][rows[small]] * term.ends[1][cols[small]] * (term.width * ratio)
     return value
 
 
@@ -509,6 +528,7 @@ class _LowRank:
     Once LOW_RANK_COLUMNS columns are pending, a tile pass (``_tile_pass``)
     adds them to ``matrix``, allocated then; the rest wait for the pass that
     finishes it, or for the factorisation that reads them (``_compress``).
+    Both read the pending rows as one stacked pair (``stacked``).
     """
 
     def __init__(self, nk: int):
@@ -528,73 +548,85 @@ class _LowRank:
         self.add(left, right)
         self.add(right.conj(), left.conj())
 
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pending rows as one (m, nk) pair, empty parts dropped; it replaces them."""
+        parts = [part for part in self.pending if part[0].shape[0]]
+        if len(parts) != 1:
+            empty = np.empty((0, self.nk), dtype=complex)
+            parts = [tuple(np.concatenate([part[side] for part in parts] or [empty])
+                           for side in (0, 1))]
+        self.pending = parts
+        return parts[0]
+
 
 def _tile_pass(low_rank: _LowRank, cauchy=(), finish: bool = False, addends=()) -> np.ndarray:
     """Add the pending parts to the low-rank buffer's matrix by OVERLAP_TILE row tiles.
 
     Per row tile the matrix takes its parts from the tile's first row on,
-    each part at full weight with its diagonal sub-block halved: first the
-    sum of the pending low-rank products, then the sum over the Cauchy
-    groups ``cauchy`` (``_PairGroup``) of numerator left @ right times the
-    inverted denominator.  Elements nearer resonance than the group's
-    widest series switch are evaluated again term by term
-    (``_near_values``).
+    each at full weight: the pending low-rank rows, stacked into one pair
+    (``_LowRank.stacked``), as one product, and for each Cauchy group of
+    ``cauchy`` (``_PairGroup``) its numerator left @ right over its
+    denominator, with the tile's slice of the group's near-resonant
+    elements (``_PairGroup.near``) put in their place.  A fresh matrix is
+    not zeroed: its first pass assigns the upper tiles, later passes add
+    to them, and only the finishing writes below them.
 
     With ``finish`` the pass also finishes each tile while it is in cache:
-    the diagonal block plus its conjugate transpose, plus sign times each
-    (matrix, sign) of ``addends`` (finished matrices), and the conjugate
-    transpose of the tile beyond its diagonal block written below it.  So
-    the matrix, which the pass returns, comes out exactly Hermitian with a
-    real diagonal, and no (nk, nk) temporary.
+    half the diagonal block plus its conjugate transpose (each part's
+    diagonal block is in it once), plus sign times each (matrix, sign) of
+    ``addends`` (finished matrices), and the conjugate transpose of the
+    tile beyond its diagonal block written below it.  So the matrix, which
+    the pass returns, comes out exactly Hermitian with a real diagonal,
+    and no (nk, nk) temporary.
     """
     nk = low_rank.nk
-    if low_rank.matrix is None:
-        low_rank.matrix = np.zeros((nk, nk), dtype=complex)
+    left, right = low_rank.stacked()
+    low_rank.pending = []
+    low_rank.columns = 0
+    fresh = low_rank.matrix is None
+    if fresh:
+        low_rank.matrix = np.empty((nk, nk), dtype=complex)
     matrix = low_rank.matrix
-    buffers = np.empty((3, OVERLAP_TILE * nk), dtype=complex)
-    # an exact resonance (alpha = 0) is always near: its inverse is replaced
+    starts = range(0, nk, OVERLAP_TILE)
+    # each group's near elements, rows in order, cut at the row tiles
+    cuts = [np.searchsorted(group.near[0], [*starts, nk]) for group in cauchy]
+    buffers = np.empty((2, OVERLAP_TILE * nk), dtype=complex)
+    # an exact resonance (alpha = 0) divides by zero before its value is put in
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, nk, OVERLAP_TILE):
+        for tile, start in enumerate(starts):
             rows = slice(start, start + OVERLAP_TILE)
             n = min(OVERLAP_TILE, nk - start)
-            acc, product, ia = (buffer[:n * (nk - start)].reshape(n, -1) for buffer in buffers)
+            product, ia = (buffer[:n * (nk - start)].reshape(n, -1) for buffer in buffers)
             upper = matrix[rows, start:]
-            parts = ([(left[:, rows].T, right[:, start:], None)
-                      for left, right in low_rank.pending],
-                     [(group.left[rows], group.right[:, start:], group) for group in cauchy])
-            for part in parts:
-                for i, (left, right, group) in enumerate(part):
-                    into = product if i else acc
-                    np.matmul(left, right, out=into)
-                    if group is not None:
-                        np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b[start:], out=ia)
-                        near = None
-                        if group.resonates:
-                            r, c = np.nonzero(np.abs(ia) < group.bound)
-                            if r.size:
-                                near = (r, c, ia[r, c])
-                        np.divide(1.0, ia, out=ia)
-                        into *= ia
-                        if near is not None:
-                            r, c, ia_near = near
-                            into[r, c] = sum(_near_values(t, r + start, c + start, ia_near)
-                                             for t in group.terms)
-                    if i:
-                        acc += product
-                if part:
-                    acc[:, :n] *= 0.5
-                    upper += acc
+            # the first part of a fresh tile is written into it, every other one added
+            first = fresh
+            if left.shape[0]:
+                np.matmul(left[:, rows].T, right[:, start:], out=upper if first else product)
+                if not first:
+                    upper += product
+                first = False
+            for group, cut in zip(cauchy, cuts):
+                into = upper if first else product
+                np.matmul(group.left[rows], group.right[:, start:], out=into)
+                np.subtract(group.i_kappa_a[rows, None], group.i_kappa_b[start:], out=ia)
+                np.divide(into, ia, out=into)
+                r, c, values = (part[cut[tile]:cut[tile + 1]] for part in group.near)
+                into[r - start, c - start] = values
+                if not first:
+                    upper += product
+                first = False
+            if first:
+                upper[...] = 0.0
             if finish:
                 diagonal = upper[:, :n]
                 diagonal += diagonal.conj().T
+                diagonal *= 0.5
                 for addend, sign in addends:
                     if sign > 0.0:
                         upper += addend[rows, start:]
                     else:
                         upper -= addend[rows, start:]
                 matrix[start + n:, rows] = upper[:, n:].conj().T
-    low_rank.pending = []
-    low_rank.columns = 0
     return matrix
 
 
@@ -815,7 +847,7 @@ def _collect(k0: float, nk: int, half_lines, interiors):
     _interior_products(k0, interiors, low_rank)
     cauchy = []
     for group in _pair_groups(k0, half_lines):
-        factors = None if group.resonates else _separable(group.i_kappa_a, group.i_kappa_b)
+        factors = None if group.near[0].size else _separable(group.i_kappa_a, group.i_kappa_b)
         if factors is None:
             cauchy.append(group)
             continue
@@ -830,7 +862,7 @@ def _compress(k0: float, nk: int, half_lines, interiors, scale: float = 0.0) -> 
 
     The terms (``_collect``) must sum to a positive semidefinite Gram, and
     their half-line terms must each run to -inf or +inf, so that no Cauchy
-    group needs the series.  A pivoted Cholesky (``_pivoted_cholesky``)
+    group needs the form about x1.  A pivoted Cholesky (``_pivoted_cholesky``)
     reads the Gram's diagonal and the columns it pivots on from the parts:
     the pending low-rank products and the Cauchy groups in closed form or,
     where the buffer overflowed LOW_RANK_COLUMNS (sliced beams), the matrix
@@ -847,8 +879,7 @@ def _compress(k0: float, nk: int, half_lines, interiors, scale: float = 0.0) -> 
         dense = _tile_pass(low_rank, cauchy, finish=True)
         factor = _pivoted_cholesky(dense.diagonal().real, lambda p: dense[:, p], nk // 2, scale)
         return dense if factor is None else factor
-    left = np.concatenate([part[0] for part in low_rank.pending] or [np.zeros((0, nk), complex)])
-    right = np.concatenate([part[1] for part in low_rank.pending] or [np.zeros((0, nk), complex)])
+    left, right = low_rank.stacked()
     diagonal = np.einsum("ci,ci->i", left, right)
     for group in cauchy:
         diagonal += np.einsum("im,mi->i", group.left, group.right) / (

@@ -133,6 +133,34 @@ def test_long_series_take_band_limited_nodes():
     assert (nodes[0], nodes[-1]) == (times[-1], times[0])
 
 
+def two_array_basis(times, nodes):
+    """The barycentric map of ``chebyshev_samples`` with its weights in a second array."""
+    lo, hi = times.min(), times.max()
+    r = nodes.size
+    x = np.sin(0.5 * np.pi * np.arange(r - 1, -r, -2) / (r - 1))
+    weights = np.where(np.arange(r) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    diff = (((times - lo) - (hi - times)) / (hi - lo))[:, None] - x
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        basis = weights / diff
+    rows = hit.any(axis=1)
+    basis[rows] = hit[rows]
+    basis /= basis.sum(axis=1, keepdims=True)
+    return basis
+
+
+@pytest.mark.parametrize("n_t,c", [(1601, 128.0), (401, 30.0), (1000, 0.3)])
+def test_resampler_divides_in_place_bitwise(n_t, c):
+    # the weights are divided into the differences' own buffer: the map is
+    # the two-array one to the bit, window ends and every node hit included
+    times = TimeSeries(t0=2e-4, dt=1e-7, values=np.zeros(n_t)).times
+    nodes, resample = chebyshev_samples(times, 2.0 * c / (times[-1] - times[0]))
+    assert nodes.size < times.size
+    values = np.random.default_rng(3).normal(size=(2, nodes.size))
+    np.testing.assert_array_equal(resample(values), values @ two_array_basis(times, nodes).T)
+
+
 @pytest.mark.parametrize("c", np.concatenate([[0.0, 1e-9, 1e-3, 0.1, 0.5],
                                               np.linspace(1.0, 500.0, 41)]))
 def test_node_count_drops_only_rounding_level_coefficients(c):

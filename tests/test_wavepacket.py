@@ -23,6 +23,7 @@ from toa_sim.wavepacket import (
     _collect,
     _gauss_legendre,
     _overlap_sums,
+    _pair_groups,
     _pivoted_cholesky,
     _region_gram,
     _tile_pass,
@@ -559,10 +560,11 @@ class TestOverlapEngine:
 
     def test_series_branch_at_near_resonance(self):
         # a Cauchy (half-line) group with nodes at |u| = |k_i - k_j| (x2 -
-        # x1) on both sides of the 1e-2 switch; below it the difference
-        # quotient alone would lose -log10(u) digits
+        # x1) on both sides of the switch at 1 (and of the earlier one at
+        # 1e-2); below it the difference quotient alone would lose
+        # -log10(u) digits
         width = 2.0
-        u = np.array([0.0, 1e-7, 1e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2])
+        u = np.array([0.0, 1e-7, 1e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2, 0.5, 0.99, 1.25, 3.0])
         modes = [(np.ones(u.size, dtype=complex), 1.0, (u / width).astype(complex), 0.0, None)]
         gram = engine(u.size, 0.0, half_lines=[(modes, 0.0, width, 1.0)])
         assert np.array_equal(np.diag(gram), np.full(u.size, width, dtype=complex))
@@ -728,11 +730,13 @@ class TestOverlapMatrices:
 
     def test_two_series_switches_in_one_group(self):
         # one Cauchy group holds a term over [0, 2] and one over [2 - 2e-3,
-        # 2]: the elements on both sides of the long term's switch are a
-        # series for the short term, where a quotient would lose up to nine
-        # digits.  The eight-term series reaches 1e-2, so on both sides of
-        # each switch the elements sit at rounding
-        u = np.array([0.0, 1e-7, 1e-5, 3e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2, 0.1])
+        # 2]: the elements on both sides of the long term's switch (|u_i -
+        # u_j| = 1) take the form about x1 for the short term, where a
+        # quotient would lose up to nine digits.  That form holds to
+        # rounding up to |u| = 1, so on both sides of each switch the
+        # elements sit at rounding
+        u = np.array([0.0, 1e-7, 1e-5, 3e-5, 1e-3, 0.5e-2, 0.99e-2, 1.25e-2, 3e-2, 0.1,
+                      0.99, 1.25, 3.0])
         modes = [(np.ones(u.size, dtype=complex), 1.0, (u / 2.0).astype(complex), 0.0, None)]
         terms = [(modes, 0.0, 2.0, 1.0), (modes, 2.0 - 2e-3, 2.0, 1.0)]
         alpha = np.subtract.outer(u, u) / 2.0
@@ -777,6 +781,91 @@ class TestGramOracle:
                    for region in prop.regions) / (2 * math.pi)
         got = prop.detection_matrix()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestNormOracleAt641:
+    def test_ridge_norm_rows_match_mpmath(self):
+        # the covering norm of the ridge packet at the benchmark's 641
+        # nodes, in the last row tiles, where the near set is cut, and at a
+        # mid-grid row.  The Legendre nodes crowd at the grid's edge, so
+        # there pairs sit just past the series switch; with the switch at
+        # |u| = 1e-2 the quotient lost two digits to the rounding of the
+        # endpoint phases: 2.4e-13 at element (637, 639) of the benchmark's
+        # ridge packet (seed 5), 1.2e-12 at (637, 638) here.  At |u| = 1
+        # they are 1.9e-14
+        prop, window = arrival_propagator(*ARRIVAL_SHAPES["ridge"], n_nodes=641)
+        rows = [320, 600, 620, 637, 640]
+        cols = [320, 600, 620, 630, 636, 637, 638, 639, 640]
+        want = sum(mpmath_gram(modes, max(window[0], region.x1), min(window[1], region.x2),
+                               region.carrier, rows=rows, cols=cols)
+                   for region in prop.regions for modes in region.channel_modes if modes)
+        got = prop.norm_matrix(*window)
+        gap = np.abs(got[np.ix_(rows, cols)] - want / (2 * math.pi)).max()
+        assert gap <= 1e-13 * np.abs(got).max()
+
+
+def near_set_windows(prop):
+    """Norm windows: covering, inside the incident half-line, inside the transmitted one.
+
+    The last is one excited decay length wide, so that its excited clip,
+    whose denominators are complex, comes within the series switch near
+    the diagonal, and its ground clip everywhere.
+    """
+    window = prop.default_domain(0.0)
+    x_left, x_right = prop.regions[0].x2, prop.regions[-1].x1
+    decay = 166.2 / GAMMA
+    return [window, (window[0], x_left - 2.0 * decay), (x_right + decay, x_right + 2.0 * decay)]
+
+
+class TestNearSet:
+    @pytest.mark.parametrize("n_nodes", TILE_SIZES + [641])
+    def test_near_set_is_the_brute_force_mask(self, n_nodes):
+        # every group the half-lines form, clips and tails apart as the
+        # engine takes them: the near set is the mask |a_i - b_j| < bound
+        # on the upper row tiles, element for element, rows in order
+        prop = small_propagator(104.43e6, n_nodes=n_nodes)
+        k0 = prop.grid.origin
+        columns = np.arange(n_nodes)
+        upper = columns >= (columns // OVERLAP_TILE * OVERLAP_TILE)[:, None]
+        for window, (covering, inside, transmitted) in zip(near_set_windows(prop), np.eye(3)):
+            half_lines = prop._overlap_terms(window)[0]
+            clips = [term for term in half_lines if math.isfinite(term[1] - term[2])]
+            tails = [term for term in half_lines if not math.isfinite(term[1] - term[2])]
+            assert bool(tails) == covering
+            complex_near = 0
+            for group in _pair_groups(k0, clips) + _pair_groups(k0, tails):
+                bound = max(term.bound for term in group.terms)
+                want = upper & (np.abs(group.i_kappa_a[:, None] - group.i_kappa_b) < bound)
+                rows, cols, values = group.near
+                got = np.zeros_like(want)
+                got[rows, cols] = True
+                assert np.array_equal(got, want) and rows.size == np.count_nonzero(want)
+                assert np.all(np.diff(rows) >= 0) and values.shape == rows.shape
+                assert np.all(np.isfinite(values))
+                if np.any(group.i_kappa_a.real != 0.0):
+                    complex_near += rows.size
+            if transmitted:
+                assert complex_near > 0
+
+    def test_group_without_near_elements_is_empty(self):
+        # the ground clip's pairs across the carrier (alpha about 2 k0) and
+        # the excited clip beside the beam lie far from resonance: their
+        # sets are empty.  The pairs across the carrier join the low-rank
+        # products; the other two groups are tiled
+        prop = small_propagator(104.43e6)
+        k0, nk = prop.grid.origin, prop.k.shape[0]
+        clips = prop._overlap_terms(near_set_windows(prop)[1])[0]
+        groups = _pair_groups(k0, clips)
+        empty = [group for group in groups if not group.near[0].size]
+        assert len(empty) == 2
+        for group in empty:
+            assert all(part.size == 0 for part in group.near)
+            assert np.abs(group.i_kappa_a[:, None] - group.i_kappa_b).min() >= max(
+                term.bound for term in group.terms)
+        crossing = [np.abs(group.i_kappa_a).min() > k0 for group in groups]
+        assert sum(crossing) == 1 and not groups[crossing.index(True)].near[0].size
+        _, cauchy = _collect(k0, nk, clips, ())
+        assert len(cauchy) == 2 and all(np.abs(group.i_kappa_a).max() < k0 for group in cauchy)
 
 
 # The benchmark's four arrival packets (without its jitter): coupling,
