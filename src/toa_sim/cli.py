@@ -318,8 +318,8 @@ def cmd_absorption_cut(args) -> str:
 
 def cmd_plane(args) -> str:
     config = _base_config(args)
-    if args.n_omega < 2 or not (0.0 < args.omega_min < args.omega_max):
-        raise ConfigError("plane needs n_omega >= 2 and a positive ordered range")
+    if args.n_omega < 2 or args.n_ridges < 0 or not (0.0 < args.omega_min < args.omega_max):
+        raise ConfigError("plane needs n_omega >= 2, n_ridges >= 0 and a positive ordered range")
     omegas = np.linspace(args.omega_min, args.omega_max, args.n_omega)
     L = config.beam_width
     lines = [f"# {line}" for line in _header(args, config)]
@@ -333,8 +333,7 @@ def cmd_plane(args) -> str:
         # reflection boundary: kinetic energy equals the coupling scale
         v_refl = math.sqrt(hbar * om / mass)
         lines.append(f"reflection,,{_float_fmt(om)},{_float_fmt(v_refl)}")
-    for n in range(args.n_ridges + 1):
-        slope = (2 * n + 1) * math.pi / L
+    for n, _, slope in ridge_locations(config, args.n_ridges):
         for om in omegas:
             lines.append(f"ridge,{n},{_float_fmt(om)},{_float_fmt(om / slope)}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,12 @@
-"""Pure-numpy implementation of the scattering kernels.
+"""Numerical kernels, vectorised over the incident wavenumber with numpy.
+
+The hot paths of parameter scans (batched sharp-edge matching solves and
+transfer-matrix composition over slices) live here, with the branch-free
+helpers the higher-level modules share and the one convention every
+stationary wave follows: its phase is the carrier phase, rounded once,
+times exp(i delta y) (``_wave``), with offsets delta = kappa - k0 that
+take no difference of carrier-size numbers (``_mode_offsets``,
+``_channel_offset``).  ``BACKEND_NAME`` is what run environments record.
 
 Conventions.  A two-level atom with spontaneous decay rate ``gamma`` on
 the excited channel crosses a coupling region.  For a stationary state of
@@ -25,9 +33,13 @@ whole (omega, v) scan is a single batched call.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 BACKEND_NAME = "python"
+# an alias of this module: perfbench/run.py reads kernels.active.BACKEND_NAME
+active = sys.modules[__name__]
 # Wavenumbers per batched sharp-edge solve; its working arrays take about
 # 0.5 kB per wavenumber, and 2048 was also the fastest block on a 2-core VM.
 SHARP_BLOCK = 2048
@@ -107,28 +119,38 @@ def _offset(kappa, k, offsets, z):
 
 
 def _mode_offsets(k, offsets, gamma: float, omega, mass: float, hbar: float):
-    """Offsets delta = kappa - k0 of k+, k- and q at wavenumbers k = k0 + offsets.
+    """k+- at k = k0 + offsets with their offsets: (delta+, delta-, k+, k-, e, lam+, lam-).
 
-    Each kappa solves kappa^2 = k^2 + z (z = -2 m lam+- / hbar for k+-,
-    i gamma m / hbar for q), so kappa - k = z / (kappa + k): delta =
-    offsets + z / (kappa + k) takes no difference of carrier-size numbers.
-    Returns (delta+, delta-, delta_q, lam+, lam-), the rates those of
-    ``internal_rates``.
+    k+-, e and lam+- are ``mode_split``'s.  Each kappa solves kappa^2 = k^2
+    + z, z = -2 m lam+- / hbar, so delta = kappa - k0 = offsets + z / (kappa
+    + k) takes no difference of carrier-size numbers.
     """
-    kp, km, _, _, lam_p, lam_m = mode_split(k, gamma, omega, mass, hbar)
-    return (_offset(kp, k, offsets, _rate_over_hbar(-2.0 * mass, lam_p, hbar)),
-            _offset(km, k, offsets, _rate_over_hbar(-2.0 * mass, lam_m, hbar)),
-            _offset(channel_q(k, gamma, mass, hbar), k, offsets, 1j * gamma * mass / hbar),
-            lam_p, lam_m)
+    kp, km, _, e, lam_p, lam_m = mode_split(k, gamma, omega, mass, hbar)
+    d_p, d_m = (_offset(kappa, k, offsets, _rate_over_hbar(-2.0 * mass, lam, hbar))
+                for kappa, lam in ((kp, lam_p), (km, lam_m)))
+    return d_p, d_m, kp, km, e, lam_p, lam_m
 
 
-def _phase(origin, delta, L: float):
-    """exp(i (origin + delta) L): the carrier phase origin L rounded once, the modulus from delta.
+def _channel_offset(k, offsets, gamma: float, mass: float, hbar: float):
+    """q (``channel_q``) at k = k0 + offsets and its offset q - k0, z = i gamma m / hbar."""
+    q = channel_q(k, gamma, mass, hbar)
+    return q, _offset(q, k, offsets, 1j * gamma * mass / hbar)
 
-    Formed as ``scattering._wave`` forms a region's waves, so that the
-    kernel's phases across the beam are those of the regions' modes.
+
+def _carrier_phase(carrier, sign: float, y):
+    """exp(i sign carrier y), rounded once per point and shared by every wavenumber."""
+    return np.exp(1j * (sign * carrier * np.asarray(y)))
+
+
+def _wave(carrier, sign: float, delta, y):
+    """exp(i (sign carrier + delta) y): an (nk, ny) outer product for array y, (nk,) for a scalar.
+
+    The carrier phase (``_carrier_phase``) is shared by every wavenumber;
+    the modulus comes from exp(i delta y) alone, so a bounded wave cannot
+    overflow.  ``carrier`` is one float k0, or one per wavenumber with a
+    scalar y.
     """
-    return np.exp(1j * (origin * L)) * np.exp(1j * (delta * L))
+    return _carrier_phase(carrier, sign, y) * np.exp(1j * np.multiply.outer(delta, y))
 
 
 def sharp_edge_solve(k, gamma: float, omega, beam_width: float, mass: float, hbar: float):
@@ -214,37 +236,36 @@ def newton_terms(origin, offsets, gamma: float, omega, L: float, mass: float, hb
 
     The wavenumbers are k = origin + offsets (``origin`` a float or an
     array, e.g. k itself with offsets 0).  Returns (kp, km, d_p, d_m, u_p,
-    u_m, dk, du, ep, em, de): k+- (``mode_split``) and their offsets
-    k+- - origin (``_mode_offsets``), u+- = 2 lam+- / omega, and divided
-    differences over (k+, k-) without cancellation: dk = 2 e, du = u[+,-]
-    = -hbar (k+ + k-) / (m omega), and ep, em = exp(i k+- L) with de =
-    e[+,-] from ``newton_mode`` at y = L, the carrier phase origin L
-    rounded once for all.
+    u_m, dk, du, ep, em, de): k+- and their offsets k+- - origin
+    (``_mode_offsets``), u+- = 2 lam+- / omega, and divided differences
+    over (k+, k-) without cancellation: dk = 2 e, du = u[+,-] = -hbar (k+
+    + k-) / (m omega), and ep, em = exp(i k+- L) with de = e[+,-] from
+    ``newton_mode`` at y = L, the carrier phase origin L rounded once for
+    all (``_carrier_phase``).
     """
     k = origin + offsets
-    kp, km, _, e, lam_p, lam_m = mode_split(k, gamma, omega, mass, hbar)
-    d_p = _offset(kp, k, offsets, _rate_over_hbar(-2.0 * mass, lam_p, hbar))
-    d_m = _offset(km, k, offsets, _rate_over_hbar(-2.0 * mass, lam_m, hbar))
+    d_p, d_m, kp, km, e, lam_p, lam_m = _mode_offsets(k, offsets, gamma, omega, mass, hbar)
     dk = 2.0 * e
     du = -(kp + km) * (hbar / (mass * omega))
-    de, plus_big, e_big, expm1 = newton_mode(np.exp(1j * (origin * L)), d_p, d_m, dk, L)
+    de, plus_big, e_big, expm1 = newton_mode(_carrier_phase(origin, 1.0, L), d_p, d_m, dk, L)
     e_small = e_big * (1.0 + expm1)
     ep, em = np.where(plus_big, e_big, e_small), np.where(plus_big, e_small, e_big)
     return kp, km, d_p, d_m, 2.0 * lam_p / omega, 2.0 * lam_m / omega, dk, du, ep, em, de
 
 
 def sharp_edge_modes(origin, offsets, gamma: float, omega, L: float, mass: float, hbar: float):
-    """``sharp_edge_solve``'s rows with their ``newton_terms`` and T2_L = T2 exp(iqL).
+    """``sharp_edge_solve``'s rows, their ``newton_terms``, T2_L = T2 exp(iqL) and q's offset.
 
     The wavenumbers are k = origin + offsets, ``omega`` broadcasting
     against them (every omega > 0); T2_L is finite where exp(iqL)
     underflows.  The phases across the beam, exp(i kappa L), are
-    ``_phase``'s, from the offsets of kappa to ``origin``.
+    ``_wave``'s, from the offsets of kappa to ``origin``; d_q = q - origin
+    is ``_channel_offset``'s.
     """
     k = np.atleast_1d(origin + np.asarray(offsets, dtype=float))
     omega = np.broadcast_to(np.asarray(omega, dtype=float), k.shape)
     nk = k.shape[0]
-    q = channel_q(k, gamma, mass, hbar)
+    q, d_q = _channel_offset(k, offsets, gamma, mass, hbar)
     terms = newton_terms(origin, offsets, gamma, omega, L, mass, hbar)
     kp, _, _, _, u_p, u_m, _, du, ep, em, de = terms
     due = u_p * de + du * em   # (u e)[+,-]
@@ -282,13 +303,13 @@ def sharp_edge_modes(origin, offsets, gamma: float, omega, L: float, mass: float
     sol = np.empty((nk, 8), dtype=complex)
     sol[:, 0] = a + ep * c + de * d - 1.0
     sol[:, 1] = u_p * (a + ep * c) + du * b + due * d
-    sol[:, 2] = (ep * a + de * b + c) / _phase(origin, offsets, L)
+    sol[:, 2] = (ep * a + de * b + c) / _wave(origin, 1.0, offsets, L)
     t2_exit = u_p * (ep * a + c) + due * b + du * d
     # Back to the anchor at 0; T2 is inf where exp(iqL) underflows.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sol[:, 3] = t2_exit / _phase(origin, _offset(q, k, offsets, 1j * gamma * mass / hbar), L)
+        sol[:, 3] = t2_exit / _wave(origin, 1.0, d_q, L)
     sol[:, 4:] = coef
-    return sol, terms, t2_exit
+    return sol, terms, t2_exit, d_q
 
 
 # --- transfer matrices ---------------------------------------------------
@@ -410,7 +431,7 @@ def transfer_solve(
     """Compose slice propagators and impose scattering boundary conditions.
 
     The wavenumbers are k = origin + offsets (a scan passes k, offsets 0);
-    the ground waves at the outer edges are ``_phase``'s, as the regions'.
+    the ground waves at the outer edges are ``_wave``'s, as the regions'.
     ``edges`` has n_slices + 1 entries; slice j spans [edges[j], edges[j+1]]
     with constant coupling omegas[j].  Outside the first/last edge the
     coupling is zero.  Returns an (nk, 4) array [R1, R2, T1, T2]; with
@@ -426,10 +447,10 @@ def transfer_solve(
     Sigma = diag(1, -1, 1, -1).  phi'' = -W phi with complex-symmetric W
     conserves the Wronskian, so H^-1 = J^-1 H^T J (J the symplectic form):
     the junction is an index shuffle that carries the scale of H.  Any
-    other stack is composed in full.  Memory: the evaluated stack holds 256
-    bytes per slice and wavenumber (ceil(S/2) slices when mirrored); the
-    propagator call's peak working memory is about 2.7 times that
-    (tracemalloc, 128 slices x 161 k).
+    other stack has a half stack of none and is composed in full.
+    Memory: the evaluated stack holds 256 bytes per slice and wavenumber
+    (ceil(S/2) slices when mirrored); the propagator call's peak working
+    memory is about 2.7 times that (tracemalloc, 128 slices x 161 k).
     """
     origin = np.atleast_1d(np.asarray(origin, dtype=float))
     k = origin + offsets
@@ -441,8 +462,8 @@ def transfer_solve(
     widths = np.diff(edges)
     n_slices = omegas.shape[0]
     mirrored = np.array_equal(widths, widths[::-1]) and np.array_equal(omegas, omegas[::-1])
-    n_half = n_slices // 2
-    n_eval = n_slices - n_half if mirrored else n_slices
+    n_half = n_slices // 2 if mirrored else 0
+    n_eval = n_slices - n_half
 
     # All composition happens in the scaled basis (phi1, phi1'/s, phi2,
     # phi2'/s), s the power of two in (k, 2k]: every propagator entry is
@@ -456,17 +477,14 @@ def transfer_solve(
     stack[..., 0::2, 1::2] *= scale[:, None, None]
     stack[..., 1::2, 0::2] /= scale[:, None, None]
     exps = np.zeros(stack.shape[:2], dtype=int)
-    if mirrored:
-        # the middle slice of an odd stack, if any, between H and its mirror
-        factors, factor_exps = stack[n_half:], exps[n_half:]
-        if n_half:
-            H, e_half = _compose(stack[:n_half], exps[:n_half])
-            mirror = H.swapaxes(1, 2)[:, _MIRROR][:, :, _MIRROR]
-            factors = np.concatenate([H[None], factors, mirror[None]])
-            factor_exps = np.concatenate([e_half[None], factor_exps, e_half[None]])
-        M, log2_scale = _compose(factors, factor_exps)
-    else:
-        M, log2_scale = _compose(stack, exps)
+    # the middle slices (all of an unmirrored stack) between H and its mirror
+    factors, factor_exps = stack[n_half:], exps[n_half:]
+    if n_half:
+        H, e_half = _compose(stack[:n_half], exps[:n_half])
+        mirror = H.swapaxes(1, 2)[:, _MIRROR][:, :, _MIRROR]
+        factors = np.concatenate([H[None], factors, mirror[None]])
+        factor_exps = np.concatenate([e_half[None], factor_exps, e_half[None]])
+    M, log2_scale = _compose(factors, factor_exps)
 
     q = channel_q(k, gamma, mass, hbar)
 
@@ -477,8 +495,9 @@ def transfer_solve(
         v[:, 2 * channel + 1] = 1j * (kappa / scale) * v[:, 2 * channel]
         return v
 
-    inc, r1 = wave(0, k, _phase(origin, offsets, x_left)), wave(0, -k, _phase(-origin, -offsets, x_left))
-    t1 = wave(0, k, _phase(origin, offsets, x_right))
+    inc = wave(0, k, _wave(origin, 1.0, offsets, x_left))
+    r1 = wave(0, -k, _wave(origin, -1.0, -offsets, x_left))
+    t1 = wave(0, k, _wave(origin, 1.0, offsets, x_right))
     r2, t2 = wave(1, -q, np.exp(-1j * q * x_left)), wave(1, q, np.exp(1j * q * x_right))
 
     # With M = 2^e Mt:  Tt1 t1 + Tt2 t2 - R1 Mt r1 - R2 Mt r2 = Mt inc,

@@ -110,14 +110,14 @@ class Region:
     incident wavenumber, and ``carrier`` is one float k0 for all of them
     (``KGrid.origin``; the wavenumber itself for a one-k solution).  The
     offsets delta are formed without subtracting carrier-size numbers
-    (``kernels.reference._mode_offsets``), so two waves of one direction
-    differ in phase by exactly (delta_mu - delta_nu) y: the field
-    evaluator rounds the carrier phase once per point, and the overlap
-    engine integrates products of same-direction waves with no carrier at
-    all.  A solution is the list of regions from x1 = -inf to x2 = +inf,
-    each starting where the previous one ends: the incident side, one
-    region per constant-coupling slice (one for the sharp beam), the
-    transmitted side.  Field evaluation (``_region_field``) and the overlap
+    (``kernels._mode_offsets`` and ``kernels._channel_offset``), so two
+    waves of one direction differ in phase by exactly (delta_mu -
+    delta_nu) y: the field evaluator rounds the carrier phase once per
+    point (``kernels._wave``), and the overlap engine integrates products
+    of same-direction waves with no carrier at all.  A solution is the
+    list of regions from x1 = -inf to x2 = +inf, each starting where the
+    previous one ends: the incident side, one region per constant-coupling
+    slice (one for the sharp beam), the transmitted side.  Field evaluation (``_region_field``) and the overlap
     engine (``wavepacket._overlap_sums``) both read it.
 
     Invariant: every mode is bounded in its region: |exp(i kappa y)| <= 1
@@ -143,7 +143,7 @@ class ScatteringSolution:
     length one; ``evaluate_state`` and ``matching_residual`` read them, and
     ``ConditionalPropagator`` integrates the same lists over all its
     wavenumbers.  R1, R2, T1 and T2 are the asymptotic amplitudes of the
-    ``kernels.reference`` conventions.  T2 is the x = 0 amplitude of
+    ``kernels`` conventions.  T2 is the x = 0 amplitude of
     exp(iqx); below ~0.1 m/s at L = 5 um it may leave the float range, as in
     ``sharp_edge_rows``, while the sharp beam's regions carry the
     transmitted excited wave anchored at the exit and stay finite.
@@ -230,23 +230,20 @@ def _sharp_regions(k0: float, offsets: np.ndarray, config: ValidatedConfig):
     The kernel forms its phases across the beam from the same offsets and
     ``kernels.newton_mode``, so the regions match to rounding at every
     coupling.  The transmitted excited wave is T2_L exp(iq(x - L)), T2_L
-    the kernel's excited value at x = L: it stays finite where exp(iqL)
-    underflows and T2 does not.
+    the kernel's excited value at x = L, with the kernel's offset d_q: it
+    stays finite where exp(iqL) underflows and T2 does not.
     """
     L = config.beam_width
-    k = k0 + offsets
     if config.omega == 0.0:   # the free ground wave
-        rows = sharp_edge_rows(k, config)
+        rows = sharp_edge_rows(k0 + offsets, config)
         left, right = _exterior_regions(k0, offsets, rows[:, 0], rows[:, 2], [], [], 0.0, L)
         interior = Region(0.0, L, ([(rows[:, 4], 1.0, offsets, 0.0, None)], []), k0)
         return tuple(rows[:, :4].T), [left, interior, right]
     hbar = config.constants.hbar
-    rows, terms, t2_exit = kernels.sharp_edge_modes(
+    rows, terms, t2_exit, d_q = kernels.sharp_edge_modes(
         k0, offsets, config.gamma, config.omega, L, config.mass, hbar)
     amplitudes = R1, R2, T1, _ = tuple(rows[:, :4].T)
     interior = _newton_regions(k0, terms, rows[:, 4:].T, 0.0, L)
-    d_q = kernels.reference._mode_offsets(k, offsets, config.gamma, config.omega,
-                                          config.mass, hbar)[2]
     left, right = _exterior_regions(k0, offsets, R1, T1, [(R2, -1.0, -d_q, 0.0, None)],
                                     [(t2_exit, 1.0, d_q, L, None)], 0.0, L)
     return amplitudes, [left, interior, right]
@@ -301,8 +298,8 @@ def _region_values(region: Region, weights, x: np.ndarray, derivative: bool):
     """Both channels of one region at x, and d/dx (or None), each (2, nx).
 
     Sums weights * coef times each mode (``Region``: plane waves from
-    ``_wave``, Newton modes from ``_newton_wave``), without the plane-wave
-    normalization.
+    ``kernels._wave``, Newton modes from ``_newton_wave``), without the
+    plane-wave normalization.
     """
     val = np.zeros((2, x.shape[0]), dtype=complex)
     der = np.zeros_like(val) if derivative else None
@@ -311,7 +308,7 @@ def _region_values(region: Region, weights, x: np.ndarray, derivative: bool):
             wc = weights * coef
             kappa = sign * region.carrier + delta
             if gap is None:
-                waves = _wave(region.carrier, sign, delta, x - anchor)
+                waves = kernels._wave(region.carrier, sign, delta, x - anchor)
                 slope = (1j * kappa * wc) @ waves if derivative else 0.0
             else:   # dN/dy = i (E+ + kappa- N)
                 e_p, waves = _newton_wave(region.carrier, sign, delta, gap, x - anchor)
@@ -322,22 +319,12 @@ def _region_values(region: Region, weights, x: np.ndarray, derivative: bool):
     return val, der
 
 
-def _wave(carrier: float, sign: float, delta, y):
-    """exp(i (sign carrier + delta) y): an (nk, ny) outer product for array y, (nk,) for a scalar.
-
-    The carrier phase sign * carrier * y is rounded once per point and
-    shared by every wavenumber; the modulus comes from exp(i delta y)
-    alone, so a bounded wave cannot overflow.
-    """
-    return np.exp(1j * (sign * carrier * np.asarray(y))) * np.exp(1j * np.multiply.outer(delta, y))
-
-
 def _newton_wave(carrier: float, sign: float, delta, gap, y):
-    """(E+, N) of a Newton mode (``Region``) at y, shaped and phased as ``_wave``'s waves."""
+    """(E+, N) of a Newton mode (``Region``) at y, shaped and phased as ``kernels._wave``'s."""
     y = np.asarray(y)
     col = (Ellipsis,) + (None,) * y.ndim
     newton, plus_big, e_big, expm1 = kernels.newton_mode(
-        np.exp(1j * (sign * carrier * y)), delta[col], (delta - gap)[col], gap[col], y)
+        kernels._carrier_phase(carrier, sign, y), delta[col], (delta - gap)[col], gap[col], y)
     return np.where(plus_big, e_big, e_big * (1.0 + expm1)), newton
 
 

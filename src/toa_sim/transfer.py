@@ -24,7 +24,6 @@ from .scattering import (
     _exterior_regions,
     _newton_regions,
     _solution_view,
-    _wave,
 )
 
 DEFAULT_SLICES = 256
@@ -161,6 +160,10 @@ def _slice_regions(k0: float, offsets: np.ndarray, decomp: SliceDecomposition,
     nk = offsets.shape[0]
     amps, states = kernels.transfer_solve(np.full(nk, k0), edges, omegas, config.gamma,
                                           config.mass, hbar, return_states=True, offsets=offsets)
+    # the uncoupled slices' modes (k+ = k, k- = q) and the excited half-lines' q
+    k = k0 + offsets
+    free_p, free_m = kernels._mode_offsets(k, offsets, config.gamma, 0.0, config.mass, hbar)[:2]
+    d_q = kernels._channel_offset(k, offsets, config.gamma, config.mass, hbar)[1]
     # slopes in units of the power of two in (k0, 2 k0], as in transfer_solve
     unit = np.array([1.0, math.ldexp(1.0, math.frexp(k0)[1])] * 2)[:, None]
     slices = []
@@ -175,23 +178,21 @@ def _slice_regions(k0: float, offsets: np.ndarray, decomp: SliceDecomposition,
                        (ep, -1j * kp * ep, u_p * ep, -1j * kp * u_p * ep),
                        (de, -1j * back, du * ep + u_m * de, -1j * (du * kp * ep + u_m * back))]
         else:
-            d_p, d_m = kernels.reference._mode_offsets(k0 + offsets, offsets, config.gamma, om,
-                                                       config.mass, hbar)[:2]
-            free = ((1.0, d_p, xa), (1.0, d_m, xa), (-1.0, -d_p, xb), (-1.0, -d_m, xb))
+            free = ((1.0, free_p, xa), (1.0, free_m, xa),
+                    (-1.0, -free_p, xb), (-1.0, -free_m, xb))
             columns = []
             for mu, (sign, delta, anchor) in enumerate(free):
-                wave = _wave(k0, sign, delta, xa - anchor)
+                wave = kernels._wave(k0, sign, delta, xa - anchor)
                 pair = (wave, 1j * (sign * k0 + delta) * wave)
                 columns.append(pair + (0.0, 0.0) if mu % 2 == 0 else (0.0, 0.0) + pair)
         basis = np.stack([np.stack(np.broadcast_arrays(*column), axis=-1) for column in columns], -1)
         coeffs = np.linalg.solve(basis / unit, states[:, j, :, None] / unit)
         a, b, c, d = coeffs[:, :, 0].T
         slices.append(_newton_regions(k0, terms, (a, b, c, d), xa, xb) if om > 0.0 else
-                      Region(xa, xb, ([(a, 1.0, d_p, xa, None), (c, -1.0, -d_p, xb, None)],
-                                      [(b, 1.0, d_m, xa, None), (d, -1.0, -d_m, xb, None)]), k0))
+                      Region(xa, xb, ([(a, 1.0, free_p, xa, None), (c, -1.0, -free_p, xb, None)],
+                                      [(b, 1.0, free_m, xa, None), (d, -1.0, -free_m, xb, None)]),
+                             k0))
     R1, _, T1, _ = amps.T
-    d_q = kernels.reference._mode_offsets(k0 + offsets, offsets, config.gamma, 0.0,
-                                          config.mass, hbar)[2]
     left, right = _exterior_regions(
         k0, offsets, R1, T1, [(states[:, 0, 2], -1.0, -d_q, edges[0], None)],
         [(states[:, -1, 2], 1.0, d_q, edges[-1], None)], edges[0], edges[-1])

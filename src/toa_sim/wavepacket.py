@@ -1000,7 +1000,7 @@ class ConditionalPropagator:
         config: ValidatedConfig,
         grid: KGrid | None = None,
         backend: str = "analytic",
-        n_slices: int = 256,
+        n_slices: int = transfer.DEFAULT_SLICES,
     ):
         if abs(spec.mass - config.mass) > 1e-12 * config.mass:
             raise ValueError("packet and config masses differ")
@@ -1011,7 +1011,6 @@ class ConditionalPropagator:
         hbar = config.constants.hbar
         k = self.grid.nodes
         self.k = k
-        self.q = kernels.channel_q(k, config.gamma, config.mass, hbar)
         self.psi = grid_amplitude(spec, self.grid)
         self.coeff = self.grid.weights * self.psi
         self.omega_ref, self.omega_rel = self.grid.frequencies(config.mass, hbar)
@@ -1121,22 +1120,32 @@ class ConditionalPropagator:
             (interiors if 0 < index < len(regions) - 1 else half_lines).extend(terms)
         return half_lines, interiors, covering
 
-    def _quadratic(self, matrix: np.ndarray, times) -> np.ndarray:
-        """Rows Re v^H matrix^T v and 2 Im sum_k omega_k conj(v_k) (matrix^T v)_k at times.
+    def _quadratic(self, gram: np.ndarray, times) -> np.ndarray:
+        """Rows Re v^H G^T v and 2 Im sum_k omega_k conj(v_k) (G^T v)_k at times.
 
-        v = coeff * exp(-i omega t) is the state vector in the mode basis.
-        For a Hermitian matrix the second row is -d/dt of the first.  Both
-        oscillate only at differences of the omegas, so they are formed at
-        the band-limited nodes of ``series.chebyshev_samples`` and resampled
-        to the times through one shared map.
+        v = coeff * exp(-i omega t) is the state vector in the mode basis,
+        and G an (nk, nk) matrix or the Gram F^T conj(F) of a factor F, (r,
+        nk), from ``_compress``.  For a Hermitian G the second row is -d/dt
+        of the first.  Both oscillate only at differences of the omegas, so
+        they are formed at the band-limited nodes of
+        ``series.chebyshev_samples`` and resampled to the times through one
+        shared map.  For a factor, with g = F v and h = F (omega v), they are
+        sum_l |g_l|^2 and 2 Im sum_l g_l conj(h_l): one (2r, nk) product per
+        node, not an (nk, nk) one.
         """
         phases, resample = self._samples(times)
         out = np.empty((2, phases.shape[1]))
+        if _is_factor(gram):
+            g, h = np.split(np.concatenate([gram, gram * self.omega_rel]) @ phases, 2)
+            out[0] = np.einsum("ij,ij->j", g.real, g.real) + np.einsum("ij,ij->j", g.imag, g.imag)
+            out[1] = 2.0 * (np.einsum("ij,ij->j", g.imag, h.real)
+                            - np.einsum("ij,ij->j", g.real, h.imag))
+            return resample(out)
         chunk = max(1, int(4e6 // max(self.k.shape[0], 1)))
         for start in range(0, phases.shape[1], chunk):
             part = slice(start, start + chunk)
             v = phases[:, part]
-            terms = matrix.T @ v
+            terms = gram.T @ v
             # conj(terms) v = conj(terms conj(v)) in place, and the imaginary
             # parts summed where they lie: no temporary of the block's size,
             # which keeps the peak of a measurement low
@@ -1144,25 +1153,6 @@ class ConditionalPropagator:
             terms *= v
             out[0, part] = terms.real.sum(axis=0)
             out[1, part] = -2.0 * np.einsum("i,ij->j", self.omega_rel, terms.imag)
-        return resample(out)
-
-    def _detection_forms(self, times) -> np.ndarray:
-        """The rows of ``_quadratic`` for the detection matrix, P2 and -dP2/dt, at times.
-
-        For its factor F (``_detection``), with g = F v and h = F (omega v),
-        they are sum_l |g_l|^2 and 2 Im sum_l g_l conj(h_l): one (2r, nk)
-        product per node, not an (nk, nk) one.  A kept (nk, nk) matrix
-        takes ``_quadratic``.
-        """
-        detection = self._detection()
-        if not _is_factor(detection):
-            return self._quadratic(detection, times)
-        phases, resample = self._samples(times)
-        g, h = np.split(np.concatenate([detection, detection * self.omega_rel]) @ phases, 2)
-        out = np.empty((2, phases.shape[1]))
-        out[0] = np.einsum("ij,ij->j", g.real, g.real) + np.einsum("ij,ij->j", g.imag, g.imag)
-        out[1] = 2.0 * (np.einsum("ij,ij->j", g.imag, h.real)
-                        - np.einsum("ij,ij->j", g.real, h.imag))
         return resample(out)
 
     def _samples(self, times):
@@ -1196,7 +1186,7 @@ class ConditionalPropagator:
         return _region_field(self.regions, phases, x)
 
     def excited_population(self, times) -> np.ndarray:
-        return self._detection_forms(times)[0]
+        return self._quadratic(self._detection(), times)[0]
 
     def photon_density(self, times) -> np.ndarray:
         """First-photon density gamma * P2(t)."""
@@ -1211,7 +1201,7 @@ class ConditionalPropagator:
         Summed, that is gamma P2 plus the derivative of P2, whose negative
         is the second row of P2's quadratic form (``_quadratic``).
         """
-        p2, rate = self._detection_forms(times)
+        p2, rate = self._quadratic(self._detection(), times)
         return self.config.gamma * p2 - rate
 
     def ridge_density(self, times) -> np.ndarray:
@@ -1371,7 +1361,7 @@ def first_photon_density(
     # the covering norm builds the detection matrix, which gamma P2 reuses
     survival, dn = prop.norm_and_rate(t, x_min, x_max)
     # gamma P2 and -dP2/dt from one product: Pi_id = gamma P2 - (-dP2/dt)
-    p2, p2_rate = prop._detection_forms(t)
+    p2, p2_rate = prop._quadratic(prop._detection(), t)
     pi = config.gamma * p2
     denom = float(np.trapezoid(np.abs(pi), dx=times.dt))
     if denom > 0.0:

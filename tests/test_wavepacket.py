@@ -12,7 +12,7 @@ from toa_sim import distributions as ds
 from toa_sim import kernels, wavepacket
 from toa_sim.errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarning
 from toa_sim.model import RabiProfile, cesium_config
-from toa_sim.scattering import Region, _newton_wave, _wave
+from toa_sim.scattering import Region, _newton_wave
 from toa_sim.series import TimeSeries, _node_count, l1_distance
 from toa_sim.wavepacket import (
     ConditionalPropagator,
@@ -48,7 +48,7 @@ def mode_values(modes, k0, x):
     """The sum of ``Region`` modes at the points x, (nk, nx)."""
     total = 0.0
     for coef, sign, delta, anchor, gap in modes:
-        wave = (_wave(k0, sign, delta, x - anchor) if gap is None
+        wave = (kernels._wave(k0, sign, delta, x - anchor) if gap is None
                 else _newton_wave(k0, sign, delta, gap, x - anchor)[1])
         total = total + coef[:, None] * wave
     return total
@@ -803,6 +803,19 @@ class TestNormOracleAt641:
         gap = np.abs(got[np.ix_(rows, cols)] - want / (2 * math.pi)).max()
         assert gap <= 1e-13 * np.abs(got).max()
 
+    def test_dense_oracle_matches_mpmath_at_the_grid_edge(self):
+        # the dense reference on the same packet's incident ground clip,
+        # rows and columns 600-640 about the diagonal: with its form about
+        # x1 switched in at |u| = 1e-2 it read 1.2e-12 there, now 2.6e-14
+        prop, window = arrival_propagator(*ARRIVAL_SHAPES["ridge"], n_nodes=641)
+        region = prop.regions[0]
+        x1, x2 = max(window[0], region.x1), min(window[1], region.x2)
+        ground = region.channel_modes[0]
+        got = dense_gram(ground, x1, x2, region.carrier)
+        edge = list(range(600, 641))
+        want = mpmath_gram(ground, x1, x2, region.carrier, rows=edge, cols=edge)
+        assert np.abs(got[600:, 600:] - want).max() <= 1e-13 * np.abs(got).max()
+
 
 def near_set_windows(prop):
     """Norm windows: covering, inside the incident half-line, inside the transmitted one.
@@ -998,11 +1011,11 @@ class TestDetectionFactor:
         t = np.linspace(0.0, 2.0 * prop.spec.components[0].waist_time, 101)
         forms = prop._quadratic(want, t)
         bound = 1e-12 * np.abs(forms).max(axis=1)
-        assert np.all(np.abs(prop._detection_forms(t) - forms).max(axis=1) <= bound)
+        assert np.all(np.abs(prop._quadratic(prop._detection(), t) - forms).max(axis=1) <= bound)
         factor = _pivoted_cholesky(want.diagonal().real, lambda p: want[:, p], nk)
         assert np.abs(factor.T @ factor.conj() - want).max() <= 1e-13 * scale
         prop._detection_matrix = factor
-        assert np.all(np.abs(prop._detection_forms(t) - forms).max(axis=1) <= bound)
+        assert np.all(np.abs(prop._quadratic(prop._detection(), t) - forms).max(axis=1) <= bound)
 
 
 class TestExactIdealColumn:
