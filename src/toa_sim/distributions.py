@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, UnderResolvedWarning, ZeroIntegral
-from .series import TimeSeries, chebyshev_samples
+from .series import TimeSeries, chebyshev_samples, phase_basis
 
 KINDS = ("flux", "kijowski", "observed", "ideal", "kernel")
 
@@ -52,8 +52,10 @@ def _free_waves(spec, x: float, times: TimeSeries):
     Column j of the (nk, nodes) waves is w_k psi(k) exp(i k x - i omega_k
     t_j) on the default k-grid.  J and the axiomatic density are bilinear in
     these waves, so their bandwidth is the span of the omegas and they are
-    sampled at ``series.chebyshev_samples`` nodes.  They are built once per
-    packet, position and time grid, as read-only arrays.
+    sampled at ``series.chebyshev_samples`` nodes, whose map a first-photon
+    density on the same times has usually built already (their node counts
+    agree).  The phases are ``series.phase_basis``'s.  They are built once
+    per packet, position and time grid, as read-only arrays.
     """
     key = (x, times.t0, times.dt, len(times))
     cached = _FREE_BASIS.get(spec)
@@ -66,7 +68,7 @@ def _free_waves(spec, x: float, times: TimeSeries):
     omega_rel = grid.frequencies(spec.mass, spec.constants.hbar)[1]
     nodes, resample = chebyshev_samples(times.times, np.ptp(omega_rel))
     coeff = grid.weights * grid_amplitude(spec, grid) * np.exp(1j * k * x)
-    waves = coeff[:, None] * np.exp(-1j * np.outer(omega_rel, nodes))
+    waves = coeff[:, None] * phase_basis(omega_rel, nodes)
     k.flags.writeable = False
     waves.flags.writeable = False
     _FREE_BASIS.clear()

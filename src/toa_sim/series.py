@@ -1,4 +1,9 @@
-"""Time series: uniform grids, their CSV form, and band-limited sampling."""
+"""Time series: uniform grids, their CSV form, and band-limited sampling.
+
+Band-limited sampling (``chebyshev_samples``) keeps the last map it
+built, for the same times and node count, and ``phase_basis`` forms the
+phases exp(-i omega t) whose quadratic forms it samples.
+"""
 
 from __future__ import annotations
 
@@ -75,6 +80,13 @@ def _node_count(c: float) -> int:
     return m + 1
 
 
+# The last map ``chebyshev_samples`` built: (times, node count, nodes,
+# resample).  A measurement and its free-atom references sample the same
+# times at the same count, so they share it; the next call for other times
+# or another count drops it.
+_LAST_MAP = None
+
+
 def chebyshev_samples(times, bandwidth: float):
     """Sample times for a function band-limited to ``bandwidth``, and its resampler.
 
@@ -89,15 +101,26 @@ def chebyshev_samples(times, bandwidth: float):
     46, 501 (2004)); one (len(times), nodes) map serves every row passed.
     When the count reaches len(times) the nodes are the times themselves
     and ``resample`` returns its argument.
+
+    The map depends on the times and the node count alone, so the last one
+    built is kept and returned again for equal times and count: the
+    first-photon density and the free-atom references of one packet share
+    it.  Its nodes are read-only.
     """
+    global _LAST_MAP
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lo, hi = (float(times.min()), float(times.max())) if times.size else (0.0, 0.0)
     r = _node_count(0.5 * bandwidth * (hi - lo))
     if r >= times.size or not hi > lo:
         return times, lambda values: values
+    last = _LAST_MAP
+    if last is not None and last[1] == r and np.array_equal(last[0], times):
+        return last[2:]
+    _LAST_MAP = last = None   # dropped before the next one is built
     x = np.sin(0.5 * math.pi * np.arange(r - 1, -r, -2) / (r - 1))  # 1 ... -1, symmetric
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
     nodes[0], nodes[-1] = hi, lo
+    nodes.flags.writeable = False
     weights = np.where(np.arange(r) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
     # the differences, exactly +-1 at the ends, then the weights over them in their buffer
@@ -108,7 +131,22 @@ def chebyshev_samples(times, bandwidth: float):
     rows = hit.any(axis=1)
     basis[rows] = hit[rows]
     basis /= basis.sum(axis=1, keepdims=True)
-    return nodes, lambda values: values @ basis.T
+    _LAST_MAP = last = (times.copy(), r, nodes, lambda values: values @ basis.T)
+    return last[2:]
+
+
+def phase_basis(omega, times) -> np.ndarray:
+    """exp(-i omega_k t_j), (len(omega), len(times)), from real cosines and sines.
+
+    The phase theta = omega t is formed once and the basis is cos theta - i
+    sin theta: the values complex exp gives for -i theta (whose real part is
+    exp(0) = 1), without a complex exponential.
+    """
+    theta = np.outer(omega, times)
+    basis = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=basis.real)
+    np.negative(np.sin(theta, out=theta), out=basis.imag)
+    return basis
 
 
 def l1_distance(a: TimeSeries, b: TimeSeries) -> float:

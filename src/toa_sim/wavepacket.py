@@ -32,17 +32,25 @@ integrated once for both the detection and the norm matrix: with gamma >
 matrix (built first if it is missing, its factor's rows as low-rank
 columns) plus the ground-channel Grams minus the excited Grams of the
 half-line tails beyond the window; any other window is integrated region
-by region.  So each matrix follows from its inputs alone, whatever was
-built before it.  The survival loss rate -dN/dt is the exact derivative
-of its quadratic form, so the first-photon route check carries no
-time-step error.
+by region.  When such a norm builds the detection matrix, the two
+channels of each region of the beam hold the same waves with other
+coefficients, so one pass evaluates the waves for both
+(``_interior_products``): the excited rows go to the detection matrix,
+the ground rows to the norm's buffer, each in the order a build of its
+own gives them.  So each matrix follows from its inputs alone, to the
+bit, whatever was built before it.  The survival loss rate -dN/dt is the
+exact derivative of its quadratic form, so the first-photon route check
+carries no time-step error.
 
 Every time-domain output is a quadratic form in the phases
 exp(-i omega_k t), with frequencies only at differences of the omegas, so
 it is evaluated at the band-limited Chebyshev nodes of
 ``series.chebyshev_samples`` (about 150 for the paper's packets, not one
 per output time) and carried to the requested times by one barycentric
-map, exact to double rounding.
+map, exact to double rounding.  That map is kept for the last times and
+node count, so the first-photon density and the free-atom references of
+one packet share it, and the phases come from real cosines and sines
+(``series.phase_basis``).
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from .errors import ConsistencyFailure, DomainTooSmall, NormDeficit, RegimeWarni
 from .model import CONSTANTS, PhysicalConstants, ValidatedConfig
 # Region is re-exported: the overlap engine integrates its mode lists.
 from .scattering import Region, _region_field, _sharp_regions  # noqa: F401
-from .series import TimeSeries, chebyshev_samples
+from .series import TimeSeries, chebyshev_samples, phase_basis
 
 KGRID_SPAN = 10.0    # half-width of each component's k window, in units of dk
 ROUTE_TOL = 1e-3     # largest gamma*P2 vs -dN/dt discrepancy first_photon_density accepts
@@ -575,9 +583,9 @@ def _tile_pass(low_rank: _LowRank, cauchy=(), finish: bool = False, addends=()) 
     half the diagonal block plus its conjugate transpose (each part's
     diagonal block is in it once), plus sign times each (matrix, sign) of
     ``addends`` (finished matrices), and the conjugate transpose of the
-    tile beyond its diagonal block written below it.  So the matrix, which
-    the pass returns, comes out exactly Hermitian with a real diagonal,
-    and no (nk, nk) temporary.
+    tile beyond its diagonal block written below it, in place.  So the
+    matrix, which the pass returns, comes out exactly Hermitian with a real
+    diagonal, and no (nk, nk) temporary.
     """
     nk = low_rank.nk
     left, right = low_rank.stacked()
@@ -626,7 +634,7 @@ def _tile_pass(low_rank: _LowRank, cauchy=(), finish: bool = False, addends=()) 
                         upper += addend[rows, start:]
                     else:
                         upper -= addend[rows, start:]
-                matrix[start + n:, rows] = upper[:, n:].conj().T
+                np.conjugate(upper[:, n:].T, out=matrix[start + n:, rows])
     return matrix
 
 
@@ -646,37 +654,70 @@ def _gl_nodes(spread: float) -> int:
     return n
 
 
-def _interior_products(k0: float, terms, low_rank: _LowRank) -> None:
-    """Add the Grams of interior terms to the low-rank buffer.
+def _same_waves(terms, others) -> bool:
+    """True if ``others`` hold the waves of ``terms``, term by term: coefficients aside, equal.
 
-    A term (modes, x1, x2, scale) has finite ends.  With the carrier
-    taken out, the field G(x) of each direction's modes (``Region``) is
-    smooth, and its Gram is exactly G W G^H at the nodes and weights of a
-    Gauss-Legendre rule (``_gauss_products``).  The products of the two
-    directions carry the carrier twice, exp(2 i k0 x): their pair
-    integrals [f_mu conj(f_nu)]_x1^x2 / (i alpha) have alpha about 2 k0 and
-    become short separable sums (``_crossing``) about the centre of the
-    forward waves.  Where that does not separate (slow atoms, whose k+ and
-    k- differ by much; near a closed channel, Re k+- -> 0), the channel is
-    one field, the carrier included, under a wider rule.  Up to
-    INTERIOR_BATCH terms with the same mode kinds and treatment are
-    evaluated together, as (terms, nk, nodes) arrays.
+    Equal waves: each term's ends and scale, and each mode's sign, offset
+    delta, anchor and gap (None for a plane wave).
     """
+    def same(a, b):
+        return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+    return len(terms) == len(others) and all(
+        term[1:] == other[1:] and len(term[0]) == len(other[0]) and all(
+            mode[1] == twin[1] and mode[3] == twin[3] and same(mode[2], twin[2])
+            and same(mode[4], twin[4]) for mode, twin in zip(term[0], other[0]))
+        for term, other in zip(terms, others))
+
+
+def _interior_products(k0: float, channels) -> None:
+    """Add the Grams of interior terms to their low-rank buffers.
+
+    ``channels`` holds (terms, low_rank) pairs.  A term (modes, x1, x2,
+    scale) has finite ends.  With the carrier taken out, the field G(x) of
+    each direction's modes (``Region``) is smooth, and its Gram is exactly
+    G W G^H at the nodes and weights of a Gauss-Legendre rule
+    (``_gauss_products``).  The products of the two directions carry the
+    carrier twice, exp(2 i k0 x): their pair integrals [f_mu
+    conj(f_nu)]_x1^x2 / (i alpha) have alpha about 2 k0 and become short
+    separable sums (``_crossing``) about the centre of the forward waves.
+    Where that does not separate (slow atoms, whose k+ and k- differ by
+    much; near a closed channel, Re k+- -> 0), the channel is one field,
+    the carrier included, under a wider rule.  Up to INTERIOR_BATCH terms
+    with the same mode kinds and treatment are evaluated together, as
+    (terms, nk, nodes) arrays.
+
+    The two channels of a beam's region hold the same waves with other
+    coefficients.  Where every channel's terms have the waves of the
+    first's (``_same_waves``), the waves are evaluated once and combined
+    with each channel's coefficients, and each buffer takes its rows in the
+    order a pass over its own terms gives them; otherwise each channel is
+    such a pass.
+    """
+    terms = channels[0][0]
+    if not all(_same_waves(terms, others) for others, _ in channels[1:]):
+        for channel in channels:
+            _interior_products(k0, [channel])
+        return
+    low_ranks = [low_rank for _, low_rank in channels]
     buckets: dict = {}
-    for term in terms:
+    for index, term in enumerate(terms):
         kinds = tuple((mode[1], mode[4] is not None) for mode in term[0])
-        buckets.setdefault(kinds, []).append(term)
+        buckets.setdefault(kinds, []).append(index)
     # a few dozen terms per batch bound the (terms, modes, nk) stacks
-    batches = [(kinds, terms[start:start + INTERIOR_BATCH])
-               for kinds, terms in buckets.items()
-               for start in range(0, len(terms), INTERIOR_BATCH)]
+    batches = [(kinds, indices[start:start + INTERIOR_BATCH])
+               for kinds, indices in buckets.items()
+               for start in range(0, len(indices), INTERIOR_BATCH)]
     for kinds, batch in batches:
         signs, newton = (np.array(column) for column in zip(*kinds))
-        coef = np.array([[mode[0] for mode in modes] for modes, *_ in batch])
-        delta = np.array([[mode[2] for mode in modes] for modes, *_ in batch])
-        gap = np.array([[0 * m[2] if m[4] is None else m[4] for m in modes] for modes, *_ in batch])
-        anchor = np.array([[mode[3] for mode in modes] for modes, *_ in batch])
-        x1, x2, scale = (np.array(column, dtype=float) for column in list(zip(*batch))[1:])
+        # (channels, terms, modes, nk): one (terms, modes, nk) block per channel
+        coef = np.array([[[mode[0] for mode in channel[i][0]] for i in batch]
+                         for channel, _ in channels])
+        modes_of = [terms[i][0] for i in batch]
+        delta = np.array([[mode[2] for mode in modes] for modes in modes_of])
+        gap = np.array([[0 * m[2] if m[4] is None else m[4] for m in modes] for modes in modes_of])
+        anchor = np.array([[mode[3] for mode in modes] for modes in modes_of])
+        x1, x2, scale = (np.array([terms[i][j] for i in batch], dtype=float) for j in (1, 2, 3))
         fwd, bwd = np.flatnonzero(signs > 0.0), np.flatnonzero(signs < 0.0)
         separable = np.ones(len(batch), dtype=bool)   # one direction: nothing crosses the carrier
         if fwd.size and bwd.size:   # both waves of a Newton pair, kappa and kappa - gap
@@ -687,37 +728,42 @@ def _interior_products(k0: float, terms, low_rank: _LowRank) -> None:
             chosen = ~separable if one_field else separable
             if not chosen.any():
                 continue
-            args = (coef[chosen], delta[chosen], gap[chosen], anchor[chosen], x1[chosen],
-                    x2[chosen], scale[chosen], low_rank)
+            chosen_coef = coef[:, chosen]
+            args = (delta[chosen], gap[chosen], anchor[chosen], x1[chosen], x2[chosen],
+                    scale[chosen])
             if one_field:   # the carrier included
-                _gauss_products(k0, signs, newton, *args)
+                _gauss_products(k0, signs, newton, chosen_coef, *args, low_ranks)
                 continue
             if fwd.size and bwd.size:
                 # 16 terms give at most 256 rows at the usual 2-4 orders
                 for start in range(0, int(chosen.sum()), 16):
-                    _crossing(k0, fwd, bwd, newton,
-                              *(arg[start:start + 16] for arg in args[:-1]), low_rank)
+                    part = slice(start, start + 16)
+                    _crossing(k0, fwd, bwd, newton, chosen_coef[:, part],
+                              *(arg[part] for arg in args), low_ranks)
             for members in (fwd, bwd):
                 if members.size:
                     _gauss_products(k0, signs[members], newton[members],
-                                    *(arg[:, members] for arg in args[:4]), *args[4:])
+                                    chosen_coef[:, :, members],
+                                    *(arg[:, members] for arg in args[:3]), *args[3:], low_ranks)
 
 
-def _gauss_products(k0, signs, newton, coef, delta, gap, anchor, x1, x2, scale, low_rank) -> None:
+def _gauss_products(k0, signs, newton, coef, delta, gap, anchor, x1, x2, scale, low_ranks) -> None:
     """G W G^H of the fields of each term (``Region`` modes), by Gauss-Legendre.
 
-    ``coef``, ``delta``, ``gap``: (T, M, nk), ``gap`` 0 for a plane wave;
-    ``anchor``: (T, M); ``x1``, ``x2``, ``scale``: (T,); ``newton``: (M,).
-    Each wave is taken relative to the carrier of the first mode, sign_0
-    k0 (x - anchor_0), which cancels in G G^H.  The rule follows from the
-    spread s of kappa_m - sign_0 k0 over the width, both waves of a Newton
-    mode included (``_gl_nodes``), with one node more for a Newton mode: y
-    times waves, its products' 2n-th derivatives on a panel mapped to [-1,
-    1] exceed s^2n by at most 2n s^(2n-1) + n^2 s^(2n-2), which the
+    ``coef``: (C, T, M, nk), one (T, M, nk) block per buffer of
+    ``low_ranks``; ``delta``, ``gap``: (T, M, nk), ``gap`` 0 for a plane
+    wave; ``anchor``: (T, M); ``x1``, ``x2``, ``scale``: (T,); ``newton``:
+    (M,).  Each wave is taken relative to the carrier of the first mode,
+    sign_0 k0 (x - anchor_0), which cancels in G G^H.  The rule follows
+    from the spread s of kappa_m - sign_0 k0 over the width, both waves of
+    a Newton mode included (``_gl_nodes``), with one node more for a Newton
+    mode: y times waves, its products' 2n-th derivatives on a panel mapped
+    to [-1, 1] exceed s^2n by at most 2n s^(2n-1) + n^2 s^(2n-2), which the
     remainder of one more node absorbs.  It is cut into panels of at most
     PANEL_SPREAD.  The nodes of all terms with one rule are evaluated
     LOW_RANK_COLUMNS at a time, a plane wave at a Newton mode's kappa and
-    anchor from that mode's larger wave.
+    anchor from that mode's larger wave, and each wave once for every
+    block of coefficients.
     """
     lower = delta - gap
     partners = {m: p for m in np.flatnonzero(newton) for p in np.flatnonzero(~newton)
@@ -745,26 +791,34 @@ def _gauss_products(k0, signs, newton, coef, delta, gap, anchor, x1, x2, scale, 
             t_m = term[cols]
             y = x[cols, None] - anchor[t_m]                                # (C, M)
             carrier = np.exp(1j * k0 * (signs * y - signs[0] * y[:, :1]))
-            field = 0j
+            fields = [0j] * len(low_ranks)
             for m in range(signs.size):                                    # (C, nk)
                 if m in partners.values():
                     continue
+                plane = None
                 if newton[m]:
                     wave, plus_big, e_big, expm1 = kernels.newton_mode(
                         carrier[:, m, None], delta[t_m, m], lower[t_m, m], gap[t_m, m],
                         y[:, m, None])
                     if m in partners:   # its plane wave E+, the larger wave or E_big exp(z)
-                        field = field + coef[t_m, partners[m]] * np.where(
-                            plus_big, e_big, e_big * (1.0 + expm1))
+                        plane = np.where(plus_big, e_big, e_big * (1.0 + expm1))
                 else:
                     wave = np.exp(1j * delta[t_m, m] * y[:, m, None])
                     wave *= carrier[:, m, None]
-                wave *= coef[t_m, m]
-                field = field + wave
-            low_rank.add(field * weight[cols, None], field.conj())
+                for c, block in enumerate(coef):
+                    if plane is not None:
+                        fields[c] = fields[c] + block[t_m, partners[m]] * plane
+                    # the wave times its coefficients as wave *= coef formed it:
+                    # numpy forms a product with a large fresh temporary of the
+                    # same shape on the right in that temporary, operands
+                    # swapped, and the complex product is not symmetric in its
+                    # last bit
+                    fields[c] = fields[c] + np.multiply(wave, block[t_m, m])
+            for field, low_rank in zip(fields, low_ranks):
+                low_rank.add(field * weight[cols, None], field.conj())
 
 
-def _crossing(k0, fwd, bwd, newton, coef, delta, gap, anchor, x1, x2, scale, low_rank) -> None:
+def _crossing(k0, fwd, bwd, newton, coef, delta, gap, anchor, x1, x2, scale, low_ranks) -> None:
     """Products of the forward and backward modes of each term, as separable factors.
 
     For forward waves (k0 + delta_a, modes ``fwd``) anchored at A and
@@ -778,9 +832,10 @@ def _crossing(k0, fwd, bwd, newton, coef, delta, gap, anchor, x1, x2, scale, low
     rule: with (-u)[+,-] = -i, L_q = -i f+ (-u+)^(q-1) + L_(q-1) (-u-)
     from L_0 = N; with (1/d)[+,-] = i / (d+ d-), R_q = i conj(f+) /
     (d+^(q+1) d-) + R_(q-1) / d- from R_-1 = conj(N).  No division by the
-    gap.
+    gap.  ``coef`` holds one (terms, modes, nk) block per buffer of
+    ``low_ranks``; the waves and the factors are formed once for all.
     """
-    n_terms, nk = x1.size, coef.shape[2]
+    n_terms, nk = x1.size, coef.shape[3]
     lower = delta - gap
     fwd_n, bwd_n = newton[fwd], newton[bwd]
     a = np.concatenate([delta[:, fwd], lower[:, fwd[fwd_n]]], axis=1)
@@ -794,30 +849,39 @@ def _crossing(k0, fwd, bwd, newton, coef, delta, gap, anchor, x1, x2, scale, low
     powers, inverses = powers[:, :, :fwd.size], inverses[:, :, :bwd.size]
     # waves of one direction relative to its first anchor (exactly 1 where they share it)
     ref_a, ref_b = anchor[:, fwd[:1]], anchor[:, bwd[:1]]
-    coef_a = np.exp(1j * k0 * (ref_a - anchor[:, fwd]))[:, :, None] * coef[:, fwd]
-    coef_b = np.exp(-1j * k0 * (ref_b - anchor[:, bwd]))[:, :, None] * coef[:, bwd]
+    shift_a = np.exp(1j * k0 * (ref_a - anchor[:, fwd]))[:, :, None]
+    shift_b = np.exp(-1j * k0 * (ref_b - anchor[:, bwd]))[:, :, None]
     # both ends at once, (2, terms, modes, nk): x2 (+) and x1 (-)
     ends = np.stack([x2, x1])
     y_a = (ends[:, :, None] - anchor[:, fwd])[..., None]
     y_b = (ends[:, :, None] - anchor[:, bwd])[..., None]
-    f_as = coef_a * np.exp(1j * delta[:, fwd] * y_a)
-    f_bs = np.conj(coef_b * np.exp(1j * delta[:, bwd] * y_b))
-    l_ns = coef_a[:, fwd_n] * kernels.newton_mode(
+    e_a = np.exp(1j * delta[:, fwd] * y_a)
+    e_b = np.exp(1j * delta[:, bwd] * y_b)
+    n_a = kernels.newton_mode(
         1.0, delta[:, fwd[fwd_n]], lower[:, fwd[fwd_n]], gap[:, fwd[fwd_n]], y_a[:, :, fwd_n])[0]
-    r_ns = np.conj(coef_b[:, bwd_n] * kernels.newton_mode(
-        1.0, delta[:, bwd[bwd_n]], lower[:, bwd[bwd_n]], gap[:, bwd[bwd_n]], y_b[:, :, bwd_n])[0])
-    left, right = [], []
-    for x, end_sign, f_a, f_b, l_n, r_n in zip(ends, (1.0, -1.0), f_as, f_bs, l_ns, r_ns):
-        phase = end_sign * scale * np.exp(1j * k0 * ((x - ref_a[:, 0]) + (x - ref_b[:, 0])))
-        for q in range(powers.shape[0]):
-            if q:
-                l_n = -1j * f_a[:, fwd_n] * powers[q - 1][:, fwd_n] + l_n * minus_u
-            r_n = 1j * f_b[:, bwd_n] * inverses[q][:, bwd_n] * inv_d + r_n * inv_d
-            left.append(phase[:, None] * (
-                np.einsum("tmi,tmi->ti", f_a[:, ~fwd_n], powers[q][:, ~fwd_n]) + l_n.sum(axis=1)))
-            right.append(np.einsum("tmi,tmi->ti", f_b[:, ~bwd_n], inverses[q][:, ~bwd_n])
-                         + r_n.sum(axis=1))
-    low_rank.add_far(np.concatenate(left), np.concatenate(right))
+    n_b = kernels.newton_mode(
+        1.0, delta[:, bwd[bwd_n]], lower[:, bwd[bwd_n]], gap[:, bwd[bwd_n]], y_b[:, :, bwd_n])[0]
+    phases = [end_sign * scale * np.exp(1j * k0 * ((x - ref_a[:, 0]) + (x - ref_b[:, 0])))
+              for x, end_sign in zip(ends, (1.0, -1.0))]
+    for block, low_rank in zip(coef, low_ranks):
+        coef_a = shift_a * block[:, fwd]
+        coef_b = shift_b * block[:, bwd]
+        f_as = coef_a * e_a
+        f_bs = np.conj(coef_b * e_b)
+        l_ns = coef_a[:, fwd_n] * n_a
+        r_ns = np.conj(coef_b[:, bwd_n] * n_b)
+        left, right = [], []
+        for phase, f_a, f_b, l_n, r_n in zip(phases, f_as, f_bs, l_ns, r_ns):
+            for q in range(powers.shape[0]):
+                if q:
+                    l_n = -1j * f_a[:, fwd_n] * powers[q - 1][:, fwd_n] + l_n * minus_u
+                r_n = 1j * f_b[:, bwd_n] * inverses[q][:, bwd_n] * inv_d + r_n * inv_d
+                left.append(phase[:, None] * (
+                    np.einsum("tmi,tmi->ti", f_a[:, ~fwd_n], powers[q][:, ~fwd_n])
+                    + l_n.sum(axis=1)))
+                right.append(np.einsum("tmi,tmi->ti", f_b[:, ~bwd_n], inverses[q][:, ~bwd_n])
+                             + r_n.sum(axis=1))
+        low_rank.add_far(np.concatenate(left), np.concatenate(right))
 
 
 def _collect(k0: float, nk: int, half_lines, interiors):
@@ -831,7 +895,8 @@ def _collect(k0: float, nk: int, half_lines, interiors):
     Gauss-Legendre products of the carrier-free fields and separable
     factors for the products across the carrier (``_interior_products``),
     all of them low-rank Hermitian products that wait in the buffer
-    (``_LowRank``).
+    (``_LowRank``).  ``interiors`` may also be that buffer itself, already
+    holding their products from a pass shared with another matrix's terms.
 
     ``half_lines`` are the terms of the two half-lines, which
     ``ConditionalPropagator._overlap_terms`` passes together so that their
@@ -843,8 +908,10 @@ def _collect(k0: float, nk: int, half_lines, interiors):
     group across the carrier, (k, -k), becomes separable factors in the
     low-rank buffer; the others are the returned Cauchy groups.
     """
-    low_rank = _LowRank(nk)
-    _interior_products(k0, interiors, low_rank)
+    low_rank = interiors
+    if not isinstance(low_rank, _LowRank):
+        low_rank = _LowRank(nk)
+        _interior_products(k0, [(interiors, low_rank)])
     cauchy = []
     for group in _pair_groups(k0, half_lines):
         factors = None if group.near[0].size else _separable(group.i_kappa_a, group.i_kappa_b)
@@ -1056,10 +1123,26 @@ class ConditionalPropagator:
         if self.config.gamma <= 0.0:
             raise ValueError("detection matrix requires gamma > 0")
         if self._detection_matrix is None:
-            half_lines, interiors, _ = self._overlap_terms()
-            self._detection_matrix = _compress(self.grid.origin, self.k.shape[0],
-                                               half_lines, interiors)
+            self._build_detection(())
         return self._detection_matrix
+
+    def _build_detection(self, interiors) -> _LowRank:
+        """Build the detection matrix (``_detection``) with a covering norm's interior terms.
+
+        The norm's ground channel and the detection matrix's excited channel
+        hold the same waves in every region of the beam, so one pass
+        (``_interior_products``) evaluates them for both: the excited rows
+        go to the detection matrix, the ground rows to the returned buffer,
+        which the norm's build takes for its ``interiors``.  Each gets its
+        rows as a build of its own would, so neither matrix depends on
+        which was asked for first.
+        """
+        nk = self.k.shape[0]
+        half_lines, excited, _ = self._overlap_terms()
+        channels = [(excited, _LowRank(nk)), (interiors, _LowRank(nk))]
+        _interior_products(self.grid.origin, channels)
+        self._detection_matrix = _compress(self.grid.origin, nk, half_lines, channels[0][1])
+        return channels[1][1]
 
     def norm_matrix(self, x_min: float, x_max: float) -> np.ndarray:
         """Gram matrix of both components restricted to [x_min, x_max].
@@ -1079,6 +1162,8 @@ class ConditionalPropagator:
         window = _norm_window(x_min, x_max)
         if window not in self._norm_matrix_cache:
             half_lines, interiors, covering = self._overlap_terms(window)
+            if covering and self._detection_matrix is None:
+                interiors = self._build_detection(interiors)
             grams = [(self._detection(), 1.0)] if covering else []
             self._norm_matrix_cache[window] = _overlap_sums(
                 self.grid.origin, self.k.shape[0], half_lines, interiors, grams)
@@ -1171,8 +1256,8 @@ class ConditionalPropagator:
         return self._last_samples[1:]
 
     def _phases(self, nodes: np.ndarray) -> np.ndarray:
-        """coeff * exp(-i omega t) at the nodes, (nk, nodes)."""
-        v = np.exp(-1j * np.outer(self.omega_rel, nodes))
+        """coeff * exp(-i omega t) at the nodes, (nk, nodes), from ``series.phase_basis``."""
+        v = phase_basis(self.omega_rel, nodes)
         v *= self.coeff[:, None]
         return v
 
@@ -1358,6 +1443,10 @@ def first_photon_density(
     lo0, hi0 = prop.default_domain(float(t[0]))
     lo1, hi1 = prop.default_domain(float(t[-1]))
     x_min, x_max = min(lo0, lo1), max(hi0, hi1)
+    # the phase basis and its map first: they outlive the matrices'
+    # temporaries (the free-atom references reuse the map), so they are
+    # allocated below them and leave the heap free to shrink after them
+    prop._samples(t)
     # the covering norm builds the detection matrix, which gamma P2 reuses
     survival, dn = prop.norm_and_rate(t, x_min, x_max)
     # gamma P2 and -dP2/dt from one product: Pi_id = gamma P2 - (-dP2/dt)

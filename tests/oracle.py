@@ -83,9 +83,12 @@ def _quadrature_gram(modes, x1, x2, k0):
 
     With the carrier out the modes are smooth: waves whose wavenumbers lie
     within beta = their real spread + twice their largest |Im| of each
-    other, a Newton mode E- expm1(i gap y) / gap (i y E+ at gap 0).  Panels of beta width / 2 <= 1 at 16 nodes each
-    integrate their products, degree-2 polynomials in y included, to
-    rounding.
+    other.  A Newton mode (E+ - E-) / gap is formed as ``kernels.newton_mode``
+    forms it: the larger wave E_big from its offset, the smaller E_big (1 +
+    expm1(z)) with Re z <= 0, so N = -+E_big expm1(z) / gap, which stays
+    finite where exp(i gap y) overflows (a closed channel); i y E+ at gap
+    0.  Panels of beta width / 2 <= 1 at 16 nodes each integrate their
+    products, degree-2 polynomials in y included, to rounding.
     """
     wavenumbers = np.concatenate([mode[2] - (0.0 if mode[4] is None else mode[4] * t)
                                   for mode in modes for t in (0.0, 1.0)])
@@ -100,9 +103,12 @@ def _quadrature_gram(modes, x1, x2, k0):
         y = x - anchor
         wave = np.exp(1j * np.outer(delta, y))
         if gap is not None:
+            # E+ is the larger wave where Im(gap) y <= 0: E- = E+ exp(z), z = -i gap y
+            plus_big = np.multiply.outer(gap.imag, y) <= 0.0
+            big = np.exp(1j * np.where(plus_big, delta[:, None], (delta - gap)[:, None]) * y)
+            z = np.where(plus_big, -1j, 1j) * np.outer(gap, y)
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = (np.exp(1j * np.outer(delta - gap, y)) * np.expm1(1j * np.outer(gap, y))
-                          / gap[:, None])
+                newton = np.where(plus_big, -big, big) * np.expm1(z) / gap[:, None]
             wave = np.where(gap[:, None] == 0.0, 1j * y * wave, newton)
         # the carrier relative to the first mode's: exactly 1 for one anchor
         field = field + np.exp(1j * k0 * sign * (modes[0][3] - anchor)) * coef[:, None] * wave

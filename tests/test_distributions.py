@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import GAMMA, HBAR, MASS
 from toa_sim import distributions as ds
 from toa_sim.errors import GridMismatch, UnderResolvedWarning, ZeroIntegral
-from toa_sim.series import TimeSeries, _node_count, l1_distance
+from toa_sim.series import TimeSeries, _node_count, chebyshev_samples, l1_distance
 from toa_sim.wavepacket import GaussianComponent, PacketSpec, default_kgrid, grid_amplitude
 
 
@@ -277,6 +277,17 @@ class TestFreeSampling:
             assert g.shape == want.shape
             assert np.abs(g - want).max() <= 1e-12 * max(np.abs(want).max(), np.abs(ref).max())
 
+
+    def test_waves_are_the_complex_exponential(self):
+        # cos - i sin of the real phases: the complex exponential's waves to the bit
+        spec, tw = single_packet()
+        times = grid(tw - 1e-6, tw + 1e-6, 400)
+        k, waves, _ = ds._free_waves(spec, 5e-6, times)
+        kgrid = default_kgrid(spec)
+        omega = kgrid.frequencies(spec.mass, spec.constants.hbar)[1]
+        nodes, _ = chebyshev_samples(times.times, np.ptp(omega))
+        coeff = kgrid.weights * grid_amplitude(spec, kgrid) * np.exp(1j * k * 5e-6)
+        assert np.array_equal(waves, coeff[:, None] * np.exp(-1j * np.outer(omega, nodes)))
 
     def test_waves_built_once_per_packet(self, monkeypatch):
         # J and the axiomatic density of one packet share its waves, and

@@ -133,6 +133,32 @@ def test_long_series_take_band_limited_nodes():
     assert (nodes[0], nodes[-1]) == (times[-1], times[0])
 
 
+def test_last_map_is_kept_for_equal_times_and_count():
+    # the map depends on the times and the node count alone: equal ones are
+    # given the same map, other times of the same length or another count a
+    # fresh one, and the nodes are read-only
+    times = TimeSeries(t0=2e-4, dt=1e-7, values=np.zeros(1601)).times
+    bandwidth = 2.0 * 128.0 / (times[-1] - times[0])
+    nodes, resample = chebyshev_samples(times, bandwidth)
+    again = chebyshev_samples(times.copy(), bandwidth * (1.0 + 1e-12))  # the same count
+    assert again[0] is nodes and again[1] is resample
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    values = np.random.default_rng(5).normal(size=(2, nodes.size))
+    want = resample(values)
+    shifted = times + 1e-7
+    moved = chebyshev_samples(shifted, bandwidth)
+    assert moved[1] is not resample and moved[0].size == nodes.size
+    assert np.allclose(moved[0], nodes + 1e-7, rtol=0.0, atol=1e-18)
+    times[0] = 0.0   # the kept times are a copy
+    fewer = chebyshev_samples(shifted, 0.5 * bandwidth)
+    assert fewer[0].size < nodes.size
+    times[0] = 2e-4
+    back = chebyshev_samples(times, bandwidth)
+    assert back[1] is not resample and np.array_equal(back[0], nodes)
+    assert np.array_equal(back[1](values), want)
+
+
 def two_array_basis(times, nodes):
     """The barycentric map of ``chebyshev_samples`` with its weights in a second array."""
     lo, hi = times.min(), times.max()

@@ -291,6 +291,16 @@ class TestFirstPhotonDensity:
         first_photon_density(spec, cfg, grid, times)
         assert len(calls) == 1
 
+    def test_phase_basis_is_the_complex_exponential(self):
+        # cos - i sin of the real phases, times the coefficients in place:
+        # the complex exponential's basis to the bit
+        cfg, spec, grid, times = self.make()
+        prop = ConditionalPropagator(spec, cfg, grid)
+        nodes, _ = wavepacket.chebyshev_samples(times.times, np.ptp(prop.omega_rel))
+        want = np.exp(-1j * np.outer(prop.omega_rel, nodes))
+        want *= prop.coeff[:, None]
+        assert np.array_equal(prop._phases(nodes), want)
+
     def test_shared_basis_matches_fresh_forms(self):
         # gamma*P2 and (N, -dN/dt) on one basis equal each form on its own
         cfg, spec, grid, times = self.make()
@@ -550,13 +560,31 @@ class TestOverlapEngine:
             interior = prop.regions[1]
             rows = [0, n_nodes // 2 - 1, n_nodes - 1]
             for modes in interior.channel_modes:
-                # the resonant cross pairs are beyond a double-precision
-                # quotient (dense_gram reads 2e-11 at 24 nodes): the oracle
-                # is mpmath's
+                # the oracle is mpmath's; dense_gram, whose Newton modes
+                # take the larger wave from its offset as the engine's do,
+                # reads 3.6e-15 at 24 nodes (NaN where it formed exp(i gap
+                # y), which overflows here)
                 got = _region_gram(modes, interior.x1, interior.x2, interior)
                 want = mpmath_gram(modes, interior.x1, interior.x2, k0, rows=rows)
                 assert np.abs(got[rows] - want).max() <= 1e-12 * np.abs(got).max()
         assert any(len(set(signs)) == 2 for signs in taken)
+
+    def test_dense_oracle_is_finite_in_a_closed_channel(self):
+        # the closed channel above, on a quarter of the beam and four nodes:
+        # exp(i gap y) reaches exp(726) there, and dense_gram, which formed
+        # it, read NaN; its Newton modes now take the larger wave from its
+        # offset, as the engine's do
+        spec, _ = packet(v=0.05)
+        k0 = k_of(0.05)
+        x, w = np.polynomial.legendre.leggauss(4)
+        grid = KGrid(origin=k0, offsets=8e4 * x, weights=8e4 * w)
+        prop = ConditionalPropagator(spec, cesium_config(omega=5 * GAMMA, gamma=0.0), grid)
+        interior = prop.regions[1]
+        x2 = interior.x1 + 0.25 * (interior.x2 - interior.x1)
+        ground = interior.channel_modes[0]
+        want = mpmath_gram(ground, interior.x1, x2, k0)
+        got = dense_gram(ground, interior.x1, x2, k0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_series_branch_at_near_resonance(self):
         # a Cauchy (half-line) group with nodes at |u| = |k_i - k_j| (x2 -
@@ -686,20 +714,47 @@ class TestOverlapMatrices:
         assert_matches(n, region_norm(prop, *window))
 
     @pytest.mark.parametrize("shape", ["ridge", "plateau", "weak", "fig6", "fig7-150"])
-    def test_norm_is_independent_of_call_order(self, shape):
+    def test_norm_is_independent_of_call_order(self, shape, monkeypatch):
         # a covering norm takes the detection-matrix path whether or not the
-        # detection matrix was asked for first, so both orders give its bits
+        # detection matrix was asked for first, so both orders give its bits.
+        # Asked for first, it builds the detection matrix in one pass over
+        # the beam's waves with its own ground channel, and on the fig7
+        # slices both matrices' buffers flush past LOW_RANK_COLUMNS during
+        # that pass; a window that does not cover the beam shares no pass
         if shape == "fig7-150":
             make = functools.partial(arrival_propagator, 5 * GAMMA, (150.0,), 2e-6, 5.0,
                                      FIG7_BEAM, 48)
         else:
             make = functools.partial(arrival_propagator, *ARRIVAL_SHAPES[shape])
+        buffers, flushed = [], set()
+        products, tile_pass = wavepacket._gauss_products, wavepacket._tile_pass
+
+        def spy_products(*args):
+            buffers.append(len(args[-1]))
+            return products(*args)
+
+        def spy_tile_pass(low_rank, *args, **kwargs):
+            if not (args or kwargs):   # a flush of LOW_RANK_COLUMNS
+                flushed.add(id(low_rank))
+            return tile_pass(low_rank, *args, **kwargs)
+
+        monkeypatch.setattr(wavepacket, "_gauss_products", spy_products)
+        monkeypatch.setattr(wavepacket, "_tile_pass", spy_tile_pass)
         norm_first, window = make()
         n = norm_first.norm_matrix(*window)
+        assert buffers and set(buffers) == {2}
+        assert len(flushed) == (2 if shape == "fig7-150" else 0)
         detection_first, _ = make()
         d2 = detection_first.detection_matrix()
         assert np.array_equal(n, detection_first.norm_matrix(*window))
         assert np.array_equal(d2, norm_first.detection_matrix())
+        regions = norm_first.regions
+        short = (window[0], 0.5 * (regions[0].x2 + regions[-1].x1))
+        buffers.clear()
+        partial_first, _ = make()
+        partial = partial_first.norm_matrix(*short)
+        assert partial_first._detection_matrix is None and set(buffers) == {1}
+        assert np.array_equal(partial, detection_first.norm_matrix(*short))
 
     @pytest.mark.parametrize("n_nodes", TILE_SIZES)
     def test_windows_inside_the_beam(self, n_nodes):
